@@ -7,7 +7,7 @@ be reproduced byte-identically from the manifest alone.
 ``macfusion presets`` lists the built-in figure-reproduction recipes.
 
 Exit codes: 0 success, 2 config error (diagnostics name the offending
-field), 3 numerical non-convergence (diagnostics name the integral).
+field), 3 numerical failure (diagnostics name the failed operation).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import estimation as est
 from . import harness, kernels
 from . import noise as noise_mod
 from . import transmit as tx
-from .numerics import QuadratureConvergenceError, QuadratureSpec
+from .numerics import NumericsError, QuadratureConvergenceError, QuadratureSpec
 
 ENV_SEED = "MACFUSION_SEED"
 
@@ -381,11 +381,18 @@ def _run_af_compare(cfg, workers):
     setup = _estimation_setup(base)
     spec = build_quadrature(cfg.get("quadrature"))
     seed = cfg["master_seed"]
-    bounded = harness.sweep("L", L_values, setup, trials, seed, workers=workers, estimator="bounded", spec=spec)
-    af = harness.sweep("L", L_values, setup, trials, seed, workers=workers, estimator="af", spec=spec)
-    rows = []
-    for (L, sb), (_, sa) in zip(bounded, af):
-        rows.append([int(L), sb.aggregates["median_abs_error"], sa.aggregates["median_abs_error"], trials])
+
+    def run_point(indexed):
+        # One draw pass feeds both estimators, so the comparison is paired.
+        index, L = indexed
+        point = harness.apply_sweep_parameter(setup, "L", L)
+        stats = harness.run_signal_statistics(point, trials, seed, stream_id_base=index * harness.POINT_STREAM_STRIDE)
+        bounded, _ = est.build_flat_response(point, spec=spec).invert(stats["z_targets"])
+        mae_bounded = float(np.median(np.abs(bounded - point.theta)))
+        mae_af = float(np.median(np.abs(stats["af_estimates"] - point.theta)))
+        return [int(L), mae_bounded, mae_af, trials]
+
+    rows = _parallel_map(run_point, enumerate(L_values), workers)
     return ["L", "mae_bounded", "mae_af", "trials"], rows
 
 
@@ -849,8 +856,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except QuadratureConvergenceError as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
+    except NumericsError as exc:
+        failure = "non-convergence" if isinstance(exc, QuadratureConvergenceError) else "failure"
+        print(f"numerical {failure} in {cfg.get('kind')}: {exc}", file=sys.stderr)
         return 3
     print(f"wrote {manifest['csv_path']} ({manifest['rows']} rows) in {manifest['wall_time_seconds']:.2f}s")
     return 0

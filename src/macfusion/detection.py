@@ -31,6 +31,8 @@ from .numerics import (
     QuadratureSpec,
     adaptive_quadrature,
     minimize_scalar,
+    pairwise_row_sum,
+    row_blocks,
 )
 
 
@@ -80,15 +82,11 @@ def deflection(setup: DetectionSetup, spec: QuadratureSpec | None = None) -> flo
     """
     spec = spec or DEFAULT_QUADRATURE
     values, shares = _sigma_shares(setup)
-    shift = 0.0
-    var0 = 0.0
-    for sigma, share in zip(values, shares):
-        sigma = float(sigma)
-        g1 = g_moment(setup.noise, setup.transmit, sigma, setup.theta, 1, spec)
-        g0 = g_moment(setup.noise, setup.transmit, sigma, 0.0, 1, spec)
-        m2 = g_moment(setup.noise, setup.transmit, sigma, 0.0, 2, spec)
-        shift += share * (g1 - g0)
-        var0 += share * (m2 - g0 * g0)
+    g1 = g_moment(setup.noise, setup.transmit, values, setup.theta, 1, spec)
+    g0 = g_moment(setup.noise, setup.transmit, values, 0.0, 1, spec)
+    m2 = g_moment(setup.noise, setup.transmit, values, 0.0, 2, spec)
+    shift = math.fsum(shares * (g1 - g0))
+    var0 = math.fsum(shares * (m2 - g0 * g0))
     return shift * shift / (var0 + setup.channel_noise_var / setup.total_power)
 
 
@@ -154,16 +152,10 @@ def build_detector(setup: DetectionSetup, spec: QuadratureSpec | None = None) ->
     means = []
     variances = []
     for theta in (0.0, setup.theta):
-        g_bar = 0.0
-        v_bar = 0.0
-        for sigma, share in zip(values, shares):
-            sigma = float(sigma)
-            g1 = g_moment(setup.noise, setup.transmit, sigma, theta, 1, spec)
-            m2 = g_moment(setup.noise, setup.transmit, sigma, theta, 2, spec)
-            g_bar += share * g1
-            v_bar += share * (m2 - g1 * g1)
-        means.append(scale * g_bar)
-        variances.append(setup.total_power * v_bar + setup.channel_noise_var)
+        g1 = g_moment(setup.noise, setup.transmit, values, theta, 1, spec)
+        m2 = g_moment(setup.noise, setup.transmit, values, theta, 2, spec)
+        means.append(scale * math.fsum(shares * g1))
+        variances.append(setup.total_power * math.fsum(shares * (m2 - g1 * g1)) + setup.channel_noise_var)
     p0, p1 = setup.priors
     return GaussianApproxDetector(
         mean0=means[0],
@@ -201,7 +193,6 @@ def error_probability(
     stream,
     spec: QuadratureSpec | None = None,
     stratified: bool = False,
-    block_size: int = 65536,
 ) -> tuple[float, float]:
     """Monte Carlo error probability of the quadratic detector.
 
@@ -213,7 +204,7 @@ def error_probability(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     detector = build_detector(setup, spec)
-    hypotheses, wrong = simulate_decisions(setup, detector, trials, stream, stratified=stratified, block_size=block_size)
+    hypotheses, wrong = simulate_decisions(setup, detector, trials, stream, stratified=stratified)
     return summarize_errors(setup.priors, hypotheses, wrong, stratified)
 
 
@@ -243,7 +234,6 @@ def simulate_decisions(
     trials: int,
     stream,
     stratified: bool = False,
-    block_size: int = 65536,
 ):
     """Run the full transmit/superpose/decide pipeline trial by trial.
 
@@ -261,30 +251,25 @@ def simulate_decisions(
     sigma_v = math.sqrt(setup.channel_noise_var)
     p0, _ = setup.priors
     n_h0_total = int(round(p0 * trials)) if stratified else 0
+    lead = 0 if stratified else 1  # columns before the sensors
+    cols = lead + setup.L + 1
 
-    cols = setup.L + (1 if stratified else 2)
     hypotheses = np.empty(trials, dtype=np.uint8)
-    wrong = np.empty(trials, dtype=np.uint8)
-    done = 0
-    while done < trials:
-        count = min(block_size, trials - done)
-        u = stream.uniforms(count * cols).reshape(count, cols)
+    y = np.empty(trials)
+    for start, count, draw in row_blocks(stream, trials, cols):
+        rows = slice(start, start + count)
         if stratified:
-            idx = np.arange(done, done + count)
-            h1 = (idx >= n_h0_total).astype(np.uint8)
-            sensor_u = u[:, : setup.L]
-            chan_u = u[:, setup.L]
+            hypotheses[rows] = np.arange(start, start + count) >= n_h0_total
         else:
-            h1 = (u[:, 0] >= p0).astype(np.uint8)
-            sensor_u = u[:, 1 : setup.L + 1]
-            chan_u = u[:, setup.L + 1]
-        noise_draws = transform_uniforms(setup.noise, sensor_u)
-        x = h1[:, None] * setup.theta + sigmas[None, :] * noise_draws
-        y = sqrt_rho * kernels.channel_sums(code, a, b, x) + sigma_v * ndtri(chan_u)
-        decisions = decide(detector, y)
-        hypotheses[done : done + count] = h1
-        wrong[done : done + count] = (decisions != h1).astype(np.uint8)
-        done += count
+            hypotheses[rows] = draw(0, 1)[:, 0] >= p0
+        shift = hypotheses[rows, None] * setup.theta
+
+        def sensor_sums(lo, hi):
+            noise_draws = transform_uniforms(setup.noise, draw(lead + lo, lead + hi))
+            return kernels.channel_sums(code, a, b, shift + sigmas[lo:hi] * noise_draws)
+
+        y[rows] = sqrt_rho * pairwise_row_sum(setup.L, sensor_sums) + sigma_v * ndtri(draw(cols - 1, cols)[:, 0])
+    wrong = (decide(detector, y) != hypotheses).astype(np.uint8)
     return hypotheses, wrong
 
 

@@ -136,66 +136,90 @@ def _transition_width(f: tx.TransmitFunction) -> float:
     return 1.0
 
 
-def _moment_breakpoints(f: tx.TransmitFunction, sigma: float, theta: float, domain: float):
-    """Seed points in n for the integrand f(theta + sigma * n)^k p(n).
+def _moment_breakpoints(f: tx.TransmitFunction, sigmas, theta: float, domain: float):
+    """Seed points in n for the integrands f(theta + sigma n)^k p(n).
 
-    Kinks map exactly; for smooth kinds the transition center and a few
-    width multiples are seeded so large sigma cannot hide the feature from
-    the first refinement rounds.
+    Kinks map exactly for every sigma. For smooth kinds the transition
+    center and a few width multiples of the smallest and the largest sigma
+    are seeded, so large sigma cannot hide the feature from the first
+    refinement rounds; the transitions of the sigmas in between lie among
+    those seeds.
     """
-    pts = [(b - theta) / sigma for b in tx.breakpoints(f)]
-    center = -theta / sigma
-    width = _transition_width(f) / sigma
-    for k in (0.0, 1.0, -1.0, 10.0, -10.0):
-        pts.append(center + k * width)
+    pts = [(b - theta) / sigma for sigma in sigmas for b in tx.breakpoints(f)]
+    for sigma in {min(sigmas), max(sigmas)}:
+        center = -theta / sigma
+        width = _transition_width(f) / sigma
+        for k in (0.0, 1.0, -1.0, 10.0, -10.0):
+            pts.append(center + k * width)
     return tuple(p for p in pts if abs(p) < domain)
 
 
+# Most distinct sigma values integrated together on one shared mesh; larger
+# groups refine the mesh for features most members do not have.
+MOMENT_GROUP = 64
+
+
 @lru_cache(maxsize=None)
-def _g_moment_cached(
+def _g_moments_cached(
     noise: NoiseModel,
     f: tx.TransmitFunction,
-    sigma: float,
+    sigmas: tuple[float, ...],
     theta: float,
     power: int,
     spec: QuadratureSpec,
-) -> float:
+) -> np.ndarray:
     from .noise import tail_truncation
 
     code, a, b = tx.kind_params(f)
     t = tail_truncation(noise, spec.tail_mass)
+    column = np.array(sigmas)[:, None]
 
     if power == 1:
         def g(n):
-            return kernels.eval_transmit(code, a, b, theta + sigma * n)
+            return kernels.eval_transmit(code, a, b, theta + column * n)
     else:
         def g(n):
-            v = kernels.eval_transmit(code, a, b, theta + sigma * n)
+            v = kernels.eval_transmit(code, a, b, theta + column * n)
             return v * v
 
-    return expect(
+    label = f"sigma={sigmas[0]}" if len(sigmas) == 1 else f"sigma in [{sigmas[0]}, {sigmas[-1]}]"
+    values = expect(
         noise,
         g,
         spec,
-        breakpoints=_moment_breakpoints(f, sigma, theta, t),
-        context=f"E[f^{power}(theta + sigma n)] at sigma={sigma}, theta={theta}",
+        breakpoints=_moment_breakpoints(f, sigmas, theta, t),
+        context=f"E[f^{power}(theta + sigma n)] at {label}, theta={theta}",
     )
+    values.flags.writeable = False
+    return values
 
 
 def g_moment(
     noise: NoiseModel,
     f: tx.TransmitFunction,
-    sigma: float,
+    sigma,
     theta: float,
     power: int = 1,
     spec: QuadratureSpec | None = None,
-) -> float:
-    """E[f(theta + sigma n)^power] by adaptive quadrature (memoized)."""
-    return _g_moment_cached(noise, f, float(sigma), float(theta), int(power), spec or DEFAULT_QUADRATURE)
+):
+    """E[f(theta + sigma n)^power] by adaptive quadrature (memoized).
+
+    ``sigma`` may be an array: the result is then the array of moments, one
+    per entry, from vector-valued quadratures that integrate up to
+    ``MOMENT_GROUP`` consecutive entries on one shared mesh. Callers pass
+    distinct values in ascending order, so each group has similar features.
+    """
+    spec = spec or DEFAULT_QUADRATURE
+    sigmas = np.atleast_1d(np.asarray(sigma, dtype=np.float64)).tolist()
+    values = np.concatenate([
+        _g_moments_cached(noise, f, tuple(sigmas[i : i + MOMENT_GROUP]), float(theta), int(power), spec)
+        for i in range(0, len(sigmas), MOMENT_GROUP)
+    ])
+    return float(values[0]) if np.ndim(sigma) == 0 else values
 
 
 def clear_moment_cache() -> None:
-    _g_moment_cached.cache_clear()
+    _g_moments_cached.cache_clear()
 
 
 def mean_response(setup: EstimationSetup, theta: float, spec: QuadratureSpec | None = None) -> float:
@@ -205,10 +229,8 @@ def mean_response(setup: EstimationSetup, theta: float, spec: QuadratureSpec | N
     as 1.0 * g(theta), so the result is bit-identical for every L.
     """
     values, counts = setup.sigmas.distinct(setup.L)
-    total = 0.0
-    for sigma, count in zip(values, counts):
-        total += (count / setup.L) * g_moment(setup.noise, setup.transmit, sigma, theta, 1, spec)
-    return total
+    moments = g_moment(setup.noise, setup.transmit, values, theta, 1, spec)
+    return math.fsum((counts / setup.L) * moments)
 
 
 def response_limits(setup: EstimationSetup) -> tuple[float, float]:
@@ -270,7 +292,7 @@ def asymptotic_variance(setup: EstimationSetup, spec: QuadratureSpec | None = No
         setup.noise,
         lambda n: tx.derivative(f, theta + n),
         spec,
-        breakpoints=_moment_breakpoints(f, 1.0, theta, 1e300),
+        breakpoints=_moment_breakpoints(f, (1.0,), theta, 1e300),
         context=f"E[f'(theta + n)] at theta={theta}",
     )
     noise_part = second - mean * mean + setup.channel_noise_var / setup.total_power
@@ -337,7 +359,7 @@ class FlatResponse:
     def eval_one(self, theta: float) -> float:
         return float(self.eval(np.array([theta]))[0])
 
-    def invert(self, targets: np.ndarray, grid_size: int = 2049) -> tuple[np.ndarray, np.ndarray]:
+    def invert(self, targets: np.ndarray, grid_size: int = 257) -> tuple[np.ndarray, np.ndarray]:
         """Invert an array of targets; returns (thetas, clamp mask)."""
         targets = np.asarray(targets, dtype=np.float64)
         clamped = np.zeros(targets.shape, dtype=bool)
@@ -353,12 +375,14 @@ class FlatResponse:
             width *= 2.0
             lo -= width
             if lo < -1e18:
-                raise NumericsError("failed to bracket inversion targets from below")
+                raise NumericsError(f"inverting the mean response: no theta above -1e18 brings h below the target {t_min!r}")
         while self.eval_one(hi) <= t_max:
             width *= 2.0
             hi += width
             if hi > 1e18:
-                raise NumericsError("failed to bracket inversion targets from above")
+                raise NumericsError(f"inverting the mean response: no theta below 1e18 brings h above the target {t_max!r}")
+        # The grid only seeds each target's bracket; the kernel iterates every
+        # target to convergence.
         grid_x = np.linspace(lo, hi, grid_size)
         # Enforce nondecreasing grid values; saturation plateaus can wiggle
         # at machine precision and searchsorted needs sorted input.
@@ -398,7 +422,7 @@ def _probability_mesh(
 
     bps = set()
     for theta in probes:
-        for p in _moment_breakpoints(f, sigma, float(theta), math.inf):
+        for p in _moment_breakpoints(f, (sigma,), float(theta), math.inf):
             u = float(cdf(noise, p))
             if d < u < 1.0 - d:
                 bps.add(u)

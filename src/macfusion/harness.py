@@ -26,7 +26,7 @@ from .estimation import (
     sqrt_growth_sigmas,
 )
 from .noise import sample
-from .numerics import QuadratureSpec, RngStream
+from .numerics import QuadratureSpec, RngStream, pairwise_row_sum, row_blocks
 
 POINT_STREAM_STRIDE = 2**32
 
@@ -112,7 +112,6 @@ def run_estimation_experiment(
     stream_id_base: int = 0,
     spec: QuadratureSpec | None = None,
     experiment_id: str = "estimation",
-    block_size: int = 8192,
 ) -> TrialSummary:
     """Monte Carlo estimates over the full pipeline.
 
@@ -126,7 +125,7 @@ def run_estimation_experiment(
     if estimator not in ("bounded", "af"):
         raise ValueError(f"unknown estimator {estimator!r}")
 
-    stats = _collect_signal_statistics(setup, trials, master_seed, stream_id_base, block_size)
+    stats = _collect_signal_statistics(setup, trials, master_seed, stream_id_base)
 
     clamp_count = 0
     if estimator == "af":
@@ -150,38 +149,38 @@ def run_estimation_experiment(
     return summary
 
 
-def _collect_signal_statistics(setup, trials, master_seed, stream_id_base, block_size=8192) -> dict:
+def _collect_signal_statistics(setup, trials, master_seed, stream_id_base) -> dict:
     """Draw all trials and return normalized targets plus AF estimates.
 
     The two estimators are deliberately fed the same realizations so
     comparisons are paired.
     """
+    from .noise import transform_uniforms
+
     stream = RngStream(master_seed, stream_id_base)
     sigmas = setup.sigmas.resolve(setup.L)
     code, a, b = tx.kind_params(setup.transmit)
     sqrt_rho = math.sqrt(setup.rho)
     sigma_v = math.sqrt(setup.channel_noise_var)
     alpha, _ = af_gain(setup)
-    cols = setup.L + 1
 
-    z_targets = np.empty(trials)
-    af_estimates = np.empty(trials)
-    done = 0
-    while done < trials:
-        count = min(block_size, trials - done)
-        u = stream.uniforms(count * cols).reshape(count, cols)
-        from .noise import transform_uniforms
+    f_sums = np.empty(trials)
+    scaled_sums = np.empty(trials)
+    chan = np.empty(trials)
+    for start, count, draw in row_blocks(stream, trials, setup.L + 1):
 
-        noise_draws = transform_uniforms(setup.noise, u[:, : setup.L])
-        chan = sigma_v * ndtri(u[:, setup.L])
-        scaled = sigmas[None, :] * noise_draws
-        x = setup.theta + scaled
-        y_raw = sqrt_rho * kernels.channel_sums(code, a, b, x) + chan
-        z = y_raw / math.sqrt(setup.L)
-        z_targets[done : done + count] = z / math.sqrt(setup.total_power)
-        af_estimates[done : done + count] = setup.theta + scaled.mean(axis=1) + chan / (setup.L * alpha)
-        done += count
-    return {"z_targets": z_targets, "af_estimates": af_estimates}
+        def sensor_sums(lo, hi):
+            scaled = sigmas[lo:hi] * transform_uniforms(setup.noise, draw(lo, hi))
+            return np.stack([kernels.channel_sums(code, a, b, setup.theta + scaled), scaled.sum(axis=1)])
+
+        rows = slice(start, start + count)
+        f_sums[rows], scaled_sums[rows] = pairwise_row_sum(setup.L, sensor_sums)
+        chan[rows] = sigma_v * ndtri(draw(setup.L, setup.L + 1)[:, 0])
+    z = (sqrt_rho * f_sums + chan) / math.sqrt(setup.L)
+    return {
+        "z_targets": z / math.sqrt(setup.total_power),
+        "af_estimates": setup.theta + scaled_sums / setup.L + chan / (setup.L * alpha),
+    }
 
 
 def run_signal_statistics(setup, trials, master_seed, stream_id_base: int = 0) -> dict:
@@ -202,14 +201,13 @@ def run_detection_experiment(
     stratified: bool = False,
     spec: QuadratureSpec | None = None,
     experiment_id: str = "detection",
-    block_size: int = 65536,
 ) -> TrialSummary:
     """Monte Carlo error probability with the detector built once."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     detector = build_detector(setup, spec)
     stream = RngStream(master_seed, stream_id_base)
-    hypotheses, wrong = simulate_decisions(setup, detector, trials, stream, stratified=stratified, block_size=block_size)
+    hypotheses, wrong = simulate_decisions(setup, detector, trials, stream, stratified=stratified)
     summary = TrialSummary(
         experiment_id=experiment_id,
         master_seed=master_seed,

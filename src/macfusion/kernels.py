@@ -1,79 +1,24 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels in vectorized numpy.
 
 Three operations dominate simulation runtime: transmit-curve evaluation
-over large draw arrays, per-trial channel sums, and batched bisection
-inversion of the cached mean-response function. Each exists twice, once as
-a numba ``@njit`` kernel and once in vectorized numpy, behind a module
-switch so either path can run the full test suite.
-
-Backend selection: the ``MACFUSION_BACKEND`` environment variable may be
-set to ``numba`` or ``numpy``; unset (or ``auto``) prefers numba when it
-imports cleanly. Random number generation never happens inside kernels, so
-a given experiment consumes identical random draws on both backends.
+over large draw arrays, per-trial channel sums, and batched inversion of
+the frozen mean-response function. Random number generation never happens
+inside kernels, so the draws an experiment consumes do not depend on how
+the kernels batch their work.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-ENV_BACKEND = "MACFUSION_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_TWO_OVER_PI = 2.0 / math.pi
 _FOUR_OVER_PI = 4.0 / math.pi
 
 
-def _select_backend() -> str:
-    requested = os.environ.get(ENV_BACKEND, "auto").strip().lower()
-    if requested in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if requested == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("MACFUSION_BACKEND=numba but numba is not importable")
-        return "numba"
-    if requested == "numpy":
-        return "numpy"
-    raise RuntimeError(f"unrecognized {ENV_BACKEND}={requested!r}; use 'numba', 'numpy' or 'auto'")
-
-
-_ACTIVE = _select_backend()
-
-
 def get_backend() -> str:
-    return _ACTIVE
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime (used by tests and the benchmark)."""
-    global _ACTIVE
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"backend must be 'numba' or 'numpy', got {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _ACTIVE = name
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
+    """Name of the kernel implementation, recorded in run manifests."""
+    return "numpy"
 
 
 def _eval_transmit_np(code: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
@@ -92,11 +37,9 @@ def _eval_transmit_np(code: int, a: float, b: float, x: np.ndarray) -> np.ndarra
     return a * x
 
 
-def _channel_sums_np(code: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    return _eval_transmit_np(code, a, b, x).sum(axis=1)
-
-
-_SECANT_ITERS = 10
+# Safety cap on Illinois steps per target; converged targets leave the
+# iteration long before (a handful of steps from a grid cell).
+_MAX_ILLINOIS_STEPS = 100
 
 
 def _invert_h_targets_np(
@@ -114,20 +57,32 @@ def _invert_h_targets_np(
     hi_x = grid_x[idx]
     lo_f = grid_h[idx - 1] - targets
     hi_f = grid_h[idx] - targets
-    x = 0.5 * (lo_x + hi_x)
+    # Latest evaluated iterate of every target; NaN until the first step.
+    x = np.full(targets.shape, np.nan)
     stuck_lo = np.zeros(targets.shape, dtype=np.int64)
     stuck_hi = np.zeros(targets.shape, dtype=np.int64)
-    for _ in range(_SECANT_ITERS):
+    # Indices of the targets still iterating; the bracket arrays hold only
+    # those.
+    active = np.arange(targets.size)
+    for _ in range(_MAX_ILLINOIS_STEPS):
         df = hi_f - lo_f
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(df > 0.0, lo_x - lo_f * (hi_x - lo_x) / np.where(df > 0.0, df, 1.0), 0.5 * (lo_x + hi_x))
-        x = np.minimum(np.maximum(x, lo_x), hi_x)
-        shifted = x[:, None] + nodes[None, :]
-        fx = _eval_transmit_np(code, a, b, shifted) @ weights - targets
+            x_new = np.where(df > 0.0, lo_x - lo_f * (hi_x - lo_x) / np.where(df > 0.0, df, 1.0), 0.5 * (lo_x + hi_x))
+        x_new = np.minimum(np.maximum(x_new, lo_x), hi_x)
+        # A target whose update returns its last iterate is converged.
+        moving = x_new != x[active]
+        active, x_new = active[moving], x_new[moving]
+        lo_x, hi_x, lo_f, hi_f = lo_x[moving], hi_x[moving], lo_f[moving], hi_f[moving]
+        stuck_lo, stuck_hi = stuck_lo[moving], stuck_hi[moving]
+        if active.size == 0:
+            break
+        x[active] = x_new
+        shifted = x_new[:, None] + nodes[None, :]
+        fx = _eval_transmit_np(code, a, b, shifted) @ weights - targets[active]
         below = fx < 0.0
-        lo_x = np.where(below, x, lo_x)
+        lo_x = np.where(below, x_new, lo_x)
         lo_f = np.where(below, fx, lo_f)
-        hi_x = np.where(below, hi_x, x)
+        hi_x = np.where(below, hi_x, x_new)
         hi_f = np.where(below, hi_f, fx)
         # Illinois step: halve the retained side's residual when it stalls,
         # which keeps the false-position update superlinear.
@@ -135,129 +90,23 @@ def _invert_h_targets_np(
         stuck_lo = np.where(below, 0, stuck_lo + 1)
         hi_f = np.where(stuck_hi >= 2, 0.5 * hi_f, hi_f)
         lo_f = np.where(stuck_lo >= 2, 0.5 * lo_f, lo_f)
+        # Also converged: an exact root, or no float left strictly inside
+        # the bracket.
+        live = (fx != 0.0) & (np.nextafter(lo_x, hi_x) < hi_x)
+        active = active[live]
+        lo_x, hi_x, lo_f, hi_f = lo_x[live], hi_x[live], lo_f[live], hi_f[live]
+        stuck_lo, stuck_hi = stuck_lo[live], stuck_hi[live]
     return x
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True, nogil=True)
-def _f_scalar(code, a, b, x):
-    if code == 0:
-        return math.tanh(a * x)
-    if code == 1:
-        return _FOUR_OVER_PI * math.atan(math.tanh(0.5 * a * x))
-    if code == 2:
-        t = a * x
-        return t / (1.0 + abs(t))
-    if code == 3:
-        if x > 0.0:
-            return x**a
-        if x < 0.0:
-            return -((-x) ** a)
-        return 0.0
-    if code == 4:
-        k = math.floor(x / a + 0.5)
-        if k > b:
-            k = b
-        elif k < -b:
-            k = -b
-        return k * a
-    return a * x
-
-
-@njit(cache=True, nogil=True)
-def _eval_transmit_nb(code, a, b, x):
-    out = np.empty(x.size)
-    for i in range(x.size):
-        out[i] = _f_scalar(code, a, b, x[i])
-    return out
-
-
-@njit(cache=True, nogil=True)
-def _channel_sums_nb(code, a, b, x):
-    n, m = x.shape
-    out = np.empty(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(m):
-            acc += _f_scalar(code, a, b, x[i, j])
-        out[i] = acc
-    return out
-
-
-@njit(cache=True, nogil=True)
-def _invert_h_targets_nb(nodes, weights, code, a, b, targets, grid_x, grid_h):
-    n = targets.size
-    m = nodes.size
-    out = np.empty(n)
-    for i in range(n):
-        target = targets[i]
-        idx = np.searchsorted(grid_h, target)
-        if idx < 1:
-            idx = 1
-        elif idx > grid_x.size - 1:
-            idx = grid_x.size - 1
-        lo_x = grid_x[idx - 1]
-        hi_x = grid_x[idx]
-        lo_f = grid_h[idx - 1] - target
-        hi_f = grid_h[idx] - target
-        x = 0.5 * (lo_x + hi_x)
-        stuck_lo = 0
-        stuck_hi = 0
-        for _ in range(10):
-            df = hi_f - lo_f
-            if df > 0.0:
-                x = lo_x - lo_f * (hi_x - lo_x) / df
-            else:
-                x = 0.5 * (lo_x + hi_x)
-            if x < lo_x:
-                x = lo_x
-            elif x > hi_x:
-                x = hi_x
-            acc = 0.0
-            for j in range(m):
-                acc += weights[j] * _f_scalar(code, a, b, x + nodes[j])
-            fx = acc - target
-            if fx < 0.0:
-                lo_x = x
-                lo_f = fx
-                stuck_hi += 1
-                stuck_lo = 0
-            else:
-                hi_x = x
-                hi_f = fx
-                stuck_lo += 1
-                stuck_hi = 0
-            if stuck_hi >= 2:
-                hi_f *= 0.5
-            if stuck_lo >= 2:
-                lo_f *= 0.5
-        out[i] = x
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
 def eval_transmit(code: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """f applied elementwise to a 1-D array."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if _ACTIVE == "numba":
-        return _eval_transmit_nb(code, a, b, x)
-    return _eval_transmit_np(code, a, b, x)
+    """f applied elementwise to an array of any shape."""
+    return _eval_transmit_np(code, a, b, np.ascontiguousarray(x, dtype=np.float64))
 
 
 def channel_sums(code: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Row sums of f over a (trials, sensors) observation block."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if _ACTIVE == "numba":
-        return _channel_sums_nb(code, a, b, x)
-    return _channel_sums_np(code, a, b, x)
+    return _eval_transmit_np(code, a, b, np.ascontiguousarray(x, dtype=np.float64)).sum(axis=1)
 
 
 def invert_h_targets(
@@ -275,13 +124,13 @@ def invert_h_targets(
     ``grid_x``/``grid_h`` is a precomputed nondecreasing sampling of the
     response that must bracket every target; each solve starts from its
     grid cell and polishes with a bracketed Illinois false-position
-    iteration, so a handful of response evaluations per target suffice.
+    iteration. A target stops iterating as soon as its residual is zero,
+    its iterate stops moving, or its bracket holds no float strictly
+    inside, so a handful of response evaluations per target suffice.
     """
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     targets = np.ascontiguousarray(targets, dtype=np.float64)
     grid_x = np.ascontiguousarray(grid_x, dtype=np.float64)
     grid_h = np.ascontiguousarray(grid_h, dtype=np.float64)
-    if _ACTIVE == "numba":
-        return _invert_h_targets_nb(nodes, weights, code, a, b, targets, grid_x, grid_h)
     return _invert_h_targets_np(nodes, weights, code, a, b, targets, grid_x, grid_h)

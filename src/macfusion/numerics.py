@@ -4,13 +4,16 @@ Expectations against a noise density are computed by adaptive Gauss-Kronrod
 (G7/K15) quadrature over a quantile-truncated interval. Truncation at tail
 mass m keeps the error certifiable for the bounded integrands used
 throughout: |error| <= sup|g| * m. The refinement loop is round-based and
-evaluates every pending panel in one vectorized call, which keeps Python
-overhead flat when thousands of expectations are requested (for example
-when sweeping per-sensor reliability sequences).
+evaluates every pending panel in one vectorized call. An integrand may
+return several components at once (for example one per distinct
+per-sensor reliability); they share one mesh, which is refined until every
+component meets its own tolerance.
 
 Random streams are counter-keyed Philox generators: the pair
 (master_seed, stream_id) fully determines the draw sequence, so any worker
 layout that assigns disjoint stream ids reproduces bit-identical results.
+Simulations draw their trials row-major from a stream in blocks of at most
+``DRAW_BLOCK_ELEMENTS`` values, so every temporary stays cache-sized.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .noise import NoiseModel, pdf, tail_truncation
 
@@ -120,23 +122,32 @@ del _i, _j, _pos
 
 
 def _gk15_batch(fun, lefts: np.ndarray, rights: np.ndarray):
-    """Evaluate K15 value and error estimate on every panel at once."""
+    """Evaluate K15 value and error estimate on every panel at once.
+
+    ``fun`` returns one value per point, or a (components, points) array;
+    the results have shape (panels,) or (components, panels) to match.
+    """
     centers = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
     points = centers[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(fun(points.ravel()), dtype=np.float64).reshape(points.shape)
-    vals = half * (y @ _KW)
-    gauss = half * (y @ _GW)
+    y = np.asarray(fun(points.ravel()), dtype=np.float64)
+    shape = y.shape[:-1] + lefts.shape
+    # One row of 15 node values per (component, panel); sums over the
+    # nodes come back as (components, panels).
+    y = y.reshape(-1, _NODES.size)
+    panels = (-1, lefts.size)
+    vals = half * (y @ _KW).reshape(panels)
+    gauss = half * (y @ _GW).reshape(panels)
     errdiff = np.abs(vals - gauss)
     mean = vals / np.where(rights != lefts, rights - lefts, 1.0)
-    resasc = half * (np.abs(y - mean[:, None]) @ _KW)
+    resasc = half * (np.abs(y - mean.reshape(-1, 1)) @ _KW).reshape(panels)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(
             resasc > 0.0,
             resasc * np.minimum(1.0, (200.0 * errdiff / np.where(resasc > 0.0, resasc, 1.0)) ** 1.5),
             errdiff,
         )
-    return vals, scaled
+    return vals.reshape(shape), scaled.reshape(shape)
 
 
 def adaptive_quadrature(
@@ -152,10 +163,17 @@ def adaptive_quadrature(
 ):
     """Integrate ``fun`` over [a, b] with round-based panel refinement.
 
-    ``fun`` must accept a 1-D float array. Interior breakpoints become
-    initial panel edges so discontinuous integrands never straddle a panel.
-    Returns ``(value, error_bound, edges)`` where ``edges`` is the final
-    sorted mesh (useful for building fixed-node re-evaluations).
+    ``fun`` must accept a 1-D float array and return one value per point,
+    or a (components, points) array for a vector-valued integrand. All
+    components share one mesh: a panel is split while any component not yet
+    converged exceeds its share of that component's own tolerance
+    max(abs_tol, rel_tol * |integral|), as in Shampine's vectorized adaptive
+    quadrature. One component takes exactly the steps of a scalar integrand.
+    Interior breakpoints become initial panel edges so discontinuous
+    integrands never straddle a panel. Returns ``(value, error_bound,
+    edges)``, where value and error bound are floats for a scalar integrand
+    and arrays over components otherwise, and ``edges`` is the final sorted
+    mesh (useful for building fixed-node re-evaluations).
     """
     if not b > a:
         raise ValueError("integration interval requires b > a")
@@ -164,32 +182,43 @@ def adaptive_quadrature(
     edges = np.unique(edges)
     lefts, rights = edges[:-1], edges[1:]
     vals, errs = _gk15_batch(fun, lefts, rights)
+    scalar = vals.ndim == 1
     subdivisions = 0
     while True:
-        total = math.fsum(vals.tolist())
-        err_total = math.fsum(errs.tolist())
-        tol = max(abs_tol, rel_tol * abs(total))
-        if err_total <= tol:
+        panels = lefts.size
+        errs2 = errs.reshape(-1, panels)
+        totals = [math.fsum(row) for row in vals.reshape(-1, panels).tolist()]
+        err_totals = [math.fsum(row) for row in errs2.tolist()]
+        tols = [max(abs_tol, rel_tol * abs(total)) for total in totals]
+        over = [err > tol for err, tol in zip(err_totals, tols)]
+        if not any(over):
             order = np.argsort(lefts)
             final_edges = np.append(lefts[order], rights[order][-1])
-            return total, err_total, final_edges
-        # Split every panel exceeding its fair share of the budget; at least
-        # one such panel exists whenever the loop continues.
-        split = errs > tol / lefts.size
+            if scalar:
+                return totals[0], err_totals[0], final_edges
+            return np.array(totals), np.array(err_totals), final_edges
+        # Split every panel exceeding its fair share of the budget of some
+        # unconverged component; at least one such panel exists whenever
+        # the loop continues.
+        shares = np.array([[tol / panels if bad else math.inf] for tol, bad in zip(tols, over)])
+        split = (errs2 > shares).any(axis=0)
         if not split.any():
-            split = errs == errs.max()
+            errs_over = errs2[over]
+            split = (errs_over == errs_over.max(axis=1, keepdims=True)).any(axis=0)
         n_split = int(split.sum())
         if subdivisions + n_split > max_subdivisions:
-            raise QuadratureConvergenceError(total, err_total, context)
+            worst = max(range(len(totals)), key=lambda c: err_totals[c] / tols[c])
+            label = context if scalar else f"{context or 'integral'} (component {worst} of {len(totals)})"
+            raise QuadratureConvergenceError(totals[worst], err_totals[worst], label)
         subdivisions += n_split
+        keep = ~split
         mids = 0.5 * (lefts[split] + rights[split])
-        new_lefts = np.concatenate([lefts[~split], lefts[split], mids])
-        new_rights = np.concatenate([rights[~split], mids, rights[split]])
-        keep_vals, keep_errs = vals[~split], errs[~split]
+        new_lefts = np.concatenate([lefts[keep], lefts[split], mids])
+        new_rights = np.concatenate([rights[keep], mids, rights[split]])
         ref_vals, ref_errs = _gk15_batch(fun, np.concatenate([lefts[split], mids]), np.concatenate([mids, rights[split]]))
         lefts, rights = new_lefts, new_rights
-        vals = np.concatenate([keep_vals, ref_vals])
-        errs = np.concatenate([keep_errs, ref_errs])
+        vals = np.concatenate([vals.compress(keep, axis=-1), ref_vals], axis=-1)
+        errs = np.concatenate([errs.compress(keep, axis=-1), ref_errs], axis=-1)
 
 
 def fixed_mesh_nodes(edges: np.ndarray):
@@ -214,12 +243,13 @@ def expect(
     *,
     breakpoints=(),
     context: str = "",
-) -> float:
+) -> float | np.ndarray:
     """E[g(n)] = integral of g(n) p(n) dn over the truncated support.
 
-    ``g`` must be vectorized over a 1-D array. Callers integrating a
-    discontinuous ``g`` (quantizer cells) pass the kink locations through
-    ``breakpoints``.
+    ``g`` must be vectorized over a 1-D array; it may return a
+    (components, points) array, and then the result is an array of one
+    expectation per component. Callers integrating a discontinuous ``g``
+    (quantizer cells) pass the kink locations through ``breakpoints``.
     """
     spec = spec or DEFAULT_QUADRATURE
     t = tail_truncation(model, spec.tail_mass)
@@ -248,6 +278,10 @@ def invert_monotone(h, target: float, bracket_hint=(-1.0, 1.0)) -> float:
     :class:`InversionRangeError` carrying the nearest attainable value, so
     callers can decide whether to clamp.
     """
+    # Imported here: scipy.optimize costs a quarter second of start-up that
+    # the batch paths never need.
+    from scipy.optimize import brentq
+
     lo, hi = (float(bracket_hint[0]), float(bracket_hint[1]))
     if lo > hi:
         lo, hi = hi, lo
@@ -330,6 +364,11 @@ def minimize_scalar(g, lo: float, hi: float, grid_points: int = 32):
 
 
 _MAX_UINT64 = 2**64
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+# Largest number of uniforms a simulation draws at once: 2**16 doubles
+# (512 KiB) keep each block and its temporaries in cache.
+DRAW_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass
@@ -365,8 +404,58 @@ class RngStream:
         u = self._generator().random(count)
         self.counter += count
         # random() yields [0, 1); the half-ulp shift keeps inverse-CDF
-        # transforms finite without statistically visible bias.
-        return u + 2.0**-54
+        # transforms finite without statistically visible bias. It rounds
+        # the largest draw, 1 - 2**-53, up to 1.0, which the clamp undoes.
+        u += 2.0**-54
+        np.minimum(u, _BELOW_ONE, out=u)
+        return u
+
+
+def row_blocks(stream: RngStream, rows: int, cols: int):
+    """Draw ``rows`` rows of ``cols`` uniforms row-major from ``stream``.
+
+    Yields ``(start, count, draw)`` per block of rows, where ``draw(lo, hi)``
+    returns columns [lo, hi) of the block's rows as a (count, hi - lo)
+    array. As many whole rows as fit in ``DRAW_BLOCK_ELEMENTS`` are drawn
+    in one request; a row wider than that comes alone and is drawn span by
+    span as its columns are requested, so a caller must then request every
+    column once, in increasing order. The stream order, and hence every
+    value, is the same for any budget.
+    """
+    per_block = max(1, DRAW_BLOCK_ELEMENTS // cols)
+    for start in range(0, rows, per_block):
+        count = min(per_block, rows - start)
+        if count * cols <= DRAW_BLOCK_ELEMENTS:
+            block = stream.uniforms(count * cols).reshape(count, cols)
+            yield start, count, lambda lo, hi, block=block: block[:, lo:hi]
+        else:
+            yield start, 1, lambda lo, hi: stream.uniforms(hi - lo)[None, :]
+
+
+# numpy sums a contiguous run of more than this many values pairwise: it
+# splits the run at half its length rounded down to a multiple of 8.
+_PAIRWISE_LEAF = 128
+
+
+def pairwise_row_sum(width: int, leaf):
+    """Row sums over columns [0, width), combined in numpy's pairwise order.
+
+    ``leaf(lo, hi)`` returns the row sums of columns [lo, hi) computed with
+    ``.sum(axis=-1)``. The span is split along numpy's own pairwise
+    summation tree until each piece holds at most ``DRAW_BLOCK_ELEMENTS``
+    columns (or is a leaf of that tree), so the result is bit-identical to
+    summing whole rows at once. Leaves are visited left to right.
+    """
+
+    def node(lo: int, hi: int):
+        n = hi - lo
+        if n <= max(DRAW_BLOCK_ELEMENTS, _PAIRWISE_LEAF):
+            return leaf(lo, hi)
+        half = n // 2
+        half -= half % 8
+        return node(lo, lo + half) + node(lo + half, hi)
+
+    return node(0, width)
 
 
 def split_stream(parent: RngStream, child_id: int) -> RngStream:

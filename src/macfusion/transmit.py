@@ -8,8 +8,8 @@ count M = 2K + 1, step Delta = 2*x_max/M, half-open cells
 ``signed_power`` are deliberately unbounded; they exist as the
 amplify-and-forward baseline and the heavy-tail side experiment.
 
-Hot array evaluation is delegated to :mod:`macfusion.kernels` so the numba
-and numpy backends share one definition of each curve.
+Hot array evaluation is delegated to :mod:`macfusion.kernels`, which holds
+the one array definition of each curve.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ LINEAR = "linear"
 
 TRANSMIT_KINDS = (TANH, GUDERMANNIAN, RATIONAL, SIGNED_POWER, UNIFORM_QUANTIZER, LINEAR)
 
-# Kind codes shared with the kernel backends.
+# Kind codes understood by the kernels.
 KIND_CODES = {
     TANH: 0,
     GUDERMANNIAN: 1,
@@ -122,7 +122,7 @@ def quantizer_step(f: TransmitFunction) -> float:
 
 
 def kind_params(f: TransmitFunction) -> tuple[int, float, float]:
-    """(code, a, b) triple consumed by the kernel backends."""
+    """(code, a, b) triple consumed by the kernels."""
     code = KIND_CODES[f.kind]
     if f.kind in (TANH, GUDERMANNIAN, RATIONAL):
         return code, f.omega, 0.0

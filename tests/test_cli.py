@@ -3,9 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from macfusion import cli
+from macfusion import cli, harness
+from macfusion import estimation as est
+from macfusion.numerics import InversionRangeError
 
 SMALL_FIG2 = [
     "trials=200",
@@ -186,10 +189,60 @@ class TestErrors:
         assert code == 3
         assert "non-convergence" in capsys.readouterr().err
 
+    def test_mesh_validation_failure_exit_3(self, tmp_path, capsys):
+        """signed_power under Cauchy noise: the frozen mesh fails validation."""
+        code = _run([
+            "run", "consistency", "--out", str(tmp_path / "x.csv"),
+            "--set", "trials=20", "--set", "L_values=[20]",
+            "--set", 'transmit={"kind":"signed_power","p_exponent":0.3}',
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "numerical failure in consistency" in err
+        assert "flat response mesh failed validation" in err
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            est.MeshValidationError("flat response mesh failed validation at sigma=2.0"),
+            InversionRangeError(2.0, 1.0, 30.0),
+        ],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_every_numerics_error_exit_3(self, tmp_path, capsys, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(est, "build_flat_response", failing)
+        code = _run(["run", "cauchy-af", "--out", str(tmp_path / "x.csv"), "--set", "trials=20", "--set", "L_values=[20]"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure in af_compare" in err
+        assert str(error) in err
+
     def test_bad_seed_rejected(self, tmp_path, capsys):
         code = _run(["run", "fig2", "--out", str(tmp_path / "x.csv"), "--set", "master_seed=-3"])
         assert code == 2
         assert "master_seed" in capsys.readouterr().err
+
+
+class TestAfCompare:
+    def test_single_pass_matches_two_sweeps(self):
+        """One draw pass per point gives the rows of separate bounded/AF sweeps."""
+        cfg = cli.load_config("cauchy-af", ["trials=150", "L_values=[40,300]"])
+        header, rows = cli.KIND_RUNNERS["af_compare"](cfg, 2)
+        setup = cli._estimation_setup(dict(cfg, L=40))
+        seed = cfg["master_seed"]
+        bounded = harness.sweep("L", [40, 300], setup, 150, seed, estimator="bounded")
+        af = harness.sweep("L", [40, 300], setup, 150, seed, estimator="af")
+        old_rows = [
+            [int(L), sb.aggregates["median_abs_error"], sa.aggregates["median_abs_error"], 150]
+            for (L, sb), (_, sa) in zip(bounded, af)
+        ]
+        assert header == ["L", "mae_bounded", "mae_af", "trials"]
+        assert rows == old_rows
+        assert all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in rows)
 
 
 class TestOverridesAndEnv:

@@ -7,7 +7,7 @@ import pytest
 
 from macfusion import estimation as est
 from macfusion import detection as det
-from macfusion import harness, noise, transmit as tx
+from macfusion import harness, noise, numerics, transmit as tx
 from macfusion.numerics import RngStream, split_stream
 
 
@@ -110,11 +110,38 @@ class TestEstimationExperiment:
         summary = harness.run_estimation_experiment(_est_setup(), 300, 7)
         assert harness.recompute_aggregates(summary) == summary.aggregates
 
-    def test_block_size_does_not_change_draws(self):
-        setup = _est_setup()
-        a = harness.run_estimation_experiment(setup, 500, 42, block_size=64)
-        b = harness.run_estimation_experiment(setup, 500, 42, block_size=4096)
-        assert np.array_equal(a.estimates, b.estimates)
+    def test_block_size_does_not_change_draws(self, monkeypatch):
+        """Element budgets of part of a row, one row and the whole run agree."""
+        setup = _est_setup(L=300)
+        trials = 40
+        reference = harness.run_estimation_experiment(setup, trials, 42)
+        stats = harness.run_signal_statistics(setup, trials, 42)
+        for budget in (200, setup.L + 1, trials * (setup.L + 1)):
+            monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
+            other = harness.run_estimation_experiment(setup, trials, 42)
+            other_stats = harness.run_signal_statistics(setup, trials, 42)
+            assert np.array_equal(other.estimates, reference.estimates)
+            for key in ("z_targets", "af_estimates"):
+                assert np.array_equal(other_stats[key], stats[key])
+
+    def test_large_L_draws_within_the_budget(self, monkeypatch):
+        """At L=1e5 no uniform request exceeds the element budget."""
+        setup = _est_setup(L=100_000, noise=noise.cauchy(1.0))
+        requests = []
+        draw = RngStream.uniforms
+
+        def recording(stream, count):
+            requests.append(count)
+            return draw(stream, count)
+
+        monkeypatch.setattr(RngStream, "uniforms", recording)
+        stats = harness.run_signal_statistics(setup, 3, 8)
+        assert max(requests) <= numerics.DRAW_BLOCK_ELEMENTS
+        assert sum(requests) == 3 * (setup.L + 1)
+        monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", 2**30)
+        whole = harness.run_signal_statistics(setup, 3, 8)
+        for key in ("z_targets", "af_estimates"):
+            assert np.array_equal(stats[key], whole[key])
 
     def test_af_and_bounded_share_draws(self):
         """Paired comparison: identical streams feed both estimators."""
@@ -142,6 +169,21 @@ class TestDetectionExperiment:
     def test_aggregates_recomputable(self):
         summary = harness.run_detection_experiment(_det_setup(), 2000, 12)
         assert harness.recompute_aggregates(summary) == summary.aggregates
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_element_budget_does_not_change_decisions(self, monkeypatch, stratified):
+        """Budgets of part of a row, one row and the whole run agree."""
+        setup = _det_setup(L=400)
+        detector = det.build_detector(setup)
+        trials = 60
+        cols = setup.L + (1 if stratified else 2)
+        runs = []
+        for budget in (numerics.DRAW_BLOCK_ELEMENTS, 150, cols, trials * cols):
+            monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
+            runs.append(det.simulate_decisions(setup, detector, trials, RngStream(14, 0), stratified=stratified))
+        for hypotheses, wrong in runs[1:]:
+            assert np.array_equal(hypotheses, runs[0][0])
+            assert np.array_equal(wrong, runs[0][1])
 
     def test_zero_theta_coin_flip(self):
         summary = harness.run_detection_experiment(_det_setup(theta=0.0), 4000, 13)

@@ -1,11 +1,10 @@
-"""Numba and numpy kernel backends must agree on every curve."""
+"""Kernel layer: transmit curves, channel sums and converged inversion."""
 
 import numpy as np
 import pytest
 
-from macfusion import kernels, transmit as tx
-
-BACKENDS = ["numpy"] + (["numba"] if kernels.HAVE_NUMBA else [])
+from macfusion import estimation as est
+from macfusion import harness, kernels, noise, transmit as tx
 
 CASES = [
     tx.tanh_fn(0.75),
@@ -17,75 +16,99 @@ CASES = [
 ]
 
 
-@pytest.fixture
-def restore_backend():
-    current = kernels.get_backend()
-    yield
-    kernels.set_backend(current)
-
-
-def _both(fn):
-    """Evaluate fn under each backend and return the results by name."""
-    out = {}
-    current = kernels.get_backend()
-    try:
-        for name in BACKENDS:
-            kernels.set_backend(name)
-            out[name] = fn()
-    finally:
-        kernels.set_backend(current)
-    return out
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-class TestBackendParity:
-    @pytest.mark.parametrize("f", CASES)
-    def test_eval_transmit(self, f):
-        rng = np.random.default_rng(8)
-        x = np.concatenate([rng.standard_cauchy(20000), [0.0, 1e9, -1e9]])
-        code, a, b = tx.kind_params(f)
-        results = _both(lambda: kernels.eval_transmit(code, a, b, x))
-        assert np.allclose(results["numba"], results["numpy"], rtol=1e-13, atol=1e-15)
-
-    @pytest.mark.parametrize("f", CASES)
-    def test_channel_sums(self, f):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(500, 20))
-        code, a, b = tx.kind_params(f)
-        results = _both(lambda: kernels.channel_sums(code, a, b, x))
-        assert np.allclose(results["numba"], results["numpy"], rtol=1e-12, atol=1e-14)
-
-    def test_invert_h_targets(self):
-        code, a, b = tx.kind_params(tx.tanh_fn(0.75))
-        rng = np.random.default_rng(10)
-        nodes = rng.normal(size=300)
-        weights = np.abs(rng.normal(size=300))
-        weights /= weights.sum()
-        grid_x = np.linspace(-12.0, 12.0, 801)
-        grid_h = np.tanh(0.75 * (grid_x[:, None] + nodes[None, :])) @ weights
-        targets = rng.uniform(grid_h[2], grid_h[-3], size=500)
-        results = _both(
-            lambda: kernels.invert_h_targets(nodes, weights, code, a, b, targets, grid_x, grid_h)
-        )
-        assert np.allclose(results["numba"], results["numpy"], rtol=0, atol=1e-10)
-        # Residuals at the returned points are tiny under either backend.
-        for sol in results.values():
-            h = np.tanh(0.75 * (sol[:, None] + nodes[None, :])) @ weights
-            assert np.max(np.abs(h - targets)) < 1e-12
-
-
-class TestBackendSelection:
-    def test_env_flag_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_BACKEND, "fortran")
-        with pytest.raises(RuntimeError):
-            kernels._select_backend()
-
-    def test_env_flag_numpy(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_BACKEND, "numpy")
-        assert kernels._select_backend() == "numpy"
-
-    def test_set_backend_validates(self, restore_backend):
-        with pytest.raises(ValueError):
-            kernels.set_backend("jax")
-        kernels.set_backend("numpy")
+class TestTransmitKernels:
+    def test_backend_is_numpy(self):
         assert kernels.get_backend() == "numpy"
+
+    @pytest.mark.parametrize("f", CASES)
+    def test_channel_sums_are_row_sums_of_eval_transmit(self, f):
+        rng = np.random.default_rng(9)
+        x = rng.standard_cauchy(size=(300, 40))
+        code, a, b = tx.kind_params(f)
+        sums = kernels.channel_sums(code, a, b, x)
+        assert np.array_equal(sums, kernels.eval_transmit(code, a, b, x).sum(axis=1))
+        assert np.array_equal(kernels.eval_transmit(code, a, b, x[0]), kernels.eval_transmit(code, a, b, x)[0])
+
+
+def _ten_step_illinois(nodes, weights, code, a, b, targets, grid_x, grid_h):
+    """The former inversion: exactly 10 Illinois steps for every target."""
+    idx = np.clip(np.searchsorted(grid_h, targets, side="left"), 1, grid_x.size - 1)
+    lo_x, hi_x = grid_x[idx - 1], grid_x[idx]
+    lo_f, hi_f = grid_h[idx - 1] - targets, grid_h[idx] - targets
+    x = 0.5 * (lo_x + hi_x)
+    stuck_lo = np.zeros(targets.shape, dtype=np.int64)
+    stuck_hi = np.zeros(targets.shape, dtype=np.int64)
+    for _ in range(10):
+        df = hi_f - lo_f
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(df > 0.0, lo_x - lo_f * (hi_x - lo_x) / np.where(df > 0.0, df, 1.0), 0.5 * (lo_x + hi_x))
+        x = np.minimum(np.maximum(x, lo_x), hi_x)
+        fx = kernels.eval_transmit(code, a, b, x[:, None] + nodes[None, :]) @ weights - targets
+        below = fx < 0.0
+        lo_x, lo_f = np.where(below, x, lo_x), np.where(below, fx, lo_f)
+        hi_x, hi_f = np.where(below, hi_x, x), np.where(below, hi_f, fx)
+        stuck_hi = np.where(below, stuck_hi + 1, 0)
+        stuck_lo = np.where(below, 0, stuck_lo + 1)
+        hi_f = np.where(stuck_hi >= 2, 0.5 * hi_f, hi_f)
+        lo_f = np.where(stuck_lo >= 2, 0.5 * lo_f, lo_f)
+    return x
+
+
+def _grid(flat, targets, size):
+    lo, hi, width = -1.0, 1.0, 2.0
+    while flat.eval_one(lo) >= targets.min():
+        width *= 2.0
+        lo -= width
+    while flat.eval_one(hi) <= targets.max():
+        width *= 2.0
+        hi += width
+    grid_x = np.linspace(lo, hi, size)
+    return grid_x, np.maximum.accumulate(flat.eval(grid_x))
+
+
+MESHES = {
+    "gaussian": (noise.gaussian(1.0), tx.tanh_fn(1.0)),
+    "cauchy": (noise.cauchy(1.0), tx.tanh_fn(0.75)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MESHES))
+def mesh(request):
+    model, f = MESHES[request.param]
+    setup = est.EstimationSetup(1.0, 200, est.constant_sigmas(1.0), model, f, 10.0, 1.0)
+    flat = est.build_flat_response(setup)
+    targets = harness.run_signal_statistics(setup, 1500, 17)["z_targets"]
+    return flat, np.clip(targets, -flat.limit + est.CLAMP_MARGIN, flat.limit - est.CLAMP_MARGIN)
+
+
+class TestConvergedInversion:
+    def test_residual_within_a_few_ulp(self, mesh):
+        flat, targets = mesh
+        thetas, _ = flat.invert(targets)
+        assert np.max(np.abs(flat.eval(thetas) - targets)) <= 8 * np.finfo(float).eps
+
+    def test_agrees_with_ten_steps_on_the_fine_grid(self, mesh):
+        flat, targets = mesh
+        grid_x, grid_h = _grid(flat, targets, 2049)
+        old = _ten_step_illinois(flat.nodes, flat.weights, flat.code, flat.a, flat.b, targets, grid_x, grid_h)
+        assert np.max(np.abs(flat.invert(targets)[0] - old)) <= 1e-13
+
+    def test_margins_and_grid_nodes_terminate(self, mesh, monkeypatch):
+        flat, targets = mesh
+        margin = flat.limit - est.CLAMP_MARGIN
+        grid_x, grid_h = _grid(flat, np.array([-margin, margin]), 257)
+        on_nodes = grid_h[1:-1:9]
+        hard = np.concatenate([[-margin, margin], on_nodes])
+        steps = []
+        evaluate = kernels._eval_transmit_np
+
+        def counting(code, a, b, x):
+            steps.append(x.shape[0])
+            return evaluate(code, a, b, x)
+
+        monkeypatch.setattr(kernels, "_eval_transmit_np", counting)
+        thetas = kernels.invert_h_targets(flat.nodes, flat.weights, flat.code, flat.a, flat.b, hard, grid_x, grid_h)
+        monkeypatch.undo()
+        assert len(steps) < kernels._MAX_ILLINOIS_STEPS // 2
+        assert np.all(np.isfinite(thetas))
+        assert np.max(np.abs(flat.eval(thetas) - hard)) <= 8 * np.finfo(float).eps

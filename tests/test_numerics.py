@@ -1,17 +1,23 @@
 """Quadrature, inversion, minimization, and stream-splitting contracts."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from macfusion import noise, transmit as tx
+import macfusion
+from macfusion import estimation as est
+from macfusion import noise, numerics, transmit as tx
 from macfusion.numerics import (
     InversionRangeError,
     QuadratureConvergenceError,
     QuadratureSpec,
     RngStream,
+    adaptive_quadrature,
     expect,
     invert_monotone,
     minimize_scalar,
@@ -64,6 +70,140 @@ class TestExpect:
             expect(noise.cauchy(1.0), lambda x: np.tanh(x + 0.3), spec)
         assert math.isfinite(err.value.estimate)
         assert err.value.error_bound > 0.0
+
+
+def _scalar_reference_quadrature(fun, a, b, rel_tol, abs_tol, breakpoints, max_subdivisions=2000):
+    """The scalar-only adaptive G7/K15 loop the vector version replaced."""
+
+    def batch(lefts, rights):
+        centers = 0.5 * (lefts + rights)
+        half = 0.5 * (rights - lefts)
+        points = centers[:, None] + half[:, None] * numerics._NODES[None, :]
+        y = np.asarray(fun(points.ravel()), dtype=np.float64).reshape(points.shape)
+        vals = half * (y @ numerics._KW)
+        errdiff = np.abs(vals - half * (y @ numerics._GW))
+        mean = vals / np.where(rights != lefts, rights - lefts, 1.0)
+        resasc = half * (np.abs(y - mean[:, None]) @ numerics._KW)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = np.where(
+                resasc > 0.0,
+                resasc * np.minimum(1.0, (200.0 * errdiff / np.where(resasc > 0.0, resasc, 1.0)) ** 1.5),
+                errdiff,
+            )
+        return vals, scaled
+
+    edges = np.unique(np.array([a, *sorted(p for p in breakpoints if a < p < b), b], dtype=np.float64))
+    lefts, rights = edges[:-1], edges[1:]
+    vals, errs = batch(lefts, rights)
+    subdivisions = 0
+    while True:
+        total, err_total = math.fsum(vals.tolist()), math.fsum(errs.tolist())
+        tol = max(abs_tol, rel_tol * abs(total))
+        if err_total <= tol:
+            order = np.argsort(lefts)
+            return total, err_total, np.append(lefts[order], rights[order][-1])
+        split = errs > tol / lefts.size
+        if not split.any():
+            split = errs == errs.max()
+        subdivisions += int(split.sum())
+        assert subdivisions <= max_subdivisions
+        mids = 0.5 * (lefts[split] + rights[split])
+        ref_vals, ref_errs = batch(np.concatenate([lefts[split], mids]), np.concatenate([mids, rights[split]]))
+        vals = np.concatenate([vals[~split], ref_vals])
+        errs = np.concatenate([errs[~split], ref_errs])
+        lefts, rights = (
+            np.concatenate([lefts[~split], lefts[split], mids]),
+            np.concatenate([rights[~split], mids, rights[split]]),
+        )
+
+
+SCALAR_INTEGRANDS = [
+    (lambda x: np.tanh(0.75 * (1.0 + 3.0 * x)) * np.exp(-0.5 * x * x), (-7.0, 7.0), (-1 / 3,)),
+    (lambda x: np.where(x >= 0.7, 1.0, 0.0) / (1.0 + x * x), (-50.0, 50.0), (0.7,)),
+    (lambda x: np.abs(x) ** 0.3 * np.exp(-np.abs(x)), (-30.0, 30.0), (0.0,)),
+    (lambda x: np.cos(5.0 * x) * np.exp(-x * x), (-6.0, 6.0), ()),
+]
+
+
+class TestVectorQuadrature:
+    @pytest.mark.parametrize("case", range(len(SCALAR_INTEGRANDS)))
+    def test_one_component_takes_the_scalar_steps(self, case):
+        fun, (a, b), bps = SCALAR_INTEGRANDS[case]
+        want = _scalar_reference_quadrature(fun, a, b, 1e-10, 1e-13, bps)
+        value, error, edges = adaptive_quadrature(fun, a, b, rel_tol=1e-10, abs_tol=1e-13, breakpoints=bps)
+        assert (value, error) == want[:2]
+        assert np.array_equal(edges, want[2])
+        values, errors, row_edges = adaptive_quadrature(
+            lambda x: fun(x)[None, :], a, b, rel_tol=1e-10, abs_tol=1e-13, breakpoints=bps
+        )
+        assert values.shape == errors.shape == (1,)
+        assert (values[0], errors[0]) == want[:2]
+        assert np.array_equal(row_edges, want[2])
+
+    def test_components_meet_their_own_tolerances(self):
+        funs = [fun for fun, _, _ in SCALAR_INTEGRANDS]
+        bps = sorted({p for _, _, pts in SCALAR_INTEGRANDS for p in pts})
+        values, errors, _ = adaptive_quadrature(
+            lambda x: np.stack([fun(x) for fun in funs]), -6.0, 6.0, rel_tol=1e-10, abs_tol=1e-13, breakpoints=bps
+        )
+        for fun, value, error in zip(funs, values, errors):
+            single, _, _ = adaptive_quadrature(fun, -6.0, 6.0, rel_tol=1e-10, abs_tol=1e-13, breakpoints=bps)
+            tol = max(1e-13, 1e-10 * abs(value))
+            assert error <= tol
+            assert abs(value - single) <= 2.0 * tol
+
+    def test_non_convergence_names_the_component(self):
+        with pytest.raises(QuadratureConvergenceError) as err:
+            adaptive_quadrature(
+                lambda x: np.stack([np.exp(-x * x), np.tanh(40.0 * x - 3.0)]), -5.0, 5.0,
+                rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=3, context="pair",
+            )
+        assert "component" in str(err.value)
+        assert math.isfinite(err.value.estimate)
+
+
+SIGMA_LIST = (0.5, 0.9, 1.3, 2.0, 3.7, 8.0, 21.0)
+
+
+class TestVectorMoments:
+    @pytest.mark.parametrize("model", [noise.gaussian(1.0), noise.laplacian(0.8), noise.cauchy(1.0)], ids=lambda m: m.kind)
+    @pytest.mark.parametrize(
+        "f",
+        [tx.tanh_fn(0.75), tx.gudermannian_fn(2.0), tx.rational_fn(1.5), tx.uniform_quantizer_fn(x_max=1.0, levels=5)],
+        ids=lambda f: f.kind,
+    )
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_each_sigma_within_tolerance_of_its_scalar_call(self, model, f, power):
+        """Explicit-list sigmas: every component's kinks are panel edges."""
+        spec = QuadratureSpec()
+        sigmas = np.array(SIGMA_LIST)
+        together = est.g_moment(model, f, sigmas, 0.4, power, spec)
+        for sigma, value in zip(SIGMA_LIST, together):
+            alone = est.g_moment(model, f, sigma, 0.4, power, spec)
+            assert abs(value - alone) <= 2.0 * max(spec.abs_tol, spec.rel_tol * abs(alone))
+
+    @pytest.mark.parametrize(
+        "sigmas, f",
+        [
+            (est.sqrt_growth_sigmas(1.0), tx.tanh_fn(0.75)),
+            (est.SigmaSequence(est.EXPLICIT_LIST, values=SIGMA_LIST * 40 + (0.7,) * 20), tx.uniform_quantizer_fn(1.0, 7)),
+        ],
+        ids=["sqrt_growth-tanh", "explicit_list-quantizer"],
+    )
+    def test_mean_response_matches_scalar_moments(self, sigmas, f):
+        setup = est.EstimationSetup(1.0, 300, sigmas, noise.gaussian(1.0), f, 10.0, 1.0)
+        values, counts = setup.sigmas.distinct(setup.L)
+        scalar = math.fsum(
+            (count / setup.L) * est.g_moment(setup.noise, setup.transmit, float(sigma), 0.8, 1)
+            for sigma, count in zip(values, counts)
+        )
+        assert est.mean_response(setup, 0.8) == pytest.approx(scalar, rel=2e-9, abs=1e-12)
+
+    def test_constant_sigma_is_the_scalar_moment(self):
+        setup = est.EstimationSetup(
+            0.6, 500, est.constant_sigmas(1.0), noise.cauchy(1.0), tx.rational_fn(1.2), 10.0, 1.0
+        )
+        assert est.mean_response(setup, 0.6) == est.g_moment(setup.noise, setup.transmit, 1.0, 0.6, 1)
 
 
 class TestInvertMonotone:
@@ -158,6 +298,18 @@ class TestRngStreams:
         u = RngStream(3, 3).uniforms(10**6)
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
+    def test_largest_draw_stays_below_one(self):
+        """random() = 1 - 2**-53 must not round up to 1.0 (ndtri would be inf)."""
+
+        class TopGenerator:
+            def random(self, count):
+                return np.full(count, 1.0 - 2.0**-53)
+
+        u = RngStream(4, 4, _gen=TopGenerator()).uniforms(3)
+        assert np.all(u < 1.0)
+        draws = noise.sample(noise.gaussian(1.0), RngStream(4, 4, _gen=TopGenerator()), 3)
+        assert np.all(np.isfinite(draws))
+
     def test_counter_tracks_draws(self):
         s = RngStream(1, 2)
         s.uniforms(10)
@@ -223,3 +375,13 @@ class TestQuadratureVsMcOracle:
     def test_matrix_within_three_standard_errors(self):
         for kind, fkind, value, mc, se in quadrature_vs_mc_matrix():
             assert abs(value - mc) < 3.0 * se, f"{kind}/{fkind}: {value} vs {mc} (se={se})"
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        """scipy.optimize loads only when the scalar inversion path runs."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(macfusion.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, macfusion.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
