@@ -243,8 +243,6 @@ def simulate_decisions(
     """
     from scipy.special import ndtri
 
-    from .noise import transform_uniforms
-
     code, a, b = tx.kind_params(setup.transmit)
     sigmas = setup.sigmas.resolve(setup.L)
     sqrt_rho = math.sqrt(setup.rho)
@@ -265,8 +263,7 @@ def simulate_decisions(
         shift = hypotheses[rows, None] * setup.theta
 
         def sensor_sums(lo, hi):
-            noise_draws = transform_uniforms(setup.noise, draw(lead + lo, lead + hi))
-            return kernels.channel_sums(code, a, b, shift + sigmas[lo:hi] * noise_draws)
+            return kernels.span_sums(setup.noise, draw(lead + lo, lead + hi), sigmas[lo:hi], shift, code, a, b)
 
         y[rows] = sqrt_rho * pairwise_row_sum(setup.L, sensor_sums) + sigma_v * ndtri(draw(cols - 1, cols)[:, 0])
     wrong = (decide(detector, y) != hypotheses).astype(np.uint8)

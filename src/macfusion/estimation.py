@@ -351,43 +351,71 @@ class FlatResponse:
     limit: float  # sup |h|; math.inf for unbounded kinds
 
     def eval(self, theta) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-        shifted = theta[:, None] + self.nodes[None, :]
-        vals = kernels.eval_transmit(self.code, self.a, self.b, shifted.ravel())
-        return vals.reshape(shifted.shape) @ self.weights
+        return kernels.eval_response(self.nodes, self.weights, self.code, self.a, self.b, theta)
 
     def eval_one(self, theta: float) -> float:
         return float(self.eval(np.array([theta]))[0])
 
+    def _walk(self, x: float, width: float, step: float, target: float):
+        """Step from x by doubling widths, downward (step -1) or upward (+1).
+
+        Stops at the first point whose response passes ``target`` (below it
+        going down, above it going up). Returns the points stepped to,
+        their responses and the last width.
+        """
+        xs, hs = [], []
+        h = self.eval_one(x)
+        while step * h <= step * target:
+            width *= 2.0
+            x += step * width
+            if abs(x) > 1e18:
+                where = "above -1e18 brings h below" if step < 0 else "below 1e18 brings h above"
+                raise NumericsError(f"inverting the mean response: no theta {where} the target {target!r}")
+            h = self.eval_one(x)
+            xs.append(x)
+            hs.append(h)
+        return xs, hs, width
+
     def invert(self, targets: np.ndarray, grid_size: int = 257) -> tuple[np.ndarray, np.ndarray]:
-        """Invert an array of targets; returns (thetas, clamp mask)."""
+        """Invert an array of targets; returns (thetas, clamp mask).
+
+        The seed grid spans the unclamped targets only. The clamp values
+        (at most two) sit far out on a saturating response; their brackets
+        come from continuing the doubling walk beyond the grid ends, whose
+        points extend the grid, so they do not stretch its cells.
+        """
         targets = np.asarray(targets, dtype=np.float64)
         clamped = np.zeros(targets.shape, dtype=bool)
+        inner = targets
         if math.isfinite(self.limit):
             lo_t, hi_t = -self.limit + CLAMP_MARGIN, self.limit - CLAMP_MARGIN
             clamped = (targets <= lo_t) | (targets >= hi_t)
+            inner = targets[~clamped]
             targets = np.clip(targets, lo_t, hi_t)
-        t_min = float(targets.min())
-        t_max = float(targets.max())
-        lo, hi = -1.0, 1.0
-        width = 2.0
-        while self.eval_one(lo) >= t_min:
-            width *= 2.0
-            lo -= width
-            if lo < -1e18:
-                raise NumericsError(f"inverting the mean response: no theta above -1e18 brings h below the target {t_min!r}")
-        while self.eval_one(hi) <= t_max:
-            width *= 2.0
-            hi += width
-            if hi > 1e18:
-                raise NumericsError(f"inverting the mean response: no theta below 1e18 brings h above the target {t_max!r}")
+        t_min = float(inner.min()) if inner.size else math.inf
+        t_max = float(inner.max()) if inner.size else -math.inf
+        below, _, width = self._walk(-1.0, 2.0, -1.0, t_min)
+        above, _, width = self._walk(1.0, width, 1.0, t_max)
+        lo = below[-1] if below else -1.0
+        hi = above[-1] if above else 1.0
         # The grid only seeds each target's bracket; the kernel iterates every
         # target to convergence.
-        grid_x = np.linspace(lo, hi, grid_size)
+        grid_x = [np.linspace(lo, hi, grid_size)]
+        grid_h = [self.eval(grid_x[0])]
+        if (clamped & (targets < 0.0)).any():
+            xs, hs, _ = self._walk(lo, width, -1.0, lo_t)
+            grid_x.insert(0, xs[::-1])
+            grid_h.insert(0, hs[::-1])
+        if (clamped & (targets > 0.0)).any():
+            xs, hs, _ = self._walk(hi, width, 1.0, hi_t)
+            grid_x.append(xs)
+            grid_h.append(hs)
         # Enforce nondecreasing grid values; saturation plateaus can wiggle
         # at machine precision and searchsorted needs sorted input.
-        grid_h = np.maximum.accumulate(self.eval(grid_x))
-        thetas = kernels.invert_h_targets(self.nodes, self.weights, self.code, self.a, self.b, targets, grid_x, grid_h)
+        grid_h = np.maximum.accumulate(np.concatenate(grid_h))
+        thetas = kernels.invert_h_targets(
+            self.nodes, self.weights, self.code, self.a, self.b, targets, np.concatenate(grid_x), grid_h
+        )
         return thetas, clamped
 
 
@@ -492,8 +520,7 @@ def build_flat_response(
 def _mesh_is_valid(setup, nodes, weights, code, a, b, sigma, count, probes, spec) -> bool:
     check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
     share = count / setup.L
-    for theta in check:
-        flat = float(kernels.eval_transmit(code, a, b, theta + nodes) @ weights)
+    for theta, flat in zip(check, kernels.eval_response(nodes, weights, code, a, b, check)):
         exact = share * g_moment(setup.noise, setup.transmit, float(sigma), float(theta), 1, spec)
         if abs(flat - exact) > 1e-9 * max(1.0, abs(exact)):
             return False

@@ -155,8 +155,6 @@ def _collect_signal_statistics(setup, trials, master_seed, stream_id_base) -> di
     The two estimators are deliberately fed the same realizations so
     comparisons are paired.
     """
-    from .noise import transform_uniforms
-
     stream = RngStream(master_seed, stream_id_base)
     sigmas = setup.sigmas.resolve(setup.L)
     code, a, b = tx.kind_params(setup.transmit)
@@ -170,8 +168,7 @@ def _collect_signal_statistics(setup, trials, master_seed, stream_id_base) -> di
     for start, count, draw in row_blocks(stream, trials, setup.L + 1):
 
         def sensor_sums(lo, hi):
-            scaled = sigmas[lo:hi] * transform_uniforms(setup.noise, draw(lo, hi))
-            return np.stack([kernels.channel_sums(code, a, b, setup.theta + scaled), scaled.sum(axis=1)])
+            return kernels.span_sums(setup.noise, draw(lo, hi), sigmas[lo:hi], setup.theta, code, a, b, scaled=True)
 
         rows = slice(start, start + count)
         f_sums[rows], scaled_sums[rows] = pairwise_row_sum(setup.L, sensor_sums)

@@ -5,6 +5,26 @@ over large draw arrays, per-trial channel sums, and batched inversion of
 the frozen mean-response function. Random number generation never happens
 inside kernels, so the draws an experiment consumes do not depend on how
 the kernels batch their work.
+
+Each transmit curve is defined once, in ``_curve``, as a chain of ufunc
+calls that take an ``out=`` argument: with ``out=None`` the first call
+allocates the result and the rest of the chain runs in place on it; with
+``out=x`` the whole chain overwrites ``x`` (the rational curve and the
+signed power keep one scratch array for their second operand). The order
+of operations is fixed, so every entry point gives bit-identical values.
+
+The mean response h(theta) = sum_j w_j f(theta + u_j) is evaluated by
+``eval_response`` in tiles of at most ``numerics.DRAW_BLOCK_ELEMENTS``
+theta-node products: a scratch tile is filled with theta + nodes, mapped
+through f in place and reduced against the weights, so the working set
+stays cache-sized however many thetas and nodes there are. The reduction
+is one dot product per row (``np.vecdot``). Its value depends on the row
+alone, not on how many rows share the tile or where they sit in it, so
+h(theta) is a function of theta and the inverted thetas are the same for
+every tile size. A BLAS mat-vec over the whole tile is not: its row
+blocking moves results by an ulp as the tile composition changes. Against
+the untiled mat-vec the inverted thetas differ by an ulp or two, since
+each row is summed in another order.
 """
 
 from __future__ import annotations
@@ -12,6 +32,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from . import noise, numerics
 
 _FOUR_OVER_PI = 4.0 / math.pi
 
@@ -21,20 +43,91 @@ def get_backend() -> str:
     return "numpy"
 
 
-def _eval_transmit_np(code: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
+def _curve(code: int, a: float, b: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """f(x) for the kind ``code``; the one definition of each curve.
+
+    ``out=None`` leaves ``x`` untouched and returns a new array; ``out=x``
+    overwrites ``x`` with f(x).
+    """
     if code == 0:
-        return np.tanh(a * x)
+        y = np.multiply(a, x, out=out)
+        return np.tanh(y, out=y)
     if code == 1:
-        return _FOUR_OVER_PI * np.arctan(np.tanh(0.5 * a * x))
+        y = np.multiply(0.5 * a, x, out=out)
+        np.tanh(y, out=y)
+        np.arctan(y, out=y)
+        return np.multiply(_FOUR_OVER_PI, y, out=y)
     if code == 2:
-        t = a * x
-        return t / (1.0 + np.abs(t))
+        t = np.multiply(a, x, out=out)
+        d = np.abs(t)
+        np.add(1.0, d, out=d)
+        return np.divide(t, d, out=t)
     if code == 3:
-        return np.sign(x) * np.abs(x) ** a
+        s = np.sign(x)
+        y = np.abs(x, out=out)
+        np.power(y, a, out=y)
+        return np.multiply(s, y, out=y)
     if code == 4:
-        k = np.clip(np.floor(x / a + 0.5), -b, b)
-        return k * a
-    return a * x
+        k = np.divide(x, a, out=out)
+        np.add(k, 0.5, out=k)
+        np.floor(k, out=k)
+        np.clip(k, -b, b, out=k)
+        return np.multiply(k, a, out=k)
+    return np.multiply(a, x, out=out)
+
+
+def eval_transmit(code: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """f applied elementwise to an array of any shape; ``x`` is not modified."""
+    return _curve(code, a, b, np.ascontiguousarray(x, dtype=np.float64))
+
+
+def channel_sums(code: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Row sums of f over a (trials, sensors) observation block; ``x`` is not modified."""
+    return _curve(code, a, b, np.ascontiguousarray(x, dtype=np.float64)).sum(axis=1)
+
+
+def span_sums(model, u: np.ndarray, sigmas: np.ndarray, shift, code: int, a: float, b: float, scaled: bool = False):
+    """Row sums of f(shift + sigmas * n) over one span of sensor columns.
+
+    ``u`` holds the span's uniforms, (trials, sensors); n is their noise
+    transform under ``model``. The transformed array is the only working
+    copy: it is scaled and shifted in place before the channel sums. With
+    ``scaled`` the result is a (2, trials) array whose second row holds the
+    row sums of sigmas * n, taken before the shift.
+    """
+    x = noise.transform_uniforms(model, u)
+    np.multiply(sigmas, x, out=x)
+    scaled_sums = x.sum(axis=1) if scaled else None
+    np.add(shift, x, out=x)
+    sums = channel_sums(code, a, b, x)
+    return np.stack([sums, scaled_sums]) if scaled else sums
+
+
+def eval_response(
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    code: int,
+    a: float,
+    b: float,
+    thetas: np.ndarray,
+) -> np.ndarray:
+    """sum_j weights[j] * f(theta + nodes[j]) for every theta.
+
+    Works through the thetas in tiles of at most
+    ``numerics.DRAW_BLOCK_ELEMENTS`` theta-node products (one theta per
+    tile if a single row is larger), with one scratch tile per call.
+    """
+    thetas = np.ascontiguousarray(thetas, dtype=np.float64).ravel()
+    rows = max(1, numerics.DRAW_BLOCK_ELEMENTS // nodes.size)
+    h = np.empty(thetas.size)
+    tile = np.empty((min(rows, thetas.size), nodes.size))
+    for start in range(0, thetas.size, rows):
+        stop = min(start + rows, thetas.size)
+        part = tile[: stop - start]
+        np.add(thetas[start:stop, None], nodes, out=part)
+        _curve(code, a, b, part, out=part)
+        np.vecdot(part, weights, out=h[start:stop])
+    return h
 
 
 # Safety cap on Illinois steps per target; converged targets leave the
@@ -42,7 +135,7 @@ def _eval_transmit_np(code: int, a: float, b: float, x: np.ndarray) -> np.ndarra
 _MAX_ILLINOIS_STEPS = 100
 
 
-def _invert_h_targets_np(
+def invert_h_targets(
     nodes: np.ndarray,
     weights: np.ndarray,
     code: int,
@@ -52,6 +145,21 @@ def _invert_h_targets_np(
     grid_x: np.ndarray,
     grid_h: np.ndarray,
 ) -> np.ndarray:
+    """Solve sum_j w_j f(theta + u_j) = target for each target.
+
+    ``grid_x``/``grid_h`` is a precomputed nondecreasing sampling of the
+    response that must bracket every target; each solve starts from its
+    grid cell and polishes with a bracketed Illinois false-position
+    iteration. A target stops iterating as soon as its residual is zero,
+    its iterate stops moving, or its bracket holds no float strictly
+    inside, so a handful of response evaluations per target suffice.
+    Every evaluation goes through ``eval_response``.
+    """
+    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    targets = np.ascontiguousarray(targets, dtype=np.float64)
+    grid_x = np.ascontiguousarray(grid_x, dtype=np.float64)
+    grid_h = np.ascontiguousarray(grid_h, dtype=np.float64)
     idx = np.clip(np.searchsorted(grid_h, targets, side="left"), 1, grid_x.size - 1)
     lo_x = grid_x[idx - 1]
     hi_x = grid_x[idx]
@@ -77,8 +185,7 @@ def _invert_h_targets_np(
         if active.size == 0:
             break
         x[active] = x_new
-        shifted = x_new[:, None] + nodes[None, :]
-        fx = _eval_transmit_np(code, a, b, shifted) @ weights - targets[active]
+        fx = eval_response(nodes, weights, code, a, b, x_new) - targets[active]
         below = fx < 0.0
         lo_x = np.where(below, x_new, lo_x)
         lo_f = np.where(below, fx, lo_f)
@@ -97,40 +204,3 @@ def _invert_h_targets_np(
         lo_x, hi_x, lo_f, hi_f = lo_x[live], hi_x[live], lo_f[live], hi_f[live]
         stuck_lo, stuck_hi = stuck_lo[live], stuck_hi[live]
     return x
-
-
-def eval_transmit(code: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """f applied elementwise to an array of any shape."""
-    return _eval_transmit_np(code, a, b, np.ascontiguousarray(x, dtype=np.float64))
-
-
-def channel_sums(code: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Row sums of f over a (trials, sensors) observation block."""
-    return _eval_transmit_np(code, a, b, np.ascontiguousarray(x, dtype=np.float64)).sum(axis=1)
-
-
-def invert_h_targets(
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    code: int,
-    a: float,
-    b: float,
-    targets: np.ndarray,
-    grid_x: np.ndarray,
-    grid_h: np.ndarray,
-) -> np.ndarray:
-    """Solve sum_j w_j f(theta + u_j) = target for each target.
-
-    ``grid_x``/``grid_h`` is a precomputed nondecreasing sampling of the
-    response that must bracket every target; each solve starts from its
-    grid cell and polishes with a bracketed Illinois false-position
-    iteration. A target stops iterating as soon as its residual is zero,
-    its iterate stops moving, or its bracket holds no float strictly
-    inside, so a handful of response evaluations per target suffice.
-    """
-    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    targets = np.ascontiguousarray(targets, dtype=np.float64)
-    grid_x = np.ascontiguousarray(grid_x, dtype=np.float64)
-    grid_h = np.ascontiguousarray(grid_h, dtype=np.float64)
-    return _invert_h_targets_np(nodes, weights, code, a, b, targets, grid_x, grid_h)

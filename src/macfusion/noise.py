@@ -166,11 +166,25 @@ def sample(model: NoiseModel, stream, count: int) -> np.ndarray:
 
 
 def transform_uniforms(model: NoiseModel, u: np.ndarray) -> np.ndarray:
-    """Map open-(0,1) uniforms to noise draws; shared by sampler and kernels."""
+    """Map open-(0,1) uniforms to noise draws; shared by sampler and kernels.
+
+    ``u`` is not modified. The first ufunc allocates the result and the
+    rest of the chain runs in place on it (the Laplacian keeps one scratch
+    array for its log term).
+    """
     s = model.scale
+    u = np.asarray(u, dtype=np.float64)
     if model.kind == GAUSSIAN:
-        return s * ndtri(u)
+        y = ndtri(u, out=np.empty(u.shape))
+        return np.multiply(s, y, out=y)
+    y = np.subtract(u, 0.5, out=np.empty(u.shape))
     if model.kind == LAPLACIAN:
-        centered = u - 0.5
-        return -s * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
-    return s * np.tan(np.pi * (u - 0.5))
+        m = np.abs(y)
+        np.multiply(-2.0, m, out=m)
+        np.log1p(m, out=m)
+        np.sign(y, out=y)
+        np.multiply(-s, y, out=y)
+        return np.multiply(y, m, out=y)
+    np.multiply(np.pi, y, out=y)
+    np.tan(y, out=y)
+    return np.multiply(s, y, out=y)

@@ -1,0 +1,67 @@
+"""Allocation guard: the hot loops keep their temporaries cache-sized.
+
+numpy reports its array buffers to ``tracemalloc``, so the traced peak of a
+call bounds the memory its temporaries took. The budget is a few draw
+blocks (``numerics.DRAW_BLOCK_ELEMENTS`` doubles each) on top of the
+arrays the call returns; untiled inversion on this mesh peaked at about
+126 blocks.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from macfusion import detection as det
+from macfusion import estimation as est
+from macfusion import harness, noise, numerics, transmit as tx
+
+
+def _block_bytes():
+    return 8 * numerics.DRAW_BLOCK_ELEMENTS
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def rational_mesh():
+    """fig4's rational omega=3 point: about 5,000 nodes at L=500."""
+    setup = est.EstimationSetup(1.0, 500, est.constant_sigmas(1.0), noise.gaussian(1.0), tx.rational_fn(3.0), 10.0, 1.0)
+    flat = est.build_flat_response(setup)
+    targets = harness.run_signal_statistics(setup, 400, 3)["z_targets"]
+    return flat, targets
+
+
+def test_inversion_peak_stays_within_a_few_blocks(rational_mesh):
+    flat, targets = rational_mesh
+    assert flat.nodes.size > 4000
+    (thetas, clamped), peak = _traced_peak(lambda: flat.invert(targets))
+    outputs = thetas.nbytes + clamped.nbytes
+    assert peak - outputs <= 3 * _block_bytes()
+
+
+@pytest.mark.parametrize("stratified", [False, True])
+def test_decision_loop_peak_stays_within_a_few_blocks(stratified):
+    """fig5's setup (L=20) over four draw blocks of trials."""
+    setup = det.DetectionSetup(
+        theta=math.sqrt(10.0), L=20, sigmas=est.constant_sigmas(1.0), noise=noise.gaussian(1.0),
+        transmit=tx.tanh_fn(1.0), total_power=10**0.3, channel_noise_var=1.0,
+    )
+    detector = det.build_detector(setup)
+    trials = 4 * numerics.DRAW_BLOCK_ELEMENTS // (setup.L + 2)
+    stream = numerics.RngStream(5, 0)
+    (hypotheses, wrong), peak = _traced_peak(
+        lambda: det.simulate_decisions(setup, detector, trials, stream, stratified=stratified)
+    )
+    # The received values and the decision step's temporaries are per trial.
+    per_trial = hypotheses.nbytes + wrong.nbytes + trials * np.dtype(np.float64).itemsize
+    assert peak - per_trial <= 3.5 * _block_bytes()

@@ -8,7 +8,7 @@ from scipy.stats import jarque_bera
 
 from macfusion import noise, transmit as tx
 from macfusion import estimation as est
-from macfusion import harness
+from macfusion import harness, kernels
 from macfusion.transmit import UnsupportedKindError
 
 GAUSS = noise.gaussian(1.0)
@@ -299,3 +299,32 @@ class TestFlatResponseFastPath:
         flat = est.build_flat_response(setup)
         _, clamped = flat.invert(np.array([0.0, 2.0, -2.0]))
         assert list(clamped) == [False, True, True]
+
+    def test_clamped_targets_do_not_stretch_the_seed_grid(self, monkeypatch):
+        """Two margin targets cost a few evaluations, not wider grid cells.
+
+        On the slowly saturating rational curve the clamp value c - 1e-9 is
+        reached only near |theta| ~ 4e8; a seed grid stretched that far made
+        every other target iterate longer (16 response evaluations per
+        target instead of 6).
+        """
+        setup = _setup(transmit=tx.rational_fn(2.7))
+        flat = est.build_flat_response(setup)
+        targets = np.concatenate([harness.run_signal_statistics(setup, 4000, 31)["z_targets"], [-1.0, 1.0]])
+        rows = []
+        evaluate = kernels.eval_response
+
+        def counting(nodes, weights, code, a, b, thetas):
+            rows.append(np.size(thetas))
+            return evaluate(nodes, weights, code, a, b, thetas)
+
+        monkeypatch.setattr(kernels, "eval_response", counting)
+        thetas, clamped = flat.invert(targets)
+        monkeypatch.undo()
+        assert clamped.sum() == 2
+        assert sum(rows) <= 6.5 * targets.size
+        margin = flat.limit - est.CLAMP_MARGIN
+        residual = flat.eval(thetas[clamped]) - np.array([-margin, margin])
+        assert np.all(np.abs(residual) <= 4 * np.spacing(margin))
+        inner = ~clamped
+        assert np.max(np.abs(flat.eval(thetas[inner]) - targets[inner])) <= 8 * np.finfo(float).eps

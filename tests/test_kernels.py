@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from macfusion import estimation as est
-from macfusion import harness, kernels, noise, transmit as tx
+from macfusion import detection as det
+from macfusion import harness, kernels, noise, numerics, transmit as tx
 
 CASES = [
     tx.tanh_fn(0.75),
@@ -100,15 +102,277 @@ class TestConvergedInversion:
         on_nodes = grid_h[1:-1:9]
         hard = np.concatenate([[-margin, margin], on_nodes])
         steps = []
-        evaluate = kernels._eval_transmit_np
+        evaluate = kernels.eval_response
 
-        def counting(code, a, b, x):
-            steps.append(x.shape[0])
-            return evaluate(code, a, b, x)
+        def counting(nodes, weights, code, a, b, thetas):
+            steps.append(thetas.size)
+            return evaluate(nodes, weights, code, a, b, thetas)
 
-        monkeypatch.setattr(kernels, "_eval_transmit_np", counting)
+        monkeypatch.setattr(kernels, "eval_response", counting)
         thetas = kernels.invert_h_targets(flat.nodes, flat.weights, flat.code, flat.a, flat.b, hard, grid_x, grid_h)
         monkeypatch.undo()
         assert len(steps) < kernels._MAX_ILLINOIS_STEPS // 2
         assert np.all(np.isfinite(thetas))
         assert np.max(np.abs(flat.eval(thetas) - hard)) <= 8 * np.finfo(float).eps
+
+
+# ---------------------------------------------------------------------------
+# One in-place definition per curve, bit-identical to the plain formulas
+# ---------------------------------------------------------------------------
+
+_FOUR_OVER_PI = 4.0 / np.pi
+
+
+def _plain_curve(code, a, b, x):
+    """The curves as plain allocating expressions, in the kernel's order of operations."""
+    if code == 0:
+        return np.tanh(a * x)
+    if code == 1:
+        return _FOUR_OVER_PI * np.arctan(np.tanh(0.5 * a * x))
+    if code == 2:
+        t = a * x
+        return t / (1.0 + np.abs(t))
+    if code == 3:
+        return np.sign(x) * np.abs(x) ** a
+    if code == 4:
+        k = np.clip(np.floor(x / a + 0.5), -b, b)
+        return k * a
+    return a * x
+
+
+def _plain_transform(model, u):
+    s = model.scale
+    if model.kind == noise.GAUSSIAN:
+        return s * ndtri(u)
+    if model.kind == noise.LAPLACIAN:
+        centered = u - 0.5
+        return -s * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+    return s * np.tan(np.pi * (u - 0.5))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+_EDGES = np.array(
+    [0.0, -0.0, _SUBNORMAL, -_SUBNORMAL, 1e-310, -1e-310, np.finfo(float).tiny, 1e-300, 1.0, -1.0,
+     1e308, -1e308, np.finfo(float).max, np.inf, -np.inf, np.nan, -np.nan]
+)
+
+
+def _curve_inputs(f):
+    """Edge values, quantizer cell edges with their float neighbours, and noise."""
+    edges = []
+    if f.kind == tx.UNIFORM_QUANTIZER:
+        edges = np.array(tx.breakpoints(f))
+        edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    rng = np.random.default_rng(5)
+    return np.concatenate([_EDGES, edges, 3.0 * rng.standard_normal(200), rng.standard_cauchy(50)])
+
+
+CURVES = CASES + [tx.tanh_fn(3.0), tx.rational_fn(0.3), tx.uniform_quantizer_fn(x_max=2.0, levels=7)]
+
+
+class TestSingleCurveDefinition:
+    @pytest.mark.parametrize("f", CURVES, ids=lambda f: f.kind)
+    def test_allocating_and_in_place_match_the_plain_formula(self, f):
+        code, a, b = tx.kind_params(f)
+        x = _curve_inputs(f)
+        with np.errstate(all="ignore"):
+            plain = _plain_curve(code, a, b, x)
+            fresh = kernels._curve(code, a, b, x)
+            work = x.copy()
+            in_place = kernels._curve(code, a, b, work, out=work)
+            public = kernels.eval_transmit(code, a, b, x)
+            sums = kernels.channel_sums(code, a, b, x[None, :])
+        assert in_place is work
+        for got in (fresh, in_place, public):
+            assert np.array_equal(_bits(got), _bits(plain))
+        assert np.array_equal(_bits(sums), _bits(plain[None, :].sum(axis=1)))
+
+    @pytest.mark.parametrize("model", [noise.gaussian(1.3), noise.laplacian(0.7), noise.cauchy(2.0)], ids=lambda m: m.kind)
+    def test_noise_transform_matches_the_plain_formula(self, model):
+        edges = [_SUBNORMAL, 1e-300, 2.0**-54, 1e-10, 0.25, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+                 0.75, 1.0 - 1e-10, 1.0 - 2.0**-53, 0.0, 1.0, np.nan]
+        u = np.concatenate([edges, np.random.default_rng(6).random(300)])
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_bits(noise.transform_uniforms(model, u)), _bits(_plain_transform(model, u)))
+
+
+class TestCallerArraysUntouched:
+    @pytest.mark.parametrize("f", CURVES, ids=lambda f: f.kind)
+    def test_eval_transmit_and_channel_sums(self, f):
+        code, a, b = tx.kind_params(f)
+        x = np.random.default_rng(7).standard_normal((30, 40))
+        before = x.copy()
+        kernels.eval_transmit(code, a, b, x)
+        kernels.channel_sums(code, a, b, x)
+        kernels.channel_sums(code, a, b, x[:, 3:17])
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
+    def test_transform_and_sample(self, kind):
+        model = noise.NoiseModel(kind, 1.0)
+        block = np.random.default_rng(8).random((50, 22))
+        before = block.copy()
+        noise.transform_uniforms(model, block)
+        noise.transform_uniforms(model, block[:, 1:21])
+
+        class HeldStream:
+            def uniforms(self, count):
+                return block.ravel()[:count]
+
+        noise.sample(model, HeldStream(), 500)
+        assert np.array_equal(block, before)
+
+
+# ---------------------------------------------------------------------------
+# Tiled response: the same thetas for every tile size
+# ---------------------------------------------------------------------------
+
+
+class TestTiledResponse:
+    def test_inversion_does_not_depend_on_the_tile(self, mesh, monkeypatch):
+        """One target per tile, a few per tile, and all targets in one tile.
+
+        Each row's weighted sum is a per-row dot product whose value does not
+        depend on how many rows share the tile, so the thetas agree exactly.
+        """
+        flat, targets = mesh
+        reference, _ = flat.invert(targets)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(flat.eval(reference) - targets)) <= 8 * eps
+        for budget in (7, flat.nodes.size, 3 * flat.nodes.size, targets.size * flat.nodes.size):
+            monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
+            thetas, _ = flat.invert(targets)
+            assert np.array_equal(thetas, reference)
+            assert np.max(np.abs(flat.eval(thetas) - targets)) <= 8 * eps
+
+    def test_tiles_stay_within_the_budget(self, mesh, monkeypatch):
+        flat, targets = mesh
+        budget = 5 * flat.nodes.size + 3
+        monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
+        shapes = []
+        curve = kernels._curve
+
+        def recording(code, a, b, x, out=None):
+            shapes.append(x.shape)
+            return curve(code, a, b, x, out=out)
+
+        monkeypatch.setattr(kernels, "_curve", recording)
+        thetas = np.linspace(-3.0, 3.0, 23)
+        h = kernels.eval_response(flat.nodes, flat.weights, flat.code, flat.a, flat.b, thetas)
+        assert [s[0] for s in shapes] == [5, 5, 5, 5, 3]
+        assert all(s[0] * s[1] <= budget for s in shapes)
+        full = np.array([curve(flat.code, flat.a, flat.b, t + flat.nodes) @ flat.weights for t in thetas])
+        assert np.max(np.abs(h - full)) <= 4 * np.finfo(float).eps
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo spans: bit-identical to the allocating closures
+# ---------------------------------------------------------------------------
+
+
+def _plain_simulate_decisions(setup, detector, trials, stream, stratified):
+    """simulate_decisions with the allocating span closure it replaced."""
+    code, a, b = tx.kind_params(setup.transmit)
+    sigmas = setup.sigmas.resolve(setup.L)
+    sqrt_rho = np.sqrt(setup.rho)
+    sigma_v = np.sqrt(setup.channel_noise_var)
+    p0, _ = setup.priors
+    n_h0_total = int(round(p0 * trials)) if stratified else 0
+    lead = 0 if stratified else 1
+    cols = lead + setup.L + 1
+    hypotheses = np.empty(trials, dtype=np.uint8)
+    y = np.empty(trials)
+    for start, count, draw in numerics.row_blocks(stream, trials, cols):
+        rows = slice(start, start + count)
+        if stratified:
+            hypotheses[rows] = np.arange(start, start + count) >= n_h0_total
+        else:
+            hypotheses[rows] = draw(0, 1)[:, 0] >= p0
+        shift = hypotheses[rows, None] * setup.theta
+
+        def sensor_sums(lo, hi):
+            noise_draws = _plain_transform(setup.noise, draw(lead + lo, lead + hi))
+            x = np.ascontiguousarray(shift + sigmas[lo:hi] * noise_draws)
+            return _plain_curve(code, a, b, x).sum(axis=1)
+
+        y[rows] = sqrt_rho * numerics.pairwise_row_sum(setup.L, sensor_sums) + sigma_v * ndtri(draw(cols - 1, cols)[:, 0])
+    wrong = (det.decide(detector, y) != hypotheses).astype(np.uint8)
+    return hypotheses, wrong, y
+
+
+def _plain_signal_statistics(setup, trials, master_seed):
+    """harness._collect_signal_statistics with the allocating span closure it replaced."""
+    stream = numerics.RngStream(master_seed, 0)
+    sigmas = setup.sigmas.resolve(setup.L)
+    code, a, b = tx.kind_params(setup.transmit)
+    alpha, _ = est.af_gain(setup)
+    f_sums = np.empty(trials)
+    scaled_sums = np.empty(trials)
+    chan = np.empty(trials)
+    for start, count, draw in numerics.row_blocks(stream, trials, setup.L + 1):
+
+        def sensor_sums(lo, hi):
+            scaled = sigmas[lo:hi] * _plain_transform(setup.noise, draw(lo, hi))
+            return np.stack([_plain_curve(code, a, b, setup.theta + scaled).sum(axis=1), scaled.sum(axis=1)])
+
+        rows = slice(start, start + count)
+        f_sums[rows], scaled_sums[rows] = numerics.pairwise_row_sum(setup.L, sensor_sums)
+        chan[rows] = np.sqrt(setup.channel_noise_var) * ndtri(draw(setup.L, setup.L + 1)[:, 0])
+    z = (np.sqrt(setup.rho) * f_sums + chan) / np.sqrt(setup.L)
+    return {
+        "z_targets": z / np.sqrt(setup.total_power),
+        "af_estimates": setup.theta + scaled_sums / setup.L + chan / (setup.L * alpha),
+    }
+
+
+SIGMAS = {"constant": est.constant_sigmas(1.0), "sqrt": est.sqrt_growth_sigmas(0.5)}
+# (L, element budget): whole rows per block, and rows wider than a block,
+# which are drawn and summed span by span.
+WIDTHS = {"rows": (30, None), "spans": (300, 128)}
+
+
+class TestMonteCarloSpans:
+    @pytest.mark.parametrize("width", sorted(WIDTHS))
+    @pytest.mark.parametrize("sigmas", sorted(SIGMAS))
+    @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_decisions_match_the_allocating_closure(self, kind, sigmas, width, stratified, monkeypatch):
+        L, budget = WIDTHS[width]
+        if budget is not None:
+            monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
+        setup = det.DetectionSetup(
+            theta=1.5, L=L, sigmas=SIGMAS[sigmas], noise=noise.NoiseModel(kind, 1.0),
+            transmit=tx.tanh_fn(1.0), total_power=2.0, channel_noise_var=1.0,
+        )
+        detector = det.GaussianApproxDetector(mean0=0.0, mean1=4.0, var0=3.0, var1=3.5, log_prior_ratio=0.0)
+        captured = {}
+        decide = det.decide
+
+        def capturing(detector, y):
+            captured["y"] = np.array(y)
+            return decide(detector, y)
+
+        monkeypatch.setattr(det, "decide", capturing)
+        hypotheses, wrong = det.simulate_decisions(setup, detector, 700, numerics.RngStream(11, 3), stratified=stratified)
+        y = captured["y"]
+        monkeypatch.setattr(det, "decide", decide)
+        ref_h, ref_wrong, ref_y = _plain_simulate_decisions(setup, detector, 700, numerics.RngStream(11, 3), stratified)
+        assert np.array_equal(_bits(y), _bits(ref_y))
+        assert np.array_equal(hypotheses, ref_h) and np.array_equal(wrong, ref_wrong)
+
+    @pytest.mark.parametrize("width", sorted(WIDTHS))
+    @pytest.mark.parametrize("sigmas", sorted(SIGMAS))
+    @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
+    def test_signal_statistics_match_the_allocating_closure(self, kind, sigmas, width, monkeypatch):
+        L, budget = WIDTHS[width]
+        if budget is not None:
+            monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
+        setup = est.EstimationSetup(1.0, L, SIGMAS[sigmas], noise.NoiseModel(kind, 1.0), tx.rational_fn(2.0), 10.0, 1.0)
+        got = harness.run_signal_statistics(setup, 500, 13)
+        ref = _plain_signal_statistics(setup, 500, 13)
+        for key in ("z_targets", "af_estimates"):
+            assert np.array_equal(_bits(got[key]), _bits(ref[key]))
