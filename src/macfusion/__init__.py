@@ -47,7 +47,6 @@ from .detection import (
     build_detector,
     decide,
     deflection,
-    error_probability,
     locally_optimal_nonlinearity,
     matched_density,
     optimal_omega,
@@ -58,7 +57,6 @@ from .harness import (
     run_detection_experiment,
     run_estimation_experiment,
     simulate_channel,
-    sweep,
 )
 
 __all__ = [
@@ -71,8 +69,8 @@ __all__ = [
     "EstimationSetup", "SigmaSequence", "constant_sigmas", "sqrt_growth_sigmas",
     "mean_response", "estimate", "asymptotic_variance", "af_estimate",
     "DetectionSetup", "GaussianApproxDetector", "deflection", "optimal_omega",
-    "build_detector", "decide", "error_probability",
+    "build_detector", "decide",
     "locally_optimal_nonlinearity", "matched_density",
     "ChannelRealization", "TrialSummary", "simulate_channel",
-    "run_estimation_experiment", "run_detection_experiment", "sweep",
+    "run_estimation_experiment", "run_detection_experiment",
 ]

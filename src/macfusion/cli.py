@@ -19,7 +19,9 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,21 +31,9 @@ from . import estimation as est
 from . import harness, kernels
 from . import noise as noise_mod
 from . import transmit as tx
-from .numerics import NumericsError, QuadratureConvergenceError, QuadratureSpec
+from .numerics import MIN_SCAN_POINTS, NumericsError, QuadratureConvergenceError, QuadratureSpec
 
 ENV_SEED = "MACFUSION_SEED"
-
-EXPERIMENT_KINDS = (
-    "asv_vs_omega",
-    "lvar_vs_L",
-    "consistency",
-    "af_compare",
-    "dc_vs_omega",
-    "pe_vs_omega",
-    "pe_vs_L",
-    "theorem3_degeneration",
-    "duality_check",
-)
 
 
 class ConfigError(Exception):
@@ -72,19 +62,31 @@ def _check_keys(d: dict, path: str, required: set[str], optional: set[str] = fro
         raise ConfigError(f"config error at {path}.{name}: required key is missing")
 
 
-def _number(d: dict, key: str, path: str, *, positive=False, integer=False, minimum=None):
+def _check_number(v, loc: str, *, positive=False, integer=False, minimum=None):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"config error at {loc}: expected a number, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"config error at {loc}: expected a finite number, got {v!r}")
+    if integer and int(v) != v:
+        raise ConfigError(f"config error at {loc}: expected an integer, got {v!r}")
+    if positive and not v > 0:
+        raise ConfigError(f"config error at {loc}: must be positive, got {v!r}")
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"config error at {loc}: must be >= {minimum}, got {v!r}")
+    return int(v) if integer else float(v)
+
+
+def _number(d: dict, key: str, path: str, **checks):
     if key not in d:
         raise ConfigError(f"config error at {path}.{key}: required key is missing")
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"config error at {path}.{key}: expected a number, got {v!r}")
-    if integer and int(v) != v:
-        raise ConfigError(f"config error at {path}.{key}: expected an integer, got {v!r}")
-    if positive and not v > 0:
-        raise ConfigError(f"config error at {path}.{key}: must be positive, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"config error at {path}.{key}: must be >= {minimum}, got {v!r}")
-    return int(v) if integer else float(v)
+    return _check_number(d[key], f"{path}.{key}", **checks)
+
+
+def _flag(cfg: dict, key: str) -> bool:
+    value = cfg.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"config error at {key}: expected true or false, got {value!r}")
+    return value
 
 
 def build_noise(d, path="noise") -> noise_mod.NoiseModel:
@@ -107,7 +109,7 @@ def build_transmit(d, path="transmit") -> tx.TransmitFunction:
             f"config error at {path}.kind: unknown transmit kind {kind!r}; expected one of {list(tx.TRANSMIT_KINDS)}"
         )
     try:
-        if kind in (tx.TANH, tx.GUDERMANNIAN, tx.RATIONAL):
+        if kind in tx.BOUNDED_SMOOTH_KINDS:
             _check_keys(d, path, {"kind"}, {"omega"})
             omega = _number(d, "omega", path, positive=True) if "omega" in d else 1.0
             return tx.TransmitFunction(kind, omega=omega)
@@ -135,6 +137,16 @@ def _transmit_wants_power_alpha(d) -> bool:
     return isinstance(d, dict) and d.get("kind") == tx.LINEAR and d.get("alpha") == "power"
 
 
+def _transmit_configs(cfg) -> list[tuple[str, object]]:
+    """(path, config) of each transmit curve: ``transmit``, or the ``transmits`` list."""
+    if "transmits" not in cfg:
+        return [("transmit", cfg.get("transmit"))]
+    configs = cfg["transmits"]
+    if not isinstance(configs, list) or not configs:
+        raise ConfigError("config error at transmits: expected a non-empty list")
+    return [(f"transmits[{i}]", d) for i, d in enumerate(configs)]
+
+
 def build_sigmas(d, path="sigmas") -> est.SigmaSequence:
     d = _require_mapping(d, path)
     kind = d.get("kind")
@@ -145,10 +157,7 @@ def build_sigmas(d, path="sigmas") -> est.SigmaSequence:
     try:
         if kind == est.EXPLICIT_LIST:
             _check_keys(d, path, {"kind", "values"})
-            values = d.get("values")
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"config error at {path}.values: expected a non-empty list")
-            return est.SigmaSequence(kind, values=tuple(float(v) for v in values))
+            return est.SigmaSequence(kind, values=tuple(_values_list(d, "values", f"{path}.values")))
         _check_keys(d, path, {"kind", "sigma"})
         return est.SigmaSequence(kind, sigma=_number(d, "sigma", path, positive=True))
     except ValueError as exc:
@@ -172,88 +181,90 @@ def build_quadrature(d, path="quadrature") -> QuadratureSpec:
         raise ConfigError(f"config error at {path}: {exc}") from exc
 
 
-def _grid(d, path) -> list[float]:
+def _grid(d, path, *, positive=False, min_points=2) -> list[float]:
     d = _require_mapping(d, path)
     _check_keys(d, path, {"lo", "hi", "points"})
-    lo = _number(d, "lo", path)
+    lo = _number(d, "lo", path, positive=positive)
     hi = _number(d, "hi", path)
-    points = _number(d, "points", path, integer=True, minimum=2)
+    points = _number(d, "points", path, integer=True, minimum=min_points)
     if not lo < hi:
         raise ConfigError(f"config error at {path}.lo: lo must be smaller than hi")
     return [float(v) for v in np.linspace(lo, hi, points)]
 
 
-def _values_list(cfg, key, path="") -> list[float]:
+def _values_list(cfg, key, path="", **checks) -> list:
     loc = f"{path or key}"
     values = cfg.get(key)
     if not isinstance(values, list) or not values:
         raise ConfigError(f"config error at {loc}: expected a non-empty list")
-    out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"config error at {loc}[{i}]: expected a number, got {v!r}")
-        out.append(float(v))
-    return out
+    return [_check_number(v, f"{loc}[{i}]", **checks) for i, v in enumerate(values)]
 
 
 def _priors(cfg, path="priors") -> tuple[float, float]:
     raw = cfg.get("priors", [0.5, 0.5])
     if not isinstance(raw, list) or len(raw) != 2:
         raise ConfigError(f"config error at {path}: expected [P0, P1]")
-    p0, p1 = float(raw[0]), float(raw[1])
+    p0, p1 = (_check_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
     if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0) or abs(p0 + p1 - 1.0) > 1e-12:
         raise ConfigError(f"config error at {path}: priors must be strictly positive and sum to 1")
     return p0, p1
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (header, rows)
+# experiment kinds: each prepares (header, points, row) for run_experiment
 # ---------------------------------------------------------------------------
 
 _COMMON_REQUIRED = {"kind", "master_seed"}
 _COMMON_OPTIONAL = {"experiment_id", "output", "quadrature"}
+_CHANNEL = {"theta", "noise", "total_power", "channel_noise_var"}
+_DEFAULT_SIGMAS = {"kind": "constant", "sigma": 1.0}
+_DEFAULT_OMEGA_SEARCH = {"lo": 0.05, "hi": 8.0, "points": 64}
 
 
-def _parallel_map(fn, items, workers: int):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _trials(cfg) -> int:
+    return _number(cfg, "trials", "config", positive=True, integer=True)
 
 
-def _estimation_setup(cfg, path=""):
-    return est.EstimationSetup(
-        theta=_number(cfg, "theta", path or "config"),
-        L=_number(cfg, "L", path or "config", positive=True, integer=True),
-        sigmas=build_sigmas(cfg.get("sigmas", {"kind": "constant", "sigma": 1.0})),
+def _channel(cfg, *, positive_theta=False) -> dict:
+    """The setup fields that estimation and detection kinds share."""
+    return dict(
+        theta=_number(cfg, "theta", "config", positive=positive_theta),
+        sigmas=build_sigmas(cfg.get("sigmas", _DEFAULT_SIGMAS)),
         noise=build_noise(cfg.get("noise")),
-        transmit=build_transmit(cfg.get("transmit")),
-        total_power=_number(cfg, "total_power", path or "config", positive=True),
-        channel_noise_var=_number(cfg, "channel_noise_var", path or "config", positive=True),
-    )
-
-
-def _detection_setup(cfg, transmit_cfg=None, L=None):
-    transmit_cfg = transmit_cfg if transmit_cfg is not None else cfg.get("transmit")
-    L_val = int(L if L is not None else _number(cfg, "L", "config", positive=True, integer=True))
-    sigmas = build_sigmas(cfg.get("sigmas", {"kind": "constant", "sigma": 1.0}))
-    noise = build_noise(cfg.get("noise"))
-    theta = _number(cfg, "theta", "config", positive=True)
-    priors = _priors(cfg)
-    f = build_transmit(transmit_cfg)
-    if _transmit_wants_power_alpha(transmit_cfg):
-        f = tx.linear_fn(_power_normalized_alpha(noise, sigmas, L_val, theta, priors[1]))
-    return det.DetectionSetup(
-        theta=theta,
-        L=L_val,
-        sigmas=sigmas,
-        noise=noise,
-        transmit=f,
         total_power=_number(cfg, "total_power", "config", positive=True),
         channel_noise_var=_number(cfg, "channel_noise_var", "config", positive=True),
-        priors=priors,
     )
+
+
+def _estimation_setup(cfg, *, L=None, transmit=None) -> est.EstimationSetup:
+    return est.EstimationSetup(
+        L=_number(cfg, "L", "config", positive=True, integer=True) if L is None else L,
+        transmit=build_transmit(cfg.get("transmit")) if transmit is None else transmit,
+        **_channel(cfg),
+    )
+
+
+def _unit_sigma(setup):
+    if not setup.sigmas.is_bounded_constant_one():
+        raise ConfigError("config error at sigmas: asymptotic variance requires constant sigma = 1")
+    return setup
+
+
+def _L_sweep(cfg):
+    """(L values, trials, seed, setup at the first L) of the estimation kinds that sweep L."""
+    L_values = _values_list(cfg, "L_values", positive=True, integer=True)
+    return L_values, _trials(cfg), cfg["master_seed"], _estimation_setup(cfg, L=L_values[0])
+
+
+def _detection_setup(cfg, transmit_path="transmit", transmit_cfg=None, L=None) -> det.DetectionSetup:
+    transmit_cfg = transmit_cfg if transmit_cfg is not None else cfg.get("transmit")
+    L = _number(cfg, "L", "config", positive=True, integer=True) if L is None else L
+    channel = _channel(cfg, positive_theta=True)
+    priors = _priors(cfg)
+    f = build_transmit(transmit_cfg, transmit_path)
+    if _transmit_wants_power_alpha(transmit_cfg):
+        f = tx.linear_fn(_power_normalized_alpha(channel["noise"], channel["sigmas"], L, channel["theta"], priors[1]))
+    return det.DetectionSetup(L=L, transmit=f, priors=priors, **channel)
 
 
 def _power_normalized_alpha(noise, sigmas, L, theta, p1) -> float:
@@ -269,264 +280,145 @@ def _power_normalized_alpha(noise, sigmas, L, theta, p1) -> float:
     return 1.0 / math.sqrt(p1 * theta * theta + mean_sq * var_n)
 
 
-def _run_asv_vs_omega(cfg, workers):
-    multi = "transmits" in cfg
-    _check_keys(
-        cfg,
-        "config",
-        _COMMON_REQUIRED | {"trials", "theta", "L", "noise", "total_power", "channel_noise_var", "omega_grid"}
-        | ({"transmits"} if multi else {"transmit"}),
-        _COMMON_OPTIONAL | {"sigmas"},
-    )
-    sigmas = build_sigmas(cfg.get("sigmas", {"kind": "constant", "sigma": 1.0}))
-    if not sigmas.is_bounded_constant_one():
-        raise ConfigError("config error at sigmas: asymptotic variance requires constant sigma = 1")
-    spec = build_quadrature(cfg.get("quadrature"))
-    omegas = _grid(cfg.get("omega_grid"), "omega_grid")
-    trials = _number(cfg, "trials", "config", positive=True, integer=True)
+def _l_var_row(setup, trials, seed, stream_id_base, spec) -> list:
+    """The l_var, trials and stderr cells of one estimation point."""
+    summary = harness.run_estimation_experiment(setup, trials, seed, stream_id_base=stream_id_base, spec=spec)
+    l_var = summary.aggregates["l_var"]
+    return [l_var, trials, l_var * math.sqrt(2.0 / max(trials - 1, 1))]
+
+
+def _pe_row(setup, trials, stratified, seed, stream_id_base, spec) -> list:
+    """The pe, stderr and trials cells of one detection point."""
+    aggregates = harness.run_detection_experiment(
+        setup, trials, seed, stream_id_base=stream_id_base, stratified=stratified, spec=spec
+    ).aggregates
+    return [aggregates["pe"], aggregates["stderr"], trials]
+
+
+def _median_abs_error(estimates, theta) -> float:
+    return float(np.median(np.abs(estimates - theta)))
+
+
+def _prepare_asv_vs_omega(cfg, spec):
+    functions = [build_transmit(d, path) for path, d in _transmit_configs(cfg)]
+    base = _unit_sigma(_estimation_setup(cfg, transmit=functions[0]))
+    omegas = _grid(cfg.get("omega_grid"), "omega_grid", positive=True)
+    trials = _trials(cfg)
     seed = cfg["master_seed"]
-    transmit_cfgs = cfg["transmits"] if multi else [cfg["transmit"]]
-    if multi and (not isinstance(transmit_cfgs, list) or not transmit_cfgs):
-        raise ConfigError("config error at transmits: expected a non-empty list")
+    labelled = "transmits" in cfg
 
-    points = []
-    for fi, tcfg in enumerate(transmit_cfgs):
-        f = build_transmit(tcfg, path=f"transmits[{fi}]" if multi else "transmit")
-        for omega in omegas:
-            points.append((fi, f, omega))
-
-    def run_point(indexed):
-        index, (fi, f, omega) = indexed
-        setup = est.EstimationSetup(
-            theta=_number(cfg, "theta", "config"),
-            L=_number(cfg, "L", "config", positive=True, integer=True),
-            sigmas=sigmas,
-            noise=build_noise(cfg.get("noise")),
-            transmit=tx.with_omega(f, omega),
-            total_power=_number(cfg, "total_power", "config", positive=True),
-            channel_noise_var=_number(cfg, "channel_noise_var", "config", positive=True),
-        )
+    def row(stream_id_base, point):
+        f, omega = point
+        setup = replace(base, transmit=tx.with_omega(f, omega))
         asv = est.asymptotic_variance(setup, spec)
-        summary = harness.run_estimation_experiment(
-            setup, trials, seed, stream_id_base=index * harness.POINT_STREAM_STRIDE, spec=spec
-        )
-        l_var = summary.aggregates["l_var"]
-        stderr = l_var * math.sqrt(2.0 / max(trials - 1, 1))
-        row = [f.kind, omega, asv, l_var, trials, stderr] if multi else [omega, asv, l_var, trials, stderr]
-        return row
+        return [f.kind] * labelled + [omega, asv] + _l_var_row(setup, trials, seed, stream_id_base, spec)
 
-    rows = _parallel_map(run_point, enumerate(points), workers)
-    header = ["function", "omega", "asv", "l_var", "trials", "stderr"] if multi else ["omega", "asv", "l_var", "trials", "stderr"]
-    return header, rows
+    header = ["function"] * labelled + ["omega", "asv", "l_var", "trials", "stderr"]
+    return header, [(f, omega) for f in functions for omega in omegas], row
 
 
-def _run_lvar_vs_L(cfg, workers):
-    _check_keys(
-        cfg,
-        "config",
-        _COMMON_REQUIRED | {"trials", "theta", "noise", "transmit", "total_power", "channel_noise_var", "L_values"},
-        _COMMON_OPTIONAL | {"sigmas"},
-    )
-    sigmas = build_sigmas(cfg.get("sigmas", {"kind": "constant", "sigma": 1.0}))
-    if not sigmas.is_bounded_constant_one():
-        raise ConfigError("config error at sigmas: asymptotic variance requires constant sigma = 1")
-    spec = build_quadrature(cfg.get("quadrature"))
-    L_values = [int(v) for v in _values_list(cfg, "L_values")]
-    trials = _number(cfg, "trials", "config", positive=True, integer=True)
-    base = dict(cfg)
-    base["L"] = L_values[0]
-    setup = _estimation_setup(base)
-    asv = est.asymptotic_variance(setup, spec)
-    results = harness.sweep("L", L_values, setup, trials, cfg["master_seed"], workers=workers, spec=spec)
-    rows = []
-    for L, summary in results:
-        l_var = summary.aggregates["l_var"]
-        stderr = l_var * math.sqrt(2.0 / max(trials - 1, 1))
-        rows.append([int(L), asv, l_var, trials, stderr])
-    return ["L", "asv", "l_var", "trials", "stderr"], rows
+def _prepare_lvar_vs_L(cfg, spec):
+    L_values, trials, seed, base = _L_sweep(cfg)
+    asv = est.asymptotic_variance(_unit_sigma(base), spec)
+
+    def row(stream_id_base, L):
+        setup = harness.apply_sweep_parameter(base, "L", L)
+        return [L, asv] + _l_var_row(setup, trials, seed, stream_id_base, spec)
+
+    return ["L", "asv", "l_var", "trials", "stderr"], L_values, row
 
 
-def _run_consistency(cfg, workers):
-    _check_keys(
-        cfg,
-        "config",
-        _COMMON_REQUIRED | {"trials", "theta", "noise", "transmit", "total_power", "channel_noise_var", "L_values"},
-        _COMMON_OPTIONAL | {"sigmas", "estimator"},
-    )
+def _prepare_consistency(cfg, spec):
     estimator = cfg.get("estimator", "bounded")
     if estimator not in ("bounded", "af"):
         raise ConfigError(f"config error at estimator: expected 'bounded' or 'af', got {estimator!r}")
-    L_values = [int(v) for v in _values_list(cfg, "L_values")]
-    trials = _number(cfg, "trials", "config", positive=True, integer=True)
-    base = dict(cfg)
-    base["L"] = L_values[0]
-    setup = _estimation_setup(base)
-    spec = build_quadrature(cfg.get("quadrature"))
-    results = harness.sweep("L", L_values, setup, trials, cfg["master_seed"], workers=workers, estimator=estimator, spec=spec)
-    rows = [[int(L), s.aggregates["median_abs_error"], trials] for L, s in results]
-    return ["L", "median_abs_error", "trials"], rows
+    L_values, trials, seed, base = _L_sweep(cfg)
+
+    def row(stream_id_base, L):
+        setup = harness.apply_sweep_parameter(base, "L", L)
+        summary = harness.run_estimation_experiment(
+            setup, trials, seed, estimator=estimator, stream_id_base=stream_id_base, spec=spec
+        )
+        return [L, summary.aggregates["median_abs_error"], trials]
+
+    return ["L", "median_abs_error", "trials"], L_values, row
 
 
-def _run_af_compare(cfg, workers):
-    _check_keys(
-        cfg,
-        "config",
-        _COMMON_REQUIRED | {"trials", "theta", "noise", "transmit", "total_power", "channel_noise_var", "L_values"},
-        _COMMON_OPTIONAL | {"sigmas"},
-    )
-    L_values = [int(v) for v in _values_list(cfg, "L_values")]
-    trials = _number(cfg, "trials", "config", positive=True, integer=True)
-    base = dict(cfg)
-    base["L"] = L_values[0]
-    setup = _estimation_setup(base)
-    spec = build_quadrature(cfg.get("quadrature"))
-    seed = cfg["master_seed"]
+def _prepare_af_compare(cfg, spec):
+    L_values, trials, seed, base = _L_sweep(cfg)
 
-    def run_point(indexed):
+    def row(stream_id_base, L):
         # One draw pass feeds both estimators, so the comparison is paired.
-        index, L = indexed
-        point = harness.apply_sweep_parameter(setup, "L", L)
-        stats = harness.run_signal_statistics(point, trials, seed, stream_id_base=index * harness.POINT_STREAM_STRIDE)
-        bounded, _ = est.build_flat_response(point, spec=spec).invert(stats["z_targets"])
-        mae_bounded = float(np.median(np.abs(bounded - point.theta)))
-        mae_af = float(np.median(np.abs(stats["af_estimates"] - point.theta)))
-        return [int(L), mae_bounded, mae_af, trials]
+        setup = harness.apply_sweep_parameter(base, "L", L)
+        stats = harness.run_signal_statistics(setup, trials, seed, stream_id_base=stream_id_base)
+        bounded, _ = est.build_flat_response(setup, spec=spec).invert(stats["z_targets"])
+        mae_af = _median_abs_error(stats["af_estimates"], setup.theta)
+        return [L, _median_abs_error(bounded, setup.theta), mae_af, trials]
 
-    rows = _parallel_map(run_point, enumerate(L_values), workers)
-    return ["L", "mae_bounded", "mae_af", "trials"], rows
+    return ["L", "mae_bounded", "mae_af", "trials"], L_values, row
 
 
-def _run_dc_vs_omega(cfg, workers):
-    _check_keys(
-        cfg,
-        "config",
-        _COMMON_REQUIRED | {"theta", "L", "noise", "transmit", "total_power", "channel_noise_var", "omega_grid"},
-        _COMMON_OPTIONAL | {"sigmas", "priors"},
-    )
-    spec = build_quadrature(cfg.get("quadrature"))
-    omegas = _grid(cfg.get("omega_grid"), "omega_grid")
-    setup = _detection_setup(cfg)
+def _prepare_theorem3(cfg, spec):
+    L_values, trials, seed, base = _L_sweep(cfg)
 
-    def run_point(omega):
-        point = harness.apply_sweep_parameter(setup, "omega", omega)
-        return [omega, det.deflection(point, spec)]
+    def row(stream_id_base, L):
+        setup = harness.apply_sweep_parameter(base, "L", L)
+        gap = abs(est.mean_response(setup, setup.theta, spec) - est.mean_response(setup, 0.0, spec))
+        stats = harness.run_signal_statistics(setup, trials, seed, stream_id_base=stream_id_base)
+        af_mae = _median_abs_error(stats["af_estimates"], setup.theta)
+        return [L, gap, _median_abs_error(stats["z_targets"], 0.0), af_mae, trials]
 
-    rows = _parallel_map(run_point, omegas, workers)
-    return ["omega", "dc"], rows
+    return ["L", "h_gap", "z_abs_median", "af_mae", "trials"], L_values, row
 
 
-def _run_pe_vs_omega(cfg, workers):
-    _check_keys(
-        cfg,
-        "config",
-        _COMMON_REQUIRED | {"trials", "theta", "L", "noise", "transmit", "total_power", "channel_noise_var", "omega_grid"},
-        _COMMON_OPTIONAL | {"sigmas", "priors", "stratified"},
-    )
-    spec = build_quadrature(cfg.get("quadrature"))
-    omegas = _grid(cfg.get("omega_grid"), "omega_grid")
-    trials = _number(cfg, "trials", "config", positive=True, integer=True)
-    stratified = bool(cfg.get("stratified", False))
-    setup = _detection_setup(cfg)
+def _prepare_dc_vs_omega(cfg, spec):
+    omegas = _grid(cfg.get("omega_grid"), "omega_grid", positive=True)
+    base = _detection_setup(cfg)
+
+    def row(stream_id_base, omega):
+        return [omega, det.deflection(harness.apply_sweep_parameter(base, "omega", omega), spec)]
+
+    return ["omega", "dc"], omegas, row
+
+
+def _prepare_pe_vs_omega(cfg, spec):
+    omegas = _grid(cfg.get("omega_grid"), "omega_grid", positive=True)
+    trials = _trials(cfg)
     seed = cfg["master_seed"]
+    stratified = _flag(cfg, "stratified")
+    base = _detection_setup(cfg)
 
-    def run_point(indexed):
-        index, omega = indexed
-        point = harness.apply_sweep_parameter(setup, "omega", omega)
-        dc = det.deflection(point, spec)
-        summary = harness.run_detection_experiment(
-            point,
-            trials,
-            seed,
-            stream_id_base=index * harness.POINT_STREAM_STRIDE,
-            stratified=stratified,
-            spec=spec,
-        )
-        return [omega, dc, summary.aggregates["pe"], summary.aggregates["stderr"], trials]
+    def row(stream_id_base, omega):
+        setup = harness.apply_sweep_parameter(base, "omega", omega)
+        return [omega, det.deflection(setup, spec)] + _pe_row(setup, trials, stratified, seed, stream_id_base, spec)
 
-    rows = _parallel_map(run_point, enumerate(omegas), workers)
-    return ["omega", "dc", "pe", "stderr", "trials"], rows
+    return ["omega", "dc", "pe", "stderr", "trials"], omegas, row
 
 
-def _run_pe_vs_L(cfg, workers):
-    multi = "transmits" in cfg
-    _check_keys(
-        cfg,
-        "config",
-        _COMMON_REQUIRED | {"trials", "theta", "noise", "total_power", "channel_noise_var", "L_values"}
-        | ({"transmits"} if multi else {"transmit"}),
-        _COMMON_OPTIONAL | {"sigmas", "priors", "stratified", "omega_search"},
-    )
-    spec = build_quadrature(cfg.get("quadrature"))
-    L_values = [int(v) for v in _values_list(cfg, "L_values")]
-    trials = _number(cfg, "trials", "config", positive=True, integer=True)
-    stratified = bool(cfg.get("stratified", False))
-    search = cfg.get("omega_search", {"lo": 0.05, "hi": 8.0, "points": 64})
-    search_vals = _grid(search, "omega_search")
-    transmit_cfgs = cfg["transmits"] if multi else [cfg["transmit"]]
-    if multi and (not isinstance(transmit_cfgs, list) or not transmit_cfgs):
-        raise ConfigError("config error at transmits: expected a non-empty list")
+def _prepare_pe_vs_L(cfg, spec):
+    L_values = _values_list(cfg, "L_values", positive=True, integer=True)
+    trials = _trials(cfg)
     seed = cfg["master_seed"]
+    stratified = _flag(cfg, "stratified")
+    search_cfg = cfg.get("omega_search", _DEFAULT_OMEGA_SEARCH)
+    search = _grid(search_cfg, "omega_search", positive=True, min_points=MIN_SCAN_POINTS)
+    setups = [_detection_setup(cfg, path, d, L) for path, d in _transmit_configs(cfg) for L in L_values]
 
-    points = [(fi, tcfg, L) for fi, tcfg in enumerate(transmit_cfgs) for L in L_values]
-
-    def run_point(indexed):
-        index, (fi, tcfg, L) = indexed
-        setup = _detection_setup(cfg, transmit_cfg=tcfg, L=L)
-        if setup.transmit.kind in (tx.TANH, tx.GUDERMANNIAN, tx.RATIONAL):
-            omega_star, _ = det.optimal_omega(setup, search_vals[0], search_vals[-1], len(search_vals), spec)
+    def row(stream_id_base, setup):
+        omega_star = float("nan")
+        if setup.transmit.kind in tx.BOUNDED_SMOOTH_KINDS:
+            omega_star, _ = det.optimal_omega(setup, search[0], search[-1], len(search), spec)
             setup = harness.apply_sweep_parameter(setup, "omega", omega_star)
-        else:
-            omega_star = float("nan")
-        summary = harness.run_detection_experiment(
-            setup,
-            trials,
-            seed,
-            stream_id_base=index * harness.POINT_STREAM_STRIDE,
-            stratified=stratified,
-            spec=spec,
-        )
         label = setup.transmit.kind if setup.transmit.kind != tx.LINEAR else "linear_af"
-        return [label, int(L), omega_star, summary.aggregates["pe"], summary.aggregates["stderr"], trials]
+        return [label, setup.L, omega_star] + _pe_row(setup, trials, stratified, seed, stream_id_base, spec)
 
-    rows = _parallel_map(run_point, enumerate(points), workers)
-    return ["function", "L", "omega_star", "pe", "stderr", "trials"], rows
-
-
-def _run_theorem3(cfg, workers):
-    _check_keys(
-        cfg,
-        "config",
-        _COMMON_REQUIRED | {"trials", "theta", "noise", "transmit", "total_power", "channel_noise_var", "L_values", "sigmas"},
-        _COMMON_OPTIONAL,
-    )
-    spec = build_quadrature(cfg.get("quadrature"))
-    L_values = [int(v) for v in _values_list(cfg, "L_values")]
-    trials = _number(cfg, "trials", "config", positive=True, integer=True)
-    base = dict(cfg)
-    base["L"] = L_values[0]
-    setup = _estimation_setup(base)
-    seed = cfg["master_seed"]
-
-    def run_point(indexed):
-        index, L = indexed
-        point = harness.apply_sweep_parameter(setup, "L", L)
-        gap = abs(est.mean_response(point, point.theta, spec) - est.mean_response(point, 0.0, spec))
-        stats = harness.run_signal_statistics(point, trials, seed, stream_id_base=index * harness.POINT_STREAM_STRIDE)
-        z_abs_median = float(np.median(np.abs(stats["z_targets"])))
-        af_mae = float(np.median(np.abs(stats["af_estimates"] - point.theta)))
-        return [int(L), gap, z_abs_median, af_mae, trials]
-
-    rows = _parallel_map(run_point, enumerate(L_values), workers)
-    return ["L", "h_gap", "z_abs_median", "af_mae", "trials"], rows
+    return ["function", "L", "omega_star", "pe", "stderr", "trials"], setups, row
 
 
-def _run_duality(cfg, workers):
-    _check_keys(cfg, "config", _COMMON_REQUIRED | {"transmit", "grid"}, _COMMON_OPTIONAL)
-    spec = build_quadrature(cfg.get("quadrature"))
+def _prepare_duality(cfg, spec):
     f = build_transmit(cfg.get("transmit"))
     xs = np.array(_grid(cfg.get("grid"), "grid"))
     density = det.matched_density(f, spec)
-    values = np.array([density(x) for x in xs])
     if f.kind == tx.TANH and f.omega == 1.0:
         reference = 1.0 / (np.pi * np.cosh(xs))
     elif f.kind == tx.LINEAR:
@@ -534,23 +426,76 @@ def _run_duality(cfg, workers):
         reference = np.exp(-0.5 * (xs / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
     else:
         reference = np.full_like(xs, np.nan)
-    rows = [[x, v, r, abs(v - r)] for x, v, r in zip(xs, values, reference)]
-    return ["x", "density", "reference", "abs_error"], rows
+
+    def row(stream_id_base, point):
+        x, r = point
+        v = density(x)
+        return [x, v, r, abs(v - r)]
+
+    return ["x", "density", "reference", "abs_error"], list(zip(xs, reference)), row
 
 
-KIND_RUNNERS = {
-    "asv_vs_omega": _run_asv_vs_omega,
-    "lvar_vs_L": _run_lvar_vs_L,
-    "consistency": _run_consistency,
-    "af_compare": _run_af_compare,
-    "dc_vs_omega": _run_dc_vs_omega,
-    "pe_vs_omega": _run_pe_vs_omega,
-    "pe_vs_L": _run_pe_vs_L,
-    "theorem3_degeneration": _run_theorem3,
-    "duality_check": _run_duality,
+@dataclass(frozen=True)
+class ExperimentKind:
+    """The config keys of one experiment kind and how it becomes CSV rows.
+
+    ``prepare(cfg, spec)`` validates the kind's values and returns
+    ``(header, points, row)``; ``row(stream_id_base, point)`` computes the
+    CSV row of one point. With ``transmits`` set, a ``transmits`` list may
+    stand in for the single ``transmit``.
+    """
+
+    required: set[str]
+    optional: set[str]
+    prepare: Callable
+    transmits: bool = False
+
+
+EXPERIMENTS = {
+    "asv_vs_omega": ExperimentKind(
+        _CHANNEL | {"trials", "L", "transmit", "omega_grid"}, {"sigmas"}, _prepare_asv_vs_omega, transmits=True
+    ),
+    "lvar_vs_L": ExperimentKind(_CHANNEL | {"trials", "transmit", "L_values"}, {"sigmas"}, _prepare_lvar_vs_L),
+    "consistency": ExperimentKind(
+        _CHANNEL | {"trials", "transmit", "L_values"}, {"sigmas", "estimator"}, _prepare_consistency
+    ),
+    "af_compare": ExperimentKind(_CHANNEL | {"trials", "transmit", "L_values"}, {"sigmas"}, _prepare_af_compare),
+    "dc_vs_omega": ExperimentKind(_CHANNEL | {"L", "transmit", "omega_grid"}, {"sigmas", "priors"}, _prepare_dc_vs_omega),
+    "pe_vs_omega": ExperimentKind(
+        _CHANNEL | {"trials", "L", "transmit", "omega_grid"}, {"sigmas", "priors", "stratified"}, _prepare_pe_vs_omega
+    ),
+    "pe_vs_L": ExperimentKind(
+        _CHANNEL | {"trials", "transmit", "L_values"},
+        {"sigmas", "priors", "stratified", "omega_search"},
+        _prepare_pe_vs_L,
+        transmits=True,
+    ),
+    "theorem3_degeneration": ExperimentKind(
+        _CHANNEL | {"trials", "transmit", "L_values", "sigmas"}, set(), _prepare_theorem3
+    ),
+    "duality_check": ExperimentKind({"transmit", "grid"}, set(), _prepare_duality),
 }
-
+EXPERIMENT_KINDS = tuple(EXPERIMENTS)
 _SEEDLESS_KINDS = ("duality_check",)
+
+
+def run_experiment(cfg: dict, workers: int = 1) -> tuple[list[str], list[list]]:
+    """Check the keys of ``cfg``'s kind and compute its (header, rows).
+
+    Point k draws from stream ids starting at k * 2**32, so the rows are the
+    same for every worker count.
+    """
+    kind = EXPERIMENTS[cfg["kind"]]
+    required = kind.required
+    if kind.transmits and "transmits" in cfg:
+        required = required - {"transmit"} | {"transmits"}
+    _check_keys(cfg, "config", _COMMON_REQUIRED | required, _COMMON_OPTIONAL | kind.optional)
+    header, points, row = kind.prepare(cfg, build_quadrature(cfg.get("quadrature")))
+    stream_id_bases = [k * harness.POINT_STREAM_STRIDE for k in range(len(points))]
+    if workers <= 1 or len(points) <= 1:
+        return header, list(map(row, stream_id_bases, points))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return header, list(pool.map(row, stream_id_bases, points))
 
 
 # ---------------------------------------------------------------------------
@@ -800,9 +745,8 @@ def validate_common(cfg: dict) -> None:
 def run_config(cfg: dict, workers: int = 1, out_path: str | None = None) -> dict:
     """Execute a validated config; returns the manifest dictionary."""
     validate_common(cfg)
-    runner = KIND_RUNNERS[cfg["kind"]]
     start = time.perf_counter()
-    header, rows = runner(cfg, workers)
+    header, rows = run_experiment(cfg, workers)
     elapsed = time.perf_counter() - start
     out_path = out_path or cfg.get("output") or f"{cfg.get('experiment_id', cfg['kind'])}.csv"
     write_csv(out_path, header, rows)

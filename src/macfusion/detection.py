@@ -187,27 +187,6 @@ def decide(detector: GaussianApproxDetector, y):
     return out
 
 
-def error_probability(
-    setup: DetectionSetup,
-    trials: int,
-    stream,
-    spec: QuadratureSpec | None = None,
-    stratified: bool = False,
-) -> tuple[float, float]:
-    """Monte Carlo error probability of the quadratic detector.
-
-    Each trial consumes, in order, one hypothesis uniform (skipped when
-    stratified), L sensor uniforms, and one channel uniform; trials are laid
-    out row-major so the draw accounting is exact. Returns the estimate and
-    its binomial standard error.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    detector = build_detector(setup, spec)
-    hypotheses, wrong = simulate_decisions(setup, detector, trials, stream, stratified=stratified)
-    return summarize_errors(setup.priors, hypotheses, wrong, stratified)
-
-
 def summarize_errors(priors, hypotheses: np.ndarray, wrong: np.ndarray, stratified: bool) -> tuple[float, float]:
     """(Pe, binomial standard error) from per-trial outcomes."""
     p0, p1 = priors
@@ -240,6 +219,8 @@ def simulate_decisions(
     Returns (hypotheses, wrong) as uint8 arrays. Draw order per trial is
     one hypothesis uniform (omitted when stratified), sensors in ascending
     index order, then the channel draw; trials are row-major in the stream.
+    Each draw block is decided as soon as it is drawn, so no temporary
+    grows with the trial count.
     """
     from scipy.special import ndtri
 
@@ -253,7 +234,7 @@ def simulate_decisions(
     cols = lead + setup.L + 1
 
     hypotheses = np.empty(trials, dtype=np.uint8)
-    y = np.empty(trials)
+    wrong = np.empty(trials, dtype=np.uint8)
     for start, count, draw in row_blocks(stream, trials, cols):
         rows = slice(start, start + count)
         if stratified:
@@ -265,8 +246,8 @@ def simulate_decisions(
         def sensor_sums(lo, hi):
             return kernels.span_sums(setup.noise, draw(lead + lo, lead + hi), sigmas[lo:hi], shift, code, a, b)
 
-        y[rows] = sqrt_rho * pairwise_row_sum(setup.L, sensor_sums) + sigma_v * ndtri(draw(cols - 1, cols)[:, 0])
-    wrong = (decide(detector, y) != hypotheses).astype(np.uint8)
+        y = sqrt_rho * pairwise_row_sum(setup.L, sensor_sums) + sigma_v * ndtri(draw(cols - 1, cols)[:, 0])
+        wrong[rows] = decide(detector, y) != hypotheses[rows]
     return hypotheses, wrong
 
 

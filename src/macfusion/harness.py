@@ -5,13 +5,13 @@ experiment, trials are laid out row-major in a single stream (sensors in
 ascending index order, then the channel draw), so results are bit-identical
 for a given configuration and seed regardless of how sweep points are
 distributed over workers. Sweep points own disjoint stream-id blocks:
-point k uses stream id k * 2**32.
+``cli.run_experiment`` gives point k the stream ids from
+k * POINT_STREAM_STRIDE = k * 2**32.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,12 +19,7 @@ from scipy.special import ndtri
 
 from . import kernels, transmit as tx
 from .detection import DetectionSetup, build_detector, simulate_decisions, summarize_errors
-from .estimation import (
-    EstimationSetup,
-    af_gain,
-    build_flat_response,
-    sqrt_growth_sigmas,
-)
+from .estimation import EstimationSetup, af_gain, build_flat_response
 from .noise import sample
 from .numerics import QuadratureSpec, RngStream, pairwise_row_sum, row_blocks
 
@@ -219,7 +214,7 @@ def run_detection_experiment(
     return summary
 
 
-SWEEP_PARAMETERS = ("omega", "L", "theta", "sigma_growth")
+SWEEP_PARAMETERS = ("omega", "L")
 
 
 def apply_sweep_parameter(setup, parameter: str, value):
@@ -228,62 +223,4 @@ def apply_sweep_parameter(setup, parameter: str, value):
         return replace(setup, transmit=tx.with_omega(setup.transmit, float(value)))
     if parameter == "L":
         return replace(setup, L=int(value))
-    if parameter == "theta":
-        return replace(setup, theta=float(value))
-    if parameter == "sigma_growth":
-        return replace(setup, sigmas=sqrt_growth_sigmas(float(value)))
     raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")
-
-
-def sweep(
-    parameter: str,
-    values,
-    setup,
-    trials: int,
-    master_seed: int,
-    *,
-    workers: int = 1,
-    estimator: str = "bounded",
-    stratified: bool = False,
-    spec: QuadratureSpec | None = None,
-) -> list[tuple[float, TrialSummary]]:
-    """Run one experiment per value; points are independently seeded.
-
-    Point k draws from stream ids starting at k * 2**32, so the table is
-    reproducible for any worker count and any subset of points.
-    """
-    values = list(values)
-    if not values:
-        raise ValueError("sweep requires at least one value")
-
-    def run_point(index_value):
-        index, value = index_value
-        point_setup = apply_sweep_parameter(setup, parameter, value)
-        base = index * POINT_STREAM_STRIDE
-        if isinstance(point_setup, EstimationSetup):
-            summary = run_estimation_experiment(
-                point_setup,
-                trials,
-                master_seed,
-                estimator=estimator,
-                stream_id_base=base,
-                spec=spec,
-                experiment_id=f"{parameter}={value}",
-            )
-        else:
-            summary = run_detection_experiment(
-                point_setup,
-                trials,
-                master_seed,
-                stream_id_base=base,
-                stratified=stratified,
-                spec=spec,
-                experiment_id=f"{parameter}={value}",
-            )
-        return value, summary
-
-    items = list(enumerate(values))
-    if workers <= 1 or len(items) == 1:
-        return [run_point(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_point, items))

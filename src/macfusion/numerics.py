@@ -313,6 +313,7 @@ def invert_monotone(h, target: float, bracket_hint=(-1.0, 1.0)) -> float:
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+MIN_SCAN_POINTS = 8  # fewest grid points of minimize_scalar's coarse scan
 
 
 def _golden_section(g, a: float, b: float, tol: float):
@@ -350,8 +351,8 @@ def minimize_scalar(g, lo: float, hi: float, grid_points: int = 32):
     """
     if not lo < hi:
         raise ValueError("minimize_scalar requires lo < hi")
-    if grid_points < 8:
-        raise ValueError("grid_points must be >= 8")
+    if grid_points < MIN_SCAN_POINTS:
+        raise ValueError(f"grid_points must be >= {MIN_SCAN_POINTS}")
     grid = np.linspace(lo, hi, grid_points)
     values = np.array([g(x) for x in grid], dtype=np.float64)
     best = int(np.argmin(values))

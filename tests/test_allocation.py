@@ -10,7 +10,6 @@ arrays the call returns; untiled inversion on this mesh peaked at about
 import math
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from macfusion import detection as det
@@ -49,19 +48,22 @@ def test_inversion_peak_stays_within_a_few_blocks(rational_mesh):
     assert peak - outputs <= 3 * _block_bytes()
 
 
+@pytest.mark.parametrize("blocks", [4, 32])
 @pytest.mark.parametrize("stratified", [False, True])
-def test_decision_loop_peak_stays_within_a_few_blocks(stratified):
-    """fig5's setup (L=20) over four draw blocks of trials."""
+def test_decision_loop_peak_stays_within_a_few_blocks(stratified, blocks):
+    """fig5's setup (L=20) over ``blocks`` draw blocks of trials.
+
+    Each block is decided as it is drawn, so nothing but the returned
+    arrays grows with the trial count.
+    """
     setup = det.DetectionSetup(
         theta=math.sqrt(10.0), L=20, sigmas=est.constant_sigmas(1.0), noise=noise.gaussian(1.0),
         transmit=tx.tanh_fn(1.0), total_power=10**0.3, channel_noise_var=1.0,
     )
     detector = det.build_detector(setup)
-    trials = 4 * numerics.DRAW_BLOCK_ELEMENTS // (setup.L + 2)
+    trials = blocks * numerics.DRAW_BLOCK_ELEMENTS // (setup.L + 2)
     stream = numerics.RngStream(5, 0)
     (hypotheses, wrong), peak = _traced_peak(
         lambda: det.simulate_decisions(setup, detector, trials, stream, stratified=stratified)
     )
-    # The received values and the decision step's temporaries are per trial.
-    per_trial = hypotheses.nbytes + wrong.nbytes + trials * np.dtype(np.float64).itemsize
-    assert peak - per_trial <= 3.5 * _block_bytes()
+    assert peak - hypotheses.nbytes - wrong.nbytes <= 3.5 * _block_bytes()

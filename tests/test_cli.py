@@ -3,11 +3,11 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
-from macfusion import cli, harness
+from macfusion import cli, harness, noise
 from macfusion import estimation as est
+from macfusion import transmit as tx
 from macfusion.numerics import InversionRangeError
 
 SMALL_FIG2 = [
@@ -221,6 +221,30 @@ class TestErrors:
         assert "numerical failure in af_compare" in err
         assert str(error) in err
 
+    @pytest.mark.parametrize(
+        "preset, override, field",
+        [
+            ("fig5", 'priors=["a",0.5]', "priors[0]"),
+            ("fig5", "priors=[[1],0.5]", "priors[0]"),
+            ("consistency", 'sigmas={"kind":"explicit_list","values":[[1]]}', "sigmas.values[0]"),
+            ("cauchy-af", "theta=NaN", "config.theta"),
+            ("cauchy-af", "theta=Infinity", "config.theta"),
+            ("cauchy-af", "L_values=[Infinity]", "L_values[0]"),
+            ("cauchy-af", "L_values=[NaN]", "L_values[0]"),
+            ("cauchy-af", "L_values=[2.5]", "L_values[0]"),
+            ("fig2", "omega_grid.lo=-1", "omega_grid.lo"),
+            ("fig6", "omega_search.points=3", "omega_search.points"),
+            ("fig5", 'stratified="no"', "stratified"),
+        ],
+    )
+    def test_bad_values_exit_2_naming_the_field(self, tmp_path, capsys, preset, override, field):
+        code = _run(["run", preset, "--out", str(tmp_path / "x.csv"), "--set", override])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error at {field}:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_seed_rejected(self, tmp_path, capsys):
         code = _run(["run", "fig2", "--out", str(tmp_path / "x.csv"), "--set", "master_seed=-3"])
         assert code == 2
@@ -228,21 +252,26 @@ class TestErrors:
 
 
 class TestAfCompare:
-    def test_single_pass_matches_two_sweeps(self):
-        """One draw pass per point gives the rows of separate bounded/AF sweeps."""
+    def test_single_pass_matches_separate_experiments(self, tmp_path):
+        """One draw pass per point gives the bounded and AF errors of separate runs."""
+        out = tmp_path / "af.csv"
         cfg = cli.load_config("cauchy-af", ["trials=150", "L_values=[40,300]"])
-        header, rows = cli.KIND_RUNNERS["af_compare"](cfg, 2)
-        setup = cli._estimation_setup(dict(cfg, L=40))
-        seed = cfg["master_seed"]
-        bounded = harness.sweep("L", [40, 300], setup, 150, seed, estimator="bounded")
-        af = harness.sweep("L", [40, 300], setup, 150, seed, estimator="af")
-        old_rows = [
-            [int(L), sb.aggregates["median_abs_error"], sa.aggregates["median_abs_error"], 150]
-            for (L, sb), (_, sa) in zip(bounded, af)
-        ]
+        cli.run_config(cfg, workers=2, out_path=str(out))
+        header, rows = cli.read_csv(str(out))
         assert header == ["L", "mae_bounded", "mae_af", "trials"]
-        assert rows == old_rows
-        assert all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in rows)
+        expected = []
+        for k, L in enumerate((40, 300)):
+            setup = est.EstimationSetup(
+                1.0, L, est.constant_sigmas(1.0), noise.cauchy(1.0), tx.tanh_fn(0.75), 10.0, 1.0
+            )
+            maes = [
+                harness.run_estimation_experiment(
+                    setup, 150, cfg["master_seed"], estimator=estimator, stream_id_base=k * 2**32
+                ).aggregates["median_abs_error"]
+                for estimator in ("bounded", "af")
+            ]
+            expected.append([str(L)] + [f"{mae:.12g}" for mae in maes] + ["150"])
+        assert rows == expected
 
 
 class TestOverridesAndEnv:

@@ -7,7 +7,7 @@ import pytest
 
 from macfusion import detection as det
 from macfusion import estimation as est
-from macfusion import noise, transmit as tx
+from macfusion import harness, noise, transmit as tx
 from macfusion.numerics import RngStream, adaptive_quadrature
 
 GAUSS = noise.gaussian(1.0)
@@ -157,30 +157,31 @@ class TestErrorProbability:
     def test_huge_snr_nearly_perfect(self):
         """rho_s = 60 dB, rho_c = 20 dB: errors all but vanish."""
         setup = _setup(theta=1000.0, total_power=100.0, channel_noise_var=1.0)
-        pe, _ = det.error_probability(setup, 10**4, RngStream(1, 0))
-        assert pe < 0.01
+        assert harness.run_detection_experiment(setup, 10**4, 1).aggregates["pe"] < 0.01
 
     def test_zero_signal_errs_at_smaller_prior(self):
         setup = _setup(theta=0.0, priors=(0.3, 0.7))
-        pe, se = det.error_probability(setup, 10**4, RngStream(2, 0))
-        assert abs(pe - 0.3) <= 3.0 * max(se, 1e-3)
+        aggregates = harness.run_detection_experiment(setup, 10**4, 2).aggregates
+        assert abs(aggregates["pe"] - 0.3) <= 3.0 * max(aggregates["stderr"], 1e-3)
 
     def test_stream_draw_accounting(self):
+        setup = _setup(L=7)
         stream = RngStream(3, 0)
-        det.error_probability(_setup(L=7), 100, stream)
+        det.simulate_decisions(setup, det.build_detector(setup), 100, stream)
         assert stream.counter == 100 * (7 + 2)
 
     def test_stratified_draw_accounting_and_agreement(self):
         setup = _setup(theta=math.sqrt(10.0), total_power=10**0.3)
         stream = RngStream(4, 0)
-        pe_strat, se_strat = det.error_probability(setup, 20000, stream, stratified=True)
+        hypotheses, wrong = det.simulate_decisions(setup, det.build_detector(setup), 20000, stream, stratified=True)
         assert stream.counter == 20000 * (setup.L + 1)
-        pe_plain, se_plain = det.error_probability(setup, 20000, RngStream(4, 1))
-        assert abs(pe_strat - pe_plain) < 3.0 * (se_strat + se_plain)
+        pe_strat, se_strat = det.summarize_errors(setup.priors, hypotheses, wrong, True)
+        plain = harness.run_detection_experiment(setup, 20000, 4, stream_id_base=1).aggregates
+        assert abs(pe_strat - plain["pe"]) < 3.0 * (se_strat + plain["stderr"])
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            det.error_probability(_setup(), 0, RngStream(5, 0))
+            harness.run_detection_experiment(_setup(), 0, 5)
 
 
 class TestLocallyOptimal:
@@ -251,8 +252,6 @@ class TestDcOptimumQuality:
         """Tuning omega by deflection nearly minimizes the error rate:
         Pe at the DC-optimal omega stays within 10% (or MC noise) of the
         smallest Pe seen across the omega range."""
-        from macfusion import harness
-
         model = noise.NoiseModel(kind, 1.0 if kind != "laplacian" else 1.0 / math.sqrt(2.0))
         base = _setup(theta=math.sqrt(10.0), total_power=10**0.3, noise=model)
         omega_star, _ = det.optimal_omega(base, 0.1, 3.0, 32)

@@ -7,7 +7,7 @@ import pytest
 
 from macfusion import estimation as est
 from macfusion import detection as det
-from macfusion import harness, noise, numerics, transmit as tx
+from macfusion import cli, harness, noise, numerics, transmit as tx
 from macfusion.numerics import RngStream, split_stream
 
 
@@ -191,41 +191,66 @@ class TestDetectionExperiment:
         assert abs(pe - 0.5) < 3.0 * summary.aggregates["stderr"] + 0.01
 
 
-class TestSweep:
-    def test_single_point_equals_direct_run(self):
+# Tiny overrides that give every preset at least two points; no preset
+# runs dc_vs_omega, so it gets a config of its own.
+TINY = {
+    "fig2": ["trials=60", "L=20", 'omega_grid={"lo":0.5,"hi":1.5,"points":3}'],
+    "fig3": ["trials=60", "L_values=[20,30]"],
+    "fig4": ["trials=40", "L=20", 'omega_grid={"lo":0.5,"hi":1.5,"points":2}'],
+    "fig5": ["trials=1000", 'omega_grid={"lo":0.4,"hi":1.2,"points":3}'],
+    "fig6": ["trials=1000", "L_values=[5,7]", 'omega_search={"lo":0.2,"hi":4.0,"points":8}'],
+    "theorem3": ["trials=40", "L_values=[30,60]"],
+    "cauchy-af": ["trials=60", "L_values=[30,40]"],
+    "duality": ['grid={"lo":-2.0,"hi":2.0,"points":4}'],
+    "consistency": ["trials=60", "L_values=[30,40]"],
+}
+DC_VS_OMEGA = {
+    "kind": "dc_vs_omega",
+    "master_seed": 5,
+    "theta": 1.0,
+    "L": 10,
+    "noise": {"kind": "gaussian", "scale": 1.0},
+    "transmit": {"kind": "tanh", "omega": 1.0},
+    "total_power": 2.0,
+    "channel_noise_var": 1.0,
+    "omega_grid": {"lo": 0.5, "hi": 2.0, "points": 3},
+}
+TINY_RUNS = sorted(TINY) + ["dc_vs_omega"]
+
+
+def _tiny_config(name):
+    return cli.load_config(name, TINY[name]) if name in TINY else dict(DC_VS_OMEGA)
+
+
+class TestRunExperiment:
+    def test_tiny_runs_cover_every_kind(self):
+        assert {_tiny_config(name)["kind"] for name in TINY_RUNS} == set(cli.EXPERIMENT_KINDS)
+
+    @pytest.mark.parametrize("name", TINY_RUNS)
+    def test_worker_count_byte_identical(self, name, tmp_path):
+        csvs = []
+        for workers in (1, 3):
+            out = tmp_path / f"{name}-{workers}.csv"
+            cli.run_config(_tiny_config(name), workers=workers, out_path=str(out))
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_equal_points_draw_from_their_own_streams(self, tmp_path):
+        """Two equal L values give two different rows."""
+        out = tmp_path / "twins.csv"
+        cli.run_config(cli.load_config("consistency", ["trials=100", "L_values=[50,50]"]), workers=2, out_path=str(out))
+        _, rows = cli.read_csv(str(out))
+        assert rows[0][0] == rows[1][0] == "50"
+        assert rows[0] != rows[1]
+
+
+class TestApplySweepParameter:
+    def test_omega_and_L(self):
         setup = _est_setup()
-        [(value, summary)] = harness.sweep("L", [50], setup, 100, 21)
-        direct = harness.run_estimation_experiment(setup, 100, 21, stream_id_base=0, experiment_id="L=50")
-        assert value == 50
-        assert np.array_equal(summary.estimates, direct.estimates)
+        assert harness.apply_sweep_parameter(setup, "omega", 2.0).transmit.omega == 2.0
+        assert harness.apply_sweep_parameter(setup, "L", 7).L == 7
 
-    def test_worker_count_invariance(self):
-        setup = _est_setup()
-        serial = harness.sweep("omega", [0.5, 0.75, 1.0, 1.5], setup, 200, 33, workers=1)
-        threaded = harness.sweep("omega", [0.5, 0.75, 1.0, 1.5], setup, 200, 33, workers=4)
-        for (va, sa), (vb, sb) in zip(serial, threaded):
-            assert va == vb
-            assert np.array_equal(sa.estimates, sb.estimates)
-
-    def test_points_are_independently_seeded(self):
-        setup = _est_setup()
-        rows = harness.sweep("theta", [1.0, 1.0], setup, 100, 44)
-        assert not np.array_equal(rows[0][1].estimates, rows[1][1].estimates)
-
-    def test_detection_sweep_dispatch(self):
-        rows = harness.sweep("omega", [0.5, 1.0], _det_setup(), 500, 55)
-        assert all("pe" in s.aggregates for _, s in rows)
-
-    def test_sigma_growth_parameter(self):
-        setup = _est_setup()
-        swept = harness.apply_sweep_parameter(setup, "sigma_growth", 2.0)
-        assert swept.sigmas.kind == est.SQRT_GROWTH
-        assert swept.sigmas.sigma == 2.0
-
-    def test_unknown_parameter_rejected(self):
+    @pytest.mark.parametrize("parameter", ["power", "theta", "sigma_growth"])
+    def test_unknown_parameter_rejected(self, parameter):
         with pytest.raises(ValueError):
-            harness.apply_sweep_parameter(_est_setup(), "power", 1.0)
-
-    def test_empty_values_rejected(self):
-        with pytest.raises(ValueError):
-            harness.sweep("L", [], _est_setup(), 10, 1)
+            harness.apply_sweep_parameter(_est_setup(), parameter, 1.0)

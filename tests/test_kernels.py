@@ -349,16 +349,16 @@ class TestMonteCarloSpans:
             transmit=tx.tanh_fn(1.0), total_power=2.0, channel_noise_var=1.0,
         )
         detector = det.GaussianApproxDetector(mean0=0.0, mean1=4.0, var0=3.0, var1=3.5, log_prior_ratio=0.0)
-        captured = {}
+        captured = []
         decide = det.decide
 
         def capturing(detector, y):
-            captured["y"] = np.array(y)
+            captured.append(np.array(y))
             return decide(detector, y)
 
         monkeypatch.setattr(det, "decide", capturing)
         hypotheses, wrong = det.simulate_decisions(setup, detector, 700, numerics.RngStream(11, 3), stratified=stratified)
-        y = captured["y"]
+        y = np.concatenate(captured)  # one decide call per draw block
         monkeypatch.setattr(det, "decide", decide)
         ref_h, ref_wrong, ref_y = _plain_simulate_decisions(setup, detector, 700, numerics.RngStream(11, 3), stratified)
         assert np.array_equal(_bits(y), _bits(ref_y))
