@@ -22,14 +22,11 @@ from .transmit import (
     uniform_quantizer_fn,
 )
 from .numerics import (
-    InversionRangeError,
     QuadratureConvergenceError,
     QuadratureSpec,
     RngStream,
     expect,
-    invert_monotone,
     minimize_scalar,
-    split_stream,
 )
 from .estimation import (
     EstimationSetup,
@@ -37,7 +34,6 @@ from .estimation import (
     af_estimate,
     asymptotic_variance,
     constant_sigmas,
-    estimate,
     mean_response,
     sqrt_growth_sigmas,
 )
@@ -52,11 +48,9 @@ from .detection import (
     optimal_omega,
 )
 from .harness import (
-    ChannelRealization,
     TrialSummary,
     run_detection_experiment,
     run_estimation_experiment,
-    simulate_channel,
 )
 
 __all__ = [
@@ -64,13 +58,13 @@ __all__ = [
     "NoiseModel", "gaussian", "laplacian", "cauchy",
     "TransmitFunction", "tanh_fn", "gudermannian_fn", "rational_fn",
     "signed_power_fn", "uniform_quantizer_fn", "linear_fn",
-    "QuadratureSpec", "QuadratureConvergenceError", "InversionRangeError",
-    "RngStream", "expect", "invert_monotone", "minimize_scalar", "split_stream",
+    "QuadratureSpec", "QuadratureConvergenceError",
+    "RngStream", "expect", "minimize_scalar",
     "EstimationSetup", "SigmaSequence", "constant_sigmas", "sqrt_growth_sigmas",
-    "mean_response", "estimate", "asymptotic_variance", "af_estimate",
+    "mean_response", "asymptotic_variance", "af_estimate",
     "DetectionSetup", "GaussianApproxDetector", "deflection", "optimal_omega",
     "build_detector", "decide",
     "locally_optimal_nonlinearity", "matched_density",
-    "ChannelRealization", "TrialSummary", "simulate_channel",
+    "TrialSummary",
     "run_estimation_experiment", "run_detection_experiment",
 ]

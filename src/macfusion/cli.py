@@ -62,7 +62,7 @@ def _check_keys(d: dict, path: str, required: set[str], optional: set[str] = fro
         raise ConfigError(f"config error at {path}.{name}: required key is missing")
 
 
-def _check_number(v, loc: str, *, positive=False, integer=False, minimum=None):
+def _check_number(v, loc: str, *, positive=False, integer=False, minimum=None, magnitude=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"config error at {loc}: expected a number, got {v!r}")
     if isinstance(v, float) and not math.isfinite(v):
@@ -73,6 +73,8 @@ def _check_number(v, loc: str, *, positive=False, integer=False, minimum=None):
         raise ConfigError(f"config error at {loc}: must be positive, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"config error at {loc}: must be >= {minimum}, got {v!r}")
+    if magnitude is not None and abs(v) > magnitude:
+        raise ConfigError(f"config error at {loc}: must lie within +-{magnitude:g}, got {v!r}")
     return int(v) if integer else float(v)
 
 
@@ -219,17 +221,23 @@ _COMMON_OPTIONAL = {"experiment_id", "output", "quadrature"}
 _CHANNEL = {"theta", "noise", "total_power", "channel_noise_var"}
 _DEFAULT_SIGMAS = {"kind": "constant", "sigma": 1.0}
 _DEFAULT_OMEGA_SEARCH = {"lo": 0.05, "hi": 8.0, "points": 64}
+# Largest |theta|: beyond it theta +- the response mesh's probe span is no
+# longer resolved in float64, and L * theta**2 (the AF power) overflows.
+_THETA_LIMIT = 1e15
 
 
 def _trials(cfg) -> int:
     return _number(cfg, "trials", "config", positive=True, integer=True)
 
 
-def _channel(cfg, *, positive_theta=False) -> dict:
-    """The setup fields that estimation and detection kinds share."""
+def _channel(cfg, L, *, positive_theta=False) -> dict:
+    """The setup fields that estimation and detection kinds share, at ``L`` sensors."""
+    sigmas = build_sigmas(cfg.get("sigmas", _DEFAULT_SIGMAS))
+    if sigmas.kind == est.EXPLICIT_LIST and len(sigmas.values) != L:
+        raise ConfigError(f"config error at sigmas.values: {len(sigmas.values)} entries, but L is {L}")
     return dict(
-        theta=_number(cfg, "theta", "config", positive=positive_theta),
-        sigmas=build_sigmas(cfg.get("sigmas", _DEFAULT_SIGMAS)),
+        theta=_number(cfg, "theta", "config", positive=positive_theta, magnitude=_THETA_LIMIT),
+        sigmas=sigmas,
         noise=build_noise(cfg.get("noise")),
         total_power=_number(cfg, "total_power", "config", positive=True),
         channel_noise_var=_number(cfg, "channel_noise_var", "config", positive=True),
@@ -237,10 +245,11 @@ def _channel(cfg, *, positive_theta=False) -> dict:
 
 
 def _estimation_setup(cfg, *, L=None, transmit=None) -> est.EstimationSetup:
+    L = _number(cfg, "L", "config", positive=True, integer=True) if L is None else L
     return est.EstimationSetup(
-        L=_number(cfg, "L", "config", positive=True, integer=True) if L is None else L,
+        L=L,
         transmit=build_transmit(cfg.get("transmit")) if transmit is None else transmit,
-        **_channel(cfg),
+        **_channel(cfg, L),
     )
 
 
@@ -259,7 +268,7 @@ def _L_sweep(cfg):
 def _detection_setup(cfg, transmit_path="transmit", transmit_cfg=None, L=None) -> det.DetectionSetup:
     transmit_cfg = transmit_cfg if transmit_cfg is not None else cfg.get("transmit")
     L = _number(cfg, "L", "config", positive=True, integer=True) if L is None else L
-    channel = _channel(cfg, positive_theta=True)
+    channel = _channel(cfg, L, positive_theta=True)
     priors = _priors(cfg)
     f = build_transmit(transmit_cfg, transmit_path)
     if _transmit_wants_power_alpha(transmit_cfg):
@@ -479,6 +488,19 @@ EXPERIMENT_KINDS = tuple(EXPERIMENTS)
 _SEEDLESS_KINDS = ("duality_check",)
 
 
+def _check_sweep(cfg: dict, required: set[str]) -> None:
+    """Reject what the swept parameter rules out: a transmit curve without
+    omega in an omega sweep, an explicit sigma list (one fixed L) in an L
+    sweep."""
+    if "omega_grid" in required:
+        for path, d in _transmit_configs(cfg):
+            kind = d.get("kind") if isinstance(d, dict) else None
+            if kind in tx.TRANSMIT_KINDS and kind not in tx.BOUNDED_SMOOTH_KINDS:
+                raise ConfigError(f"config error at {path}.kind: {cfg['kind']} sweeps omega, and {kind} has no omega")
+    if "L_values" in required and "sigmas" in cfg and build_sigmas(cfg["sigmas"]).kind == est.EXPLICIT_LIST:
+        raise ConfigError(f"config error at sigmas.kind: {cfg['kind']} sweeps L_values, and explicit_list fixes one L")
+
+
 def run_experiment(cfg: dict, workers: int = 1) -> tuple[list[str], list[list]]:
     """Check the keys of ``cfg``'s kind and compute its (header, rows).
 
@@ -490,6 +512,7 @@ def run_experiment(cfg: dict, workers: int = 1) -> tuple[list[str], list[list]]:
     if kind.transmits and "transmits" in cfg:
         required = required - {"transmit"} | {"transmits"}
     _check_keys(cfg, "config", _COMMON_REQUIRED | required, _COMMON_OPTIONAL | kind.optional)
+    _check_sweep(cfg, required)
     header, points, row = kind.prepare(cfg, build_quadrature(cfg.get("quadrature")))
     stream_id_bases = [k * harness.POINT_STREAM_STRIDE for k in range(len(points))]
     if workers <= 1 or len(points) <= 1:

@@ -10,11 +10,14 @@ so inversion is well posed; when channel noise pushes the target outside
 the attainable range the target is clamped just inside and the event is
 reported to the caller.
 
-Two evaluation paths exist. The scalar path evaluates h_L by adaptive
-quadrature and solves with Brent's method, one call per target. The batch
-path (used by the Monte Carlo harness) freezes the quadrature mesh once per
-setup into flat node/weight arrays, validates it against the adaptive
-answer, and then solves whole target arrays in a kernel from a monotone
+One moment engine, ``g_moment``, computes every E[f^k(theta + sigma n)]:
+vector-valued adaptive quadratures over n, with a sigma axis (the distinct
+per-sensor scales) and a theta axis, each quadrature covering one group of
+sigma on a shared mesh. ``mean_response`` and the asymptotic variance make
+scalar-theta calls. The estimator inverts whole target arrays at once:
+h_L is frozen once per setup into flat node/weight arrays, validated
+against the engine's moments at 13 check thetas (one quadrature per sigma
+group), and the targets are then solved in a kernel from a monotone
 response grid.
 """
 
@@ -27,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels, transmit as tx
-from .noise import NoiseModel, cdf, quantile, variance
+from .noise import NoiseModel, cdf, quantile, tail_truncation, variance
 from .numerics import (
     DEFAULT_QUADRATURE,
     NumericsError,
@@ -35,7 +38,6 @@ from .numerics import (
     adaptive_quadrature,
     expect,
     fixed_mesh_nodes,
-    invert_monotone,
 )
 
 CONSTANT = "constant"
@@ -154,8 +156,9 @@ def _moment_breakpoints(f: tx.TransmitFunction, sigmas, theta: float, domain: fl
     return tuple(p for p in pts if abs(p) < domain)
 
 
-# Most distinct sigma values integrated together on one shared mesh; larger
-# groups refine the mesh for features most members do not have.
+# Most (theta, sigma) components integrated together on one shared mesh;
+# larger groups refine the mesh for features most members do not have, and
+# their per-round arrays outgrow the cache.
 MOMENT_GROUP = 64
 
 
@@ -164,32 +167,31 @@ def _g_moments_cached(
     noise: NoiseModel,
     f: tx.TransmitFunction,
     sigmas: tuple[float, ...],
-    theta: float,
+    thetas: tuple[float, ...],
     power: int,
     spec: QuadratureSpec,
 ) -> np.ndarray:
-    from .noise import tail_truncation
-
+    """E[f^power(theta + sigma n)] for every (theta, sigma) pair, as a
+    read-only (thetas, sigmas) array from one vector-valued quadrature."""
     code, a, b = tx.kind_params(f)
     t = tail_truncation(noise, spec.tail_mass)
-    column = np.array(sigmas)[:, None]
+    # One component per (theta, sigma), theta-major.
+    shift = np.repeat(thetas, len(sigmas))[:, None]
+    scale = np.tile(sigmas, len(thetas))[:, None]
 
-    if power == 1:
-        def g(n):
-            return kernels.eval_transmit(code, a, b, theta + column * n)
-    else:
-        def g(n):
-            v = kernels.eval_transmit(code, a, b, theta + column * n)
-            return v * v
+    def g(n):
+        v = kernels.eval_transmit(code, a, b, shift + scale * n)
+        return v if power == 1 else v * v
 
     label = f"sigma={sigmas[0]}" if len(sigmas) == 1 else f"sigma in [{sigmas[0]}, {sigmas[-1]}]"
+    where = f"theta={thetas[0]}" if len(thetas) == 1 else f"theta in [{thetas[0]}, {thetas[-1]}]"
     values = expect(
         noise,
         g,
         spec,
-        breakpoints=_moment_breakpoints(f, sigmas, theta, t),
-        context=f"E[f^{power}(theta + sigma n)] at {label}, theta={theta}",
-    )
+        breakpoints=[p for theta in thetas for p in _moment_breakpoints(f, sigmas, theta, t)],
+        context=f"E[f^{power}(theta + sigma n)] at {label}, {where}",
+    ).reshape(len(thetas), len(sigmas))
     values.flags.writeable = False
     return values
 
@@ -198,24 +200,33 @@ def g_moment(
     noise: NoiseModel,
     f: tx.TransmitFunction,
     sigma,
-    theta: float,
+    theta,
     power: int = 1,
     spec: QuadratureSpec | None = None,
 ):
     """E[f(theta + sigma n)^power] by adaptive quadrature (memoized).
 
     ``sigma`` may be an array: the result is then the array of moments, one
-    per entry, from vector-valued quadratures that integrate up to
-    ``MOMENT_GROUP`` consecutive entries on one shared mesh. Callers pass
-    distinct values in ascending order, so each group has similar features.
+    per entry. ``theta`` may be an array too: the result is then a
+    (thetas, sigmas) array. Each vector-valued quadrature integrates every
+    theta with up to ``MOMENT_GROUP`` // len(thetas) consecutive sigma
+    entries on one shared mesh. Callers pass distinct sigma values in
+    ascending order, so each group has similar features.
     """
     spec = spec or DEFAULT_QUADRATURE
     sigmas = np.atleast_1d(np.asarray(sigma, dtype=np.float64)).tolist()
-    values = np.concatenate([
-        _g_moments_cached(noise, f, tuple(sigmas[i : i + MOMENT_GROUP]), float(theta), int(power), spec)
-        for i in range(0, len(sigmas), MOMENT_GROUP)
-    ])
-    return float(values[0]) if np.ndim(sigma) == 0 else values
+    thetas = tuple(np.atleast_1d(np.asarray(theta, dtype=np.float64)).tolist())
+    group = max(1, MOMENT_GROUP // len(thetas))
+    values = np.concatenate(
+        [
+            _g_moments_cached(noise, f, tuple(sigmas[i : i + group]), thetas, int(power), spec)
+            for i in range(0, len(sigmas), group)
+        ],
+        axis=1,
+    )
+    if np.ndim(theta) > 0:
+        return values
+    return float(values[0, 0]) if np.ndim(sigma) == 0 else values[0]
 
 
 def clear_moment_cache() -> None:
@@ -233,43 +244,7 @@ def mean_response(setup: EstimationSetup, theta: float, spec: QuadratureSpec | N
     return math.fsum((counts / setup.L) * moments)
 
 
-def response_limits(setup: EstimationSetup) -> tuple[float, float]:
-    """Closure of the range of h_L: (-c, c) for bounded f, else the line."""
-    c = tx.bound(setup.transmit)
-    if c is None:
-        return -math.inf, math.inf
-    return -c, c
-
-
 CLAMP_MARGIN = 1e-9
-
-
-@dataclass(frozen=True)
-class InversionResult:
-    theta: float
-    clamped: bool
-
-
-def estimate_info(setup: EstimationSetup, received_z: float, spec: QuadratureSpec | None = None) -> InversionResult:
-    """Invert the normalized received signal; reports range clamping."""
-    if not tx.is_invertible(setup.transmit):
-        raise tx.UnsupportedKindError(f"{setup.transmit.kind} is not invertible; the estimator requires a one-to-one transmit curve")
-    target = received_z / math.sqrt(setup.total_power)
-    lo, hi = response_limits(setup)
-    clamped = False
-    if target <= lo + CLAMP_MARGIN:
-        target = lo + CLAMP_MARGIN
-        clamped = True
-    elif target >= hi - CLAMP_MARGIN:
-        target = hi - CLAMP_MARGIN
-        clamped = True
-    theta = invert_monotone(lambda t: mean_response(setup, t, spec), target, bracket_hint=(-1.0, 1.0))
-    return InversionResult(theta=theta, clamped=clamped)
-
-
-def estimate(setup: EstimationSetup, received_z: float, spec: QuadratureSpec | None = None) -> float:
-    """theta estimate from the normalized received signal (Brent path)."""
-    return estimate_info(setup, received_z, spec).theta
 
 
 def asymptotic_variance(setup: EstimationSetup, spec: QuadratureSpec | None = None) -> float:
@@ -296,6 +271,8 @@ def asymptotic_variance(setup: EstimationSetup, spec: QuadratureSpec | None = No
         context=f"E[f'(theta + n)] at theta={theta}",
     )
     noise_part = second - mean * mean + setup.channel_noise_var / setup.total_power
+    if not slope * slope > 0.0:
+        raise NumericsError(f"asymptotic variance at theta={theta}: the slope E[f'(theta + n)] = {slope!r} vanishes")
     return noise_part / (slope * slope)
 
 
@@ -467,6 +444,17 @@ def _probability_mesh(
     return edges
 
 
+def _probes(setup: EstimationSetup, theta_span: tuple[float, float] | None) -> np.ndarray:
+    """The seven probe thetas of the response mesh across ``theta_span``."""
+    if theta_span is None:
+        pad = 6.0 * max(1.0, _transition_width(setup.transmit))
+        theta_span = (setup.theta - pad, setup.theta + pad)
+    lo, hi = theta_span
+    if not lo < hi:
+        raise ValueError("theta_span must be increasing")
+    return np.linspace(lo, hi, 7)
+
+
 def build_flat_response(
     setup: EstimationSetup,
     theta_span: tuple[float, float] | None = None,
@@ -475,34 +463,39 @@ def build_flat_response(
     """Freeze h_L into flat arrays and validate against the adaptive path.
 
     The mesh is built from adaptive runs at probe thetas across
-    ``theta_span`` and accepted only if the frozen evaluation matches
-    ``mean_response`` to 1e-9 (relative to the response bound) at check
-    points; otherwise every panel is halved and the check repeats.
+    ``theta_span`` and accepted only if each sigma's frozen evaluation
+    matches its share of E[f(theta + sigma n)] to 1e-9 (relative to
+    max(1, |moment|)) at 13 check thetas; otherwise every panel is halved
+    and the check repeats, at most four times. The check moments come from
+    independent n-space quadratures, computed once per build: one
+    vector-valued quadrature covers every check theta for a group of sigma.
     """
     spec = spec or DEFAULT_QUADRATURE
-    if theta_span is None:
-        pad = 6.0 * max(1.0, _transition_width(setup.transmit))
-        theta_span = (setup.theta - pad, setup.theta + pad)
-    lo, hi = theta_span
-    if not lo < hi:
-        raise ValueError("theta_span must be increasing")
-    probes = np.linspace(lo, hi, 7)
+    probes = _probes(setup, theta_span)
+    check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
     values, counts = setup.sigmas.distinct(setup.L)
     code, a, b = tx.kind_params(setup.transmit)
+    exact = g_moment(setup.noise, setup.transmit, values, check, 1, spec)
 
     parts_nodes = []
     parts_weights = []
-    for sigma, count in zip(values, counts):
+    for sigma, count, moments in zip(values, counts, exact.T):
+        share = count / setup.L
         edges = _probability_mesh(setup.noise, setup.transmit, float(sigma), probes, spec)
         for _ in range(4):
             v_nodes, v_weights = fixed_mesh_nodes(edges)
             nodes = sigma * np.asarray(quantile(setup.noise, v_nodes))
-            weights = (count / setup.L) * v_weights
-            if _mesh_is_valid(setup, nodes, weights, code, a, b, sigma, count, probes, spec):
+            weights = share * v_weights
+            worst = _worst_check(kernels.eval_response(nodes, weights, code, a, b, check), share * moments, check)
+            if worst is None:
                 break
             edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
         else:
-            raise MeshValidationError(f"flat response mesh failed validation at sigma={sigma}")
+            theta, diff, bound = worst
+            raise MeshValidationError(
+                f"flat response mesh failed validation at sigma={sigma}: worst check at theta={theta!r}, "
+                f"|flat - exact| = {diff:.3g} > bound {bound:.3g}"
+            )
         parts_nodes.append(nodes)
         parts_weights.append(weights)
 
@@ -517,11 +510,13 @@ def build_flat_response(
     )
 
 
-def _mesh_is_valid(setup, nodes, weights, code, a, b, sigma, count, probes, spec) -> bool:
-    check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
-    share = count / setup.L
-    for theta, flat in zip(check, kernels.eval_response(nodes, weights, code, a, b, check)):
-        exact = share * g_moment(setup.noise, setup.transmit, float(sigma), float(theta), 1, spec)
-        if abs(flat - exact) > 1e-9 * max(1.0, abs(exact)):
-            return False
-    return True
+def _worst_check(flat: np.ndarray, exact: np.ndarray, thetas: np.ndarray):
+    """None if |flat - exact| <= 1e-9 * max(1, |exact|) at every theta;
+    otherwise (theta, |flat - exact|, bound) of the worst failing check."""
+    diff = np.abs(flat - exact)
+    bound = 1e-9 * np.maximum(1.0, np.abs(exact))
+    failed = diff > bound
+    if not failed.any():
+        return None
+    j = int(np.argmax(np.where(failed, diff / bound, -math.inf)))
+    return float(thetas[j]), float(diff[j]), float(bound[j])

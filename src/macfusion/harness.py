@@ -20,43 +20,9 @@ from scipy.special import ndtri
 from . import kernels, transmit as tx
 from .detection import DetectionSetup, build_detector, simulate_decisions, summarize_errors
 from .estimation import EstimationSetup, af_gain, build_flat_response
-from .noise import sample
 from .numerics import QuadratureSpec, RngStream, pairwise_row_sum, row_blocks
 
 POINT_STREAM_STRIDE = 2**32
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One channel use: raw output y_L and normalized z_L = y_L / sqrt(L).
-
-    y_L is re-derived as z_L * sqrt(L) so the pair satisfies the identity
-    exactly in floating point.
-    """
-
-    y_L: float
-    z_L: float
-
-    @classmethod
-    def from_raw(cls, y_raw: float, L: int) -> "ChannelRealization":
-        z = y_raw / math.sqrt(L)
-        return cls(y_L=z * math.sqrt(L), z_L=z)
-
-
-def simulate_channel(setup, trial_stream) -> ChannelRealization:
-    """One trial of the sensing/transmit/superpose pipeline.
-
-    Consumes exactly L sensor draws (ascending index) and one channel draw
-    from ``trial_stream``.
-    """
-    sigmas = setup.sigmas.resolve(setup.L)
-    noise_draws = sample(setup.noise, trial_stream, setup.L)
-    chan_u = trial_stream.uniforms(1)
-    code, a, b = tx.kind_params(setup.transmit)
-    x = setup.theta + sigmas * noise_draws
-    y_raw = math.sqrt(setup.rho) * float(kernels.channel_sums(code, a, b, x[None, :])[0])
-    y_raw += math.sqrt(setup.channel_noise_var) * float(ndtri(chan_u[0]))
-    return ChannelRealization.from_raw(y_raw, setup.L)
 
 
 @dataclass

@@ -2,12 +2,13 @@
 
 Three families are built in: Gaussian, Laplacian, and Cauchy. Each exposes
 the exact density, the score -p'(x)/p(x), the CDF/quantile pair (used for
-tail truncation and inverse-CDF sampling), and a seeded sampler. All
-densities are symmetric about zero with support on the whole real line, so
-every family has zero median even when (as for Cauchy) no mean exists.
+tail truncation and inverse-CDF sampling), and the map from uniforms to
+draws. All densities are symmetric about zero with support on the whole
+real line, so every family has zero median even when (as for Cauchy) no
+mean exists.
 
-Sampling draws exactly one uniform per returned value, which keeps stream
-counter accounting exact for the simulation harness.
+Each draw is a deterministic function of exactly one uniform, which keeps
+stream counter accounting exact for the simulation harness.
 """
 
 from __future__ import annotations
@@ -152,21 +153,9 @@ def from_variance(kind: str, target_variance: float) -> NoiseModel:
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
-def sample(model: NoiseModel, stream, count: int) -> np.ndarray:
-    """Draw ``count`` i.i.d. values from ``stream`` by inverse CDF.
-
-    One uniform is consumed per value. Cauchy uses the tan transform of a
-    centered uniform; Gaussian and Laplacian use their closed-form
-    quantiles, so the draw is a deterministic function of the stream state.
-    """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    u = stream.uniforms(count)
-    return transform_uniforms(model, u)
-
-
 def transform_uniforms(model: NoiseModel, u: np.ndarray) -> np.ndarray:
-    """Map open-(0,1) uniforms to noise draws; shared by sampler and kernels.
+    """Map open-(0,1) uniforms to noise draws by inverse CDF (Cauchy: the tan
+    transform of a centered uniform).
 
     ``u`` is not modified. The first ufunc allocates the result and the
     rest of the chain runs in place on it (the Laplacian keeps one scratch

@@ -1,4 +1,4 @@
-"""Numerical substrate: quadrature, inversion, minimization, RNG streams.
+"""Numerical substrate: quadrature, minimization, RNG streams.
 
 Expectations against a noise density are computed by adaptive Gauss-Kronrod
 (G7/K15) quadrature over a quantile-truncated interval. Truncation at tail
@@ -6,8 +6,11 @@ mass m keeps the error certifiable for the bounded integrands used
 throughout: |error| <= sup|g| * m. The refinement loop is round-based and
 evaluates every pending panel in one vectorized call. An integrand may
 return several components at once (for example one per distinct
-per-sensor reliability); they share one mesh, which is refined until every
-component meets its own tolerance.
+per-sensor reliability and per check theta); they share one mesh, which is
+refined until every component meets its own tolerance. Each round decides
+convergence and which panels to split from numpy row sums of the
+(components, panels) arrays; only the value and error bound of the final
+mesh are summed exactly (``math.fsum``).
 
 Random streams are counter-keyed Philox generators: the pair
 (master_seed, stream_id) fully determines the draw sequence, so any worker
@@ -41,19 +44,6 @@ class QuadratureConvergenceError(NumericsError):
         super().__init__(
             f"quadrature did not converge for {label}: "
             f"estimate={estimate!r}, error bound={error_bound!r}"
-        )
-
-
-class InversionRangeError(NumericsError):
-    """Target lies outside the closure of the monotone function's range."""
-
-    def __init__(self, target: float, nearest_endpoint: float, at_x: float):
-        self.target = target
-        self.nearest_endpoint = nearest_endpoint
-        self.at_x = at_x
-        super().__init__(
-            f"target {target!r} is outside the attainable range; "
-            f"nearest endpoint {nearest_endpoint!r} at x={at_x!r}"
         )
 
 
@@ -186,30 +176,34 @@ def adaptive_quadrature(
     subdivisions = 0
     while True:
         panels = lefts.size
+        vals2 = vals.reshape(-1, panels)
         errs2 = errs.reshape(-1, panels)
-        totals = [math.fsum(row) for row in vals.reshape(-1, panels).tolist()]
-        err_totals = [math.fsum(row) for row in errs2.tolist()]
-        tols = [max(abs_tol, rel_tol * abs(total)) for total in totals]
-        over = [err > tol for err, tol in zip(err_totals, tols)]
-        if not any(over):
+        # Round decisions use numpy row sums; only the reported totals are
+        # summed exactly, so a decision differs from an exact-sum one only
+        # when an error total is within rounding of its tolerance.
+        tols = np.maximum(abs_tol, rel_tol * np.abs(vals2.sum(axis=1)))
+        over = errs2.sum(axis=1) > tols
+        if not over.any():
             order = np.argsort(lefts)
             final_edges = np.append(lefts[order], rights[order][-1])
+            totals = np.array([math.fsum(row) for row in vals2.tolist()])
+            err_totals = np.array([math.fsum(row) for row in errs2.tolist()])
             if scalar:
-                return totals[0], err_totals[0], final_edges
-            return np.array(totals), np.array(err_totals), final_edges
+                return float(totals[0]), float(err_totals[0]), final_edges
+            return totals, err_totals, final_edges
         # Split every panel exceeding its fair share of the budget of some
         # unconverged component; at least one such panel exists whenever
         # the loop continues.
-        shares = np.array([[tol / panels if bad else math.inf] for tol, bad in zip(tols, over)])
+        shares = np.where(over, tols / panels, math.inf)[:, None]
         split = (errs2 > shares).any(axis=0)
         if not split.any():
             errs_over = errs2[over]
             split = (errs_over == errs_over.max(axis=1, keepdims=True)).any(axis=0)
         n_split = int(split.sum())
         if subdivisions + n_split > max_subdivisions:
-            worst = max(range(len(totals)), key=lambda c: err_totals[c] / tols[c])
-            label = context if scalar else f"{context or 'integral'} (component {worst} of {len(totals)})"
-            raise QuadratureConvergenceError(totals[worst], err_totals[worst], label)
+            worst = int(np.argmax(errs2.sum(axis=1) / tols))
+            label = context if scalar else f"{context or 'integral'} (component {worst} of {tols.size})"
+            raise QuadratureConvergenceError(math.fsum(vals2[worst]), math.fsum(errs2[worst]), label)
         subdivisions += n_split
         keep = ~split
         mids = 0.5 * (lefts[split] + rights[split])
@@ -268,47 +262,6 @@ def expect(
         context=context or "density expectation",
     )
     return value
-
-
-def invert_monotone(h, target: float, bracket_hint=(-1.0, 1.0)) -> float:
-    """Solve h(x) = target for strictly increasing ``h``.
-
-    The bracket expands geometrically from the hint until the residual
-    changes sign. Targets beyond the attainable range raise
-    :class:`InversionRangeError` carrying the nearest attainable value, so
-    callers can decide whether to clamp.
-    """
-    # Imported here: scipy.optimize costs a quarter second of start-up that
-    # the batch paths never need.
-    from scipy.optimize import brentq
-
-    lo, hi = (float(bracket_hint[0]), float(bracket_hint[1]))
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    f_lo = h(lo) - target
-    f_hi = h(hi) - target
-    width = hi - lo
-    limit = 1e15
-    while f_lo > 0.0 or f_hi < 0.0:
-        if f_lo > 0.0:  # root lies to the left
-            if lo <= -limit:
-                raise InversionRangeError(target, h(lo), lo)
-            width *= 2.0
-            lo = max(lo - width, -limit)
-            f_lo = h(lo) - target
-        else:  # f_hi < 0: root lies to the right
-            if hi >= limit:
-                raise InversionRangeError(target, h(hi), hi)
-            width *= 2.0
-            hi = min(hi + width, limit)
-            f_hi = h(hi) - target
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    return float(brentq(lambda x: h(x) - target, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -457,14 +410,3 @@ def pairwise_row_sum(width: int, leaf):
         return node(lo, lo + half) + node(lo + half, hi)
 
     return node(0, width)
-
-
-def split_stream(parent: RngStream, child_id: int) -> RngStream:
-    """Derive an independent child stream keyed by (master_seed, child_id).
-
-    The derivation is flat: only the parent's master seed enters, so the
-    same child id yields the identical sequence no matter which worker asks
-    or in what order. Callers keep ids collision-free by convention
-    (for sweeps: point_index * 2**32 + trial_index).
-    """
-    return RngStream(master_seed=parent.master_seed, stream_id=int(child_id))

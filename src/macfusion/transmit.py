@@ -185,11 +185,6 @@ def is_bounded(f: TransmitFunction) -> bool:
     return bound(f) is not None
 
 
-def is_invertible(f: TransmitFunction) -> bool:
-    """Strictly increasing kinds, i.e. everything but the quantizer."""
-    return f.kind != UNIFORM_QUANTIZER
-
-
 def is_differentiable(f: TransmitFunction) -> bool:
     return f.kind in (TANH, GUDERMANNIAN, RATIONAL, LINEAR)
 

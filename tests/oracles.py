@@ -1,0 +1,199 @@
+"""Reference implementations that the tests use as independent oracles.
+
+Each is a plain, one-value-at-a-time version of something the package
+computes in batches:
+
+- ``simulate_channel`` runs one trial of the sensing/transmit/superpose
+  pipeline (the harness draws whole blocks of trials);
+- ``sample`` draws noise values one request at a time;
+- ``estimate`` and ``estimate_info`` invert the adaptive mean response with
+  Brent's method, one target at a time (the estimator inverts a frozen
+  response in batches);
+- ``invert_monotone`` and ``InversionRangeError`` are that scalar solver;
+- ``split_stream`` derives a child stream;
+- ``scalar_mesh_is_valid`` is the 13-call mesh check that
+  ``estimation.build_flat_response`` replaced with one vector quadrature
+  per sigma group.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import ndtri
+
+from macfusion import estimation as est
+from macfusion import kernels, transmit as tx
+from macfusion.noise import NoiseModel, transform_uniforms
+from macfusion.numerics import NumericsError, QuadratureSpec, RngStream
+
+
+# ---------------------------------------------------------------------------
+# noise and channel
+# ---------------------------------------------------------------------------
+
+
+def sample(model: NoiseModel, stream, count: int) -> np.ndarray:
+    """Draw ``count`` i.i.d. values from ``stream`` by inverse CDF.
+
+    One uniform is consumed per value. Cauchy uses the tan transform of a
+    centered uniform; Gaussian and Laplacian use their closed-form
+    quantiles, so the draw is a deterministic function of the stream state.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    u = stream.uniforms(count)
+    return transform_uniforms(model, u)
+
+
+def split_stream(parent: RngStream, child_id: int) -> RngStream:
+    """Derive an independent child stream keyed by (master_seed, child_id).
+
+    The derivation is flat: only the parent's master seed enters, so the
+    same child id yields the identical sequence no matter which worker asks
+    or in what order.
+    """
+    return RngStream(master_seed=parent.master_seed, stream_id=int(child_id))
+
+
+@dataclass(frozen=True)
+class ChannelRealization:
+    """One channel use: raw output y_L and normalized z_L = y_L / sqrt(L).
+
+    y_L is re-derived as z_L * sqrt(L) so the pair satisfies the identity
+    exactly in floating point.
+    """
+
+    y_L: float
+    z_L: float
+
+    @classmethod
+    def from_raw(cls, y_raw: float, L: int) -> "ChannelRealization":
+        z = y_raw / math.sqrt(L)
+        return cls(y_L=z * math.sqrt(L), z_L=z)
+
+
+def simulate_channel(setup, trial_stream) -> ChannelRealization:
+    """One trial of the sensing/transmit/superpose pipeline.
+
+    Consumes exactly L sensor draws (ascending index) and one channel draw
+    from ``trial_stream``.
+    """
+    sigmas = setup.sigmas.resolve(setup.L)
+    noise_draws = sample(setup.noise, trial_stream, setup.L)
+    chan_u = trial_stream.uniforms(1)
+    code, a, b = tx.kind_params(setup.transmit)
+    x = setup.theta + sigmas * noise_draws
+    y_raw = math.sqrt(setup.rho) * float(kernels.channel_sums(code, a, b, x[None, :])[0])
+    y_raw += math.sqrt(setup.channel_noise_var) * float(ndtri(chan_u[0]))
+    return ChannelRealization.from_raw(y_raw, setup.L)
+
+
+# ---------------------------------------------------------------------------
+# scalar inversion
+# ---------------------------------------------------------------------------
+
+
+class InversionRangeError(NumericsError):
+    """Target lies outside the closure of the monotone function's range."""
+
+    def __init__(self, target: float, nearest_endpoint: float, at_x: float):
+        self.target = target
+        self.nearest_endpoint = nearest_endpoint
+        self.at_x = at_x
+        super().__init__(
+            f"target {target!r} is outside the attainable range; "
+            f"nearest endpoint {nearest_endpoint!r} at x={at_x!r}"
+        )
+
+
+def invert_monotone(h, target: float, bracket_hint=(-1.0, 1.0)) -> float:
+    """Solve h(x) = target for strictly increasing ``h``.
+
+    The bracket expands geometrically from the hint until the residual
+    changes sign. Targets beyond the attainable range raise
+    :class:`InversionRangeError` carrying the nearest attainable value.
+    """
+    from scipy.optimize import brentq
+
+    lo, hi = (float(bracket_hint[0]), float(bracket_hint[1]))
+    if lo > hi:
+        lo, hi = hi, lo
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    f_lo = h(lo) - target
+    f_hi = h(hi) - target
+    width = hi - lo
+    limit = 1e15
+    while f_lo > 0.0 or f_hi < 0.0:
+        if f_lo > 0.0:  # root lies to the left
+            if lo <= -limit:
+                raise InversionRangeError(target, h(lo), lo)
+            width *= 2.0
+            lo = max(lo - width, -limit)
+            f_lo = h(lo) - target
+        else:  # f_hi < 0: root lies to the right
+            if hi >= limit:
+                raise InversionRangeError(target, h(hi), hi)
+            width *= 2.0
+            hi = min(hi + width, limit)
+            f_hi = h(hi) - target
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    return float(brentq(lambda x: h(x) - target, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
+
+
+def response_limits(setup: est.EstimationSetup) -> tuple[float, float]:
+    """Closure of the range of h_L: (-c, c) for bounded f, else the line."""
+    c = tx.bound(setup.transmit)
+    if c is None:
+        return -math.inf, math.inf
+    return -c, c
+
+
+@dataclass(frozen=True)
+class InversionResult:
+    theta: float
+    clamped: bool
+
+
+def estimate_info(setup: est.EstimationSetup, received_z: float, spec: QuadratureSpec | None = None) -> InversionResult:
+    """Invert the normalized received signal; reports range clamping."""
+    if setup.transmit.kind == tx.UNIFORM_QUANTIZER:
+        raise tx.UnsupportedKindError("uniform_quantizer is not invertible; the estimator requires a one-to-one transmit curve")
+    target = received_z / math.sqrt(setup.total_power)
+    lo, hi = response_limits(setup)
+    clamped = False
+    if target <= lo + est.CLAMP_MARGIN:
+        target = lo + est.CLAMP_MARGIN
+        clamped = True
+    elif target >= hi - est.CLAMP_MARGIN:
+        target = hi - est.CLAMP_MARGIN
+        clamped = True
+    theta = invert_monotone(lambda t: est.mean_response(setup, t, spec), target, bracket_hint=(-1.0, 1.0))
+    return InversionResult(theta=theta, clamped=clamped)
+
+
+def estimate(setup: est.EstimationSetup, received_z: float, spec: QuadratureSpec | None = None) -> float:
+    """theta estimate from the normalized received signal (Brent path)."""
+    return estimate_info(setup, received_z, spec).theta
+
+
+# ---------------------------------------------------------------------------
+# frozen-mesh check
+# ---------------------------------------------------------------------------
+
+
+def scalar_mesh_is_valid(setup, nodes, weights, code, a, b, sigma, count, probes, spec) -> bool:
+    """The mesh check as 13 scalar moments: one quadrature per check theta."""
+    check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
+    share = count / setup.L
+    for theta, flat in zip(check, kernels.eval_response(nodes, weights, code, a, b, check)):
+        exact = share * est.g_moment(setup.noise, setup.transmit, float(sigma), float(theta), 1, spec)
+        if abs(flat - exact) > 1e-9 * max(1.0, abs(exact)):
+            return False
+    return True

