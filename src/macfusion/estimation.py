@@ -17,8 +17,8 @@ sigma on a shared mesh. ``mean_response`` and the asymptotic variance make
 scalar-theta calls. The estimator inverts whole target arrays at once:
 h_L is frozen once per setup into flat node/weight arrays, validated
 against the engine's moments at 13 check thetas (one quadrature per sigma
-group), and the targets are then solved in a kernel from a monotone
-response grid.
+group), and the targets are then solved in a kernel, each seeded by an
+inverse cubic through a 129-point monotone response grid.
 """
 
 from __future__ import annotations
@@ -246,6 +246,11 @@ def mean_response(setup: EstimationSetup, theta: float, spec: QuadratureSpec | N
 
 CLAMP_MARGIN = 1e-9
 
+# Points of the response grid that seeds the inversion. Cubic seeds from it
+# are close enough for a Newton and a false-position step to finish; a finer
+# grid costs more response evaluations than it saves.
+SEED_GRID_POINTS = 129
+
 
 def asymptotic_variance(setup: EstimationSetup, spec: QuadratureSpec | None = None) -> float:
     """Limiting variance of sqrt(L) * (theta_hat - theta).
@@ -353,7 +358,7 @@ class FlatResponse:
             hs.append(h)
         return xs, hs, width
 
-    def invert(self, targets: np.ndarray, grid_size: int = 257) -> tuple[np.ndarray, np.ndarray]:
+    def invert(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Invert an array of targets; returns (thetas, clamp mask).
 
         The seed grid spans the unclamped targets only. The clamp values
@@ -377,7 +382,7 @@ class FlatResponse:
         hi = above[-1] if above else 1.0
         # The grid only seeds each target's bracket; the kernel iterates every
         # target to convergence.
-        grid_x = [np.linspace(lo, hi, grid_size)]
+        grid_x = [np.linspace(lo, hi, SEED_GRID_POINTS)]
         grid_h = [self.eval(grid_x[0])]
         if (clamped & (targets < 0.0)).any():
             xs, hs, _ = self._walk(lo, width, -1.0, lo_t)
@@ -444,26 +449,18 @@ def _probability_mesh(
     return edges
 
 
-def _probes(setup: EstimationSetup, theta_span: tuple[float, float] | None) -> np.ndarray:
-    """The seven probe thetas of the response mesh across ``theta_span``."""
-    if theta_span is None:
-        pad = 6.0 * max(1.0, _transition_width(setup.transmit))
-        theta_span = (setup.theta - pad, setup.theta + pad)
-    lo, hi = theta_span
-    if not lo < hi:
-        raise ValueError("theta_span must be increasing")
-    return np.linspace(lo, hi, 7)
+def _probes(setup: EstimationSetup) -> np.ndarray:
+    """The seven probe thetas of the response mesh, evenly spread over
+    theta +- 6 * max(1, transition width)."""
+    pad = 6.0 * max(1.0, _transition_width(setup.transmit))
+    return np.linspace(setup.theta - pad, setup.theta + pad, 7)
 
 
-def build_flat_response(
-    setup: EstimationSetup,
-    theta_span: tuple[float, float] | None = None,
-    spec: QuadratureSpec | None = None,
-) -> FlatResponse:
+def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec | None = None) -> FlatResponse:
     """Freeze h_L into flat arrays and validate against the adaptive path.
 
-    The mesh is built from adaptive runs at probe thetas across
-    ``theta_span`` and accepted only if each sigma's frozen evaluation
+    The mesh is built from adaptive runs at probe thetas around the true
+    theta and accepted only if each sigma's frozen evaluation
     matches its share of E[f(theta + sigma n)] to 1e-9 (relative to
     max(1, |moment|)) at 13 check thetas; otherwise every panel is halved
     and the check repeats, at most four times. The check moments come from
@@ -471,7 +468,7 @@ def build_flat_response(
     vector-valued quadrature covers every check theta for a group of sigma.
     """
     spec = spec or DEFAULT_QUADRATURE
-    probes = _probes(setup, theta_span)
+    probes = _probes(setup)
     check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
     values, counts = setup.sigmas.distinct(setup.L)
     code, a, b = tx.kind_params(setup.transmit)

@@ -2,7 +2,8 @@
 
 Three operations dominate simulation runtime: transmit-curve evaluation
 over large draw arrays, per-trial channel sums, and batched inversion of
-the frozen mean-response function. Random number generation never happens
+the frozen mean-response function (about three response evaluations per
+target, from a cubic seed). Random number generation never happens
 inside kernels, so the draws an experiment consumes do not depend on how
 the kernels batch their work.
 
@@ -131,8 +132,31 @@ def eval_response(
 
 
 # Safety cap on Illinois steps per target; converged targets leave the
-# iteration long before (a handful of steps from a grid cell).
+# iteration long before (three response evaluations from a cubic seed).
 _MAX_ILLINOIS_STEPS = 100
+
+
+def _cubic_seed(grid_x: np.ndarray, grid_h: np.ndarray, idx: np.ndarray, targets: np.ndarray):
+    """Inverse-cubic seeds (theta, dtheta/dh) at the targets, from the grid.
+
+    theta(h) is interpolated through the four grid points around each
+    target's cell [idx - 1, idx]. The seed is NaN where that interpolant is
+    unusable: a seed outside its cell, or a value that is not finite, as
+    repeated grid values make it (they divide by zero).
+    """
+    j = np.clip(idx - 2, 0, grid_x.size - 4) + np.arange(4)[:, None]
+    xs, hs = grid_x[j], grid_h[j]
+    d = targets - hs
+    seed = np.zeros(targets.shape)
+    slope = np.zeros(targets.shape)
+    with np.errstate(all="ignore"):
+        for k in range(4):
+            m0, m1, m2 = (m for m in range(4) if m != k)
+            w = xs[k] / ((hs[k] - hs[m0]) * (hs[k] - hs[m1]) * (hs[k] - hs[m2]))
+            seed += w * d[m0] * d[m1] * d[m2]
+            slope += w * (d[m0] * d[m1] + d[m0] * d[m2] + d[m1] * d[m2])
+    usable = (grid_x[idx - 1] < seed) & (seed < grid_x[idx]) & np.isfinite(slope)
+    return np.where(usable, seed, np.nan), slope
 
 
 def invert_h_targets(
@@ -148,12 +172,16 @@ def invert_h_targets(
     """Solve sum_j w_j f(theta + u_j) = target for each target.
 
     ``grid_x``/``grid_h`` is a precomputed nondecreasing sampling of the
-    response that must bracket every target; each solve starts from its
-    grid cell and polishes with a bracketed Illinois false-position
-    iteration. A target stops iterating as soon as its residual is zero,
-    its iterate stops moving, or its bracket holds no float strictly
-    inside, so a handful of response evaluations per target suffice.
-    Every evaluation goes through ``eval_response``.
+    response, of at least four points, that must bracket every target; each
+    solve starts from its grid cell and polishes with a bracketed Illinois
+    false-position iteration, one ``eval_response`` call per step. The first
+    iterate is the inverse-cubic seed of ``_cubic_seed`` (the false-position
+    step where it is unusable). The second is one Newton step past the seed
+    with the cubic's dtheta/dh, scaled by 1 + 1e-4 plus 4 ulp, so it lands
+    just beyond the root and one more step usually finishes. A target stops
+    as soon as its residual is within eps * max(1, |target|), the rounding
+    of h, its iterate stops moving, or its bracket holds no float strictly
+    inside.
     """
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -161,6 +189,8 @@ def invert_h_targets(
     grid_x = np.ascontiguousarray(grid_x, dtype=np.float64)
     grid_h = np.ascontiguousarray(grid_h, dtype=np.float64)
     idx = np.clip(np.searchsorted(grid_h, targets, side="left"), 1, grid_x.size - 1)
+    seed, slope = _cubic_seed(grid_x, grid_h, idx, targets)
+    tol = np.finfo(np.float64).eps * np.maximum(1.0, np.abs(targets))
     lo_x = grid_x[idx - 1]
     hi_x = grid_x[idx]
     lo_f = grid_h[idx - 1] - targets
@@ -169,13 +199,20 @@ def invert_h_targets(
     x = np.full(targets.shape, np.nan)
     stuck_lo = np.zeros(targets.shape, dtype=np.int64)
     stuck_hi = np.zeros(targets.shape, dtype=np.int64)
-    # Indices of the targets still iterating; the bracket arrays hold only
-    # those.
+    # Indices of the targets still iterating; the bracket arrays and fx
+    # hold only those.
     active = np.arange(targets.size)
-    for _ in range(_MAX_ILLINOIS_STEPS):
+    for step in range(_MAX_ILLINOIS_STEPS):
         df = hi_f - lo_f
         with np.errstate(divide="ignore", invalid="ignore"):
             x_new = np.where(df > 0.0, lo_x - lo_f * (hi_x - lo_x) / np.where(df > 0.0, df, 1.0), 0.5 * (lo_x + hi_x))
+        if step == 0:
+            x_new = np.where(np.isnan(seed), x_new, seed)
+        elif step == 1:
+            seeded = ~np.isnan(seed[active])
+            newton = -fx * slope[active] * (1.0 + 1e-4)
+            newton += np.copysign(4.0 * np.spacing(np.abs(x[active])), newton)
+            x_new = np.where(seeded, x[active] + newton, x_new)
         x_new = np.minimum(np.maximum(x_new, lo_x), hi_x)
         # A target whose update returns its last iterate is converged.
         moving = x_new != x[active]
@@ -197,10 +234,10 @@ def invert_h_targets(
         stuck_lo = np.where(below, 0, stuck_lo + 1)
         hi_f = np.where(stuck_hi >= 2, 0.5 * hi_f, hi_f)
         lo_f = np.where(stuck_lo >= 2, 0.5 * lo_f, lo_f)
-        # Also converged: an exact root, or no float left strictly inside
-        # the bracket.
-        live = (fx != 0.0) & (np.nextafter(lo_x, hi_x) < hi_x)
-        active = active[live]
+        # Also converged: a residual at the rounding level of h, or no float
+        # left strictly inside the bracket.
+        live = (np.abs(fx) > tol[active]) & (np.nextafter(lo_x, hi_x) < hi_x)
+        active, fx = active[live], fx[live]
         lo_x, hi_x, lo_f, hi_f = lo_x[live], hi_x[live], lo_f[live], hi_f[live]
         stuck_lo, stuck_hi = stuck_lo[live], stuck_hi[live]
     return x

@@ -57,11 +57,11 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        for name in ("abs_tol", "tail_mass"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("rel_tol", "tail_mass"):
+            if not (0.0 < getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        if not self.abs_tol > 0.0:
+            raise ValueError("abs_tol must be positive")
         if self.max_subdivisions <= 0:
             raise ValueError("max_subdivisions must be positive")
 

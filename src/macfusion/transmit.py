@@ -153,8 +153,11 @@ def derivative(f: TransmitFunction, x):
         raise UnsupportedKindError("uniform_quantizer has no classical derivative")
     x = np.asarray(x, dtype=np.float64)
     if f.kind == TANH:
-        t = np.tanh(f.omega * x)
-        out = f.omega * (1.0 - t * t)
+        # 1 - tanh^2 rounds to 0 beyond |omega x| ~ 19; omega / cosh^2 stays
+        # positive until cosh^2 overflows to inf near |omega x| ~ 355.
+        with np.errstate(over="ignore"):
+            c = np.cosh(f.omega * x)
+            out = f.omega / (c * c)
     elif f.kind == GUDERMANNIAN:
         out = (2.0 / np.pi) * f.omega / np.cosh(f.omega * x)
     elif f.kind == RATIONAL:

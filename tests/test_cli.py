@@ -315,6 +315,24 @@ class TestFoundProbes:
         assert code == 3
         assert "slope" in err
 
+    def test_slope_far_out_on_tanh_stays_positive(self, tmp_path):
+        """At theta=30, 1 - tanh^2 rounded the slope to exactly 0 (exit 3);
+        omega / cosh^2 keeps it positive, so the AsV is finite."""
+        out = tmp_path / "x.csv"
+        args = ["run", "fig2", "--out", str(out)]
+        for ov in ("theta=30", "trials=20", "L=10", 'omega_grid={"lo":0.5,"hi":1,"points":2}'):
+            args += ["--set", ov]
+        assert _run(args) == 0
+        _, rows = cli.read_csv(str(out))
+        assert all(math.isfinite(float(row[1])) and float(row[1]) > 0.0 for row in rows)
+
+    @pytest.mark.parametrize("mass", ["1", "2"])
+    def test_tail_mass_of_one_or_more_exits_2(self, tmp_path, capsys, mass):
+        """tail_mass >= 1 passed validation and raised ValueError in noise.tail_truncation."""
+        code, err = self._fails(tmp_path, capsys, "fig2", f'quadrature={{"tail_mass":{mass}}}', *SMALL_FIG2)
+        assert code == 2
+        assert "config error at quadrature: tail_mass must lie in (0, 1)" in err
+
 
 class TestMeshValidationMessage:
     def test_names_the_worst_check(self, tmp_path, capsys, monkeypatch):

@@ -344,7 +344,7 @@ def _check_decisions(setup, *, every=1, scale=1.0, mesh_spec=None):
     weights and ``mesh_spec`` builds a coarser mesh than the checks.
     """
     spec = QuadratureSpec()
-    probes = est._probes(setup, None)
+    probes = est._probes(setup)
     check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
     values, counts = setup.sigmas.distinct(setup.L)
     exact = est.g_moment(setup.noise, setup.transmit, values, check, 1, spec)

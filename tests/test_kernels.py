@@ -97,11 +97,21 @@ class TestConvergedInversion:
         assert np.max(np.abs(flat.invert(targets)[0] - old)) <= 1e-13
 
     def test_margins_and_grid_nodes_terminate(self, mesh, monkeypatch):
+        """Margin targets, targets on grid nodes, and a grid with repeated values.
+
+        Points far beyond saturation all have the response's limit value,
+        and one grid point appears twice, so some cells are empty and some
+        four-point interpolants unusable; targets sit on those values too.
+        """
         flat, targets = mesh
         margin = flat.limit - est.CLAMP_MARGIN
         grid_x, grid_h = _grid(flat, np.array([-margin, margin]), 257)
+        far = np.array([1e13, 2e13, 4e13])
+        grid_x = np.insert(np.concatenate([-far[::-1], grid_x, far]), 100, grid_x[97])
+        grid_h = np.maximum.accumulate(flat.eval(grid_x))
+        assert np.count_nonzero(np.diff(grid_h) == 0.0) >= 5
         on_nodes = grid_h[1:-1:9]
-        hard = np.concatenate([[-margin, margin], on_nodes])
+        hard = np.concatenate([[-margin, margin], on_nodes, grid_h[[0, 99, 100, -1]]])
         steps = []
         evaluate = kernels.eval_response
 
@@ -115,6 +125,54 @@ class TestConvergedInversion:
         assert len(steps) < kernels._MAX_ILLINOIS_STEPS // 2
         assert np.all(np.isfinite(thetas))
         assert np.max(np.abs(flat.eval(thetas) - hard)) <= 8 * np.finfo(float).eps
+
+
+@pytest.fixture(scope="module")
+def fig4_rational_mesh():
+    """The fig4 setup at its largest rational omega, with its targets."""
+    setup = est.EstimationSetup(1.0, 500, est.constant_sigmas(1.0), noise.gaussian(1.0), tx.rational_fn(3.0), 10.0, 1.0)
+    return est.build_flat_response(setup), harness.run_signal_statistics(setup, 1000, 20253)["z_targets"]
+
+
+class TestSeededInversion:
+    def _kernel_calls(self, flat, targets, monkeypatch):
+        """Thetas and the sizes of the kernel's ``eval_response`` calls."""
+        calls = []
+        evaluate, invert = kernels.eval_response, kernels.invert_h_targets
+
+        def counting(nodes, weights, code, a, b, thetas):
+            calls.append(thetas.size)
+            return evaluate(nodes, weights, code, a, b, thetas)
+
+        def inverting(*args):
+            monkeypatch.setattr(kernels, "eval_response", counting)
+            try:
+                return invert(*args)
+            finally:
+                monkeypatch.setattr(kernels, "eval_response", evaluate)
+
+        monkeypatch.setattr(kernels, "invert_h_targets", inverting)
+        thetas, _ = flat.invert(targets)
+        monkeypatch.undo()
+        return thetas, calls
+
+    def _check_three_evaluations(self, flat, targets, monkeypatch):
+        """The seeds of all targets are one call and their Newton points the
+        next; most targets then need one false-position step. The former
+        start from a linear guess in a 257-point grid cell needed about 5.5
+        evaluations per target."""
+        thetas, calls = self._kernel_calls(flat, targets, monkeypatch)
+        assert calls[0] == targets.size
+        assert calls[1] <= targets.size
+        assert sum(calls) <= 3.3 * targets.size
+        clipped = np.clip(targets, -flat.limit + est.CLAMP_MARGIN, flat.limit - est.CLAMP_MARGIN)
+        assert np.max(np.abs(flat.eval(thetas) - clipped)) <= 8 * np.finfo(float).eps
+
+    def test_about_three_evaluations_per_target(self, mesh, monkeypatch):
+        self._check_three_evaluations(*mesh, monkeypatch)
+
+    def test_about_three_evaluations_per_target_on_fig4_rational(self, fig4_rational_mesh, monkeypatch):
+        self._check_three_evaluations(*fig4_rational_mesh, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
