@@ -31,7 +31,6 @@ from .numerics import (
 from .estimation import (
     EstimationSetup,
     SigmaSequence,
-    af_estimate,
     asymptotic_variance,
     constant_sigmas,
     mean_response,
@@ -61,7 +60,7 @@ __all__ = [
     "QuadratureSpec", "QuadratureConvergenceError",
     "RngStream", "expect", "minimize_scalar",
     "EstimationSetup", "SigmaSequence", "constant_sigmas", "sqrt_growth_sigmas",
-    "mean_response", "asymptotic_variance", "af_estimate",
+    "mean_response", "asymptotic_variance",
     "DetectionSetup", "GaussianApproxDetector", "deflection", "optimal_omega",
     "build_detector", "decide",
     "locally_optimal_nonlinearity", "matched_density",

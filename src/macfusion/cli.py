@@ -246,11 +246,8 @@ def _channel(cfg, L, *, positive_theta=False) -> dict:
 
 def _estimation_setup(cfg, *, L=None, transmit=None) -> est.EstimationSetup:
     L = _number(cfg, "L", "config", positive=True, integer=True) if L is None else L
-    return est.EstimationSetup(
-        L=L,
-        transmit=build_transmit(cfg.get("transmit")) if transmit is None else transmit,
-        **_channel(cfg, L),
-    )
+    transmit = build_transmit(cfg.get("transmit")) if transmit is None else transmit
+    return est.EstimationSetup(L=L, transmit=transmit, **_channel(cfg, L))
 
 
 def _unit_sigma(setup):
@@ -269,24 +266,21 @@ def _detection_setup(cfg, transmit_path="transmit", transmit_cfg=None, L=None) -
     transmit_cfg = transmit_cfg if transmit_cfg is not None else cfg.get("transmit")
     L = _number(cfg, "L", "config", positive=True, integer=True) if L is None else L
     channel = _channel(cfg, L, positive_theta=True)
-    priors = _priors(cfg)
-    f = build_transmit(transmit_cfg, transmit_path)
+    setup = det.DetectionSetup(L=L, **channel, priors=_priors(cfg), transmit=build_transmit(transmit_cfg, transmit_path))
     if _transmit_wants_power_alpha(transmit_cfg):
-        f = tx.linear_fn(_power_normalized_alpha(channel["noise"], channel["sigmas"], L, channel["theta"], priors[1]))
-    return det.DetectionSetup(L=L, transmit=f, priors=priors, **channel)
+        setup = replace(setup, transmit=tx.linear_fn(_power_normalized_alpha(setup)))
+    return setup
 
 
-def _power_normalized_alpha(noise, sigmas, L, theta, p1) -> float:
+def _power_normalized_alpha(setup) -> float:
     """Gain making the prior-averaged transmit power meet the budget.
 
-    E[x^2] averaged over hypotheses is p1*theta^2 + mean(sigma_i^2)*var(n);
-    Cauchy noise substitutes a nominal unit variance.
+    E[x^2] averaged over hypotheses is p1*theta^2 + mean(sigma_i^2)*var(n),
+    with ``noise.nominal_variance`` standing in for Cauchy's var(n).
     """
-    var_n = noise_mod.variance(noise)
-    if not math.isfinite(var_n):
-        var_n = 1.0
-    mean_sq = float(np.mean(sigmas.resolve(L) ** 2))
-    return 1.0 / math.sqrt(p1 * theta * theta + mean_sq * var_n)
+    var_n, _ = noise_mod.nominal_variance(setup.noise)
+    mean_sq = float(np.mean(setup.sigmas.resolve(setup.L) ** 2))
+    return 1.0 / math.sqrt(setup.priors[1] * setup.theta * setup.theta + mean_sq * var_n)
 
 
 def _l_var_row(setup, trials, seed, stream_id_base, spec) -> list:
@@ -331,7 +325,7 @@ def _prepare_lvar_vs_L(cfg, spec):
     asv = est.asymptotic_variance(_unit_sigma(base), spec)
 
     def row(stream_id_base, L):
-        setup = harness.apply_sweep_parameter(base, "L", L)
+        setup = replace(base, L=L)
         return [L, asv] + _l_var_row(setup, trials, seed, stream_id_base, spec)
 
     return ["L", "asv", "l_var", "trials", "stderr"], L_values, row
@@ -344,7 +338,7 @@ def _prepare_consistency(cfg, spec):
     L_values, trials, seed, base = _L_sweep(cfg)
 
     def row(stream_id_base, L):
-        setup = harness.apply_sweep_parameter(base, "L", L)
+        setup = replace(base, L=L)
         summary = harness.run_estimation_experiment(
             setup, trials, seed, estimator=estimator, stream_id_base=stream_id_base, spec=spec
         )
@@ -358,7 +352,7 @@ def _prepare_af_compare(cfg, spec):
 
     def row(stream_id_base, L):
         # One draw pass feeds both estimators, so the comparison is paired.
-        setup = harness.apply_sweep_parameter(base, "L", L)
+        setup = replace(base, L=L)
         stats = harness.run_signal_statistics(setup, trials, seed, stream_id_base=stream_id_base)
         bounded, _ = est.build_flat_response(setup, spec=spec).invert(stats["z_targets"])
         mae_af = _median_abs_error(stats["af_estimates"], setup.theta)
@@ -371,7 +365,7 @@ def _prepare_theorem3(cfg, spec):
     L_values, trials, seed, base = _L_sweep(cfg)
 
     def row(stream_id_base, L):
-        setup = harness.apply_sweep_parameter(base, "L", L)
+        setup = replace(base, L=L)
         gap = abs(est.mean_response(setup, setup.theta, spec) - est.mean_response(setup, 0.0, spec))
         stats = harness.run_signal_statistics(setup, trials, seed, stream_id_base=stream_id_base)
         af_mae = _median_abs_error(stats["af_estimates"], setup.theta)
@@ -385,7 +379,7 @@ def _prepare_dc_vs_omega(cfg, spec):
     base = _detection_setup(cfg)
 
     def row(stream_id_base, omega):
-        return [omega, det.deflection(harness.apply_sweep_parameter(base, "omega", omega), spec)]
+        return [omega, det.deflection(replace(base, transmit=tx.with_omega(base.transmit, omega)), spec)]
 
     return ["omega", "dc"], omegas, row
 
@@ -398,7 +392,7 @@ def _prepare_pe_vs_omega(cfg, spec):
     base = _detection_setup(cfg)
 
     def row(stream_id_base, omega):
-        setup = harness.apply_sweep_parameter(base, "omega", omega)
+        setup = replace(base, transmit=tx.with_omega(base.transmit, omega))
         return [omega, det.deflection(setup, spec)] + _pe_row(setup, trials, stratified, seed, stream_id_base, spec)
 
     return ["omega", "dc", "pe", "stderr", "trials"], omegas, row
@@ -417,7 +411,7 @@ def _prepare_pe_vs_L(cfg, spec):
         omega_star = float("nan")
         if setup.transmit.kind in tx.BOUNDED_SMOOTH_KINDS:
             omega_star, _ = det.optimal_omega(setup, search[0], search[-1], len(search), spec)
-            setup = harness.apply_sweep_parameter(setup, "omega", omega_star)
+            setup = replace(setup, transmit=tx.with_omega(setup.transmit, float(omega_star)))
         label = setup.transmit.kind if setup.transmit.kind != tx.LINEAR else "linear_af"
         return [label, setup.L, omega_star] + _pe_row(setup, trials, stratified, seed, stream_id_base, spec)
 
@@ -691,16 +685,6 @@ def write_csv(path: str, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_format_cell(v) for v in row])
-
-
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Round-trip reader for the tool's own CSV output."""
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path} is empty")
-    return rows[0], rows[1:]
 
 
 def _apply_override(cfg: dict, assignment: str) -> None:

@@ -13,17 +13,21 @@ The deflection coefficient serves as the detector-free output-SNR surrogate
 and the small-signal theory pairs each noise density with the transmit
 curve that is locally optimal for it: f = -p'/p, with the inverse map
 p = C exp(-int f).
+
+Detection runs over the estimation channel: ``DetectionSetup`` is
+``estimation.EstimationSetup`` plus the priors, and the deflection and the
+detector weight their per-sigma moments by its ``sigma_shares()``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels, transmit as tx
-from .estimation import SigmaSequence, g_moment
+from .estimation import EstimationSetup, g_moment
 from .noise import NoiseModel, score
 from .numerics import (
     DEFAULT_QUADRATURE,
@@ -37,39 +41,18 @@ from .numerics import (
 
 
 @dataclass(frozen=True)
-class DetectionSetup:
-    """Hypothesis-test configuration over the shared channel model."""
+class DetectionSetup(EstimationSetup):
+    """The estimation channel, theta as the H1 signal level, and priors (P0, P1)."""
 
-    theta: float
-    L: int
-    sigmas: SigmaSequence
-    noise: NoiseModel
-    transmit: tx.TransmitFunction
-    total_power: float
-    channel_noise_var: float
     priors: tuple[float, float] = (0.5, 0.5)
 
     def __post_init__(self):
         if self.theta < 0.0:
             raise ValueError("theta must be nonnegative (H1 signal level)")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
-        if not (self.total_power > 0.0 and np.isfinite(self.total_power)):
-            raise ValueError("total_power must be positive")
-        if not (self.channel_noise_var > 0.0 and np.isfinite(self.channel_noise_var)):
-            raise ValueError("channel_noise_var must be positive")
+        super().__post_init__()
         p0, p1 = self.priors
         if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0) or abs(p0 + p1 - 1.0) > 1e-12:
             raise ValueError(f"priors must be strictly positive and sum to 1, got {self.priors}")
-
-    @property
-    def rho(self) -> float:
-        return self.total_power / self.L
-
-
-def _sigma_shares(setup: DetectionSetup):
-    values, counts = setup.sigmas.distinct(setup.L)
-    return values, counts / setup.L
 
 
 def deflection(setup: DetectionSetup, spec: QuadratureSpec | None = None) -> float:
@@ -81,7 +64,7 @@ def deflection(setup: DetectionSetup, spec: QuadratureSpec | None = None) -> flo
     so for a constant sequence the value is exactly independent of L.
     """
     spec = spec or DEFAULT_QUADRATURE
-    values, shares = _sigma_shares(setup)
+    values, shares = setup.sigma_shares()
     g1 = g_moment(setup.noise, setup.transmit, values, setup.theta, 1, spec)
     g0 = g_moment(setup.noise, setup.transmit, values, 0.0, 1, spec)
     m2 = g_moment(setup.noise, setup.transmit, values, 0.0, 2, spec)
@@ -105,24 +88,10 @@ def optimal_omega(
         return lo, d
 
     def negative_dc(omega: float) -> float:
-        candidate = tx.with_omega(setup.transmit, float(omega))
-        return -deflection(_replace_transmit(setup, candidate), spec)
+        return -deflection(replace(setup, transmit=tx.with_omega(setup.transmit, float(omega))), spec)
 
     omega_star, neg = minimize_scalar(negative_dc, lo, hi, grid_points)
     return omega_star, -neg
-
-
-def _replace_transmit(setup: DetectionSetup, f: tx.TransmitFunction) -> DetectionSetup:
-    return DetectionSetup(
-        theta=setup.theta,
-        L=setup.L,
-        sigmas=setup.sigmas,
-        noise=setup.noise,
-        transmit=f,
-        total_power=setup.total_power,
-        channel_noise_var=setup.channel_noise_var,
-        priors=setup.priors,
-    )
 
 
 @dataclass(frozen=True)
@@ -147,7 +116,7 @@ class GaussianApproxDetector:
 def build_detector(setup: DetectionSetup, spec: QuadratureSpec | None = None) -> GaussianApproxDetector:
     """Exact first two moments of the channel output under each hypothesis."""
     spec = spec or DEFAULT_QUADRATURE
-    values, shares = _sigma_shares(setup)
+    values, shares = setup.sigma_shares()
     scale = math.sqrt(setup.total_power * setup.L)
     means = []
     variances = []

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels, transmit as tx
-from .noise import NoiseModel, cdf, quantile, tail_truncation, variance
+from .noise import NoiseModel, cdf, nominal_variance, quantile, tail_truncation
 from .numerics import (
     DEFAULT_QUADRATURE,
     NumericsError,
@@ -84,8 +84,7 @@ class SigmaSequence:
 
     def distinct(self, length: int):
         """(unique sigma values, multiplicities) for quadrature dedup."""
-        values, counts = np.unique(self.resolve(length), return_counts=True)
-        return values, counts
+        return np.unique(self.resolve(length), return_counts=True)
 
     def is_bounded_constant_one(self) -> bool:
         if self.kind == CONSTANT:
@@ -105,7 +104,8 @@ def sqrt_growth_sigmas(sigma: float = 1.0) -> SigmaSequence:
 
 @dataclass(frozen=True)
 class EstimationSetup:
-    """Parameter, sensor field, transmit curve, and channel budget."""
+    """Parameter, sensor field, transmit curve, and channel budget; the
+    channel of both estimation and detection (``DetectionSetup`` adds priors)."""
 
     theta: float
     L: int
@@ -127,6 +127,11 @@ class EstimationSetup:
     def rho(self) -> float:
         """Per-sensor power factor under the total power budget."""
         return self.total_power / self.L
+
+    def sigma_shares(self):
+        """(distinct sigma values ascending, share count / L of each)."""
+        values, counts = self.sigmas.distinct(self.L)
+        return values, counts / self.L
 
 
 def _transition_width(f: tx.TransmitFunction) -> float:
@@ -229,19 +234,15 @@ def g_moment(
     return float(values[0, 0]) if np.ndim(sigma) == 0 else values[0]
 
 
-def clear_moment_cache() -> None:
-    _g_moments_cached.cache_clear()
-
-
 def mean_response(setup: EstimationSetup, theta: float, spec: QuadratureSpec | None = None) -> float:
     """h_L(theta), deduplicated over distinct sigma values.
 
     For a constant sequence the average over L identical terms is computed
     as 1.0 * g(theta), so the result is bit-identical for every L.
     """
-    values, counts = setup.sigmas.distinct(setup.L)
+    values, shares = setup.sigma_shares()
     moments = g_moment(setup.noise, setup.transmit, values, theta, 1, spec)
-    return math.fsum((counts / setup.L) * moments)
+    return math.fsum(shares * moments)
 
 
 CLAMP_MARGIN = 1e-9
@@ -284,27 +285,12 @@ def asymptotic_variance(setup: EstimationSetup, spec: QuadratureSpec | None = No
 def af_gain(setup: EstimationSetup) -> tuple[float, bool]:
     """Power-normalizing gain alpha_L for amplify-and-forward.
 
-    Returns (alpha_L, used_nominal_variance). Cauchy sensing noise has no
-    variance, so the normalization substitutes a nominal unit variance;
-    the consistency conclusions do not depend on that stand-in.
+    Returns (alpha_L, used_nominal_variance): see ``noise.nominal_variance``.
     """
-    sigma_n2 = variance(setup.noise)
-    nominal = not math.isfinite(sigma_n2)
-    if nominal:
-        sigma_n2 = 1.0
+    sigma_n2, nominal = nominal_variance(setup.noise)
     sigmas = setup.sigmas.resolve(setup.L)
     denom = float(np.sum(setup.theta**2 + sigmas**2 * sigma_n2))
     return math.sqrt(setup.total_power / denom), nominal
-
-
-def af_estimate(setup: EstimationSetup, sensor_noise: np.ndarray, channel_draw: float) -> float:
-    """Amplify-and-forward estimate for one trial's noise realization."""
-    sensor_noise = np.asarray(sensor_noise, dtype=np.float64)
-    if sensor_noise.shape != (setup.L,):
-        raise ValueError(f"expected {setup.L} sensor noise draws, got shape {sensor_noise.shape}")
-    alpha, _ = af_gain(setup)
-    sigmas = setup.sigmas.resolve(setup.L)
-    return setup.theta + float(np.mean(sigmas * sensor_noise)) + channel_draw / (setup.L * alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +316,9 @@ class FlatResponse:
     code: int
     a: float
     b: float
-    limit: float  # sup |h|; math.inf for unbounded kinds
+    # sup |h|: bound(f) times the weight sum, which falls short of 1 by the
+    # truncated tail mass; math.inf for unbounded kinds.
+    limit: float
 
     def eval(self, theta) -> np.ndarray:
         return kernels.eval_response(self.nodes, self.weights, self.code, self.a, self.b, theta)
@@ -470,14 +458,13 @@ def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec | None = No
     spec = spec or DEFAULT_QUADRATURE
     probes = _probes(setup)
     check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
-    values, counts = setup.sigmas.distinct(setup.L)
+    values, shares = setup.sigma_shares()
     code, a, b = tx.kind_params(setup.transmit)
     exact = g_moment(setup.noise, setup.transmit, values, check, 1, spec)
 
     parts_nodes = []
     parts_weights = []
-    for sigma, count, moments in zip(values, counts, exact.T):
-        share = count / setup.L
+    for sigma, share, moments in zip(values, shares, exact.T):
         edges = _probability_mesh(setup.noise, setup.transmit, float(sigma), probes, spec)
         for _ in range(4):
             v_nodes, v_weights = fixed_mesh_nodes(edges)
@@ -497,13 +484,14 @@ def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec | None = No
         parts_weights.append(weights)
 
     c = tx.bound(setup.transmit)
+    weights = np.concatenate(parts_weights)
     return FlatResponse(
         nodes=np.concatenate(parts_nodes),
-        weights=np.concatenate(parts_weights),
+        weights=weights,
         code=code,
         a=a,
         b=b,
-        limit=math.inf if c is None else c,
+        limit=math.inf if c is None else c * math.fsum(weights),
     )
 
 

@@ -6,13 +6,14 @@ ascending index order, then the channel draw), so results are bit-identical
 for a given configuration and seed regardless of how sweep points are
 distributed over workers. Sweep points own disjoint stream-id blocks:
 ``cli.run_experiment`` gives point k the stream ids from
-k * POINT_STREAM_STRIDE = k * 2**32.
+k * POINT_STREAM_STRIDE = k * 2**32. A sweep point is a setup with one field
+swapped by ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -178,15 +179,3 @@ def run_detection_experiment(
     )
     summary.aggregates = recompute_aggregates(summary)
     return summary
-
-
-SWEEP_PARAMETERS = ("omega", "L")
-
-
-def apply_sweep_parameter(setup, parameter: str, value):
-    """Return a copy of ``setup`` with one swept field replaced."""
-    if parameter == "omega":
-        return replace(setup, transmit=tx.with_omega(setup.transmit, float(value)))
-    if parameter == "L":
-        return replace(setup, L=int(value))
-    raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}")

@@ -135,22 +135,11 @@ def variance(model: NoiseModel) -> float:
     return float("inf")
 
 
-def from_variance(kind: str, target_variance: float) -> NoiseModel:
-    """Build a model whose variance equals ``target_variance``.
-
-    For Cauchy, whose variance diverges, the target is read as a nominal
-    squared scale so that ``target_variance = 1`` gives unit half-width.
-    """
-    if not target_variance > 0.0:
-        raise ValueError("target variance must be positive")
-    root = float(np.sqrt(target_variance))
-    if kind == GAUSSIAN:
-        return NoiseModel(kind, root)
-    if kind == LAPLACIAN:
-        return NoiseModel(kind, root / np.sqrt(2.0))
-    if kind == CAUCHY:
-        return NoiseModel(kind, root)
-    raise ValueError(f"unknown noise kind {kind!r}")
+def nominal_variance(model: NoiseModel) -> tuple[float, bool]:
+    """(variance, is_nominal) for power normalizations: Cauchy noise has no
+    variance, so a nominal unit variance stands in for it."""
+    v = variance(model)
+    return (v, False) if np.isfinite(v) else (1.0, True)
 
 
 def transform_uniforms(model: NoiseModel, u: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ count M = 2K + 1, step Delta = 2*x_max/M, half-open cells
 ``signed_power`` are deliberately unbounded; they exist as the
 amplify-and-forward baseline and the heavy-tail side experiment.
 
-Hot array evaluation is delegated to :mod:`macfusion.kernels`, which holds
-the one array definition of each curve.
+Array evaluation lives in :mod:`macfusion.kernels`, which holds the one
+array definition of each curve; ``kind_params`` gives its arguments.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from . import kernels
 
 TANH = "tanh"
 GUDERMANNIAN = "gudermannian"
@@ -133,16 +131,6 @@ def kind_params(f: TransmitFunction) -> tuple[int, float, float]:
     return code, f.alpha, 0.0
 
 
-def eval_fn(f: TransmitFunction, x):
-    """Evaluate f(x); vectorized over ``x``."""
-    code, a, b = kind_params(f)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    out = kernels.eval_transmit(code, a, b, np.asarray(x, dtype=np.float64).ravel())
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.shape(x))
-
-
 def derivative(f: TransmitFunction, x):
     """Evaluate f'(x) in closed form.
 
@@ -182,10 +170,6 @@ def bound(f: TransmitFunction) -> float | None:
         k = (f.levels - 1) // 2
         return k * quantizer_step(f)
     return None
-
-
-def is_bounded(f: TransmitFunction) -> bool:
-    return bound(f) is not None
 
 
 def is_differentiable(f: TransmitFunction) -> bool:

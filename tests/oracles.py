@@ -13,11 +13,18 @@ computes in batches:
 - ``split_stream`` derives a child stream;
 - ``scalar_mesh_is_valid`` is the 13-call mesh check that
   ``estimation.build_flat_response`` replaced with one vector quadrature
-  per sigma group.
+  per sigma group;
+- ``af_estimate`` is the amplify-and-forward estimate of one trial (the
+  harness forms it for whole blocks);
+- ``eval_fn`` evaluates a transmit curve on scalars or arrays of any shape,
+  ``from_variance`` builds a noise model of a given variance,
+  ``read_csv`` reads the CLI's CSV back, and ``clear_moment_cache`` empties
+  the moment engine's memo.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -26,13 +33,41 @@ from scipy.special import ndtri
 
 from macfusion import estimation as est
 from macfusion import kernels, transmit as tx
-from macfusion.noise import NoiseModel, transform_uniforms
+from macfusion.noise import CAUCHY, GAUSSIAN, LAPLACIAN, NoiseModel, transform_uniforms
 from macfusion.numerics import NumericsError, QuadratureSpec, RngStream
 
 
 # ---------------------------------------------------------------------------
-# noise and channel
+# noise, transmit curves and channel
 # ---------------------------------------------------------------------------
+
+
+def from_variance(kind: str, target_variance: float) -> NoiseModel:
+    """Build a model whose variance equals ``target_variance``.
+
+    For Cauchy, whose variance diverges, the target is read as a nominal
+    squared scale so that ``target_variance = 1`` gives unit half-width.
+    """
+    if not target_variance > 0.0:
+        raise ValueError("target variance must be positive")
+    root = float(np.sqrt(target_variance))
+    if kind == GAUSSIAN:
+        return NoiseModel(kind, root)
+    if kind == LAPLACIAN:
+        return NoiseModel(kind, root / np.sqrt(2.0))
+    if kind == CAUCHY:
+        return NoiseModel(kind, root)
+    raise ValueError(f"unknown noise kind {kind!r}")
+
+
+def eval_fn(f: tx.TransmitFunction, x):
+    """Evaluate f(x); vectorized over ``x``."""
+    code, a, b = tx.kind_params(f)
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    out = kernels.eval_transmit(code, a, b, np.asarray(x, dtype=np.float64).ravel())
+    if scalar:
+        return float(out[0])
+    return out.reshape(np.shape(x))
 
 
 def sample(model: NoiseModel, stream, count: int) -> np.ndarray:
@@ -89,6 +124,16 @@ def simulate_channel(setup, trial_stream) -> ChannelRealization:
     y_raw = math.sqrt(setup.rho) * float(kernels.channel_sums(code, a, b, x[None, :])[0])
     y_raw += math.sqrt(setup.channel_noise_var) * float(ndtri(chan_u[0]))
     return ChannelRealization.from_raw(y_raw, setup.L)
+
+
+def af_estimate(setup: est.EstimationSetup, sensor_noise: np.ndarray, channel_draw: float) -> float:
+    """Amplify-and-forward estimate for one trial's noise realization."""
+    sensor_noise = np.asarray(sensor_noise, dtype=np.float64)
+    if sensor_noise.shape != (setup.L,):
+        raise ValueError(f"expected {setup.L} sensor noise draws, got shape {sensor_noise.shape}")
+    alpha, _ = est.af_gain(setup)
+    sigmas = setup.sigmas.resolve(setup.L)
+    return setup.theta + float(np.mean(sigmas * sensor_noise)) + channel_draw / (setup.L * alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +229,12 @@ def estimate(setup: est.EstimationSetup, received_z: float, spec: QuadratureSpec
 
 
 # ---------------------------------------------------------------------------
-# frozen-mesh check
+# moment memo, frozen-mesh check and CSV reader
 # ---------------------------------------------------------------------------
+
+
+def clear_moment_cache() -> None:
+    est._g_moments_cached.cache_clear()
 
 
 def scalar_mesh_is_valid(setup, nodes, weights, code, a, b, sigma, count, probes, spec) -> bool:
@@ -197,3 +246,12 @@ def scalar_mesh_is_valid(setup, nodes, weights, code, a, b, sigma, count, probes
         if abs(flat - exact) > 1e-9 * max(1.0, abs(exact)):
             return False
     return True
+
+
+def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """Round-trip reader for the CLI's own CSV output."""
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    if not rows:
+        raise ValueError(f"{path} is empty")
+    return rows[0], rows[1:]

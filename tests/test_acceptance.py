@@ -7,6 +7,7 @@ test); every other criterion passes at its stated tolerance.
 """
 
 import math
+from dataclasses import replace
 import time
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.stats import jarque_bera
 
 from macfusion import cli, detection as det, estimation as est, harness, noise, transmit as tx
 
-from oracles import estimate
+from oracles import estimate, from_variance
 from test_numerics import quadrature_vs_mc_matrix
 
 SQRT10 = math.sqrt(10.0)
@@ -320,7 +321,7 @@ class TestCriterion7FunctionOrdering:
             )
             if f.kind != tx.LINEAR:
                 omega_star, _ = det.optimal_omega(setup, 0.05, 8.0, 64)
-                setup = harness.apply_sweep_parameter(setup, "omega", omega_star)
+                setup = replace(setup, transmit=tx.with_omega(setup.transmit, float(omega_star)))
             candidates.append((label, setup))
         pes = {}
         for k, (label, setup) in enumerate(candidates):
@@ -406,7 +407,7 @@ class TestCriterion10PropertySuites:
         # CLT normality of the standardized received signal at 1%.
         clt_ok = True
         for kind in ("gaussian", "laplacian"):
-            model = noise.from_variance(kind, 1.0)
+            model = from_variance(kind, 1.0)
             s = _fig2_setup(model, 0.75)
             h = est.mean_response(s, 1.0)
             second = est.g_moment(model, s.transmit, 1.0, 1.0, 2)

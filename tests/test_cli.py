@@ -8,7 +8,7 @@ import pytest
 from macfusion import cli, harness, noise
 from macfusion import estimation as est
 from macfusion import transmit as tx
-from oracles import InversionRangeError
+from oracles import InversionRangeError, read_csv
 
 SMALL_FIG2 = [
     "trials=200",
@@ -45,7 +45,7 @@ class TestRun:
         for ov in SMALL_FIG2:
             args += ["--set", ov]
         assert _run(args) == 0
-        header, rows = cli.read_csv(str(out))
+        header, rows = read_csv(str(out))
         assert header == ["omega", "asv", "l_var", "trials", "stderr"]
         assert len(rows) == 3
         for row in rows:
@@ -86,7 +86,7 @@ class TestRun:
     def test_csv_round_trip_via_own_reader(self, tmp_path):
         out = tmp_path / "d.csv"
         assert _run(["run", "duality", "--out", str(out), "--set", 'grid={"lo":-2,"hi":2,"points":5}']) == 0
-        header, rows = cli.read_csv(str(out))
+        header, rows = read_csv(str(out))
         assert header == ["x", "density", "reference", "abs_error"]
         assert len(rows) == 5
         assert all(len(r) == len(header) for r in rows)
@@ -155,7 +155,7 @@ class TestPresetSmoke:
         for ov in overrides:
             args += ["--set", ov]
         assert _run(args) == 0
-        got_header, rows = cli.read_csv(str(out))
+        got_header, rows = read_csv(str(out))
         assert got_header == header
         assert len(rows) == n_rows
 
@@ -323,8 +323,18 @@ class TestFoundProbes:
         for ov in ("theta=30", "trials=20", "L=10", 'omega_grid={"lo":0.5,"hi":1,"points":2}'):
             args += ["--set", ov]
         assert _run(args) == 0
-        _, rows = cli.read_csv(str(out))
+        _, rows = read_csv(str(out))
         assert all(math.isfinite(float(row[1])) and float(row[1]) > 0.0 for row in rows)
+
+    def test_tail_mass_that_shrinks_the_response_range_clamps(self, tmp_path):
+        """tail_mass=0.5 leaves the frozen response a range of about +-0.5; a
+        target beyond it found no theta below 1e18 (exit 3), and now clamps
+        just inside that range."""
+        out = tmp_path / "x.csv"
+        args = ["run", "fig2", "--out", str(out)]
+        for ov in ('quadrature={"tail_mass":0.5}', "trials=20", "L=10", 'omega_grid={"lo":0.5,"hi":1,"points":2}'):
+            args += ["--set", ov]
+        assert _run(args) == 0
 
     @pytest.mark.parametrize("mass", ["1", "2"])
     def test_tail_mass_of_one_or_more_exits_2(self, tmp_path, capsys, mass):
@@ -359,7 +369,7 @@ class TestAfCompare:
         out = tmp_path / "af.csv"
         cfg = cli.load_config("cauchy-af", ["trials=150", "L_values=[40,300]"])
         cli.run_config(cfg, workers=2, out_path=str(out))
-        header, rows = cli.read_csv(str(out))
+        header, rows = read_csv(str(out))
         assert header == ["L", "mae_bounded", "mae_af", "trials"]
         expected = []
         for k, L in enumerate((40, 300)):
@@ -429,7 +439,7 @@ class TestConfigFile:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "dc.csv"
         assert _run(["run", str(path), "--out", str(out)]) == 0
-        header, rows = cli.read_csv(str(out))
+        header, rows = read_csv(str(out))
         assert header == ["omega", "dc"]
         assert len(rows) == 4
         dcs = [float(r[1]) for r in rows]
@@ -452,7 +462,7 @@ class TestConfigFile:
         assert _run(args) == 0
         manifest = json.loads((tmp_path / "strat.csv.manifest.json").read_text())
         assert manifest["config"]["stratified"] is True
-        header, rows = cli.read_csv(str(out))
+        header, rows = read_csv(str(out))
         assert header == ["omega", "dc", "pe", "stderr", "trials"]
         assert all(0.0 <= float(r[2]) <= 1.0 for r in rows)
 
@@ -487,6 +497,6 @@ class TestConfigFile:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "pe.csv"
         assert _run(["run", str(path), "--out", str(out)]) == 0
-        header, rows = cli.read_csv(str(out))
+        header, rows = read_csv(str(out))
         assert header == ["function", "L", "omega_star", "pe", "stderr", "trials"]
         assert {r[0] for r in rows} == {"linear_af", "tanh"}

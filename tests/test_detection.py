@@ -1,6 +1,7 @@
 """Deflection coefficient, quadratic detector, and duality contracts."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -259,7 +260,7 @@ class TestDcOptimumQuality:
         omegas = list(np.linspace(0.2, 2.5, 10)) + [omega_star]
         pes = []
         for k, w in enumerate(omegas):
-            point = harness.apply_sweep_parameter(base, "omega", float(w))
+            point = replace(base, transmit=tx.with_omega(base.transmit, float(w)))
             summary = harness.run_detection_experiment(point, trials, 606, stream_id_base=k * harness.POINT_STREAM_STRIDE)
             pes.append((summary.aggregates["pe"], summary.aggregates["stderr"]))
         pe_star, se_star = pes[-1]
@@ -277,3 +278,17 @@ class TestSetupValidation:
             _setup(priors=(0.5, 0.6))
         with pytest.raises(ValueError):
             _setup(priors=(1.0, 0.0))
+
+    def test_is_the_estimation_channel_plus_priors(self):
+        """Positional construction keeps the field order; every field swap
+        re-runs the channel checks and the detection checks."""
+        setup = det.DetectionSetup(1.0, 20, est.sqrt_growth_sigmas(1.0), GAUSS, tx.tanh_fn(1.0), 2.0, 1.0, (0.3, 0.7))
+        assert isinstance(setup, est.EstimationSetup)
+        assert [f.name for f in fields(setup)] == [f.name for f in fields(est.EstimationSetup)] + ["priors"]
+        assert setup.rho == 0.1
+        values, shares = setup.sigma_shares()
+        assert np.array_equal(values, np.sqrt(np.arange(1.0, 21.0))) and np.all(shares == 1 / 20)
+        bad = [("theta", -0.5), ("L", 0), ("total_power", 0.0), ("channel_noise_var", math.inf), ("priors", (0.5, 0.6))]
+        for name, value in bad:
+            with pytest.raises(ValueError):
+                replace(setup, **{name: value})

@@ -11,7 +11,7 @@ from macfusion import estimation as est
 from macfusion import harness, kernels, numerics
 from macfusion.numerics import QuadratureSpec
 from macfusion.transmit import UnsupportedKindError
-from oracles import estimate, estimate_info, scalar_mesh_is_valid
+from oracles import af_estimate, clear_moment_cache, estimate, estimate_info, from_variance, scalar_mesh_is_valid
 
 GAUSS = noise.gaussian(1.0)
 
@@ -164,7 +164,7 @@ class TestAsymptoticVariance:
 class TestAmplifyForward:
     def test_zero_noise_recovers_theta(self):
         setup = _setup(L=8)
-        assert est.af_estimate(setup, np.zeros(8), 0.0) == pytest.approx(1.0, rel=1e-14)
+        assert af_estimate(setup, np.zeros(8), 0.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_matches_rearranged_model(self):
         setup = _setup(L=5, sigmas=est.SigmaSequence(est.EXPLICIT_LIST, values=(1.0, 2.0, 0.5, 1.5, 1.0)))
@@ -175,7 +175,7 @@ class TestAmplifyForward:
         sigmas = setup.sigmas.resolve(5)
         expected = 1.0 + np.mean(sigmas * draws) + chan / (5 * alpha)
         assert not nominal
-        assert est.af_estimate(setup, draws, chan) == pytest.approx(expected, rel=1e-14)
+        assert af_estimate(setup, draws, chan) == pytest.approx(expected, rel=1e-14)
 
     def test_gain_satisfies_power_constraint(self):
         setup = _setup(L=50, theta=0.6)
@@ -264,7 +264,7 @@ class TestCltOfNormalizedSignal:
     @pytest.mark.parametrize("kind", ["gaussian", "laplacian"])
     def test_jarque_bera_at_one_percent(self, kind):
         """sqrt(L)(z_L - sqrt(P_T) h) / sigma passes JB normality at 1%."""
-        model = noise.from_variance(kind, 1.0)
+        model = from_variance(kind, 1.0)
         setup = _setup(noise=model, L=500)
         h = est.mean_response(setup, 1.0)
         second = est.g_moment(model, setup.transmit, 1.0, 1.0, 2)
@@ -301,6 +301,17 @@ class TestFlatResponseFastPath:
         flat = est.build_flat_response(setup)
         _, clamped = flat.invert(np.array([0.0, 2.0, -2.0]))
         assert list(clamped) == [False, True, True]
+
+    def test_limit_is_the_frozen_supremum(self):
+        """A response that drops tail mass 1e-3 saturates at 1 - 1e-3, not at
+        sup |f| = 1: a target of 0.9995 clamps inside that range instead of
+        ending in "no theta below 1e18 brings h above the target"."""
+        flat = est.build_flat_response(_setup(L=40), QuadratureSpec(tail_mass=1e-3))
+        assert flat.limit == pytest.approx(1.0 - 1e-3, abs=1e-12)
+        thetas, clamped = flat.invert(np.array([0.9995, -0.9995, 0.5]))
+        assert list(clamped) == [True, True, False]
+        margin = flat.limit - est.CLAMP_MARGIN
+        assert flat.eval(thetas) == pytest.approx([margin, -margin, 0.5], abs=1e-12)
 
     def test_clamped_targets_do_not_stretch_the_seed_grid(self, monkeypatch):
         """Two margin targets cost a few evaluations, not wider grid cells.
@@ -409,7 +420,7 @@ class TestBatchedMeshCheck:
 class TestCheckQuadratureCount:
     def _count(self, monkeypatch, setup, **kwargs):
         """(mesh quadratures, check quadratures) of one build with a cold moment cache."""
-        est.clear_moment_cache()
+        clear_moment_cache()
         calls = {"mesh": 0, "check": 0}
         quadrature = numerics.adaptive_quadrature
 
@@ -426,7 +437,7 @@ class TestCheckQuadratureCount:
             est.build_flat_response(setup, **kwargs)
         finally:
             monkeypatch.undo()
-            est.clear_moment_cache()
+            clear_moment_cache()
         return calls["mesh"], calls["check"]
 
     def test_one_check_quadrature_per_sigma_group(self, monkeypatch):

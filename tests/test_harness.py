@@ -9,7 +9,7 @@ from macfusion import estimation as est
 from macfusion import detection as det
 from macfusion import cli, harness, noise, numerics, transmit as tx
 from macfusion.numerics import RngStream
-from oracles import sample, simulate_channel, split_stream
+from oracles import eval_fn, read_csv, sample, simulate_channel, split_stream
 
 
 class HalfStream:
@@ -89,7 +89,7 @@ class TestSimulateChannel:
         setup = _est_setup(noise=noise.cauchy(1.0))
         c = tx.bound(setup.transmit)
         draws = sample(setup.noise, RngStream(10, 0), 10**6)
-        fx = tx.eval_fn(setup.transmit, setup.theta + draws)
+        fx = eval_fn(setup.transmit, setup.theta + draws)
         assert np.all(setup.rho * fx**2 <= setup.rho * c**2 * (1 + 1e-15))
 
 
@@ -240,18 +240,6 @@ class TestRunExperiment:
         """Two equal L values give two different rows."""
         out = tmp_path / "twins.csv"
         cli.run_config(cli.load_config("consistency", ["trials=100", "L_values=[50,50]"]), workers=2, out_path=str(out))
-        _, rows = cli.read_csv(str(out))
+        _, rows = read_csv(str(out))
         assert rows[0][0] == rows[1][0] == "50"
         assert rows[0] != rows[1]
-
-
-class TestApplySweepParameter:
-    def test_omega_and_L(self):
-        setup = _est_setup()
-        assert harness.apply_sweep_parameter(setup, "omega", 2.0).transmit.omega == 2.0
-        assert harness.apply_sweep_parameter(setup, "L", 7).L == 7
-
-    @pytest.mark.parametrize("parameter", ["power", "theta", "sigma_growth"])
-    def test_unknown_parameter_rejected(self, parameter):
-        with pytest.raises(ValueError):
-            harness.apply_sweep_parameter(_est_setup(), parameter, 1.0)

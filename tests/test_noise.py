@@ -8,7 +8,7 @@ from scipy.stats import kstest
 
 from macfusion import noise
 from macfusion.numerics import RngStream, adaptive_quadrature
-from oracles import sample
+from oracles import from_variance, sample
 
 MODELS = [
     noise.gaussian(1.0),
@@ -165,6 +165,11 @@ class TestValidation:
         assert noise.variance(noise.laplacian(1.0)) == 2.0
         assert math.isinf(noise.variance(noise.cauchy(1.0)))
 
+    def test_nominal_variance_stands_in_only_for_cauchy(self):
+        assert noise.nominal_variance(noise.gaussian(2.0)) == (4.0, False)
+        assert noise.nominal_variance(noise.laplacian(1.0)) == (2.0, False)
+        assert noise.nominal_variance(noise.cauchy(3.0)) == (1.0, True)
+
     def test_from_variance_laplacian_scale(self):
-        model = noise.from_variance("laplacian", 1.0)
+        model = from_variance("laplacian", 1.0)
         assert noise.variance(model) == pytest.approx(1.0, rel=1e-12)

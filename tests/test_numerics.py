@@ -20,7 +20,7 @@ from macfusion.numerics import (
     expect,
     minimize_scalar,
 )
-from oracles import InversionRangeError, invert_monotone, sample, split_stream
+from oracles import InversionRangeError, clear_moment_cache, eval_fn, invert_monotone, sample, split_stream
 
 
 class TestExpect:
@@ -210,7 +210,7 @@ class TestRowSumDecisions:
             return calls[-1][-1]
 
         f, model = tx.tanh_fn(0.75), noise.gaussian(1.0)
-        est.clear_moment_cache()
+        clear_moment_cache()
         monkeypatch.setattr(numerics, "adaptive_quadrature", recording)
         try:
             for L in (100, 1000, 10000):
@@ -219,7 +219,7 @@ class TestRowSumDecisions:
                 est.mean_response(setup, 0.0)
         finally:
             monkeypatch.undo()
-            est.clear_moment_cache()
+            clear_moment_cache()
         # Groups shared between the L values come from the moment cache.
         assert len(calls) >= 2 * -(-10000 // est.MOMENT_GROUP)
         widths = set()
@@ -447,10 +447,10 @@ def quadrature_vs_mc_matrix(n_draws: int = 10**7) -> list[tuple[str, str, float,
         for f in transmits:
             value = expect(
                 model,
-                lambda n, _f=f: tx.eval_fn(_f, theta + sigma * n),
+                lambda n, _f=f: eval_fn(_f, theta + sigma * n),
                 breakpoints=tuple((p - theta) / sigma for p in tx.breakpoints(f)),
             )
-            samples = tx.eval_fn(f, theta + sigma * draws)
+            samples = eval_fn(f, theta + sigma * draws)
             se = samples.std(ddof=1) / math.sqrt(n_draws)
             rows.append((kind, f.kind, value, float(samples.mean()), float(se)))
     return rows

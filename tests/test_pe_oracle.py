@@ -21,6 +21,7 @@ from macfusion import detection as det
 from macfusion import estimation as est
 from macfusion import harness, noise, transmit as tx
 from macfusion.numerics import adaptive_quadrature, fixed_mesh_nodes
+from oracles import eval_fn
 
 SQRT10 = math.sqrt(10.0)
 RHO_C_3DB = 10**0.3
@@ -32,7 +33,7 @@ def _transmitted_cf(model, f, shift, u):
     kinks = [p - shift for p in tx.breakpoints(f)]
 
     def weighted(n):
-        return tx.eval_fn(f, shift + n) * noise.pdf(model, n)
+        return eval_fn(f, shift + n) * noise.pdf(model, n)
 
     _, _, edges = adaptive_quadrature(
         weighted, -t_tail, t_tail,
@@ -41,7 +42,7 @@ def _transmitted_cf(model, f, shift, u):
     )
     edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
     x, w = fixed_mesh_nodes(edges)
-    fv = tx.eval_fn(f, shift + x)
+    fv = eval_fn(f, shift + x)
     pw = w * noise.pdf(model, x)
     assert abs(pw.sum() - 1.0) < 1e-9  # mesh carries the full density mass
     return np.exp(1j * u[:, None] * fv[None, :]) @ pw

@@ -8,10 +8,12 @@ Run it from anywhere; it runs ``python -m macfusion run <preset>`` with
 ``src/`` of this checkout first on ``PYTHONPATH``, once per preset and
 worker count, and compares the SHA-256 of each CSV with the hash pinned in
 ``CHANGES.md``: for each preset, the first ``<preset> <64 hex digits>`` pair
-in that file (the entry that pinned all nine). Prints one line per run and
-exits 0 if every hash matches, 1 on any mismatch and 2 if a preset has no
-pinned hash or a run fails. The full set takes a few minutes per worker
-count.
+in that file (the entry that pinned all nine). Prints one line per run,
+then a table of each preset's hash with its wall seconds at every worker
+count and the total per worker count, so the end-to-end times of all
+presets come with the hash check. Exits 0 if every hash matches, 1 on any
+mismatch and 2 if a preset has no pinned hash or a run fails. The full set
+takes a few minutes per worker count.
 """
 
 from __future__ import annotations
@@ -61,6 +63,21 @@ def run_preset(name: str, workers: int, out_dir: str) -> tuple[str | None, float
         return hashlib.sha256(f.read()).hexdigest(), elapsed
 
 
+def summary(presets, worker_counts, results) -> list[str]:
+    """Table lines: per preset its wall seconds at each worker count and its
+    hash, then the total seconds per worker count. ``results`` maps
+    (preset, workers) to (digest or None, seconds)."""
+    lines = [f"{'preset':12s}" + "".join(f"{f'workers={w}':>12s}" for w in worker_counts) + "  sha256"]
+    for name in presets:
+        digests = {results[name, w][0] for w in worker_counts}
+        digest = digests.pop() if len(digests) == 1 else "differs between worker counts"
+        cells = "".join(f"{results[name, w][1]:10.1f} s" for w in worker_counts)
+        lines.append(f"{name:12s}{cells}  {digest or '-'}")
+    totals = "".join(f"{sum(results[name, w][1] for name in presets):10.1f} s" for w in worker_counts)
+    lines.append(f"{'total':12s}{totals}")
+    return lines
+
+
 def main(argv=None) -> int:
     sys.path.insert(0, SRC)
     from macfusion.cli import PRESETS
@@ -76,10 +93,11 @@ def main(argv=None) -> int:
         print(f"no pinned hash in CHANGES.md for: {', '.join(missing)}", file=sys.stderr)
         return 2
     status = 0
+    results = {}
     with tempfile.TemporaryDirectory() as out_dir:
         for workers in args.workers:
             for name in args.presets:
-                digest, elapsed = run_preset(name, workers, out_dir)
+                digest, elapsed = results[name, workers] = run_preset(name, workers, out_dir)
                 if digest is None:
                     verdict, status = "FAILED RUN", max(status, 2)
                 elif digest != pinned[name]:
@@ -87,6 +105,7 @@ def main(argv=None) -> int:
                 else:
                     verdict = "ok"
                 print(f"{name:12s} workers={workers}  {elapsed:7.1f} s  {digest or '-'}  {verdict}", flush=True)
+    print("\n".join(["", *summary(args.presets, args.workers, results), ""]))
     print("all hashes match" if status == 0 else "hash check failed")
     return status
 
