@@ -206,10 +206,18 @@ def _priors(cfg, path="priors") -> tuple[float, float]:
     raw = cfg.get("priors", [0.5, 0.5])
     if not isinstance(raw, list) or len(raw) != 2:
         raise ConfigError(f"config error at {path}: expected [P0, P1]")
-    p0, p1 = (_check_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
-    if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0) or abs(p0 + p1 - 1.0) > 1e-12:
-        raise ConfigError(f"config error at {path}: priors must be strictly positive and sum to 1")
-    return p0, p1
+    priors = tuple(_check_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
+    return _checked(det.check_priors, priors, path)
+
+
+def _checked(rule, value, loc):
+    """``value`` if the setup's own ``rule`` accepts it; its ValueError
+    becomes a config error at ``loc``."""
+    try:
+        rule(value)
+    except ValueError as err:
+        raise ConfigError(f"config error at {loc}: {err}") from None
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +238,13 @@ def _trials(cfg) -> int:
     return _number(cfg, "trials", "config", positive=True, integer=True)
 
 
-def _channel(cfg, L, *, positive_theta=False) -> dict:
+def _channel(cfg, L) -> dict:
     """The setup fields that estimation and detection kinds share, at ``L`` sensors."""
     sigmas = build_sigmas(cfg.get("sigmas", _DEFAULT_SIGMAS))
     if sigmas.kind == est.EXPLICIT_LIST and len(sigmas.values) != L:
         raise ConfigError(f"config error at sigmas.values: {len(sigmas.values)} entries, but L is {L}")
     return dict(
-        theta=_number(cfg, "theta", "config", positive=positive_theta, magnitude=_THETA_LIMIT),
+        theta=_number(cfg, "theta", "config", magnitude=_THETA_LIMIT),
         sigmas=sigmas,
         noise=build_noise(cfg.get("noise")),
         total_power=_number(cfg, "total_power", "config", positive=True),
@@ -265,7 +273,8 @@ def _L_sweep(cfg):
 def _detection_setup(cfg, transmit_path="transmit", transmit_cfg=None, L=None) -> det.DetectionSetup:
     transmit_cfg = transmit_cfg if transmit_cfg is not None else cfg.get("transmit")
     L = _number(cfg, "L", "config", positive=True, integer=True) if L is None else L
-    channel = _channel(cfg, L, positive_theta=True)
+    channel = _channel(cfg, L)
+    _checked(det.check_signal_level, channel["theta"], "config.theta")
     setup = det.DetectionSetup(L=L, **channel, priors=_priors(cfg), transmit=build_transmit(transmit_cfg, transmit_path))
     if _transmit_wants_power_alpha(transmit_cfg):
         setup = replace(setup, transmit=tx.linear_fn(_power_normalized_alpha(setup)))

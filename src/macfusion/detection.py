@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels, transmit as tx
+from . import kernels, noise, transmit as tx
 from .estimation import EstimationSetup, g_moment
 from .noise import NoiseModel, score
 from .numerics import (
@@ -34,6 +34,7 @@ from .numerics import (
     NumericsError,
     QuadratureSpec,
     adaptive_quadrature,
+    block_elements,
     minimize_scalar,
     pairwise_row_sum,
     row_blocks,
@@ -47,12 +48,22 @@ class DetectionSetup(EstimationSetup):
     priors: tuple[float, float] = (0.5, 0.5)
 
     def __post_init__(self):
-        if self.theta < 0.0:
-            raise ValueError("theta must be nonnegative (H1 signal level)")
+        check_signal_level(self.theta)
         super().__post_init__()
-        p0, p1 = self.priors
-        if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0) or abs(p0 + p1 - 1.0) > 1e-12:
-            raise ValueError(f"priors must be strictly positive and sum to 1, got {self.priors}")
+        check_priors(self.priors)
+
+
+def check_signal_level(theta: float) -> None:
+    """The H1 signal level must be nonnegative (0: both hypotheses agree)."""
+    if theta < 0.0:
+        raise ValueError(f"theta must be nonnegative (H1 signal level), got {theta!r}")
+
+
+def check_priors(priors) -> None:
+    """(P0, P1) must be strictly positive and sum to 1 within 1e-12."""
+    p0, p1 = priors
+    if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0) or abs(p0 + p1 - 1.0) > 1e-12:
+        raise ValueError(f"priors must be strictly positive and sum to 1, got {tuple(priors)}")
 
 
 def deflection(setup: DetectionSetup, spec: QuadratureSpec | None = None) -> float:
@@ -188,15 +199,14 @@ def simulate_decisions(
     Returns (hypotheses, wrong) as uint8 arrays. Draw order per trial is
     one hypothesis uniform (omitted when stratified), sensors in ascending
     index order, then the channel draw; trials are row-major in the stream.
-    Each draw block is decided as soon as it is drawn, so no temporary
-    grows with the trial count.
+    Each draw block is decided as soon as it is drawn, and every span is
+    transformed into one workspace of the call, so no temporary grows with
+    the trial count and none of draw size is allocated per block.
     """
-    from scipy.special import ndtri
-
     code, a, b = tx.kind_params(setup.transmit)
     sigmas = setup.sigmas.resolve(setup.L)
     sqrt_rho = math.sqrt(setup.rho)
-    sigma_v = math.sqrt(setup.channel_noise_var)
+    channel = noise.gaussian(math.sqrt(setup.channel_noise_var))
     p0, _ = setup.priors
     n_h0_total = int(round(p0 * trials)) if stratified else 0
     lead = 0 if stratified else 1  # columns before the sensors
@@ -204,6 +214,7 @@ def simulate_decisions(
 
     hypotheses = np.empty(trials, dtype=np.uint8)
     wrong = np.empty(trials, dtype=np.uint8)
+    work = np.empty(block_elements(trials, cols))
     for start, count, draw in row_blocks(stream, trials, cols):
         rows = slice(start, start + count)
         if stratified:
@@ -213,9 +224,11 @@ def simulate_decisions(
         shift = hypotheses[rows, None] * setup.theta
 
         def sensor_sums(lo, hi):
-            return kernels.span_sums(setup.noise, draw(lead + lo, lead + hi), sigmas[lo:hi], shift, code, a, b)
+            return kernels.span_sums(setup.noise, draw(lead + lo, lead + hi), sigmas[lo:hi], shift, code, a, b, work)
 
-        y = sqrt_rho * pairwise_row_sum(setup.L, sensor_sums) + sigma_v * ndtri(draw(cols - 1, cols)[:, 0])
+        # The channel column is requested last: a wide row draws it after its sensor spans.
+        sensor_part = sqrt_rho * pairwise_row_sum(setup.L, sensor_sums)
+        y = sensor_part + noise.transform_uniforms(channel, draw(cols - 1, cols)[:, 0])
         wrong[rows] = decide(detector, y) != hypotheses[rows]
     return hypotheses, wrong
 

@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
-from . import kernels, transmit as tx
+from . import kernels, noise, transmit as tx
 from .detection import DetectionSetup, build_detector, simulate_decisions, summarize_errors
 from .estimation import EstimationSetup, af_gain, build_flat_response
-from .numerics import QuadratureSpec, RngStream, pairwise_row_sum, row_blocks
+from .numerics import QuadratureSpec, RngStream, block_elements, pairwise_row_sum, row_blocks
 
 POINT_STREAM_STRIDE = 2**32
 
@@ -121,20 +120,21 @@ def _collect_signal_statistics(setup, trials, master_seed, stream_id_base) -> di
     sigmas = setup.sigmas.resolve(setup.L)
     code, a, b = tx.kind_params(setup.transmit)
     sqrt_rho = math.sqrt(setup.rho)
-    sigma_v = math.sqrt(setup.channel_noise_var)
+    channel = noise.gaussian(math.sqrt(setup.channel_noise_var))
     alpha, _ = af_gain(setup)
 
     f_sums = np.empty(trials)
     scaled_sums = np.empty(trials)
     chan = np.empty(trials)
+    work = np.empty(block_elements(trials, setup.L + 1))
     for start, count, draw in row_blocks(stream, trials, setup.L + 1):
 
         def sensor_sums(lo, hi):
-            return kernels.span_sums(setup.noise, draw(lo, hi), sigmas[lo:hi], setup.theta, code, a, b, scaled=True)
+            return kernels.span_sums(setup.noise, draw(lo, hi), sigmas[lo:hi], setup.theta, code, a, b, work, scaled=True)
 
         rows = slice(start, start + count)
         f_sums[rows], scaled_sums[rows] = pairwise_row_sum(setup.L, sensor_sums)
-        chan[rows] = sigma_v * ndtri(draw(setup.L, setup.L + 1)[:, 0])
+        noise.transform_uniforms(channel, draw(setup.L, setup.L + 1)[:, 0], out=chan[rows])
     z = (sqrt_rho * f_sums + chan) / math.sqrt(setup.L)
     return {
         "z_targets": z / math.sqrt(setup.total_power),

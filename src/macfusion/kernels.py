@@ -14,6 +14,12 @@ allocates the result and the rest of the chain runs in place on it; with
 signed power keep one scratch array for their second operand). The order
 of operations is fixed, so every entry point gives bit-identical values.
 
+The Monte Carlo spans allocate nothing of draw size: ``span_sums`` writes
+the noise transform of a span's uniforms into the caller's workspace
+(one per simulated point, ``numerics.block_elements`` doubles), scales
+and shifts it in place and hands it to ``channel_sums(..., out=x)``,
+which applies the curve in place before the row sums.
+
 The mean response h(theta) = sum_j w_j f(theta + u_j) is evaluated by
 ``eval_response`` in tiles of at most ``numerics.DRAW_BLOCK_ELEMENTS``
 theta-node products: a scratch tile is filled with theta + nodes, mapped
@@ -82,25 +88,36 @@ def eval_transmit(code: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
     return _curve(code, a, b, np.ascontiguousarray(x, dtype=np.float64))
 
 
-def channel_sums(code: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Row sums of f over a (trials, sensors) observation block; ``x`` is not modified."""
-    return _curve(code, a, b, np.ascontiguousarray(x, dtype=np.float64)).sum(axis=1)
+def channel_sums(code: int, a: float, b: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of f over a (trials, sensors) observation block.
+
+    ``x`` is not modified unless it is ``out``: f(x) goes to ``out``, a
+    contiguous float64 array of ``x``'s shape, so ``out=x`` applies f in
+    place; with ``out=None`` to a new array.
+    """
+    if out is None:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+    return _curve(code, a, b, x, out=out).sum(axis=1)
 
 
-def span_sums(model, u: np.ndarray, sigmas: np.ndarray, shift, code: int, a: float, b: float, scaled: bool = False):
+def span_sums(
+    model, u: np.ndarray, sigmas: np.ndarray, shift, code: int, a: float, b: float, work: np.ndarray, scaled: bool = False
+):
     """Row sums of f(shift + sigmas * n) over one span of sensor columns.
 
     ``u`` holds the span's uniforms, (trials, sensors); n is their noise
-    transform under ``model``. The transformed array is the only working
-    copy: it is scaled and shifted in place before the channel sums. With
-    ``scaled`` the result is a (2, trials) array whose second row holds the
-    row sums of sigmas * n, taken before the shift.
+    transform under ``model``. ``work`` is the caller's flat float64
+    workspace of at least ``u.size`` values: the transform is written to
+    its head, scaled and shifted in place, and mapped through f in place
+    before the channel sums. With ``scaled`` the result is a (2, trials)
+    array whose second row holds the row sums of sigmas * n, taken before
+    the shift.
     """
-    x = noise.transform_uniforms(model, u)
+    x = noise.transform_uniforms(model, u, out=work[: u.size].reshape(u.shape))
     np.multiply(sigmas, x, out=x)
     scaled_sums = x.sum(axis=1) if scaled else None
     np.add(shift, x, out=x)
-    sums = channel_sums(code, a, b, x)
+    sums = channel_sums(code, a, b, x, out=x)
     return np.stack([sums, scaled_sums]) if scaled else sums
 
 

@@ -142,20 +142,23 @@ def nominal_variance(model: NoiseModel) -> tuple[float, bool]:
     return (v, False) if np.isfinite(v) else (1.0, True)
 
 
-def transform_uniforms(model: NoiseModel, u: np.ndarray) -> np.ndarray:
+def transform_uniforms(model: NoiseModel, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Map open-(0,1) uniforms to noise draws by inverse CDF (Cauchy: the tan
     transform of a centered uniform).
 
-    ``u`` is not modified. The first ufunc allocates the result and the
-    rest of the chain runs in place on it (the Laplacian keeps one scratch
-    array for its log term).
+    ``u`` is not modified. The draws go to ``out``, a float64 array of
+    ``u``'s shape, or to a new array if it is None; the first ufunc writes
+    them there and the rest of the chain runs in place (the Laplacian keeps
+    one scratch array for its log term).
     """
     s = model.scale
     u = np.asarray(u, dtype=np.float64)
+    if out is None:
+        out = np.empty(u.shape)
     if model.kind == GAUSSIAN:
-        y = ndtri(u, out=np.empty(u.shape))
+        y = ndtri(u, out=out)
         return np.multiply(s, y, out=y)
-    y = np.subtract(u, 0.5, out=np.empty(u.shape))
+    y = np.subtract(u, 0.5, out=out)
     if model.kind == LAPLACIAN:
         m = np.abs(y)
         np.multiply(-2.0, m, out=m)

@@ -17,6 +17,14 @@ Random streams are counter-keyed Philox generators: the pair
 layout that assigns disjoint stream ids reproduces bit-identical results.
 Simulations draw their trials row-major from a stream in blocks of at most
 ``DRAW_BLOCK_ELEMENTS`` values, so every temporary stays cache-sized.
+
+The draw loop allocates nothing per block. ``row_blocks`` fills one
+uniform buffer of ``block_elements(rows, cols)`` doubles, owned by the
+call, block after block; a caller that transforms the draws keeps one
+workspace of the same size for its own whole call (one simulated point).
+``pairwise_row_sum`` recurses through a module-level function, so the
+span closures a caller passes it form no reference cycle and each block
+is freed as soon as the loop lets go of it, not at the next GC pass.
 """
 
 from __future__ import annotations
@@ -351,11 +359,16 @@ class RngStream:
             self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """``count`` uniforms in the open interval (0, 1)."""
+    def uniforms(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``count`` uniforms in the open interval (0, 1).
+
+        With ``out``, a contiguous float64 array of ``count`` values, the
+        draws are written there and ``out`` is returned; the values are the
+        same either way.
+        """
         if count < 0:
             raise ValueError("count must be >= 0")
-        u = self._generator().random(count)
+        u = self._generator().random(count, out=out)
         self.counter += count
         # random() yields [0, 1); the half-ulp shift keeps inverse-CDF
         # transforms finite without statistically visible bias. It rounds
@@ -365,30 +378,62 @@ class RngStream:
         return u
 
 
+# numpy sums a contiguous run of more than this many values pairwise: it
+# splits the run at half its length rounded down to a multiple of 8.
+_PAIRWISE_LEAF = 128
+
+
+def block_elements(rows: int, cols: int) -> int:
+    """Doubles in the largest block ``row_blocks(stream, rows, cols)`` draws.
+
+    Whole rows: as many as fit in ``DRAW_BLOCK_ELEMENTS``. A row wider than
+    that is drawn in spans of at most the widest leaf of
+    ``pairwise_row_sum``. A caller's per-point workspace takes this size.
+    """
+    if cols > DRAW_BLOCK_ELEMENTS:
+        return max(DRAW_BLOCK_ELEMENTS, _PAIRWISE_LEAF)
+    return min(DRAW_BLOCK_ELEMENTS // cols, rows) * cols
+
+
 def row_blocks(stream: RngStream, rows: int, cols: int):
     """Draw ``rows`` rows of ``cols`` uniforms row-major from ``stream``.
 
     Yields ``(start, count, draw)`` per block of rows, where ``draw(lo, hi)``
     returns columns [lo, hi) of the block's rows as a (count, hi - lo)
-    array. As many whole rows as fit in ``DRAW_BLOCK_ELEMENTS`` are drawn
+    view. As many whole rows as fit in ``DRAW_BLOCK_ELEMENTS`` are drawn
     in one request; a row wider than that comes alone and is drawn span by
     span as its columns are requested, so a caller must then request every
-    column once, in increasing order. The stream order, and hence every
-    value, is the same for any budget.
+    column once, in increasing order, at most ``block_elements(rows, cols)``
+    columns at a time. The stream order, and hence every value, is the same
+    for any budget.
+
+    Every block is drawn into one buffer of ``block_elements(rows, cols)``
+    doubles that the call owns, so a block's views stay valid only until
+    the next block (for a wide row, the next span) is drawn.
     """
     per_block = max(1, DRAW_BLOCK_ELEMENTS // cols)
+    buffer = np.empty(block_elements(rows, cols))
+    if cols > DRAW_BLOCK_ELEMENTS:
+
+        def span(lo, hi):
+            return stream.uniforms(hi - lo, out=buffer[: hi - lo])[None, :]
+
+        for start in range(rows):
+            yield start, 1, span
+        return
     for start in range(0, rows, per_block):
         count = min(per_block, rows - start)
-        if count * cols <= DRAW_BLOCK_ELEMENTS:
-            block = stream.uniforms(count * cols).reshape(count, cols)
-            yield start, count, lambda lo, hi, block=block: block[:, lo:hi]
-        else:
-            yield start, 1, lambda lo, hi: stream.uniforms(hi - lo)[None, :]
+        block = stream.uniforms(count * cols, out=buffer[: count * cols]).reshape(count, cols)
+        yield start, count, lambda lo, hi, block=block: block[:, lo:hi]
 
 
-# numpy sums a contiguous run of more than this many values pairwise: it
-# splits the run at half its length rounded down to a multiple of 8.
-_PAIRWISE_LEAF = 128
+def _pairwise_node(leaf, lo: int, hi: int):
+    n = hi - lo
+    if n <= max(DRAW_BLOCK_ELEMENTS, _PAIRWISE_LEAF):
+        return leaf(lo, hi)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_node(leaf, lo, lo + half) + _pairwise_node(leaf, lo + half, hi)
 
 
 def pairwise_row_sum(width: int, leaf):
@@ -400,13 +445,4 @@ def pairwise_row_sum(width: int, leaf):
     columns (or is a leaf of that tree), so the result is bit-identical to
     summing whole rows at once. Leaves are visited left to right.
     """
-
-    def node(lo: int, hi: int):
-        n = hi - lo
-        if n <= max(DRAW_BLOCK_ELEMENTS, _PAIRWISE_LEAF):
-            return leaf(lo, hi)
-        half = n // 2
-        half -= half % 8
-        return node(lo, lo + half) + node(lo + half, hi)
-
-    return node(0, width)
+    return _pairwise_node(leaf, 0, width)

@@ -336,6 +336,31 @@ class TestFoundProbes:
             args += ["--set", ov]
         assert _run(args) == 0
 
+    def test_zero_theta_detection_runs(self, tmp_path):
+        """The CLI required theta > 0 for detection although DetectionSetup
+        accepts theta = 0 (both hypotheses agree, Pe is the smaller prior)."""
+        out = tmp_path / "x.csv"
+        args = ["run", "fig5", "--out", str(out)]
+        for ov in ("theta=0", "trials=2000", "omega_grid.points=4"):
+            args += ["--set", ov]
+        assert _run(args) == 0
+        _, rows = read_csv(str(out))
+        assert len(rows) == 4
+
+    @pytest.mark.parametrize(
+        "override, field, rule",
+        [
+            ("theta=-0.5", "config.theta", "theta must be nonnegative"),
+            ("priors=[0.5,0.6]", "priors", "priors must be strictly positive and sum to 1"),
+            ("priors=[1,0]", "priors", "priors must be strictly positive and sum to 1"),
+        ],
+    )
+    def test_detection_rules_come_from_the_setup(self, tmp_path, capsys, override, field, rule):
+        """The theta and priors rules of DetectionSetup, reported at the field."""
+        code, err = self._fails(tmp_path, capsys, "fig5", override)
+        assert code == 2
+        assert f"config error at {field}: {rule}" in err
+
     @pytest.mark.parametrize("mass", ["1", "2"])
     def test_tail_mass_of_one_or_more_exits_2(self, tmp_path, capsys, mass):
         """tail_mass >= 1 passed validation and raised ValueError in noise.tail_truncation."""

@@ -18,9 +18,12 @@ class HalfStream:
     def __init__(self):
         self.counter = 0
 
-    def uniforms(self, count):
+    def uniforms(self, count, out=None):
         self.counter += count
-        return np.full(count, 0.5)
+        if out is None:
+            return np.full(count, 0.5)
+        out.fill(0.5)
+        return out
 
 
 def _est_setup(**kwargs):
@@ -131,9 +134,9 @@ class TestEstimationExperiment:
         requests = []
         draw = RngStream.uniforms
 
-        def recording(stream, count):
+        def recording(stream, count, out=None):
             requests.append(count)
-            return draw(stream, count)
+            return draw(stream, count, out)
 
         monkeypatch.setattr(RngStream, "uniforms", recording)
         stats = harness.run_signal_statistics(setup, 3, 8)

@@ -435,3 +435,13 @@ class TestMonteCarloSpans:
         ref = _plain_signal_statistics(setup, 500, 13)
         for key in ("z_targets", "af_estimates"):
             assert np.array_equal(_bits(got[key]), _bits(ref[key]))
+
+    def test_wide_rows_match_the_allocating_closure(self):
+        """Cauchy rows wider than a draw block at the real budget: each span
+        reuses the one uniform buffer and the one workspace of the call."""
+        L = numerics.DRAW_BLOCK_ELEMENTS + 5000
+        setup = est.EstimationSetup(1.0, L, SIGMAS["sqrt"], noise.cauchy(1.0), tx.tanh_fn(0.75), 10.0, 1.0)
+        got = harness.run_signal_statistics(setup, 3, 17)
+        ref = _plain_signal_statistics(setup, 3, 17)
+        for key in ("z_targets", "af_estimates"):
+            assert np.array_equal(_bits(got[key]), _bits(ref[key]))

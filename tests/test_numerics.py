@@ -387,13 +387,44 @@ class TestRngStreams:
         """random() = 1 - 2**-53 must not round up to 1.0 (ndtri would be inf)."""
 
         class TopGenerator:
-            def random(self, count):
-                return np.full(count, 1.0 - 2.0**-53)
+            def random(self, count, out=None):
+                if out is None:
+                    return np.full(count, 1.0 - 2.0**-53)
+                out.fill(1.0 - 2.0**-53)
+                return out
 
         u = RngStream(4, 4, _gen=TopGenerator()).uniforms(3)
         assert np.all(u < 1.0)
+        buffer = np.empty(3)
+        assert RngStream(4, 4, _gen=TopGenerator()).uniforms(3, out=buffer) is buffer
+        assert np.all(buffer < 1.0)
         draws = sample(noise.gaussian(1.0), RngStream(4, 4, _gen=TopGenerator()), 3)
         assert np.all(np.isfinite(draws))
+
+    def test_out_receives_the_same_draws(self):
+        buffer = np.empty(1000)
+        stream = RngStream(7, 1)
+        assert stream.uniforms(1000, out=buffer) is buffer
+        assert stream.counter == 1000
+        assert np.array_equal(buffer, RngStream(7, 1).uniforms(1000))
+
+    @pytest.mark.parametrize("cols", [7, 300])
+    def test_row_blocks_fill_one_buffer(self, monkeypatch, cols):
+        """Whole-row blocks and the spans of a wide row are views of one
+        buffer of ``block_elements`` doubles, with the values of one request."""
+        monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", 128)
+        rows = 40
+        reference = RngStream(2, 5).uniforms(rows * cols).reshape(rows, cols)
+        got = np.empty((rows, cols))
+        spans = []
+        for start, count, draw in numerics.row_blocks(RngStream(2, 5), rows, cols):
+            for lo in range(0, cols, 100):
+                hi = min(lo + 100, cols)
+                spans.append(draw(lo, hi))
+                got[start : start + count, lo:hi] = spans[-1]
+        assert np.array_equal(got, reference)
+        assert all(np.shares_memory(span, spans[0]) for span in spans)
+        assert all(span.base.size == numerics.block_elements(rows, cols) for span in spans)
 
     def test_counter_tracks_draws(self):
         s = RngStream(1, 2)

@@ -9,6 +9,7 @@ Run it from anywhere; it runs ``python -m macfusion run <preset>`` with
 worker count, and compares the SHA-256 of each CSV with the hash pinned in
 ``CHANGES.md``: for each preset, the first ``<preset> <64 hex digits>`` pair
 in that file (the entry that pinned all nine). Prints one line per run,
+with its wall seconds, peak RSS and minor page faults (from ``os.wait4``),
 then a table of each preset's hash with its wall seconds at every worker
 count and the total per worker count, so the end-to-end times of all
 presets come with the hash check. Exits 0 if every hash matches, 1 on any
@@ -43,24 +44,31 @@ def pinned_hashes(presets, path=CHANGES) -> dict:
     return pinned
 
 
-def run_preset(name: str, workers: int, out_dir: str) -> tuple[str | None, float]:
-    """(SHA-256 of the CSV or None if the run failed, wall seconds)."""
+def run_preset(name: str, workers: int, out_dir: str) -> tuple[str | None, float, float, int]:
+    """(SHA-256 of the CSV or None if the run failed, wall seconds, peak RSS
+    in MB, minor page faults); the last two come from ``os.wait4``."""
     out = os.path.join(out_dir, f"{name}-w{workers}.csv")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     env.pop("MACFUSION_SEED", None)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "macfusion", "run", name, "--workers", str(workers), "--out", out],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    elapsed = time.perf_counter() - start
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        return None, elapsed
+    with tempfile.TemporaryFile() as stderr:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "macfusion", "run", name, "--workers", str(workers), "--out", out],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        elapsed = time.perf_counter() - start
+        # wait4 reaped the child; its status tells Popen not to wait again.
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        peak_mb = usage.ru_maxrss / 1024.0  # ru_maxrss is in KiB on Linux
+        if proc.returncode != 0:
+            stderr.seek(0)
+            sys.stderr.write(stderr.read().decode(errors="replace"))
+            return None, elapsed, peak_mb, usage.ru_minflt
     with open(out, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest(), elapsed
+        return hashlib.sha256(f.read()).hexdigest(), elapsed, peak_mb, usage.ru_minflt
 
 
 def summary(presets, worker_counts, results) -> list[str]:
@@ -97,14 +105,19 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as out_dir:
         for workers in args.workers:
             for name in args.presets:
-                digest, elapsed = results[name, workers] = run_preset(name, workers, out_dir)
+                digest, elapsed, peak_mb, faults = run_preset(name, workers, out_dir)
+                results[name, workers] = digest, elapsed
                 if digest is None:
                     verdict, status = "FAILED RUN", max(status, 2)
                 elif digest != pinned[name]:
                     verdict, status = "MISMATCH", max(status, 1)
                 else:
                     verdict = "ok"
-                print(f"{name:12s} workers={workers}  {elapsed:7.1f} s  {digest or '-'}  {verdict}", flush=True)
+                print(
+                    f"{name:12s} workers={workers}  {elapsed:7.1f} s  {peak_mb:6.1f} MB  {faults:8d} minflt"
+                    f"  {digest or '-'}  {verdict}",
+                    flush=True,
+                )
     print("\n".join(["", *summary(args.presets, args.workers, results), ""]))
     print("all hashes match" if status == 0 else "hash check failed")
     return status
