@@ -62,6 +62,11 @@ def _check_keys(d: dict, path: str, required: set[str], optional: set[str] = fro
         raise ConfigError(f"config error at {path}.{name}: required key is missing")
 
 
+# Largest count (sensors, trials, grid points, levels): beyond 2**53 a float
+# no longer holds every integer, and numpy cannot size an array anyway.
+_MAX_COUNT = 2**53
+
+
 def _check_number(v, loc: str, *, positive=False, integer=False, minimum=None, magnitude=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"config error at {loc}: expected a number, got {v!r}")
@@ -69,6 +74,8 @@ def _check_number(v, loc: str, *, positive=False, integer=False, minimum=None, m
         raise ConfigError(f"config error at {loc}: expected a finite number, got {v!r}")
     if integer and int(v) != v:
         raise ConfigError(f"config error at {loc}: expected an integer, got {v!r}")
+    if integer and abs(v) > _MAX_COUNT:
+        raise ConfigError(f"config error at {loc}: must be at most 2**53, got {v!r}")
     if positive and not v > 0:
         raise ConfigError(f"config error at {loc}: must be positive, got {v!r}")
     if minimum is not None and v < minimum:
@@ -258,9 +265,16 @@ def _estimation_setup(cfg, *, L=None, transmit=None) -> est.EstimationSetup:
     return est.EstimationSetup(L=L, transmit=transmit, **_channel(cfg, L))
 
 
-def _unit_sigma(setup):
+def _asv_setup(setup):
+    """``setup`` if its asymptotic variance is defined: unit sigma and a
+    differentiable transmit curve."""
     if not setup.sigmas.is_bounded_constant_one():
         raise ConfigError("config error at sigmas: asymptotic variance requires constant sigma = 1")
+    if not tx.is_differentiable(setup.transmit):
+        raise ConfigError(
+            f"config error at transmit.kind: asymptotic variance needs a differentiable transmit curve, "
+            f"not {setup.transmit.kind}"
+        )
     return setup
 
 
@@ -288,7 +302,7 @@ def _power_normalized_alpha(setup) -> float:
     with ``noise.nominal_variance`` standing in for Cauchy's var(n).
     """
     var_n, _ = noise_mod.nominal_variance(setup.noise)
-    mean_sq = float(np.mean(setup.sigmas.resolve(setup.L) ** 2))
+    mean_sq = est.sensor_sum(setup.sigmas, setup.L, lambda s: s**2) / setup.L
     return 1.0 / math.sqrt(setup.priors[1] * setup.theta * setup.theta + mean_sq * var_n)
 
 
@@ -313,7 +327,7 @@ def _median_abs_error(estimates, theta) -> float:
 
 def _prepare_asv_vs_omega(cfg, spec):
     functions = [build_transmit(d, path) for path, d in _transmit_configs(cfg)]
-    base = _unit_sigma(_estimation_setup(cfg, transmit=functions[0]))
+    base = _asv_setup(_estimation_setup(cfg, transmit=functions[0]))
     omegas = _grid(cfg.get("omega_grid"), "omega_grid", positive=True)
     trials = _trials(cfg)
     seed = cfg["master_seed"]
@@ -331,7 +345,7 @@ def _prepare_asv_vs_omega(cfg, spec):
 
 def _prepare_lvar_vs_L(cfg, spec):
     L_values, trials, seed, base = _L_sweep(cfg)
-    asv = est.asymptotic_variance(_unit_sigma(base), spec)
+    asv = est.asymptotic_variance(_asv_setup(base), spec)
 
     def row(stream_id_base, L):
         setup = replace(base, L=L)
@@ -758,13 +772,31 @@ def validate_common(cfg: dict) -> None:
         raise ConfigError("config error at experiment_id: expected a string")
 
 
+def _check_output(path, loc: str) -> str:
+    """``path`` if it is a non-empty string naming a file in an existing directory."""
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"config error at {loc}: expected a non-empty file path, got {path!r}")
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"config error at {loc}: {path!r} is not a file in an existing directory")
+    return path
+
+
 def run_config(cfg: dict, workers: int = 1, out_path: str | None = None) -> dict:
-    """Execute a validated config; returns the manifest dictionary."""
+    """Execute a validated config; returns the manifest dictionary.
+
+    The CSV goes to ``out_path`` (the ``--out`` option), else to the
+    config's ``output``, else to ``<experiment_id>.csv``; every path given
+    is checked before the experiment runs.
+    """
     validate_common(cfg)
+    if "output" in cfg:
+        _check_output(cfg["output"], "output")
+    if out_path is not None:
+        _check_output(out_path, "--out")
+    out_path = out_path or cfg.get("output") or _check_output(f"{cfg.get('experiment_id', cfg['kind'])}.csv", "experiment_id")
     start = time.perf_counter()
     header, rows = run_experiment(cfg, workers)
     elapsed = time.perf_counter() - start
-    out_path = out_path or cfg.get("output") or f"{cfg.get('experiment_id', cfg['kind'])}.csv"
     write_csv(out_path, header, rows)
     manifest = {
         "experiment_id": cfg.get("experiment_id", cfg["kind"]),

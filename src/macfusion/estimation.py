@@ -19,6 +19,12 @@ h_L is frozen once per setup into flat node/weight arrays, validated
 against the engine's moments at 13 check thetas (one quadrature per sigma
 group), and the targets are then solved in a kernel, each seeded by an
 inverse cubic through a 129-point monotone response grid.
+
+Memory does not grow with L for a constant sigma sequence: ``resolve``
+returns one value broadcast to L entries, ``distinct`` skips the sort, and
+sums over the sensors (``sensor_sum``) evaluate their term once. The
+inversion holds its two output arrays and the working set of one chunk of
+``INVERT_CHUNK`` targets, however many targets there are.
 """
 
 from __future__ import annotations
@@ -71,11 +77,16 @@ class SigmaSequence:
                 raise ValueError("explicit_list sigma sequence requires positive entries")
 
     def resolve(self, length: int) -> np.ndarray:
-        """sigma_1 .. sigma_L as an array."""
+        """sigma_1 .. sigma_L as an array.
+
+        A constant sequence comes back as a read-only zero-stride view of
+        its one value (``np.broadcast_to``), so it takes no memory that
+        grows with L; the other kinds materialize their L values.
+        """
         if length <= 0:
             raise ValueError("sensor count must be positive")
         if self.kind == CONSTANT:
-            return np.full(length, self.sigma)
+            return np.broadcast_to(np.float64(self.sigma), (length,))
         if self.kind == SQRT_GROWTH:
             return self.sigma * np.sqrt(np.arange(1, length + 1, dtype=np.float64))
         if len(self.values) != length:
@@ -83,8 +94,15 @@ class SigmaSequence:
         return np.asarray(self.values, dtype=np.float64)
 
     def distinct(self, length: int):
-        """(unique sigma values, multiplicities) for quadrature dedup."""
-        return np.unique(self.resolve(length), return_counts=True)
+        """(unique sigma values, multiplicities) for quadrature dedup.
+
+        A constant sequence gives ([sigma], [L]) without sorting L values:
+        the values and dtypes ``np.unique`` would return.
+        """
+        values = self.resolve(length)
+        if self.kind == CONSTANT:
+            return values[:1].copy(), np.array([length], dtype=np.intp)
+        return np.unique(values, return_counts=True)
 
     def is_bounded_constant_one(self) -> bool:
         if self.kind == CONSTANT:
@@ -252,6 +270,10 @@ CLAMP_MARGIN = 1e-9
 # grid costs more response evaluations than it saves.
 SEED_GRID_POINTS = 129
 
+# Targets ``FlatResponse.invert`` hands the kernel per call: its working set,
+# about 30 doubles per target, stays near one draw block.
+INVERT_CHUNK = 2048
+
 
 def asymptotic_variance(setup: EstimationSetup, spec: QuadratureSpec | None = None) -> float:
     """Limiting variance of sqrt(L) * (theta_hat - theta).
@@ -282,14 +304,28 @@ def asymptotic_variance(setup: EstimationSetup, spec: QuadratureSpec | None = No
     return noise_part / (slope * slope)
 
 
+def sensor_sum(sigmas: SigmaSequence, length: int, term) -> float:
+    """Sum over the ``length`` sensors of ``term(sigma_i)``, an elementwise
+    numpy expression.
+
+    A constant sequence evaluates ``term`` on one entry and sums a
+    zero-stride broadcast of it: numpy's pairwise sum visits the same
+    values in the same order, so the result is bit-identical to summing the
+    materialized terms, and no array grows with L.
+    """
+    values = sigmas.resolve(length)
+    if sigmas.kind == CONSTANT:
+        return float(np.sum(np.broadcast_to(term(values[:1]), (length,))))
+    return float(np.sum(term(values)))
+
+
 def af_gain(setup: EstimationSetup) -> tuple[float, bool]:
     """Power-normalizing gain alpha_L for amplify-and-forward.
 
     Returns (alpha_L, used_nominal_variance): see ``noise.nominal_variance``.
     """
     sigma_n2, nominal = nominal_variance(setup.noise)
-    sigmas = setup.sigmas.resolve(setup.L)
-    denom = float(np.sum(setup.theta**2 + sigmas**2 * sigma_n2))
+    denom = sensor_sum(setup.sigmas, setup.L, lambda s: setup.theta**2 + s**2 * sigma_n2)
     return math.sqrt(setup.total_power / denom), nominal
 
 
@@ -353,17 +389,22 @@ class FlatResponse:
         (at most two) sit far out on a saturating response; their brackets
         come from continuing the doubling walk beyond the grid ends, whose
         points extend the grid, so they do not stretch its cells.
+
+        One seed grid serves every target; the kernel then solves
+        ``INVERT_CHUNK`` targets at a time, so besides the two returned
+        arrays only one chunk's working set is held. A target's iteration
+        depends on its own values alone, so the thetas do not depend on the
+        chunk size.
         """
         targets = np.asarray(targets, dtype=np.float64)
         clamped = np.zeros(targets.shape, dtype=bool)
-        inner = targets
+        lo_t, hi_t = -math.inf, math.inf
         if math.isfinite(self.limit):
             lo_t, hi_t = -self.limit + CLAMP_MARGIN, self.limit - CLAMP_MARGIN
             clamped = (targets <= lo_t) | (targets >= hi_t)
-            inner = targets[~clamped]
-            targets = np.clip(targets, lo_t, hi_t)
-        t_min = float(inner.min()) if inner.size else math.inf
-        t_max = float(inner.max()) if inner.size else -math.inf
+        inner = ~clamped
+        t_min = float(np.min(targets, initial=math.inf, where=inner))
+        t_max = float(np.max(targets, initial=-math.inf, where=inner))
         below, _, width = self._walk(-1.0, 2.0, -1.0, t_min)
         above, _, width = self._walk(1.0, width, 1.0, t_max)
         lo = below[-1] if below else -1.0
@@ -383,9 +424,14 @@ class FlatResponse:
         # Enforce nondecreasing grid values; saturation plateaus can wiggle
         # at machine precision and searchsorted needs sorted input.
         grid_h = np.maximum.accumulate(np.concatenate(grid_h))
-        thetas = kernels.invert_h_targets(
-            self.nodes, self.weights, self.code, self.a, self.b, targets, np.concatenate(grid_x), grid_h
-        )
+        grid_x = np.concatenate(grid_x)
+        thetas = np.empty(targets.shape)
+        flat_targets, flat_thetas = targets.reshape(-1), thetas.reshape(-1)
+        for start in range(0, flat_targets.size, INVERT_CHUNK):
+            chunk = np.clip(flat_targets[start : start + INVERT_CHUNK], lo_t, hi_t)
+            flat_thetas[start : start + INVERT_CHUNK] = kernels.invert_h_targets(
+                self.nodes, self.weights, self.code, self.a, self.b, chunk, grid_x, grid_h
+            )
         return thetas, clamped
 
 

@@ -8,6 +8,10 @@ distributed over workers. Sweep points own disjoint stream-id blocks:
 ``cli.run_experiment`` gives point k the stream ids from
 k * POINT_STREAM_STRIDE = k * 2**32. A sweep point is a setup with one field
 swapped by ``dataclasses.replace``.
+
+Only the per-trial outputs grow with the trial count: the received values
+and AF estimates are written block by block as the trials are drawn, and
+the draw loop itself holds one draw block and one workspace.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ POINT_STREAM_STRIDE = 2**32
 class TrialSummary:
     """Per-experiment Monte Carlo record with recomputable aggregates."""
 
-    experiment_id: str
-    master_seed: int
     trials: int
     kind: str  # "estimation" or "detection"
     aggregates: dict = field(default_factory=dict)
@@ -72,7 +74,6 @@ def run_estimation_experiment(
     estimator: str = "bounded",
     stream_id_base: int = 0,
     spec: QuadratureSpec | None = None,
-    experiment_id: str = "estimation",
 ) -> TrialSummary:
     """Monte Carlo estimates over the full pipeline.
 
@@ -97,8 +98,6 @@ def run_estimation_experiment(
         clamp_count = int(clamped.sum())
 
     summary = TrialSummary(
-        experiment_id=experiment_id,
-        master_seed=master_seed,
         trials=trials,
         kind="estimation",
         clamp_count=clamp_count,
@@ -114,7 +113,8 @@ def _collect_signal_statistics(setup, trials, master_seed, stream_id_base) -> di
     """Draw all trials and return normalized targets plus AF estimates.
 
     The two estimators are deliberately fed the same realizations so
-    comparisons are paired.
+    comparisons are paired. Both outputs are written block by block as the
+    trials are drawn, so besides them nothing grows with the trial count.
     """
     stream = RngStream(master_seed, stream_id_base)
     sigmas = setup.sigmas.resolve(setup.L)
@@ -123,9 +123,8 @@ def _collect_signal_statistics(setup, trials, master_seed, stream_id_base) -> di
     channel = noise.gaussian(math.sqrt(setup.channel_noise_var))
     alpha, _ = af_gain(setup)
 
-    f_sums = np.empty(trials)
-    scaled_sums = np.empty(trials)
-    chan = np.empty(trials)
+    z_targets = np.empty(trials)
+    af_estimates = np.empty(trials)
     work = np.empty(block_elements(trials, setup.L + 1))
     for start, count, draw in row_blocks(stream, trials, setup.L + 1):
 
@@ -133,13 +132,11 @@ def _collect_signal_statistics(setup, trials, master_seed, stream_id_base) -> di
             return kernels.span_sums(setup.noise, draw(lo, hi), sigmas[lo:hi], setup.theta, code, a, b, work, scaled=True)
 
         rows = slice(start, start + count)
-        f_sums[rows], scaled_sums[rows] = pairwise_row_sum(setup.L, sensor_sums)
-        noise.transform_uniforms(channel, draw(setup.L, setup.L + 1)[:, 0], out=chan[rows])
-    z = (sqrt_rho * f_sums + chan) / math.sqrt(setup.L)
-    return {
-        "z_targets": z / math.sqrt(setup.total_power),
-        "af_estimates": setup.theta + scaled_sums / setup.L + chan / (setup.L * alpha),
-    }
+        f_sums, scaled_sums = pairwise_row_sum(setup.L, sensor_sums)
+        chan = noise.transform_uniforms(channel, draw(setup.L, setup.L + 1)[:, 0])
+        z_targets[rows] = (sqrt_rho * f_sums + chan) / math.sqrt(setup.L) / math.sqrt(setup.total_power)
+        af_estimates[rows] = setup.theta + scaled_sums / setup.L + chan / (setup.L * alpha)
+    return {"z_targets": z_targets, "af_estimates": af_estimates}
 
 
 def run_signal_statistics(setup, trials, master_seed, stream_id_base: int = 0) -> dict:
@@ -159,7 +156,6 @@ def run_detection_experiment(
     stream_id_base: int = 0,
     stratified: bool = False,
     spec: QuadratureSpec | None = None,
-    experiment_id: str = "detection",
 ) -> TrialSummary:
     """Monte Carlo error probability with the detector built once."""
     if trials < 1:
@@ -168,8 +164,6 @@ def run_detection_experiment(
     stream = RngStream(master_seed, stream_id_base)
     hypotheses, wrong = simulate_decisions(setup, detector, trials, stream, stratified=stratified)
     summary = TrialSummary(
-        experiment_id=experiment_id,
-        master_seed=master_seed,
         trials=trials,
         kind="detection",
         hypotheses=hypotheses,

@@ -11,7 +11,9 @@ import gc
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from macfusion import detection as det
 from macfusion import estimation as est
@@ -47,6 +49,34 @@ def test_inversion_peak_stays_within_a_few_blocks(rational_mesh):
     (thetas, clamped), peak = _traced_peak(lambda: flat.invert(targets))
     outputs = thetas.nbytes + clamped.nbytes
     assert peak - outputs <= 3 * _block_bytes()
+
+
+def test_inversion_of_many_targets_holds_one_chunk():
+    """10**5 targets on a 30-node tanh response (two of them clamped).
+
+    One seed grid serves every target and the kernel solves them
+    ``estimation.INVERT_CHUNK`` at a time, so besides the returned thetas
+    and clamp mask only one chunk's working set is held; whole-array
+    inversion held about 23 target-length arrays (35 blocks here).
+    """
+    v, w = numerics.fixed_mesh_nodes(np.linspace(1e-6, 1.0 - 1e-6, 3))
+    code, a, b = tx.kind_params(tx.tanh_fn(1.0))
+    flat = est.FlatResponse(nodes=ndtri(v), weights=w, code=code, a=a, b=b, limit=float(w.sum()))
+    targets = np.random.default_rng(1).uniform(-0.95, 0.95, 10**5) * flat.limit
+    targets[:2] = [-1.0, 1.0]
+    (thetas, clamped), peak = _traced_peak(lambda: flat.invert(targets))
+    assert clamped.sum() == 2
+    assert peak - thetas.nbytes - clamped.nbytes <= 3 * _block_bytes()
+
+
+def test_signal_statistics_hold_nothing_of_sensor_length():
+    """Constant sigma at L = 10**6 with 2 trials: each row is drawn span by
+    span, the scales stay one zero-stride value, and the AF gain sums a
+    broadcast of one term. Materialized scales and their gain temporaries
+    peaked at about 46 blocks."""
+    setup = est.EstimationSetup(1.0, 10**6, est.constant_sigmas(1.0), noise.gaussian(1.0), tx.tanh_fn(0.75), 10.0, 1.0)
+    stats, peak = _traced_peak(lambda: harness.run_signal_statistics(setup, 2, 7))
+    assert peak - sum(v.nbytes for v in stats.values()) <= 3 * _block_bytes()
 
 
 @pytest.mark.parametrize("blocks", [4, 32])

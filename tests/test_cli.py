@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from macfusion import cli, harness, noise
 from macfusion import estimation as est
 from macfusion import transmit as tx
 from oracles import InversionRangeError, read_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SMALL_FIG2 = [
     "trials=200",
@@ -367,6 +373,60 @@ class TestFoundProbes:
         code, err = self._fails(tmp_path, capsys, "fig2", f'quadrature={{"tail_mass":{mass}}}', *SMALL_FIG2)
         assert code == 2
         assert "config error at quadrature: tail_mass must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize(
+        "preset, override, field",
+        [
+            ("fig2", "L=1180591620717411303424", "config.L"),
+            ("cauchy-af", "trials=1e308", "config.trials"),
+            ("fig5", "omega_grid.points=1e308", "omega_grid.points"),
+            ("cauchy-af", "L_values=[100,9007199254740993]", "L_values[1]"),
+        ],
+    )
+    def test_counts_beyond_2_to_the_53_exit_2(self, tmp_path, capsys, preset, override, field):
+        """An integer-valued count of 2**70 or 1e308 passed validation and ended
+        in numpy's "Maximum allowed dimension exceeded" ValueError."""
+        code, err = self._fails(tmp_path, capsys, preset, override)
+        assert code == 2
+        assert f"config error at {field}: must be at most 2**53" in err
+
+    @pytest.mark.parametrize(
+        "transmit", ['{"kind":"uniform_quantizer","x_max":2,"M":5}', '{"kind":"signed_power","p_exponent":0.3}']
+    )
+    def test_asymptotic_variance_of_a_curve_without_a_slope_exits_2(self, tmp_path, capsys, transmit):
+        """lvar_vs_L with a quantizer or signed power raised UnsupportedKindError
+        in estimation.asymptotic_variance (found by the config fuzzer)."""
+        code, err = self._fails(tmp_path, capsys, "fig3", f"transmit={transmit}")
+        assert code == 2
+        assert "config error at transmit.kind: asymptotic variance needs a differentiable transmit curve" in err
+
+    def test_output_that_is_not_a_path_exits_2(self, tmp_path):
+        """``output=1`` opened file descriptor 1 (stdout), wrote the CSV there,
+        closed it and then ended in a TypeError; run in a child, since the
+        old behaviour closes the stdout of whoever runs it."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        args = ["run", "duality", "--set", 'grid={"lo":-1,"hi":1,"points":3}', "--set", "output=1"]
+        result = subprocess.run(
+            [sys.executable, "-m", "macfusion", *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 2
+        assert "config error at output: expected a non-empty file path" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("field", ["--out", "output"])
+    def test_output_in_a_missing_directory_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch, field):
+        """A CSV path in a directory that does not exist ran the whole
+        experiment and then ended in FileNotFoundError."""
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg, workers: runs.append(cfg) or (["x"], [[1.0]]))
+        path = str(tmp_path / "missing" / "x.csv")
+        args = ["run", "duality", "--out", path] if field == "--out" else ["run", "duality", "--set", f"output={path}"]
+        code = _run(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error at {field}: {path!r} is not a file in an existing directory" in err
+        assert runs == []
 
 
 class TestMeshValidationMessage:

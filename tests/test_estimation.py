@@ -43,6 +43,23 @@ class TestSigmaSequence:
         with pytest.raises(ValueError):
             seq.resolve(3)
 
+    def test_constant_is_a_read_only_zero_stride_view(self):
+        seq = est.constant_sigmas(2.0).resolve(10**6)
+        assert seq.shape == (10**6,)
+        assert seq.strides == (0,)
+        assert not seq.flags.writeable
+        with pytest.raises(ValueError):
+            seq[0] = 1.0
+
+    @pytest.mark.parametrize("L", [1, 7, 1000])
+    def test_constant_distinct_is_the_unique_of_the_materialized_array(self, L):
+        values, counts = est.constant_sigmas(0.3).distinct(L)
+        expected_values, expected_counts = np.unique(np.full(L, 0.3), return_counts=True)
+        assert values.dtype == expected_values.dtype
+        assert counts.dtype == expected_counts.dtype
+        assert np.array_equal(values, expected_values)
+        assert np.array_equal(counts, expected_counts)
+
     def test_distinct_counts(self):
         seq = est.SigmaSequence(est.EXPLICIT_LIST, values=(1.0, 2.0, 1.0, 1.0))
         values, counts = seq.distinct(4)
@@ -184,6 +201,15 @@ class TestAmplifyForward:
         total = alpha**2 * np.sum(0.6**2 + sigmas**2 * noise.variance(setup.noise))
         assert total == pytest.approx(setup.total_power, rel=1e-12)
 
+    @pytest.mark.parametrize("L", [1, 9, 128, 129, 8193, 100_003])
+    def test_constant_gain_is_bit_identical_to_the_materialized_sum(self, L):
+        """af_gain sums one term broadcast over L sensors; numpy's pairwise
+        sum gives the same bits as summing L materialized terms."""
+        setup = _setup(L=L, theta=0.6, sigmas=est.constant_sigmas(1.7), noise=noise.laplacian(0.8))
+        sigma_n2, _ = noise.nominal_variance(setup.noise)
+        expected = math.sqrt(setup.total_power / float(np.sum(0.6**2 + np.full(L, 1.7) ** 2 * sigma_n2)))
+        assert est.af_gain(setup)[0] == expected
+
     def test_cauchy_uses_nominal_variance(self):
         setup = _setup(noise=noise.cauchy(1.0))
         _, nominal = est.af_gain(setup)
@@ -312,6 +338,29 @@ class TestFlatResponseFastPath:
         assert list(clamped) == [True, True, False]
         margin = flat.limit - est.CLAMP_MARGIN
         assert flat.eval(thetas) == pytest.approx([margin, -margin, 0.5], abs=1e-12)
+
+    def test_chunked_inversion_matches_one_kernel_call(self, monkeypatch):
+        """Chunks of 7 targets give the bits of one ``invert_h_targets``
+        call: every target iterates on its own values, from one seed grid."""
+        setup = _setup(transmit=tx.rational_fn(2.7), L=40)
+        flat = est.build_flat_response(setup)
+        targets = np.concatenate([harness.run_signal_statistics(setup, 100, 8)["z_targets"], [-1.0, 1.0]])
+        calls = []
+        invert = kernels.invert_h_targets
+
+        def counting(*args):
+            calls.append(args[5].size)
+            return invert(*args)
+
+        monkeypatch.setattr(kernels, "invert_h_targets", counting)
+        monkeypatch.setattr(est, "INVERT_CHUNK", targets.size)
+        whole, whole_clamped = flat.invert(targets)
+        monkeypatch.setattr(est, "INVERT_CHUNK", 7)
+        chunked, chunked_clamped = flat.invert(targets)
+        assert calls == [102] + [7] * 14 + [4]
+        assert whole_clamped.sum() == 2
+        assert np.array_equal(whole_clamped, chunked_clamped)
+        assert whole.tobytes() == chunked.tobytes()
 
     def test_clamped_targets_do_not_stretch_the_seed_grid(self, monkeypatch):
         """Two margin targets cost a few evaluations, not wider grid cells.
