@@ -66,6 +66,11 @@ def _check_keys(d: dict, path: str, required: set[str], optional: set[str] = fro
 # no longer holds every integer, and numpy cannot size an array anyway.
 _MAX_COUNT = 2**53
 
+# Most quantizer levels: each cell edge is an initial quadrature panel of
+# every moment, per sigma and per theta, so memory grows with M before any
+# refinement (consistency at M = 1025 peaks near 140 MB).
+_MAX_QUANTIZER_LEVELS = 1025
+
 
 def _check_number(v, loc: str, *, positive=False, integer=False, minimum=None, magnitude=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -127,11 +132,11 @@ def build_transmit(d, path="transmit") -> tx.TransmitFunction:
             return tx.TransmitFunction(kind, p_exponent=_number(d, "p_exponent", path, positive=True))
         if kind == tx.UNIFORM_QUANTIZER:
             _check_keys(d, path, {"kind", "x_max", "M"})
-            return tx.TransmitFunction(
-                kind,
-                x_max=_number(d, "x_max", path, positive=True),
-                levels=_number(d, "M", path, positive=True, integer=True),
-            )
+            x_max = _number(d, "x_max", path, positive=True)
+            levels = _number(d, "M", path, positive=True, integer=True)
+            if levels > _MAX_QUANTIZER_LEVELS:
+                raise ConfigError(f"config error at {path}.M: must be at most {_MAX_QUANTIZER_LEVELS}, got {levels}")
+            return tx.TransmitFunction(kind, x_max=x_max, levels=levels)
         _check_keys(d, path, {"kind", "alpha"})
         alpha = d.get("alpha")
         if alpha == "power":

@@ -26,19 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels, noise, transmit as tx
+from . import kernels, transmit as tx
 from .estimation import EstimationSetup, g_moment
 from .noise import NoiseModel, score
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    NumericsError,
-    QuadratureSpec,
-    adaptive_quadrature,
-    block_elements,
-    minimize_scalar,
-    pairwise_row_sum,
-    row_blocks,
-)
+from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec, adaptive_quadrature, minimize_scalar
 
 
 @dataclass(frozen=True)
@@ -167,23 +158,22 @@ def decide(detector: GaussianApproxDetector, y):
     return out
 
 
-def summarize_errors(priors, hypotheses: np.ndarray, wrong: np.ndarray, stratified: bool) -> tuple[float, float]:
-    """(Pe, binomial standard error) from per-trial outcomes."""
+def summarize_errors(priors, trials_by_h, errors_by_h, stratified: bool) -> tuple[float, float]:
+    """(Pe, binomial standard error) from the trial and error counts per hypothesis."""
     p0, p1 = priors
-    trials = hypotheses.size
+    n0, n1 = (int(n) for n in trials_by_h)
+    e0, e1 = (int(e) for e in errors_by_h)
     if stratified:
-        mask1 = hypotheses == 1
-        n1 = int(mask1.sum())
-        n0 = trials - n1
-        rate0 = float(wrong[~mask1].mean()) if n0 else 0.0
-        rate1 = float(wrong[mask1].mean()) if n1 else 0.0
+        rate0 = e0 / n0 if n0 else 0.0
+        rate1 = e1 / n1 if n1 else 0.0
         pe = p0 * rate0 + p1 * rate1
         stderr = math.sqrt(
             (p0 * p0 * rate0 * (1.0 - rate0) / n0 if n0 else 0.0)
             + (p1 * p1 * rate1 * (1.0 - rate1) / n1 if n1 else 0.0)
         )
         return pe, stderr
-    pe = float(wrong.mean())
+    trials = n0 + n1
+    pe = (e0 + e1) / trials
     return pe, math.sqrt(max(pe * (1.0 - pe), 0.0) / trials)
 
 
@@ -194,43 +184,27 @@ def simulate_decisions(
     stream,
     stratified: bool = False,
 ):
-    """Run the full transmit/superpose/decide pipeline trial by trial.
+    """Run the full transmit/superpose/decide pipeline over ``trials`` trials.
 
-    Returns (hypotheses, wrong) as uint8 arrays. Draw order per trial is
-    one hypothesis uniform (omitted when stratified), sensors in ascending
-    index order, then the channel draw; trials are row-major in the stream.
-    Each draw block is decided as soon as it is drawn, and every span is
-    transformed into one workspace of the call, so no temporary grows with
-    the trial count and none of draw size is allocated per block.
+    Returns ``(trials_by_h, errors_by_h)``: the number of trials and of wrong
+    decisions under H0 and H1. Each trial draws one hypothesis uniform
+    (omitted when stratified: the first round(P0 * trials) trials are H0) in
+    the lead column of ``kernels.draw_blocks``, and each block is decided
+    as soon as it is drawn.
     """
-    code, a, b = tx.kind_params(setup.transmit)
-    sigmas = setup.sigmas.resolve(setup.L)
-    sqrt_rho = math.sqrt(setup.rho)
-    channel = noise.gaussian(math.sqrt(setup.channel_noise_var))
     p0, _ = setup.priors
     n_h0_total = int(round(p0 * trials)) if stratified else 0
-    lead = 0 if stratified else 1  # columns before the sensors
-    cols = lead + setup.L + 1
-
-    hypotheses = np.empty(trials, dtype=np.uint8)
-    wrong = np.empty(trials, dtype=np.uint8)
-    work = np.empty(block_elements(trials, cols))
-    for start, count, draw in row_blocks(stream, trials, cols):
-        rows = slice(start, start + count)
-        if stratified:
-            hypotheses[rows] = np.arange(start, start + count) >= n_h0_total
-        else:
-            hypotheses[rows] = draw(0, 1)[:, 0] >= p0
-        shift = hypotheses[rows, None] * setup.theta
-
-        def sensor_sums(lo, hi):
-            return kernels.span_sums(setup.noise, draw(lead + lo, lead + hi), sigmas[lo:hi], shift, code, a, b, work)
-
-        # The channel column is requested last: a wide row draws it after its sensor spans.
-        sensor_part = sqrt_rho * pairwise_row_sum(setup.L, sensor_sums)
-        y = sensor_part + noise.transform_uniforms(channel, draw(cols - 1, cols)[:, 0])
-        wrong[rows] = decide(detector, y) != hypotheses[rows]
-    return hypotheses, wrong
+    sqrt_rho = math.sqrt(setup.rho)
+    trials_by_h = np.zeros(2, dtype=np.int64)
+    errors_by_h = np.zeros(2, dtype=np.int64)
+    for rows, lead, sums in kernels.draw_blocks(setup, trials, stream, lead=0 if stratified else 1):
+        h1 = np.arange(rows.start, rows.stop) >= n_h0_total if stratified else lead[:, 0] >= p0
+        f_sums, _, chan = sums(h1[:, None] * setup.theta)
+        wrong = decide(detector, sqrt_rho * f_sums + chan) != h1
+        n1, e1 = np.count_nonzero(h1), np.count_nonzero(wrong & h1)
+        trials_by_h += (h1.size - n1, n1)
+        errors_by_h += (np.count_nonzero(wrong) - e1, e1)
+    return trials_by_h, errors_by_h
 
 
 def locally_optimal_nonlinearity(model: NoiseModel):

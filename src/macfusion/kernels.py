@@ -3,9 +3,10 @@
 Three operations dominate simulation runtime: transmit-curve evaluation
 over large draw arrays, per-trial channel sums, and batched inversion of
 the frozen mean-response function (about three response evaluations per
-target, from a cubic seed). Random number generation never happens
-inside kernels, so the draws an experiment consumes do not depend on how
-the kernels batch their work.
+target, from a cubic seed). Only ``draw_blocks``, the one Monte Carlo
+draw loop of estimation and detection, draws random numbers, in the fixed
+layout its docstring gives, so the draws an experiment consumes do not
+depend on how the kernels batch their work.
 
 Each transmit curve is defined once, in ``_curve``, as a chain of ufunc
 calls that take an ``out=`` argument: with ``out=None`` the first call
@@ -13,12 +14,6 @@ allocates the result and the rest of the chain runs in place on it; with
 ``out=x`` the whole chain overwrites ``x`` (the rational curve and the
 signed power keep one scratch array for their second operand). The order
 of operations is fixed, so every entry point gives bit-identical values.
-
-The Monte Carlo spans allocate nothing of draw size: ``span_sums`` writes
-the noise transform of a span's uniforms into the caller's workspace
-(one per simulated point, ``numerics.block_elements`` doubles), scales
-and shifts it in place and hands it to ``channel_sums(..., out=x)``,
-which applies the curve in place before the row sums.
 
 The mean response h(theta) = sum_j w_j f(theta + u_j) is evaluated by
 ``eval_response`` in tiles of at most ``numerics.DRAW_BLOCK_ELEMENTS``
@@ -40,7 +35,7 @@ import math
 
 import numpy as np
 
-from . import noise, numerics
+from . import noise, numerics, transmit as tx
 
 _FOUR_OVER_PI = 4.0 / math.pi
 
@@ -100,25 +95,59 @@ def channel_sums(code: int, a: float, b: float, x: np.ndarray, out: np.ndarray |
     return _curve(code, a, b, x, out=out).sum(axis=1)
 
 
-def span_sums(
-    model, u: np.ndarray, sigmas: np.ndarray, shift, code: int, a: float, b: float, work: np.ndarray, scaled: bool = False
-):
-    """Row sums of f(shift + sigmas * n) over one span of sensor columns.
+def draw_blocks(setup, trials: int, stream, lead: int = 0):
+    """The simulated channel of ``setup``, block by block of trials.
 
-    ``u`` holds the span's uniforms, (trials, sensors); n is their noise
-    transform under ``model``. ``work`` is the caller's flat float64
-    workspace of at least ``u.size`` values: the transform is written to
-    its head, scaled and shifted in place, and mapped through f in place
-    before the channel sums. With ``scaled`` the result is a (2, trials)
-    array whose second row holds the row sums of sigmas * n, taken before
-    the shift.
+    Draw layout: each trial is one row of ``lead + L + 1`` uniforms from
+    ``stream``, rows one after another. The ``lead`` columns belong to the
+    caller (detection's hypothesis uniform), then come the L sensor columns
+    in ascending index order, then the channel column. Sensor i sends
+    f(shift + sigma_i n_i), where n_i is the noise transform of its uniform
+    under ``setup.noise``; the channel draw is the transform under
+    N(0, channel_noise_var). ``numerics.row_blocks`` draws as many whole rows
+    as fit in ``numerics.DRAW_BLOCK_ELEMENTS`` at once, and a wider row span
+    by span; the values are the same for any budget.
+
+    Yields ``(rows, lead_columns, sums)`` per block. ``rows`` is the block's
+    slice of the trials and ``lead_columns`` its (trials, lead) uniforms,
+    None when ``lead`` is 0; the view is valid until ``sums`` is called.
+    ``sums(shift, scaled=False)`` draws the rest of the block and returns
+    ``(f_sums, scaled_sums, channel)``: the row sums of f(shift + sigma n),
+    those of sigma n when ``scaled`` (else None), and the channel draws;
+    ``shift`` is a scalar or one value per trial as a (trials, 1) column.
+    Call it exactly once per block, so every column is drawn once and in
+    stream order.
+
+    Nothing of draw size is allocated per block: each span's transform is
+    written into one workspace of ``numerics.block_elements`` doubles per
+    call, scaled and shifted in place and mapped through f in place by
+    ``channel_sums``. A wide row's span sums are combined along numpy's
+    pairwise tree (``numerics.pairwise_row_sum``), so every sum is
+    bit-identical to summing the whole row at once.
     """
-    x = noise.transform_uniforms(model, u, out=work[: u.size].reshape(u.shape))
-    np.multiply(sigmas, x, out=x)
-    scaled_sums = x.sum(axis=1) if scaled else None
-    np.add(shift, x, out=x)
-    sums = channel_sums(code, a, b, x, out=x)
-    return np.stack([sums, scaled_sums]) if scaled else sums
+    sigmas = setup.sigmas.resolve(setup.L)
+    code, a, b = tx.kind_params(setup.transmit)
+    channel = noise.gaussian(math.sqrt(setup.channel_noise_var))
+    cols = lead + setup.L + 1
+    work = np.empty(numerics.block_elements(trials, cols))
+    for start, count, draw in numerics.row_blocks(stream, trials, cols):
+
+        def sums(shift, scaled=False):
+            def leaf(lo, hi):
+                u = draw(lead + lo, lead + hi)
+                x = noise.transform_uniforms(setup.noise, u, out=work[: u.size].reshape(u.shape))
+                np.multiply(sigmas[lo:hi], x, out=x)
+                scaled_sums = x.sum(axis=1) if scaled else None
+                np.add(shift, x, out=x)
+                f_sums = channel_sums(code, a, b, x, out=x)
+                return np.stack([f_sums, scaled_sums]) if scaled else f_sums
+
+            total = numerics.pairwise_row_sum(setup.L, leaf)
+            f_sums, scaled_sums = total if scaled else (total, None)
+            # Requested last: a wide row draws the channel column after its sensor spans.
+            return f_sums, scaled_sums, noise.transform_uniforms(channel, draw(cols - 1, cols)[:, 0])
+
+        yield slice(start, start + count), draw(0, lead) if lead else None, sums
 
 
 def eval_response(

@@ -15,16 +15,8 @@ mesh are summed exactly (``math.fsum``).
 Random streams are counter-keyed Philox generators: the pair
 (master_seed, stream_id) fully determines the draw sequence, so any worker
 layout that assigns disjoint stream ids reproduces bit-identical results.
-Simulations draw their trials row-major from a stream in blocks of at most
-``DRAW_BLOCK_ELEMENTS`` values, so every temporary stays cache-sized.
-
-The draw loop allocates nothing per block. ``row_blocks`` fills one
-uniform buffer of ``block_elements(rows, cols)`` doubles, owned by the
-call, block after block; a caller that transforms the draws keeps one
-workspace of the same size for its own whole call (one simulated point).
-``pairwise_row_sum`` recurses through a module-level function, so the
-span closures a caller passes it form no reference cycle and each block
-is freed as soon as the loop lets go of it, not at the next GC pass.
+``row_blocks`` and ``pairwise_row_sum`` serve ``kernels.draw_blocks``, the
+one Monte Carlo draw loop, whose docstring describes the draw layout.
 """
 
 from __future__ import annotations
@@ -384,12 +376,9 @@ _PAIRWISE_LEAF = 128
 
 
 def block_elements(rows: int, cols: int) -> int:
-    """Doubles in the largest block ``row_blocks(stream, rows, cols)`` draws.
-
-    Whole rows: as many as fit in ``DRAW_BLOCK_ELEMENTS``. A row wider than
-    that is drawn in spans of at most the widest leaf of
-    ``pairwise_row_sum``. A caller's per-point workspace takes this size.
-    """
+    """Doubles in the largest block ``row_blocks(stream, rows, cols)`` draws:
+    whole rows, or for a row wider than ``DRAW_BLOCK_ELEMENTS`` the widest
+    leaf of ``pairwise_row_sum``."""
     if cols > DRAW_BLOCK_ELEMENTS:
         return max(DRAW_BLOCK_ELEMENTS, _PAIRWISE_LEAF)
     return min(DRAW_BLOCK_ELEMENTS // cols, rows) * cols
@@ -404,12 +393,8 @@ def row_blocks(stream: RngStream, rows: int, cols: int):
     in one request; a row wider than that comes alone and is drawn span by
     span as its columns are requested, so a caller must then request every
     column once, in increasing order, at most ``block_elements(rows, cols)``
-    columns at a time. The stream order, and hence every value, is the same
-    for any budget.
-
-    Every block is drawn into one buffer of ``block_elements(rows, cols)``
-    doubles that the call owns, so a block's views stay valid only until
-    the next block (for a wide row, the next span) is drawn.
+    columns at a time. Every block goes into one buffer that the call owns,
+    so its views stay valid only until the next block or span is drawn.
     """
     per_block = max(1, DRAW_BLOCK_ELEMENTS // cols)
     buffer = np.empty(block_elements(rows, cols))
@@ -443,6 +428,8 @@ def pairwise_row_sum(width: int, leaf):
     ``.sum(axis=-1)``. The span is split along numpy's own pairwise
     summation tree until each piece holds at most ``DRAW_BLOCK_ELEMENTS``
     columns (or is a leaf of that tree), so the result is bit-identical to
-    summing whole rows at once. Leaves are visited left to right.
+    summing whole rows at once. Leaves are visited left to right. The
+    recursion is a module-level function, so a caller's leaf closure forms
+    no reference cycle and its block is freed at once, not at a GC pass.
     """
     return _pairwise_node(leaf, 0, width)

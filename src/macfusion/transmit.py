@@ -147,7 +147,9 @@ def derivative(f: TransmitFunction, x):
             c = np.cosh(f.omega * x)
             out = f.omega / (c * c)
     elif f.kind == GUDERMANNIAN:
-        out = (2.0 / np.pi) * f.omega / np.cosh(f.omega * x)
+        # cosh overflows to inf beyond |omega x| ~ 710, where the slope is 0.
+        with np.errstate(over="ignore"):
+            out = (2.0 / np.pi) * f.omega / np.cosh(f.omega * x)
     elif f.kind == RATIONAL:
         out = f.omega / (1.0 + np.abs(f.omega * x)) ** 2
     elif f.kind == LINEAR:

@@ -390,6 +390,21 @@ class TestFoundProbes:
         assert code == 2
         assert f"config error at {field}: must be at most 2**53" in err
 
+    @pytest.mark.parametrize("levels", [10**9, 10**9 + 1])
+    def test_huge_quantizer_level_count_exits_2(self, tmp_path, capsys, monkeypatch, levels):
+        """An odd M near 10**9 passed validation, and the quantizer's cell-edge
+        tuple alone would take tens of GB; the bound rejects any M above it
+        before an edge is built."""
+
+        def no_edges(f):
+            raise AssertionError("breakpoints built for a rejected quantizer")
+
+        monkeypatch.setattr(tx, "breakpoints", no_edges)
+        transmit = json.dumps({"kind": "uniform_quantizer", "x_max": 2, "M": levels})
+        code, err = self._fails(tmp_path, capsys, "fig6", f"transmits=[{transmit}]")
+        assert code == 2
+        assert "config error at transmits[0].M: must be at most 1025" in err
+
     @pytest.mark.parametrize(
         "transmit", ['{"kind":"uniform_quantizer","x_max":2,"M":5}', '{"kind":"signed_power","p_exponent":0.3}']
     )

@@ -174,9 +174,10 @@ class TestErrorProbability:
     def test_stratified_draw_accounting_and_agreement(self):
         setup = _setup(theta=math.sqrt(10.0), total_power=10**0.3)
         stream = RngStream(4, 0)
-        hypotheses, wrong = det.simulate_decisions(setup, det.build_detector(setup), 20000, stream, stratified=True)
+        trials_by_h, errors_by_h = det.simulate_decisions(setup, det.build_detector(setup), 20000, stream, stratified=True)
         assert stream.counter == 20000 * (setup.L + 1)
-        pe_strat, se_strat = det.summarize_errors(setup.priors, hypotheses, wrong, True)
+        assert list(trials_by_h) == [10000, 10000]
+        pe_strat, se_strat = det.summarize_errors(setup.priors, trials_by_h, errors_by_h, True)
         plain = harness.run_detection_experiment(setup, 20000, 4, stream_id_base=1).aggregates
         assert abs(pe_strat - plain["pe"]) < 3.0 * (se_strat + plain["stderr"])
 

@@ -167,7 +167,7 @@ class TestDetectionExperiment:
         setup = _det_setup()
         a = harness.run_detection_experiment(setup, 1000, 11)
         b = harness.run_detection_experiment(setup, 1000, 11)
-        assert np.array_equal(a.errors, b.errors)
+        assert np.array_equal(a.counts, b.counts)
         assert a.aggregates == b.aggregates
 
     def test_aggregates_recomputable(self):
@@ -176,18 +176,24 @@ class TestDetectionExperiment:
 
     @pytest.mark.parametrize("stratified", [False, True])
     def test_element_budget_does_not_change_decisions(self, monkeypatch, stratified):
-        """Budgets of part of a row, one row and the whole run agree."""
+        """Budgets of part of a row, one row and the whole run agree: the same
+        received values reach the decision, and the counts match."""
         setup = _det_setup(L=400)
         detector = det.build_detector(setup)
         trials = 60
         cols = setup.L + (1 if stratified else 2)
+        decide = det.decide
         runs = []
         for budget in (numerics.DRAW_BLOCK_ELEMENTS, 150, cols, trials * cols):
             monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
-            runs.append(det.simulate_decisions(setup, detector, trials, RngStream(14, 0), stratified=stratified))
-        for hypotheses, wrong in runs[1:]:
-            assert np.array_equal(hypotheses, runs[0][0])
-            assert np.array_equal(wrong, runs[0][1])
+            received = []
+            monkeypatch.setattr(det, "decide", lambda d, y: received.append(y.copy()) or decide(d, y))
+            counts = det.simulate_decisions(setup, detector, trials, RngStream(14, 0), stratified=stratified)
+            runs.append((np.concatenate(received), counts))
+        for y, (trials_by_h, errors_by_h) in runs[1:]:
+            assert np.array_equal(y, runs[0][0])
+            assert np.array_equal(trials_by_h, runs[0][1][0])
+            assert np.array_equal(errors_by_h, runs[0][1][1])
 
     def test_zero_theta_coin_flip(self):
         summary = harness.run_detection_experiment(_det_setup(theta=0.0), 4000, 13)

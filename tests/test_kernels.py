@@ -388,6 +388,21 @@ def _plain_signal_statistics(setup, trials, master_seed):
     }
 
 
+def _check_decisions(setup, trials, stratified, monkeypatch):
+    """simulate_decisions hands ``decide`` the received values of the
+    allocating closure, bit for bit, and counts its outcomes."""
+    detector = det.GaussianApproxDetector(mean0=0.0, mean1=4.0, var0=3.0, var1=3.5, log_prior_ratio=0.0)
+    captured = []
+    decide = det.decide
+    monkeypatch.setattr(det, "decide", lambda d, y: captured.append(np.array(y)) or decide(d, y))
+    trials_by_h, errors_by_h = det.simulate_decisions(setup, detector, trials, numerics.RngStream(11, 3), stratified=stratified)
+    monkeypatch.setattr(det, "decide", decide)
+    ref_h, ref_wrong, ref_y = _plain_simulate_decisions(setup, detector, trials, numerics.RngStream(11, 3), stratified)
+    assert np.array_equal(_bits(np.concatenate(captured)), _bits(ref_y))  # one decide call per draw block
+    assert np.array_equal(trials_by_h, np.bincount(ref_h, minlength=2))
+    assert np.array_equal(errors_by_h, np.bincount(ref_h[ref_wrong == 1], minlength=2))
+
+
 SIGMAS = {"constant": est.constant_sigmas(1.0), "sqrt": est.sqrt_growth_sigmas(0.5)}
 # (L, element budget): whole rows per block, and rows wider than a block,
 # which are drawn and summed span by span.
@@ -407,21 +422,7 @@ class TestMonteCarloSpans:
             theta=1.5, L=L, sigmas=SIGMAS[sigmas], noise=noise.NoiseModel(kind, 1.0),
             transmit=tx.tanh_fn(1.0), total_power=2.0, channel_noise_var=1.0,
         )
-        detector = det.GaussianApproxDetector(mean0=0.0, mean1=4.0, var0=3.0, var1=3.5, log_prior_ratio=0.0)
-        captured = []
-        decide = det.decide
-
-        def capturing(detector, y):
-            captured.append(np.array(y))
-            return decide(detector, y)
-
-        monkeypatch.setattr(det, "decide", capturing)
-        hypotheses, wrong = det.simulate_decisions(setup, detector, 700, numerics.RngStream(11, 3), stratified=stratified)
-        y = np.concatenate(captured)  # one decide call per draw block
-        monkeypatch.setattr(det, "decide", decide)
-        ref_h, ref_wrong, ref_y = _plain_simulate_decisions(setup, detector, 700, numerics.RngStream(11, 3), stratified)
-        assert np.array_equal(_bits(y), _bits(ref_y))
-        assert np.array_equal(hypotheses, ref_h) and np.array_equal(wrong, ref_wrong)
+        _check_decisions(setup, 700, stratified, monkeypatch)
 
     @pytest.mark.parametrize("width", sorted(WIDTHS))
     @pytest.mark.parametrize("sigmas", sorted(SIGMAS))
@@ -445,3 +446,13 @@ class TestMonteCarloSpans:
         ref = _plain_signal_statistics(setup, 3, 17)
         for key in ("z_targets", "af_estimates"):
             assert np.array_equal(_bits(got[key]), _bits(ref[key]))
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_wide_detection_rows_match_the_allocating_closure(self, stratified, monkeypatch):
+        """The same wide Cauchy rows through the decision loop, whose lead
+        hypothesis column comes before the first sensor span."""
+        setup = det.DetectionSetup(
+            theta=1.5, L=numerics.DRAW_BLOCK_ELEMENTS + 5000, sigmas=SIGMAS["sqrt"], noise=noise.cauchy(1.0),
+            transmit=tx.tanh_fn(0.75), total_power=2.0, channel_noise_var=1.0,
+        )
+        _check_decisions(setup, 4, stratified, monkeypatch)

@@ -1,6 +1,7 @@
 """Transmit-curve contracts: bounds, monotonicity, derivatives, power."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,14 @@ class TestDerivative:
         width = 1.0 / f.omega if f.omega else 10.0
         x = np.linspace(-8.0 * width, 8.0 * width, 81)
         assert np.all(tx.derivative(f, x) > 0.0)
+
+    @pytest.mark.parametrize("f", [tx.tanh_fn(1.0), tx.gudermannian_fn(1.0)])
+    def test_far_tail_slope_is_zero_without_overflow_warnings(self, f):
+        """cosh overflows to inf far out; the slope is then 0, silently."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tx.derivative(f, 800.0) == 0.0
+            assert np.array_equal(tx.derivative(f, np.array([-800.0, 800.0])), [0.0, 0.0])
 
     def test_quantizer_rejected(self):
         with pytest.raises(tx.UnsupportedKindError):
