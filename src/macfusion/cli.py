@@ -8,6 +8,14 @@ be reproduced byte-identically from the manifest alone.
 
 Exit codes: 0 success, 2 config error (diagnostics name the offending
 field), 3 numerical failure (diagnostics name the failed operation).
+
+The CLI checks only the shape of the JSON: objects and their keys, number
+types, finiteness and integrality, count ranges, grids, flags, the seed,
+output paths, the estimator name and the sweep rules. Every value rule
+lives in the type that holds the value (``NoiseModel``,
+``TransmitFunction``, ``SigmaSequence``, ``QuadratureSpec``, the setups and
+``estimation.check_asymptotic_regime``); its ``FieldError`` is reported as
+``config error at <path>.<field>``, before any point runs.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from . import estimation as est
 from . import harness, kernels
 from . import noise as noise_mod
 from . import transmit as tx
-from .numerics import MIN_SCAN_POINTS, NumericsError, QuadratureConvergenceError, QuadratureSpec
+from .numerics import DEFAULT_QUADRATURE, MIN_SCAN_POINTS, NumericsError, QuadratureConvergenceError, QuadratureSpec
 
 ENV_SEED = "MACFUSION_SEED"
 
@@ -72,7 +80,8 @@ _MAX_COUNT = 2**53
 _MAX_QUANTIZER_LEVELS = 1025
 
 
-def _check_number(v, loc: str, *, positive=False, integer=False, minimum=None, magnitude=None):
+def _check_number(v, loc: str, *, integer=False, minimum=None, maximum=None, positive=False):
+    """``v`` as a float, or as an int if ``integer`` (then at most 2**53 in size)."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"config error at {loc}: expected a number, got {v!r}")
     if isinstance(v, float) and not math.isfinite(v):
@@ -84,10 +93,14 @@ def _check_number(v, loc: str, *, positive=False, integer=False, minimum=None, m
     if positive and not v > 0:
         raise ConfigError(f"config error at {loc}: must be positive, got {v!r}")
     if minimum is not None and v < minimum:
-        raise ConfigError(f"config error at {loc}: must be >= {minimum}, got {v!r}")
-    if magnitude is not None and abs(v) > magnitude:
-        raise ConfigError(f"config error at {loc}: must lie within +-{magnitude:g}, got {v!r}")
+        raise ConfigError(f"config error at {loc}: must be >= {minimum:g}, got {v!r}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"config error at {loc}: must be at most {maximum:g}, got {v!r}")
     return int(v) if integer else float(v)
+
+
+# A count of sensors, trials or levels is an integer in [1, 2**53].
+_COUNT = dict(integer=True, minimum=1)
 
 
 def _number(d: dict, key: str, path: str, **checks):
@@ -103,48 +116,44 @@ def _flag(cfg: dict, key: str) -> bool:
     return value
 
 
+def _built(make, where, *args, **kwargs):
+    """``make(*args, **kwargs)``: build or check one of the package's config
+    types, whose own rules check the values. A ``FieldError`` becomes a config
+    error at ``where.<field>``, or at ``where(field)`` if ``where`` is a function."""
+    try:
+        return make(*args, **kwargs)
+    except tx.FieldError as err:
+        loc = where(err.field) if callable(where) else f"{where}.{err.field}"
+        raise ConfigError(f"config error at {loc}: {err}") from None
+
+
 def build_noise(d, path="noise") -> noise_mod.NoiseModel:
     d = _require_mapping(d, path)
     _check_keys(d, path, {"kind", "scale"})
-    kind = d.get("kind")
-    if kind not in noise_mod.NOISE_KINDS:
-        raise ConfigError(
-            f"config error at {path}.kind: unknown noise kind {kind!r}; expected one of {list(noise_mod.NOISE_KINDS)}"
-        )
-    scale = _number(d, "scale", path, positive=True)
-    return noise_mod.NoiseModel(kind, scale)
+    return _built(noise_mod.NoiseModel, path, d["kind"], _number(d, "scale", path))
 
 
 def build_transmit(d, path="transmit") -> tx.TransmitFunction:
+    """The curve of a transmit config; an unknown kind has no key set to
+    check, and the type rejects it. The quantizer's ``levels`` is the key ``M``."""
     d = _require_mapping(d, path)
     kind = d.get("kind")
-    if kind not in tx.TRANSMIT_KINDS:
-        raise ConfigError(
-            f"config error at {path}.kind: unknown transmit kind {kind!r}; expected one of {list(tx.TRANSMIT_KINDS)}"
-        )
-    try:
-        if kind in tx.BOUNDED_SMOOTH_KINDS:
-            _check_keys(d, path, {"kind"}, {"omega"})
-            omega = _number(d, "omega", path, positive=True) if "omega" in d else 1.0
-            return tx.TransmitFunction(kind, omega=omega)
-        if kind == tx.SIGNED_POWER:
-            _check_keys(d, path, {"kind", "p_exponent"})
-            return tx.TransmitFunction(kind, p_exponent=_number(d, "p_exponent", path, positive=True))
-        if kind == tx.UNIFORM_QUANTIZER:
-            _check_keys(d, path, {"kind", "x_max", "M"})
-            x_max = _number(d, "x_max", path, positive=True)
-            levels = _number(d, "M", path, positive=True, integer=True)
-            if levels > _MAX_QUANTIZER_LEVELS:
-                raise ConfigError(f"config error at {path}.M: must be at most {_MAX_QUANTIZER_LEVELS}, got {levels}")
-            return tx.TransmitFunction(kind, x_max=x_max, levels=levels)
+    fields = {}
+    if kind in tx.BOUNDED_SMOOTH_KINDS:
+        _check_keys(d, path, {"kind"}, {"omega"})
+        fields["omega"] = _number(d, "omega", path) if "omega" in d else 1.0
+    elif kind == tx.SIGNED_POWER:
+        _check_keys(d, path, {"kind", "p_exponent"})
+        fields["p_exponent"] = _number(d, "p_exponent", path)
+    elif kind == tx.UNIFORM_QUANTIZER:
+        _check_keys(d, path, {"kind", "x_max", "M"})
+        fields["x_max"] = _number(d, "x_max", path)
+        fields["levels"] = _number(d, "M", path, **_COUNT, maximum=_MAX_QUANTIZER_LEVELS)
+    elif kind == tx.LINEAR:
         _check_keys(d, path, {"kind", "alpha"})
-        alpha = d.get("alpha")
-        if alpha == "power":
-            # Resolved later against the experiment's power budget.
-            return tx.TransmitFunction(tx.LINEAR, alpha=1.0)
-        return tx.TransmitFunction(kind, alpha=_number(d, "alpha", path, positive=True))
-    except ValueError as exc:
-        raise ConfigError(f"config error at {path}: {exc}") from exc
+        # "power" is resolved later against the experiment's power budget.
+        fields["alpha"] = 1.0 if d.get("alpha") == "power" else _number(d, "alpha", path)
+    return _built(tx.TransmitFunction, lambda field: f"{path}.{'M' if field == 'levels' else field}", kind, **fields)
 
 
 def _transmit_wants_power_alpha(d) -> bool:
@@ -163,36 +172,22 @@ def _transmit_configs(cfg) -> list[tuple[str, object]]:
 
 def build_sigmas(d, path="sigmas") -> est.SigmaSequence:
     d = _require_mapping(d, path)
-    kind = d.get("kind")
-    if kind not in est.SIGMA_KINDS:
-        raise ConfigError(
-            f"config error at {path}.kind: unknown sigma sequence kind {kind!r}; expected one of {list(est.SIGMA_KINDS)}"
-        )
-    try:
-        if kind == est.EXPLICIT_LIST:
-            _check_keys(d, path, {"kind", "values"})
-            return est.SigmaSequence(kind, values=tuple(_values_list(d, "values", f"{path}.values")))
+    if d.get("kind") == est.EXPLICIT_LIST:
+        _check_keys(d, path, {"kind", "values"})
+        fields = {"values": tuple(_values_list(d, "values", f"{path}.values"))}
+    else:
         _check_keys(d, path, {"kind", "sigma"})
-        return est.SigmaSequence(kind, sigma=_number(d, "sigma", path, positive=True))
-    except ValueError as exc:
-        raise ConfigError(f"config error at {path}: {exc}") from exc
+        fields = {"sigma": _number(d, "sigma", path)}
+    return _built(est.SigmaSequence, path, d["kind"], **fields)
 
 
 def build_quadrature(d, path="quadrature") -> QuadratureSpec:
     if d is None:
-        return QuadratureSpec()
+        return DEFAULT_QUADRATURE
     d = _require_mapping(d, path)
     _check_keys(d, path, set(), {"rel_tol", "abs_tol", "tail_mass", "max_subdivisions"})
-    kwargs = {}
-    for key in ("rel_tol", "abs_tol", "tail_mass"):
-        if key in d:
-            kwargs[key] = _number(d, key, path, positive=True)
-    if "max_subdivisions" in d:
-        kwargs["max_subdivisions"] = _number(d, "max_subdivisions", path, positive=True, integer=True)
-    try:
-        return QuadratureSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"config error at {path}: {exc}") from exc
+    fields = {key: _number(d, key, path, integer=key == "max_subdivisions") for key in d}
+    return _built(QuadratureSpec, path, **fields)
 
 
 def _grid(d, path, *, positive=False, min_points=2) -> list[float]:
@@ -218,18 +213,14 @@ def _priors(cfg, path="priors") -> tuple[float, float]:
     raw = cfg.get("priors", [0.5, 0.5])
     if not isinstance(raw, list) or len(raw) != 2:
         raise ConfigError(f"config error at {path}: expected [P0, P1]")
-    priors = tuple(_check_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
-    return _checked(det.check_priors, priors, path)
+    return tuple(_check_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
 
 
-def _checked(rule, value, loc):
-    """``value`` if the setup's own ``rule`` accepts it; its ValueError
-    becomes a config error at ``loc``."""
-    try:
-        rule(value)
-    except ValueError as err:
-        raise ConfigError(f"config error at {loc}: {err}") from None
-    return value
+def _setup_location(field: str) -> str:
+    """Where a setup's field sits in the config: its numbers at
+    ``config.<key>`` like every top-level number, its lists and objects
+    (``priors``, ``sigmas.values``, ``transmit.kind``) at their own key."""
+    return f"config.{field}" if field in ("theta", "L", "total_power", "channel_noise_var") else field
 
 
 # ---------------------------------------------------------------------------
@@ -247,54 +238,37 @@ _THETA_LIMIT = 1e15
 
 
 def _trials(cfg) -> int:
-    return _number(cfg, "trials", "config", positive=True, integer=True)
+    return _number(cfg, "trials", "config", **_COUNT)
 
 
-def _channel(cfg, L) -> dict:
-    """The setup fields that estimation and detection kinds share, at ``L`` sensors."""
-    sigmas = build_sigmas(cfg.get("sigmas", _DEFAULT_SIGMAS))
-    if sigmas.kind == est.EXPLICIT_LIST and len(sigmas.values) != L:
-        raise ConfigError(f"config error at sigmas.values: {len(sigmas.values)} entries, but L is {L}")
+def _channel(cfg) -> dict:
+    """The setup fields that estimation and detection kinds share."""
     return dict(
-        theta=_number(cfg, "theta", "config", magnitude=_THETA_LIMIT),
-        sigmas=sigmas,
+        theta=_number(cfg, "theta", "config", minimum=-_THETA_LIMIT, maximum=_THETA_LIMIT),
+        sigmas=build_sigmas(cfg.get("sigmas", _DEFAULT_SIGMAS)),
         noise=build_noise(cfg.get("noise")),
-        total_power=_number(cfg, "total_power", "config", positive=True),
-        channel_noise_var=_number(cfg, "channel_noise_var", "config", positive=True),
+        total_power=_number(cfg, "total_power", "config"),
+        channel_noise_var=_number(cfg, "channel_noise_var", "config"),
     )
 
 
 def _estimation_setup(cfg, *, L=None, transmit=None) -> est.EstimationSetup:
-    L = _number(cfg, "L", "config", positive=True, integer=True) if L is None else L
+    L = _number(cfg, "L", "config", **_COUNT) if L is None else L
     transmit = build_transmit(cfg.get("transmit")) if transmit is None else transmit
-    return est.EstimationSetup(L=L, transmit=transmit, **_channel(cfg, L))
-
-
-def _asv_setup(setup):
-    """``setup`` if its asymptotic variance is defined: unit sigma and a
-    differentiable transmit curve."""
-    if not setup.sigmas.is_bounded_constant_one():
-        raise ConfigError("config error at sigmas: asymptotic variance requires constant sigma = 1")
-    if not tx.is_differentiable(setup.transmit):
-        raise ConfigError(
-            f"config error at transmit.kind: asymptotic variance needs a differentiable transmit curve, "
-            f"not {setup.transmit.kind}"
-        )
-    return setup
+    return _built(est.EstimationSetup, _setup_location, L=L, transmit=transmit, **_channel(cfg))
 
 
 def _L_sweep(cfg):
     """(L values, trials, seed, setup at the first L) of the estimation kinds that sweep L."""
-    L_values = _values_list(cfg, "L_values", positive=True, integer=True)
+    L_values = _values_list(cfg, "L_values", **_COUNT)
     return L_values, _trials(cfg), cfg["master_seed"], _estimation_setup(cfg, L=L_values[0])
 
 
 def _detection_setup(cfg, transmit_path="transmit", transmit_cfg=None, L=None) -> det.DetectionSetup:
     transmit_cfg = transmit_cfg if transmit_cfg is not None else cfg.get("transmit")
-    L = _number(cfg, "L", "config", positive=True, integer=True) if L is None else L
-    channel = _channel(cfg, L)
-    _checked(det.check_signal_level, channel["theta"], "config.theta")
-    setup = det.DetectionSetup(L=L, **channel, priors=_priors(cfg), transmit=build_transmit(transmit_cfg, transmit_path))
+    L = _number(cfg, "L", "config", **_COUNT) if L is None else L
+    transmit = build_transmit(transmit_cfg, transmit_path)
+    setup = _built(det.DetectionSetup, _setup_location, L=L, **_channel(cfg), priors=_priors(cfg), transmit=transmit)
     if _transmit_wants_power_alpha(transmit_cfg):
         setup = replace(setup, transmit=tx.linear_fn(_power_normalized_alpha(setup)))
     return setup
@@ -332,7 +306,8 @@ def _median_abs_error(estimates, theta) -> float:
 
 def _prepare_asv_vs_omega(cfg, spec):
     functions = [build_transmit(d, path) for path, d in _transmit_configs(cfg)]
-    base = _asv_setup(_estimation_setup(cfg, transmit=functions[0]))
+    base = _estimation_setup(cfg, transmit=functions[0])
+    _built(est.check_asymptotic_regime, _setup_location, base)
     omegas = _grid(cfg.get("omega_grid"), "omega_grid", positive=True)
     trials = _trials(cfg)
     seed = cfg["master_seed"]
@@ -350,7 +325,8 @@ def _prepare_asv_vs_omega(cfg, spec):
 
 def _prepare_lvar_vs_L(cfg, spec):
     L_values, trials, seed, base = _L_sweep(cfg)
-    asv = est.asymptotic_variance(_asv_setup(base), spec)
+    _built(est.check_asymptotic_regime, _setup_location, base)
+    asv = est.asymptotic_variance(base, spec)
 
     def row(stream_id_base, L):
         setup = replace(base, L=L)
@@ -427,7 +403,7 @@ def _prepare_pe_vs_omega(cfg, spec):
 
 
 def _prepare_pe_vs_L(cfg, spec):
-    L_values = _values_list(cfg, "L_values", positive=True, integer=True)
+    L_values = _values_list(cfg, "L_values", **_COUNT)
     trials = _trials(cfg)
     seed = cfg["master_seed"]
     stratified = _flag(cfg, "stratified")

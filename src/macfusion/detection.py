@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels, transmit as tx
 from .estimation import EstimationSetup, g_moment
 from .noise import NoiseModel, score
-from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec, adaptive_quadrature, minimize_scalar
+from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec, _gk15_batch, adaptive_quadrature, minimize_scalar
 
 
 @dataclass(frozen=True)
@@ -39,25 +39,17 @@ class DetectionSetup(EstimationSetup):
     priors: tuple[float, float] = (0.5, 0.5)
 
     def __post_init__(self):
-        check_signal_level(self.theta)
+        # The H1 signal level is nonnegative (0: both hypotheses agree).
+        if self.theta < 0.0:
+            raise tx.FieldError(f"theta must be nonnegative (H1 signal level), got {self.theta!r}", field="theta")
         super().__post_init__()
-        check_priors(self.priors)
+        p0, p1 = self.priors
+        if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0) or abs(p0 + p1 - 1.0) > 1e-12:
+            message = f"priors must be strictly positive and sum to 1, got {tuple(self.priors)}"
+            raise tx.FieldError(message, field="priors")
 
 
-def check_signal_level(theta: float) -> None:
-    """The H1 signal level must be nonnegative (0: both hypotheses agree)."""
-    if theta < 0.0:
-        raise ValueError(f"theta must be nonnegative (H1 signal level), got {theta!r}")
-
-
-def check_priors(priors) -> None:
-    """(P0, P1) must be strictly positive and sum to 1 within 1e-12."""
-    p0, p1 = priors
-    if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0) or abs(p0 + p1 - 1.0) > 1e-12:
-        raise ValueError(f"priors must be strictly positive and sum to 1, got {tuple(priors)}")
-
-
-def deflection(setup: DetectionSetup, spec: QuadratureSpec | None = None) -> float:
+def deflection(setup: DetectionSetup, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Deflection coefficient D_L of the superposed channel output.
 
     Numerator: squared average shift of E[f] when theta turns on.
@@ -65,7 +57,6 @@ def deflection(setup: DetectionSetup, spec: QuadratureSpec | None = None) -> flo
     noise term sigma_v^2 / P_T. The per-sigma expectations are deduplicated,
     so for a constant sequence the value is exactly independent of L.
     """
-    spec = spec or DEFAULT_QUADRATURE
     values, shares = setup.sigma_shares()
     g1 = g_moment(setup.noise, setup.transmit, values, setup.theta, 1, spec)
     g0 = g_moment(setup.noise, setup.transmit, values, 0.0, 1, spec)
@@ -80,10 +71,10 @@ def optimal_omega(
     lo: float,
     hi: float,
     grid_points: int = 32,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> tuple[float, float]:
     """Maximize the deflection coefficient over the transmit scale omega."""
-    if setup.transmit.kind not in (tx.TANH, tx.GUDERMANNIAN, tx.RATIONAL):
+    if setup.transmit.kind not in tx.BOUNDED_SMOOTH_KINDS:
         # No omega to tune; the deflection is constant so the tie-break
         # convention applies.
         d = deflection(setup, spec)
@@ -115,9 +106,8 @@ class GaussianApproxDetector:
             raise ValueError("detector variances must be positive")
 
 
-def build_detector(setup: DetectionSetup, spec: QuadratureSpec | None = None) -> GaussianApproxDetector:
+def build_detector(setup: DetectionSetup, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> GaussianApproxDetector:
     """Exact first two moments of the channel output under each hypothesis."""
-    spec = spec or DEFAULT_QUADRATURE
     values, shares = setup.sigma_shares()
     scale = math.sqrt(setup.total_power * setup.L)
     means = []
@@ -220,7 +210,7 @@ class NonNormalizableError(NumericsError):
     """exp(-antiderivative of f) does not integrate to a finite mass."""
 
 
-def matched_density(f, spec: QuadratureSpec | None = None):
+def matched_density(f, spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Density for which ``f`` is the locally optimal nonlinearity.
 
     Returns a normalized callable p(x) = C exp(-A(x)) with
@@ -228,7 +218,6 @@ def matched_density(f, spec: QuadratureSpec | None = None):
     other choice is absorbed by C) that keeps p symmetric for odd f.
     ``f`` may be a TransmitFunction or a plain vectorized callable.
     """
-    spec = spec or DEFAULT_QUADRATURE
     if isinstance(f, tx.TransmitFunction):
         code, a, b = tx.kind_params(f)
         feval = lambda x: kernels.eval_transmit(code, a, b, np.asarray(x, dtype=np.float64))
@@ -283,8 +272,6 @@ def matched_density(f, spec: QuadratureSpec | None = None):
         context="matched density antiderivative mesh",
     )
     edges = np.unique(np.concatenate([edges, np.linspace(t_minus, t_plus, 257), [0.0]]))
-    from .numerics import _gk15_batch
-
     panel_vals, _ = _gk15_batch(feval, edges[:-1], edges[1:])
     cumulative = np.concatenate([[0.0], np.cumsum(panel_vals)])
     origin = float(np.interp(0.0, edges, cumulative))

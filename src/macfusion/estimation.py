@@ -68,13 +68,15 @@ class SigmaSequence:
 
     def __post_init__(self):
         if self.kind not in SIGMA_KINDS:
-            raise ValueError(f"unknown sigma sequence kind {self.kind!r}")
+            message = f"unknown sigma sequence kind {self.kind!r}; expected one of {SIGMA_KINDS}"
+            raise tx.FieldError(message, field="kind")
         if self.kind in (CONSTANT, SQRT_GROWTH):
             if self.sigma is None or not (self.sigma > 0.0 and np.isfinite(self.sigma)):
-                raise ValueError(f"{self.kind} sigma sequence requires positive sigma")
+                message = f"{self.kind} sigma sequence requires positive sigma, got {self.sigma}"
+                raise tx.FieldError(message, field="sigma")
         else:
             if not self.values or any(not (v > 0.0 and np.isfinite(v)) for v in self.values):
-                raise ValueError("explicit_list sigma sequence requires positive entries")
+                raise tx.FieldError("explicit_list sigma sequence requires positive entries", field="values")
 
     def resolve(self, length: int) -> np.ndarray:
         """sigma_1 .. sigma_L as an array.
@@ -104,13 +106,6 @@ class SigmaSequence:
             return values[:1].copy(), np.array([length], dtype=np.intp)
         return np.unique(values, return_counts=True)
 
-    def is_bounded_constant_one(self) -> bool:
-        if self.kind == CONSTANT:
-            return self.sigma == 1.0
-        if self.kind == EXPLICIT_LIST:
-            return all(v == 1.0 for v in self.values)
-        return False
-
 
 def constant_sigmas(sigma: float = 1.0) -> SigmaSequence:
     return SigmaSequence(CONSTANT, sigma=sigma)
@@ -135,11 +130,14 @@ class EstimationSetup:
 
     def __post_init__(self):
         if self.L <= 0:
-            raise ValueError("L must be positive")
+            raise tx.FieldError(f"L must be positive, got {self.L}", field="L")
         if not (self.total_power > 0.0 and np.isfinite(self.total_power)):
-            raise ValueError("total_power must be positive")
+            raise tx.FieldError(f"total_power must be positive, got {self.total_power}", field="total_power")
         if not (self.channel_noise_var > 0.0 and np.isfinite(self.channel_noise_var)):
-            raise ValueError("channel_noise_var must be positive")
+            message = f"channel_noise_var must be positive, got {self.channel_noise_var}"
+            raise tx.FieldError(message, field="channel_noise_var")
+        if self.sigmas.kind == EXPLICIT_LIST and len(self.sigmas.values) != self.L:
+            raise tx.FieldError(f"{len(self.sigmas.values)} entries, but L is {self.L}", field="sigmas.values")
 
     @property
     def rho(self) -> float:
@@ -154,7 +152,7 @@ class EstimationSetup:
 
 def _transition_width(f: tx.TransmitFunction) -> float:
     """Characteristic x-scale over which f turns; guards quadrature seeding."""
-    if f.kind in (tx.TANH, tx.GUDERMANNIAN, tx.RATIONAL):
+    if f.kind in tx.BOUNDED_SMOOTH_KINDS:
         return 1.0 / f.omega
     if f.kind == tx.UNIFORM_QUANTIZER:
         return tx.quantizer_step(f)
@@ -225,7 +223,7 @@ def g_moment(
     sigma,
     theta,
     power: int = 1,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ):
     """E[f(theta + sigma n)^power] by adaptive quadrature (memoized).
 
@@ -236,7 +234,6 @@ def g_moment(
     entries on one shared mesh. Callers pass distinct sigma values in
     ascending order, so each group has similar features.
     """
-    spec = spec or DEFAULT_QUADRATURE
     sigmas = np.atleast_1d(np.asarray(sigma, dtype=np.float64)).tolist()
     thetas = tuple(np.atleast_1d(np.asarray(theta, dtype=np.float64)).tolist())
     group = max(1, MOMENT_GROUP // len(thetas))
@@ -252,7 +249,7 @@ def g_moment(
     return float(values[0, 0]) if np.ndim(sigma) == 0 else values[0]
 
 
-def mean_response(setup: EstimationSetup, theta: float, spec: QuadratureSpec | None = None) -> float:
+def mean_response(setup: EstimationSetup, theta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """h_L(theta), deduplicated over distinct sigma values.
 
     For a constant sequence the average over L identical terms is computed
@@ -275,19 +272,31 @@ SEED_GRID_POINTS = 129
 INVERT_CHUNK = 2048
 
 
-def asymptotic_variance(setup: EstimationSetup, spec: QuadratureSpec | None = None) -> float:
+def check_asymptotic_regime(setup: EstimationSetup) -> None:
+    """The setups whose asymptotic variance is defined: sigma_i = 1 for
+    every sensor and a differentiable transmit curve. The FieldError names
+    ``sigmas.kind``, ``sigmas.sigma``, ``sigmas.values`` or ``transmit.kind``."""
+    sigmas = setup.sigmas
+    if sigmas.kind == SQRT_GROWTH:
+        raise tx.FieldError("asymptotic variance requires sigma_i = 1, not sqrt_growth", field="sigmas.kind")
+    if sigmas.kind == CONSTANT and sigmas.sigma != 1.0:
+        raise tx.FieldError(f"asymptotic variance requires sigma = 1, got {sigmas.sigma}", field="sigmas.sigma")
+    if sigmas.kind == EXPLICIT_LIST and any(v != 1.0 for v in sigmas.values):
+        raise tx.FieldError("asymptotic variance requires sigma_i = 1 for every sensor", field="sigmas.values")
+    if not tx.is_differentiable(setup.transmit):
+        message = f"asymptotic variance needs a differentiable transmit curve, not {setup.transmit.kind}"
+        raise tx.UnsupportedKindError(message, field="transmit.kind")
+
+
+def asymptotic_variance(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Limiting variance of sqrt(L) * (theta_hat - theta).
 
     Requires the i.i.d. unit-scale regime (sigma_i = 1) and a
-    differentiable transmit curve; three density expectations feed the
-    closed form.
+    differentiable transmit curve (``check_asymptotic_regime``); three
+    density expectations feed the closed form.
     """
-    if not setup.sigmas.is_bounded_constant_one():
-        raise ValueError("asymptotic variance requires sigma_i = 1 for every sensor")
+    check_asymptotic_regime(setup)
     f = setup.transmit
-    if not tx.is_differentiable(f):
-        raise tx.UnsupportedKindError(f"asymptotic variance needs a differentiable transmit curve, not {f.kind}")
-    spec = spec or DEFAULT_QUADRATURE
     theta = setup.theta
     second = g_moment(setup.noise, f, 1.0, theta, 2, spec)
     mean = g_moment(setup.noise, f, 1.0, theta, 1, spec)
@@ -490,7 +499,7 @@ def _probes(setup: EstimationSetup) -> np.ndarray:
     return np.linspace(setup.theta - pad, setup.theta + pad, 7)
 
 
-def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec | None = None) -> FlatResponse:
+def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FlatResponse:
     """Freeze h_L into flat arrays and validate against the adaptive path.
 
     The mesh is built from adaptive runs at probe thetas around the true
@@ -501,7 +510,6 @@ def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec | None = No
     independent n-space quadratures, computed once per build: one
     vector-valued quadrature covers every check theta for a group of sigma.
     """
-    spec = spec or DEFAULT_QUADRATURE
     probes = _probes(setup)
     check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
     values, shares = setup.sigma_shares()

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .detection import DetectionSetup, build_detector, simulate_decisions, summarize_errors
 from .estimation import EstimationSetup, af_gain, build_flat_response
-from .numerics import QuadratureSpec, RngStream
+from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, RngStream
 
 POINT_STREAM_STRIDE = 2**32
 
@@ -73,7 +73,7 @@ def run_estimation_experiment(
     *,
     estimator: str = "bounded",
     stream_id_base: int = 0,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> TrialSummary:
     """Monte Carlo estimates over the full pipeline.
 
@@ -142,7 +142,7 @@ def run_detection_experiment(
     *,
     stream_id_base: int = 0,
     stratified: bool = False,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> TrialSummary:
     """Monte Carlo error probability with the detector built once."""
     if trials < 1:

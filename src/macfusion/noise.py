@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .transmit import FieldError
+
 GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
 CAUCHY = "cauchy"
@@ -41,9 +43,9 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
+            raise FieldError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}", field="kind")
         if not (self.scale > 0.0 and np.isfinite(self.scale)):
-            raise ValueError(f"noise scale must be positive and finite, got {self.scale}")
+            raise FieldError(f"noise scale must be positive and finite, got {self.scale}", field="scale")
 
 
 def gaussian(scale: float = 1.0) -> NoiseModel:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import NoiseModel, pdf, tail_truncation
+from .transmit import FieldError
 
 
 class NumericsError(Exception):
@@ -59,11 +60,12 @@ class QuadratureSpec:
     def __post_init__(self):
         for name in ("rel_tol", "tail_mass"):
             if not (0.0 < getattr(self, name) < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+                raise FieldError(f"{name} must lie in (0, 1), got {getattr(self, name)}", field=name)
         if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
+            raise FieldError(f"abs_tol must be positive, got {self.abs_tol}", field="abs_tol")
         if self.max_subdivisions <= 0:
-            raise ValueError("max_subdivisions must be positive")
+            message = f"max_subdivisions must be positive, got {self.max_subdivisions}"
+            raise FieldError(message, field="max_subdivisions")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -233,7 +235,7 @@ def fixed_mesh_nodes(edges: np.ndarray):
 def expect(
     model: NoiseModel,
     g,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
     *,
     breakpoints=(),
     context: str = "",
@@ -245,7 +247,6 @@ def expect(
     expectation per component. Callers integrating a discontinuous ``g``
     (quantizer cells) pass the kink locations through ``breakpoints``.
     """
-    spec = spec or DEFAULT_QUADRATURE
     t = tail_truncation(model, spec.tail_mass)
 
     def integrand(x):

@@ -41,8 +41,24 @@ KIND_CODES = {
 BOUNDED_SMOOTH_KINDS = (TANH, GUDERMANNIAN, RATIONAL)
 
 
-class UnsupportedKindError(ValueError):
+class FieldError(ValueError):
+    """A value that the rule of a config type rejects.
+
+    ``field`` names it within the object that holds the rule: ``omega`` of
+    a transmit curve, or a dotted path such as ``sigmas.values`` for a
+    setup. The CLI reports it as ``config error at <path>.<field>``.
+    """
+
+    def __init__(self, message: str, *, field: str):
+        super().__init__(message)
+        self.field = field
+
+
+class UnsupportedKindError(FieldError):
     """Raised when an operation is undefined for the transmit kind."""
+
+    def __init__(self, message: str, *, field: str = "kind"):
+        super().__init__(message, field=field)
 
 
 @dataclass(frozen=True)
@@ -64,21 +80,22 @@ class TransmitFunction:
 
     def __post_init__(self):
         if self.kind not in TRANSMIT_KINDS:
-            raise ValueError(f"unknown transmit kind {self.kind!r}; expected one of {TRANSMIT_KINDS}")
-        if self.kind in (TANH, GUDERMANNIAN, RATIONAL):
+            raise FieldError(f"unknown transmit kind {self.kind!r}; expected one of {TRANSMIT_KINDS}", field="kind")
+        if self.kind in BOUNDED_SMOOTH_KINDS:
             if self.omega is None or not (self.omega > 0.0 and np.isfinite(self.omega)):
-                raise ValueError(f"{self.kind} requires a positive finite omega, got {self.omega}")
+                raise FieldError(f"{self.kind} requires a positive finite omega, got {self.omega}", field="omega")
         elif self.kind == SIGNED_POWER:
             if self.p_exponent is None or not (0.0 < self.p_exponent < 0.5):
-                raise ValueError(f"signed_power requires p_exponent in (0, 1/2), got {self.p_exponent}")
+                message = f"signed_power requires p_exponent in (0, 1/2), got {self.p_exponent}"
+                raise FieldError(message, field="p_exponent")
         elif self.kind == UNIFORM_QUANTIZER:
             if self.x_max is None or not (self.x_max > 0.0 and np.isfinite(self.x_max)):
-                raise ValueError(f"uniform_quantizer requires positive x_max, got {self.x_max}")
+                raise FieldError(f"uniform_quantizer requires positive x_max, got {self.x_max}", field="x_max")
             if self.levels is None or self.levels < 3 or self.levels % 2 == 0:
-                raise ValueError(f"uniform_quantizer requires odd level count >= 3, got {self.levels}")
+                raise FieldError(f"uniform_quantizer requires odd level count >= 3, got {self.levels}", field="levels")
         elif self.kind == LINEAR:
             if self.alpha is None or not (self.alpha > 0.0 and np.isfinite(self.alpha)):
-                raise ValueError(f"linear requires a positive finite alpha, got {self.alpha}")
+                raise FieldError(f"linear requires a positive finite alpha, got {self.alpha}", field="alpha")
 
 
 def tanh_fn(omega: float) -> TransmitFunction:
@@ -107,7 +124,7 @@ def linear_fn(alpha: float) -> TransmitFunction:
 
 def with_omega(f: TransmitFunction, omega: float) -> TransmitFunction:
     """Return a copy of ``f`` with its scale parameter replaced."""
-    if f.kind not in (TANH, GUDERMANNIAN, RATIONAL):
+    if f.kind not in BOUNDED_SMOOTH_KINDS:
         raise UnsupportedKindError(f"{f.kind} has no omega parameter")
     return replace(f, omega=omega)
 
@@ -122,7 +139,7 @@ def quantizer_step(f: TransmitFunction) -> float:
 def kind_params(f: TransmitFunction) -> tuple[int, float, float]:
     """(code, a, b) triple consumed by the kernels."""
     code = KIND_CODES[f.kind]
-    if f.kind in (TANH, GUDERMANNIAN, RATIONAL):
+    if f.kind in BOUNDED_SMOOTH_KINDS:
         return code, f.omega, 0.0
     if f.kind == SIGNED_POWER:
         return code, f.p_exponent, 0.0
@@ -175,7 +192,7 @@ def bound(f: TransmitFunction) -> float | None:
 
 
 def is_differentiable(f: TransmitFunction) -> bool:
-    return f.kind in (TANH, GUDERMANNIAN, RATIONAL, LINEAR)
+    return f.kind in BOUNDED_SMOOTH_KINDS or f.kind == LINEAR
 
 
 def breakpoints(f: TransmitFunction) -> tuple[float, ...]:

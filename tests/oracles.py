@@ -34,7 +34,7 @@ from scipy.special import ndtri
 from macfusion import estimation as est
 from macfusion import kernels, transmit as tx
 from macfusion.noise import CAUCHY, GAUSSIAN, LAPLACIAN, NoiseModel, transform_uniforms
-from macfusion.numerics import NumericsError, QuadratureSpec, RngStream
+from macfusion.numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec, RngStream
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ class InversionResult:
     clamped: bool
 
 
-def estimate_info(setup: est.EstimationSetup, received_z: float, spec: QuadratureSpec | None = None) -> InversionResult:
+def estimate_info(setup: est.EstimationSetup, received_z: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> InversionResult:
     """Invert the normalized received signal; reports range clamping."""
     if setup.transmit.kind == tx.UNIFORM_QUANTIZER:
         raise tx.UnsupportedKindError("uniform_quantizer is not invertible; the estimator requires a one-to-one transmit curve")
@@ -223,7 +223,7 @@ def estimate_info(setup: est.EstimationSetup, received_z: float, spec: Quadratur
     return InversionResult(theta=theta, clamped=clamped)
 
 
-def estimate(setup: est.EstimationSetup, received_z: float, spec: QuadratureSpec | None = None) -> float:
+def estimate(setup: est.EstimationSetup, received_z: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """theta estimate from the normalized received signal (Brent path)."""
     return estimate_info(setup, received_z, spec).theta
 

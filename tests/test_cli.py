@@ -372,7 +372,27 @@ class TestFoundProbes:
         """tail_mass >= 1 passed validation and raised ValueError in noise.tail_truncation."""
         code, err = self._fails(tmp_path, capsys, "fig2", f'quadrature={{"tail_mass":{mass}}}', *SMALL_FIG2)
         assert code == 2
-        assert "config error at quadrature: tail_mass must lie in (0, 1)" in err
+        assert "config error at quadrature.tail_mass: tail_mass must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize(
+        "preset, override, field",
+        [
+            ("consistency", 'transmit={"kind":"signed_power","p_exponent":0.7}', "transmit.p_exponent"),
+            ("consistency", 'transmit={"kind":"uniform_quantizer","x_max":2,"M":4}', "transmit.M"),
+            ("fig5", 'sigmas={"kind":"explicit_list","values":[1,-1]}', "sigmas.values"),
+            ("fig2", 'quadrature={"rel_tol":2}', "quadrature.rel_tol"),
+            ("fig2", 'quadrature={"tail_mass":2}', "quadrature.tail_mass"),
+            ("fig3", 'sigmas={"kind":"constant","sigma":2}', "sigmas.sigma"),
+            ("fig3", 'sigmas={"kind":"sqrt_growth","sigma":1}', "sigmas.kind"),
+            ("fig2", f'sigmas={{"kind":"explicit_list","values":{[2] * 500}}}', "sigmas.values"),
+        ],
+    )
+    def test_value_errors_name_the_field(self, tmp_path, capsys, preset, override, field):
+        """The rule that rejects the value lives in the type that holds it; the
+        error named the whole object (``transmit``, ``sigmas``, ``quadrature``)."""
+        code, err = self._fails(tmp_path, capsys, preset, override)
+        assert code == 2
+        assert err.startswith(f"config error at {field}:")
 
     @pytest.mark.parametrize(
         "preset, override, field",

@@ -7,8 +7,12 @@ hostile values (NaN, +-inf, 1e308, counts beyond 2**53, zero, negatives,
 wrong types, empty lists and objects) go in at the top level or one level
 down, and unknown keys are added. Each config runs through ``cli.main``
 in-process, with ``--out`` under ``tmp_path``. The exit code must be 0, 2
-or 3, and no exception may escape. The examples are derandomized and their
-number is fixed, so the test is deterministic and takes a few seconds.
+or 3, and no exception may escape. An exit-2 message must name its field:
+it starts with ``config error at <path>:``, and when ``<path>`` is a JSON
+object of the config, the message is about that object itself (an unknown
+key, a missing key or a wrong type), never about one of its values. The
+examples are derandomized and their number is fixed, so the test is
+deterministic and takes a few seconds.
 """
 
 import contextlib
@@ -16,6 +20,7 @@ import copy
 import io
 import json
 import math
+import re
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -104,6 +109,28 @@ def configs(draw):
     return cfg
 
 
+def _value_at(cfg: dict, path: str):
+    """The config value an error path names, or None; ``config.L`` and ``L``
+    both name the top-level key L, ``transmits[1].kind`` a key of a list entry."""
+    node = cfg
+    for token in re.findall(r"[^.\[\]]+", path.removeprefix("config")):
+        if isinstance(node, dict) and token in node:
+            node = node[token]
+        elif isinstance(node, list) and token.isdigit() and int(token) < len(node):
+            node = node[int(token)]
+        else:
+            return None
+    return node
+
+
+def _assert_names_its_field(cfg: dict, message: str) -> None:
+    match = re.match(r"config error at (\S+): (.*)", message)
+    assert match, message
+    path, reason = match.groups()
+    if isinstance(_value_at(cfg, path), dict):
+        assert reason in ("unknown key", "required key is missing") or reason.startswith("expected "), message
+
+
 @settings(
     max_examples=400,
     derandomize=True,
@@ -122,3 +149,5 @@ def test_every_config_runs_or_names_its_error(tmp_path, monkeypatch, cfg):
         code = cli.main(["run", str(path), "--out", str(tmp_path / "out.csv"), "--workers", "1"])
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        _assert_names_its_field(cfg, err.getvalue())
