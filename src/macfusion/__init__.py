@@ -46,11 +46,7 @@ from .detection import (
     matched_density,
     optimal_omega,
 )
-from .harness import (
-    TrialSummary,
-    run_detection_experiment,
-    run_estimation_experiment,
-)
+from .harness import run_detection_experiment, run_estimation_experiment
 
 __all__ = [
     "__version__",
@@ -64,6 +60,5 @@ __all__ = [
     "DetectionSetup", "GaussianApproxDetector", "deflection", "optimal_omega",
     "build_detector", "decide",
     "locally_optimal_nonlinearity", "matched_density",
-    "TrialSummary",
     "run_estimation_experiment", "run_detection_experiment",
 ]

@@ -270,38 +270,38 @@ def _detection_setup(cfg, transmit_path="transmit", transmit_cfg=None, L=None) -
     transmit = build_transmit(transmit_cfg, transmit_path)
     setup = _built(det.DetectionSetup, _setup_location, L=L, **_channel(cfg), priors=_priors(cfg), transmit=transmit)
     if _transmit_wants_power_alpha(transmit_cfg):
-        setup = replace(setup, transmit=tx.linear_fn(_power_normalized_alpha(setup)))
+        setup = replace(setup, transmit=_built(_power_normalized_linear, transmit_path, setup))
     return setup
 
 
-def _power_normalized_alpha(setup) -> float:
-    """Gain making the prior-averaged transmit power meet the budget.
+def _power_normalized_linear(setup) -> tx.TransmitFunction:
+    """The linear curve whose gain makes the prior-averaged transmit power meet the budget.
 
     E[x^2] averaged over hypotheses is p1*theta^2 + mean(sigma_i^2)*var(n),
     with ``noise.nominal_variance`` standing in for Cauchy's var(n).
     """
     var_n, _ = noise_mod.nominal_variance(setup.noise)
-    mean_sq = est.sensor_sum(setup.sigmas, setup.L, lambda s: s**2) / setup.L
-    return 1.0 / math.sqrt(setup.priors[1] * setup.theta * setup.theta + mean_sq * var_n)
+    with np.errstate(over="ignore"):
+        mean_sq = est.sensor_sum(setup.sigmas, setup.L, lambda s: s**2) / setup.L
+    power = setup.priors[1] * setup.theta * setup.theta + mean_sq * var_n
+    if not 0.0 < power < math.inf:
+        raise tx.FieldError(f"the power-normalized gain needs a positive finite mean power, got {power!r}", field="alpha")
+    return tx.linear_fn(1.0 / math.sqrt(power))
 
 
 def _l_var_row(setup, trials, seed, stream_id_base, spec) -> list:
     """The l_var, trials and stderr cells of one estimation point."""
-    summary = harness.run_estimation_experiment(setup, trials, seed, stream_id_base=stream_id_base, spec=spec)
-    l_var = summary.aggregates["l_var"]
+    estimates = harness.run_estimation_experiment(setup, trials, seed, stream_id_base=stream_id_base, spec=spec)
+    l_var = harness.l_var(estimates, setup.L)
     return [l_var, trials, l_var * math.sqrt(2.0 / max(trials - 1, 1))]
 
 
 def _pe_row(setup, trials, stratified, seed, stream_id_base, spec) -> list:
     """The pe, stderr and trials cells of one detection point."""
-    aggregates = harness.run_detection_experiment(
+    pe, stderr = harness.run_detection_experiment(
         setup, trials, seed, stream_id_base=stream_id_base, stratified=stratified, spec=spec
-    ).aggregates
-    return [aggregates["pe"], aggregates["stderr"], trials]
-
-
-def _median_abs_error(estimates, theta) -> float:
-    return float(np.median(np.abs(estimates - theta)))
+    )
+    return [pe, stderr, trials]
 
 
 def _prepare_asv_vs_omega(cfg, spec):
@@ -343,10 +343,10 @@ def _prepare_consistency(cfg, spec):
 
     def row(stream_id_base, L):
         setup = replace(base, L=L)
-        summary = harness.run_estimation_experiment(
+        estimates = harness.run_estimation_experiment(
             setup, trials, seed, estimator=estimator, stream_id_base=stream_id_base, spec=spec
         )
-        return [L, summary.aggregates["median_abs_error"], trials]
+        return [L, harness.median_abs_error(estimates, setup.theta), trials]
 
     return ["L", "median_abs_error", "trials"], L_values, row
 
@@ -359,8 +359,8 @@ def _prepare_af_compare(cfg, spec):
         setup = replace(base, L=L)
         stats = harness.run_signal_statistics(setup, trials, seed, stream_id_base=stream_id_base)
         bounded, _ = est.build_flat_response(setup, spec=spec).invert(stats["z_targets"])
-        mae_af = _median_abs_error(stats["af_estimates"], setup.theta)
-        return [L, _median_abs_error(bounded, setup.theta), mae_af, trials]
+        mae_af = harness.median_abs_error(stats["af_estimates"], setup.theta)
+        return [L, harness.median_abs_error(bounded, setup.theta), mae_af, trials]
 
     return ["L", "mae_bounded", "mae_af", "trials"], L_values, row
 
@@ -372,8 +372,8 @@ def _prepare_theorem3(cfg, spec):
         setup = replace(base, L=L)
         gap = abs(est.mean_response(setup, setup.theta, spec) - est.mean_response(setup, 0.0, spec))
         stats = harness.run_signal_statistics(setup, trials, seed, stream_id_base=stream_id_base)
-        af_mae = _median_abs_error(stats["af_estimates"], setup.theta)
-        return [L, gap, _median_abs_error(stats["z_targets"], 0.0), af_mae, trials]
+        af_mae = harness.median_abs_error(stats["af_estimates"], setup.theta)
+        return [L, gap, harness.median_abs_error(stats["z_targets"], 0.0), af_mae, trials]
 
     return ["L", "h_gap", "z_abs_median", "af_mae", "trials"], L_values, row
 

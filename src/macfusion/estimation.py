@@ -332,10 +332,16 @@ def af_gain(setup: EstimationSetup) -> tuple[float, bool]:
     """Power-normalizing gain alpha_L for amplify-and-forward.
 
     Returns (alpha_L, used_nominal_variance): see ``noise.nominal_variance``.
+    Raises ``NumericsError`` when the power sum is not positive and finite,
+    or the gain it gives is not.
     """
     sigma_n2, nominal = nominal_variance(setup.noise)
-    denom = sensor_sum(setup.sigmas, setup.L, lambda s: setup.theta**2 + s**2 * sigma_n2)
-    return math.sqrt(setup.total_power / denom), nominal
+    with np.errstate(over="ignore"):
+        denom = sensor_sum(setup.sigmas, setup.L, lambda s: setup.theta**2 + s**2 * sigma_n2)
+    alpha = math.sqrt(setup.total_power / denom) if 0.0 < denom < math.inf else 0.0
+    if not 0.0 < alpha < math.inf:
+        raise NumericsError(f"AF power normalization at L={setup.L}: the power sum {denom!r} gives no positive finite gain")
+    return alpha, nominal
 
 
 # ---------------------------------------------------------------------------

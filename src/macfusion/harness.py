@@ -8,14 +8,14 @@ workers. Sweep points own disjoint stream-id blocks: ``cli.run_experiment``
 gives point k the stream ids from k * POINT_STREAM_STRIDE = k * 2**32. A
 sweep point is a setup with one field swapped by ``dataclasses.replace``.
 
-Only the estimation outputs grow with the trial count; detection keeps
-counts.
+An estimation point returns its per-trial estimates, which ``l_var`` and
+``median_abs_error`` reduce to a CSV cell; a detection point keeps counts
+and returns (Pe, stderr).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,43 +27,15 @@ from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, RngStream
 POINT_STREAM_STRIDE = 2**32
 
 
-@dataclass
-class TrialSummary:
-    """Per-experiment Monte Carlo record with recomputable aggregates."""
-
-    trials: int
-    kind: str  # "estimation" or "detection"
-    aggregates: dict = field(default_factory=dict)
-    clamp_count: int = 0
-    estimates: np.ndarray | None = None
-    theta: float | None = None
-    L: int | None = None
-    counts: tuple[np.ndarray, np.ndarray] | None = None  # (trials, errors) per hypothesis
-    priors: tuple[float, float] | None = None
-    stratified: bool = False
+def l_var(estimates: np.ndarray, L: int) -> float:
+    """L times the sample variance (ddof=1) of the estimates; 0 for one trial."""
+    return L * (float(np.var(estimates, ddof=1)) if estimates.size > 1 else 0.0)
 
 
-def _estimation_aggregates(estimates: np.ndarray, theta: float, L: int) -> dict:
-    var = float(np.var(estimates, ddof=1)) if estimates.size > 1 else 0.0
-    # One trial-length scratch array serves both medians, partitioned in place.
-    scratch = estimates.copy()
-    median = float(np.median(scratch, overwrite_input=True))
-    np.abs(np.subtract(estimates, theta, out=scratch), out=scratch)
-    return {
-        "mean": float(np.mean(estimates)),
-        "median": median,
-        "variance": var,
-        "l_var": L * var,
-        "median_abs_error": float(np.median(scratch, overwrite_input=True)),
-    }
-
-
-def recompute_aggregates(summary: TrialSummary) -> dict:
-    """Re-derive the aggregate block from the stored estimates or decision counts."""
-    if summary.kind == "estimation":
-        return _estimation_aggregates(summary.estimates, summary.theta, summary.L)
-    pe, stderr = summarize_errors(summary.priors, *summary.counts, summary.stratified)
-    return {"pe": pe, "stderr": stderr}
+def median_abs_error(values: np.ndarray, center: float) -> float:
+    """Median of |values - center| in one scratch array; ``values`` is left as it is."""
+    scratch = np.subtract(values, center)
+    return float(np.median(np.abs(scratch, out=scratch), overwrite_input=True))
 
 
 def run_estimation_experiment(
@@ -74,8 +46,8 @@ def run_estimation_experiment(
     estimator: str = "bounded",
     stream_id_base: int = 0,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> TrialSummary:
-    """Monte Carlo estimates over the full pipeline.
+) -> np.ndarray:
+    """Monte Carlo estimates over the full pipeline, one per trial.
 
     ``estimator`` selects the mean-response inversion ("bounded") or the
     amplify-and-forward baseline ("af"). Both consume identical draws from
@@ -88,24 +60,12 @@ def run_estimation_experiment(
 
     # Keep only the statistic this estimator reads; the inverted estimates
     # replace the targets, so at most two trial-length float arrays are alive.
-    estimates = _collect_signal_statistics(setup, trials, master_seed, stream_id_base)[
+    statistic = _collect_signal_statistics(setup, trials, master_seed, stream_id_base)[
         "af_estimates" if estimator == "af" else "z_targets"
     ]
-    clamp_count = 0
-    if estimator == "bounded":
-        estimates, clamped = build_flat_response(setup, spec=spec).invert(estimates)
-        clamp_count = int(clamped.sum())
-
-    summary = TrialSummary(
-        trials=trials,
-        kind="estimation",
-        clamp_count=clamp_count,
-        estimates=estimates,
-        theta=setup.theta,
-        L=setup.L,
-    )
-    summary.aggregates = recompute_aggregates(summary)
-    return summary
+    if estimator == "af":
+        return statistic
+    return build_flat_response(setup, spec=spec).invert(statistic)[0]
 
 
 def _collect_signal_statistics(setup, trials, master_seed, stream_id_base) -> dict:
@@ -143,18 +103,10 @@ def run_detection_experiment(
     stream_id_base: int = 0,
     stratified: bool = False,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> TrialSummary:
-    """Monte Carlo error probability with the detector built once."""
+) -> tuple[float, float]:
+    """Monte Carlo (error probability, standard error) with the detector built once."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     detector = build_detector(setup, spec)
-    stream = RngStream(master_seed, stream_id_base)
-    summary = TrialSummary(
-        trials=trials,
-        kind="detection",
-        counts=simulate_decisions(setup, detector, trials, stream, stratified=stratified),
-        priors=setup.priors,
-        stratified=stratified,
-    )
-    summary.aggregates = recompute_aggregates(summary)
-    return summary
+    counts = simulate_decisions(setup, detector, trials, RngStream(master_seed, stream_id_base), stratified=stratified)
+    return summarize_errors(setup.priors, *counts, stratified)

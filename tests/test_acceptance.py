@@ -70,10 +70,10 @@ class TestCriterion1AsvAgreement:
             for k, omega in enumerate(omegas):
                 setup = _fig2_setup(model, float(omega))
                 asv = est.asymptotic_variance(setup)
-                summary = harness.run_estimation_experiment(
+                estimates = harness.run_estimation_experiment(
                     setup, trials, 1001, stream_id_base=k * harness.POINT_STREAM_STRIDE
                 )
-                rel = abs(summary.aggregates["l_var"] - asv) / asv
+                rel = abs(harness.l_var(estimates, setup.L) - asv) / asv
                 if rel > worst[1]:
                     worst = (f"{name}@omega={omega:.2f}", rel)
                 if rel > 0.10:
@@ -83,8 +83,8 @@ class TestCriterion1AsvAgreement:
         for L in (25, 500):
             setup = _fig2_setup(NOISE_UNIT_VARIANCE["laplacian"], 0.75, L=L)
             asv = est.asymptotic_variance(setup)
-            summary = harness.run_estimation_experiment(setup, trials, 1002)
-            gaps[L] = abs(summary.aggregates["l_var"] - asv)
+            estimates = harness.run_estimation_experiment(setup, trials, 1002)
+            gaps[L] = abs(harness.l_var(estimates, L) - asv)
         finite_sample_ok = gaps[25] > gaps[500]
         elapsed = time.time() - start
         ok = not failures and finite_sample_ok and elapsed < 300.0
@@ -134,10 +134,10 @@ class TestCriterion3CauchyRobustness:
                     theta=1.0, L=L, sigmas=est.constant_sigmas(1.0), noise=noise.cauchy(1.0),
                     transmit=tx.tanh_fn(0.75), total_power=10.0, channel_noise_var=1.0,
                 )
-                summary = harness.run_estimation_experiment(
+                estimates = harness.run_estimation_experiment(
                     setup, 1000, 3003, estimator=estimator, stream_id_base=k * harness.POINT_STREAM_STRIDE
                 )
-                maes[estimator][L] = summary.aggregates["median_abs_error"]
+                maes[estimator][L] = harness.median_abs_error(estimates, setup.theta)
         bounded_ratio = maes["bounded"][100] / maes["bounded"][10**4]
         af_ratio = maes["af"][100] / maes["af"][10**4]
         ok = bounded_ratio >= 2.0 and af_ratio <= 1.2
@@ -175,10 +175,10 @@ class TestCriterion4DegenerationVsAf:
                 transmit=tx.tanh_fn(0.75), total_power=10.0, channel_noise_var=1.0,
             )
             gaps[L] = abs(est.mean_response(setup, 1.0) - est.mean_response(setup, 0.0))
-            summary = harness.run_estimation_experiment(
+            estimates = harness.run_estimation_experiment(
                 setup, 1000, 4004, estimator="af", stream_id_base=k * harness.POINT_STREAM_STRIDE
             )
-            af_mae[L] = summary.aggregates["median_abs_error"]
+            af_mae[L] = harness.median_abs_error(estimates, setup.theta)
         gap_ratio = gaps[10**4] / gaps[100]
         gap_ok = gap_ratio < 0.05
         af_ratio = af_mae[100] / af_mae[10**4]
@@ -272,12 +272,10 @@ class TestCriterion6DcVsPeAlignment:
             pes = np.empty_like(dcs)
             errs = np.empty_like(dcs)
             for k, w in enumerate(omegas):
-                summary = harness.run_detection_experiment(
+                pes[k], errs[k] = harness.run_detection_experiment(
                     _fig5_setup(model, float(w)), trials, 6006,
                     stream_id_base=k * harness.POINT_STREAM_STRIDE,
                 )
-                pes[k] = summary.aggregates["pe"]
-                errs[k] = summary.aggregates["stderr"]
             i_dc = int(np.argmax(dcs))
             i_pe = int(np.argmin(pes))
             results[name] = (i_dc, i_pe)
@@ -325,10 +323,9 @@ class TestCriterion7FunctionOrdering:
             candidates.append((label, setup))
         pes = {}
         for k, (label, setup) in enumerate(candidates):
-            summary = harness.run_detection_experiment(
+            pes[label] = harness.run_detection_experiment(
                 setup, 10**6, 7007, stream_id_base=k * harness.POINT_STREAM_STRIDE
             )
-            pes[label] = (summary.aggregates["pe"], summary.aggregates["stderr"])
         order = ["linear_af", "tanh", "gudermannian", "rational"]
         adjacency_ok = all(
             pes[a][0] <= pes[b][0] + 2.0 * (pes[a][1] + pes[b][1]) for a, b in zip(order, order[1:])

@@ -135,16 +135,22 @@ def test_draw_loops_leave_no_reference_cycles(monkeypatch):
 
 
 def test_estimation_point_holds_two_trial_length_arrays():
-    """A bounded-estimator point under Cauchy noise (L=20, 2e5 trials).
+    """A bounded-estimator point and its median absolute error under Cauchy
+    noise (L=20, 2e5 trials).
 
     The unused AF estimates go before the inversion, the targets as soon as
-    the estimates replace them, and the aggregates share one scratch array
-    for both medians, so at most two float64 values per trial (16 B) plus
-    the clamp mask are alive at once. Three aggregate temporaries and the
-    kept AF estimates peaked at about 49 B per trial.
+    the estimates replace them, and the median partitions one scratch
+    array, so at most two float64 values per trial (16 B) plus the clamp
+    mask are alive at once. Three aggregate temporaries and the kept AF
+    estimates peaked at about 49 B per trial.
     """
     setup = est.EstimationSetup(1.0, 20, est.constant_sigmas(1.0), noise.cauchy(1.0), tx.tanh_fn(0.75), 10.0, 1.0)
     trials = 200_000
-    summary, peak = _traced_peak(lambda: harness.run_estimation_experiment(setup, trials, 3))
-    assert summary.estimates.size == trials
+
+    def point():
+        estimates = harness.run_estimation_experiment(setup, trials, 3)
+        return estimates, harness.median_abs_error(estimates, setup.theta)
+
+    (estimates, _), peak = _traced_peak(point)
+    assert estimates.size == trials
     assert peak / trials <= 32.0

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,9 @@ SMALL_FIG2 = [
     "L=40",
     'omega_grid={"lo":0.5,"hi":1.5,"points":3}',
 ]
+
+
+POWER_LINEAR = 'transmits=[{"kind":"linear","alpha":"power"}]'
 
 
 def _run(args):
@@ -258,7 +262,8 @@ class TestErrors:
 
 
 class TestFoundProbes:
-    """Configs that used to end in a traceback now exit 2 naming the field."""
+    """Configs that used to end in a traceback now exit 2 naming the field, or
+    3 naming the failed operation."""
 
     def _fails(self, tmp_path, capsys, preset, *overrides):
         args = ["run", preset, "--out", str(tmp_path / "x.csv")]
@@ -269,6 +274,41 @@ class TestFoundProbes:
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
         return code, err
+
+    @pytest.mark.parametrize(
+        "preset, overrides, code, prefix",
+        [
+            ("fig6", [POWER_LINEAR, 'sigmas={"kind":"constant","sigma":1e200}'], 2, "config error at transmits[0].alpha:"),
+            (
+                "fig6",
+                [POWER_LINEAR, 'sigmas={"kind":"constant","sigma":1e-200}', "theta=0"],
+                2,
+                "config error at transmits[0].alpha:",
+            ),
+            ("consistency", ['sigmas={"kind":"constant","sigma":1e-200}'], 3, "numerical failure in consistency:"),
+            ("cauchy-af", ['sigmas={"kind":"constant","sigma":1e-200}'], 3, "numerical failure in af_compare:"),
+            ("consistency", ['sigmas={"kind":"constant","sigma":1e200}'], 3, "numerical failure in consistency:"),
+            ("cauchy-af", ['sigmas={"kind":"constant","sigma":1e200}'], 3, "numerical failure in af_compare:"),
+        ],
+        ids=["fig6-1e200", "fig6-1e-200", "consistency-1e-200", "cauchy-af-1e-200", "consistency-1e200", "cauchy-af-1e200"],
+    )
+    def test_degenerate_power_normalization_exits_without_warnings(self, tmp_path, capsys, preset, overrides, code, prefix):
+        """A sensor scale whose square underflows to 0 or overflows to inf left
+        no positive finite gain: the power-normalized linear curve ended in
+        a ZeroDivisionError or a FieldError traceback, and the AF gain in a
+        ZeroDivisionError, or in divide-by-zero warnings."""
+        if preset == "fig6":
+            overrides = ["trials=10", "L_values=[2]"] + overrides
+        else:
+            overrides = ["trials=10", "L_values=[5]", "theta=0"] + overrides
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, err = self._fails(tmp_path, capsys, preset, *overrides)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert got == code
+        assert err.startswith(prefix)
+        if code == 3:
+            assert "AF power normalization" in err
 
     def test_huge_theta_exits_2(self, tmp_path, capsys):
         """theta=1e308 overflowed theta**2 in estimation.af_gain."""
@@ -497,9 +537,12 @@ class TestAfCompare:
                 1.0, L, est.constant_sigmas(1.0), noise.cauchy(1.0), tx.tanh_fn(0.75), 10.0, 1.0
             )
             maes = [
-                harness.run_estimation_experiment(
-                    setup, 150, cfg["master_seed"], estimator=estimator, stream_id_base=k * 2**32
-                ).aggregates["median_abs_error"]
+                harness.median_abs_error(
+                    harness.run_estimation_experiment(
+                        setup, 150, cfg["master_seed"], estimator=estimator, stream_id_base=k * 2**32
+                    ),
+                    1.0,
+                )
                 for estimator in ("bounded", "af")
             ]
             expected.append([str(L)] + [f"{mae:.12g}" for mae in maes] + ["150"])

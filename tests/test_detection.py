@@ -158,12 +158,12 @@ class TestErrorProbability:
     def test_huge_snr_nearly_perfect(self):
         """rho_s = 60 dB, rho_c = 20 dB: errors all but vanish."""
         setup = _setup(theta=1000.0, total_power=100.0, channel_noise_var=1.0)
-        assert harness.run_detection_experiment(setup, 10**4, 1).aggregates["pe"] < 0.01
+        assert harness.run_detection_experiment(setup, 10**4, 1)[0] < 0.01
 
     def test_zero_signal_errs_at_smaller_prior(self):
         setup = _setup(theta=0.0, priors=(0.3, 0.7))
-        aggregates = harness.run_detection_experiment(setup, 10**4, 2).aggregates
-        assert abs(aggregates["pe"] - 0.3) <= 3.0 * max(aggregates["stderr"], 1e-3)
+        pe, stderr = harness.run_detection_experiment(setup, 10**4, 2)
+        assert abs(pe - 0.3) <= 3.0 * max(stderr, 1e-3)
 
     def test_stream_draw_accounting(self):
         setup = _setup(L=7)
@@ -178,8 +178,8 @@ class TestErrorProbability:
         assert stream.counter == 20000 * (setup.L + 1)
         assert list(trials_by_h) == [10000, 10000]
         pe_strat, se_strat = det.summarize_errors(setup.priors, trials_by_h, errors_by_h, True)
-        plain = harness.run_detection_experiment(setup, 20000, 4, stream_id_base=1).aggregates
-        assert abs(pe_strat - plain["pe"]) < 3.0 * (se_strat + plain["stderr"])
+        pe, stderr = harness.run_detection_experiment(setup, 20000, 4, stream_id_base=1)
+        assert abs(pe_strat - pe) < 3.0 * (se_strat + stderr)
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
@@ -262,8 +262,7 @@ class TestDcOptimumQuality:
         pes = []
         for k, w in enumerate(omegas):
             point = replace(base, transmit=tx.with_omega(base.transmit, float(w)))
-            summary = harness.run_detection_experiment(point, trials, 606, stream_id_base=k * harness.POINT_STREAM_STRIDE)
-            pes.append((summary.aggregates["pe"], summary.aggregates["stderr"]))
+            pes.append(harness.run_detection_experiment(point, trials, 606, stream_id_base=k * harness.POINT_STREAM_STRIDE))
         pe_star, se_star = pes[-1]
         best, se_best = min(pes[:-1])
         assert pe_star <= best + max(0.10 * best, 4.0 * (se_star + se_best))

@@ -133,8 +133,8 @@ class TestEstimate:
     def test_full_pipeline_consistency(self):
         """Median of 1e3 Monte Carlo estimates lands within 0.05 of theta."""
         setup = _setup()
-        summary = harness.run_estimation_experiment(setup, 1000, 321)
-        assert abs(summary.aggregates["median"] - 1.0) < 0.05
+        estimates = harness.run_estimation_experiment(setup, 1000, 321)
+        assert abs(np.median(estimates) - 1.0) < 0.05
 
 
 class TestAsymptoticVariance:
@@ -174,8 +174,8 @@ class TestAsymptoticVariance:
         """L*var over 1e4 trials within 10% of the limit value at L=500."""
         setup = _setup()
         target = est.asymptotic_variance(setup)
-        summary = harness.run_estimation_experiment(setup, 10**4, 99)
-        assert summary.aggregates["l_var"] == pytest.approx(target, rel=0.10)
+        estimates = harness.run_estimation_experiment(setup, 10**4, 99)
+        assert harness.l_var(estimates, setup.L) == pytest.approx(target, rel=0.10)
 
 
 class TestAmplifyForward:
@@ -220,8 +220,8 @@ class TestAmplifyForward:
         maes = []
         for L in (100, 1000, 10000):
             setup = _setup(L=L)
-            summary = harness.run_estimation_experiment(setup, 400, 11, estimator="af")
-            maes.append(summary.aggregates["median_abs_error"])
+            estimates = harness.run_estimation_experiment(setup, 400, 11, estimator="af")
+            maes.append(harness.median_abs_error(estimates, setup.theta))
         assert maes[1] < maes[0] and maes[2] < maes[1]
 
     def test_error_flat_under_sqrt_growth(self):
@@ -230,8 +230,8 @@ class TestAmplifyForward:
         maes = []
         for L in (100, 10000):
             setup = _setup(L=L, sigmas=est.sqrt_growth_sigmas(1.0))
-            summary = harness.run_estimation_experiment(setup, 400, 12, estimator="af")
-            maes.append(summary.aggregates["median_abs_error"])
+            estimates = harness.run_estimation_experiment(setup, 400, 12, estimator="af")
+            maes.append(harness.median_abs_error(estimates, setup.theta))
         assert maes[1] > maes[0] / 1.2
 
     def test_error_shrinks_under_slow_unbounded_growth(self):
@@ -242,8 +242,8 @@ class TestAmplifyForward:
         for L in (100, 1000, 10000):
             vals = tuple(float(i) ** 0.25 for i in range(1, L + 1))
             setup = _setup(L=L, sigmas=est.SigmaSequence(est.EXPLICIT_LIST, values=vals))
-            summary = harness.run_estimation_experiment(setup, 400, 12, estimator="af")
-            maes.append(summary.aggregates["median_abs_error"])
+            estimates = harness.run_estimation_experiment(setup, 400, 12, estimator="af")
+            maes.append(harness.median_abs_error(estimates, setup.theta))
         assert maes[1] < maes[0] and maes[2] < maes[1]
         assert maes[2] < maes[0] / 2.0
 
@@ -252,8 +252,8 @@ class TestAmplifyForward:
         maes = []
         for L in (100, 10000):
             setup = _setup(L=L, noise=noise.cauchy(1.0))
-            summary = harness.run_estimation_experiment(setup, 400, 13, estimator="af")
-            maes.append(summary.aggregates["median_abs_error"])
+            estimates = harness.run_estimation_experiment(setup, 400, 13, estimator="af")
+            maes.append(harness.median_abs_error(estimates, setup.theta))
         assert maes[1] > maes[0] / 2.0
 
 
@@ -281,8 +281,8 @@ class TestBoundedConsistency:
         maes = []
         for L in (100, 10000):
             setup = _setup(L=L, noise=noise.NoiseModel(kind, 1.0))
-            summary = harness.run_estimation_experiment(setup, 400, 17)
-            maes.append(summary.aggregates["median_abs_error"])
+            estimates = harness.run_estimation_experiment(setup, 400, 17)
+            maes.append(harness.median_abs_error(estimates, setup.theta))
         assert maes[1] <= maes[0] / 2.0
 
 

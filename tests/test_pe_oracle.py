@@ -156,8 +156,7 @@ class TestMonteCarloAgainstOracle:
         and error-rate optima are compared."""
         setup = _fig5_setup(omega)
         oracle = pe_semi_analytic(setup)
-        summary = harness.run_detection_experiment(setup, 10**6, 60606)
-        pe, se = summary.aggregates["pe"], summary.aggregates["stderr"]
+        pe, se = harness.run_detection_experiment(setup, 10**6, 60606)
         assert abs(pe - oracle) < 4.0 * se, f"MC {pe} vs oracle {oracle} (se={se})"
 
     def test_oracle_confirms_pe_optimum_right_of_dc_optimum(self):
