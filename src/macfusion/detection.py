@@ -219,8 +219,7 @@ def matched_density(f, spec: QuadratureSpec = DEFAULT_QUADRATURE):
     ``f`` may be a TransmitFunction or a plain vectorized callable.
     """
     if isinstance(f, tx.TransmitFunction):
-        code, a, b = tx.kind_params(f)
-        feval = lambda x: kernels.eval_transmit(code, a, b, np.asarray(x, dtype=np.float64))
+        feval = lambda x: kernels.eval_transmit(f, x=x)
         kinks = tx.breakpoints(f)
     else:
         feval = lambda x: np.asarray(f(np.asarray(x, dtype=np.float64)), dtype=np.float64)

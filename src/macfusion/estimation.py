@@ -194,14 +194,13 @@ def _g_moments_cached(
 ) -> np.ndarray:
     """E[f^power(theta + sigma n)] for every (theta, sigma) pair, as a
     read-only (thetas, sigmas) array from one vector-valued quadrature."""
-    code, a, b = tx.kind_params(f)
     t = tail_truncation(noise, spec.tail_mass)
     # One component per (theta, sigma), theta-major.
     shift = np.repeat(thetas, len(sigmas))[:, None]
     scale = np.tile(sigmas, len(thetas))[:, None]
 
     def g(n):
-        v = kernels.eval_transmit(code, a, b, shift + scale * n)
+        v = kernels.eval_transmit(f, x=shift + scale * n)
         return v if power == 1 else v * v
 
     label = f"sigma={sigmas[0]}" if len(sigmas) == 1 else f"sigma in [{sigmas[0]}, {sigmas[-1]}]"
@@ -357,22 +356,21 @@ class MeshValidationError(NumericsError):
 class FlatResponse:
     """h_L frozen into flat shifted-node/weight arrays.
 
-    h(theta) = sum_j weights[j] * f(theta + nodes[j]); the weights absorb
-    the probability measure and sigma multiplicities, so evaluation and
-    batched inversion reduce to kernel calls.
+    h(theta) = sum_j weights[j] * f(theta + nodes[j]) for the setup's
+    transmit curve ``f``; the weights absorb the probability measure and
+    sigma multiplicities, so evaluation and batched inversion reduce to
+    kernel calls.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    code: int
-    a: float
-    b: float
+    f: tx.TransmitFunction
     # sup |h|: bound(f) times the weight sum, which falls short of 1 by the
     # truncated tail mass; math.inf for unbounded kinds.
     limit: float
 
     def eval(self, theta) -> np.ndarray:
-        return kernels.eval_response(self.nodes, self.weights, self.code, self.a, self.b, theta)
+        return kernels.eval_response(self.nodes, self.weights, self.f, theta)
 
     def eval_one(self, theta: float) -> float:
         return float(self.eval(np.array([theta]))[0])
@@ -445,7 +443,7 @@ class FlatResponse:
         for start in range(0, flat_targets.size, INVERT_CHUNK):
             chunk = np.clip(flat_targets[start : start + INVERT_CHUNK], lo_t, hi_t)
             flat_thetas[start : start + INVERT_CHUNK] = kernels.invert_h_targets(
-                self.nodes, self.weights, self.code, self.a, self.b, chunk, grid_x, grid_h
+                self.nodes, self.weights, self.f, targets=chunk, grid_x=grid_x, grid_h=grid_h
             )
         return thetas, clamped
 
@@ -468,7 +466,6 @@ def _probability_mesh(
     relative tolerance stays meaningful for odd integrands.
     """
     d = 0.5 * spec.tail_mass
-    code, a, b = tx.kind_params(f)
     probes = np.asarray(probes, dtype=np.float64)
     offset = 2.0 * probes.size
 
@@ -476,7 +473,7 @@ def _probability_mesh(
         q = sigma * np.asarray(quantile(noise, v))
         acc = np.full(q.shape, offset)
         for theta in probes:
-            acc = acc + kernels.eval_transmit(code, a, b, theta + q)
+            acc = acc + kernels.eval_transmit(f, x=theta + q)
         return acc
 
     bps = set()
@@ -519,7 +516,6 @@ def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_Q
     probes = _probes(setup)
     check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
     values, shares = setup.sigma_shares()
-    code, a, b = tx.kind_params(setup.transmit)
     exact = g_moment(setup.noise, setup.transmit, values, check, 1, spec)
 
     parts_nodes = []
@@ -530,7 +526,7 @@ def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_Q
             v_nodes, v_weights = fixed_mesh_nodes(edges)
             nodes = sigma * np.asarray(quantile(setup.noise, v_nodes))
             weights = share * v_weights
-            worst = _worst_check(kernels.eval_response(nodes, weights, code, a, b, check), share * moments, check)
+            worst = _worst_check(kernels.eval_response(nodes, weights, setup.transmit, check), share * moments, check)
             if worst is None:
                 break
             edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
@@ -548,9 +544,7 @@ def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_Q
     return FlatResponse(
         nodes=np.concatenate(parts_nodes),
         weights=weights,
-        code=code,
-        a=a,
-        b=b,
+        f=setup.transmit,
         limit=math.inf if c is None else c * math.fsum(weights),
     )
 

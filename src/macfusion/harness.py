@@ -58,41 +58,45 @@ def run_estimation_experiment(
     if estimator not in ("bounded", "af"):
         raise ValueError(f"unknown estimator {estimator!r}")
 
-    # Keep only the statistic this estimator reads; the inverted estimates
-    # replace the targets, so at most two trial-length float arrays are alive.
-    statistic = _collect_signal_statistics(setup, trials, master_seed, stream_id_base)[
-        "af_estimates" if estimator == "af" else "z_targets"
-    ]
+    key = "af_estimates" if estimator == "af" else "z_targets"
+    statistic = _collect_signal_statistics(setup, trials, master_seed, stream_id_base, (key,))[key]
     if estimator == "af":
         return statistic
     return build_flat_response(setup, spec=spec).invert(statistic)[0]
 
 
-def _collect_signal_statistics(setup, trials, master_seed, stream_id_base) -> dict:
-    """Draw all trials and return normalized targets plus AF estimates.
+def _collect_signal_statistics(setup, trials, master_seed, stream_id_base, keys) -> dict:
+    """Draw all trials and return the statistics named in ``keys``.
 
-    The two estimators are deliberately fed the same realizations so
-    comparisons are paired. Both outputs are written block by block as the
-    trials are drawn.
+    ``z_targets`` are the normalized received values the bounded estimator
+    inverts, ``af_estimates`` the amplify-and-forward estimates. Both come
+    from the same realizations, so comparisons are paired, and each is
+    written block by block as the trials are drawn. Only the AF estimates
+    need the AF gain and the sums of sigma n, so they are computed only
+    when asked for.
     """
     sqrt_rho = math.sqrt(setup.rho)
-    alpha, _ = af_gain(setup)
-    z_targets = np.empty(trials)
-    af_estimates = np.empty(trials)
+    af = "af_estimates" in keys
+    alpha = af_gain(setup)[0] if af else None
+    out = {key: np.empty(trials) for key in keys}
     for rows, _, sums in kernels.draw_blocks(setup, trials, RngStream(master_seed, stream_id_base)):
-        f_sums, scaled_sums, chan = sums(setup.theta, scaled=True)
-        z_targets[rows] = (sqrt_rho * f_sums + chan) / math.sqrt(setup.L) / math.sqrt(setup.total_power)
-        af_estimates[rows] = setup.theta + scaled_sums / setup.L + chan / (setup.L * alpha)
-    return {"z_targets": z_targets, "af_estimates": af_estimates}
+        f_sums, scaled_sums, chan = sums(setup.theta, scaled=af)
+        if "z_targets" in out:
+            out["z_targets"][rows] = (sqrt_rho * f_sums + chan) / math.sqrt(setup.L) / math.sqrt(setup.total_power)
+        if af:
+            out["af_estimates"][rows] = setup.theta + scaled_sums / setup.L + chan / (setup.L * alpha)
+    return out
 
 
 def run_signal_statistics(setup, trials, master_seed, stream_id_base: int = 0) -> dict:
-    """Normalized received values and AF estimates without any inversion.
+    """Normalized received values and AF estimates of the same draws, without any inversion.
 
-    Used by the degeneration experiments, where the mean response flattens
-    and inversion would be ill-conditioned by design.
+    ``af_compare`` inverts the targets itself and compares both estimators
+    on the paired draws; the degeneration experiments (``theorem3``) read
+    the targets directly, where the mean response flattens and inversion
+    would be ill-conditioned by design.
     """
-    return _collect_signal_statistics(setup, trials, master_seed, stream_id_base)
+    return _collect_signal_statistics(setup, trials, master_seed, stream_id_base, ("z_targets", "af_estimates"))
 
 
 def run_detection_experiment(

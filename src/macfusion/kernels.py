@@ -8,12 +8,14 @@ draw loop of estimation and detection, draws random numbers, in the fixed
 layout its docstring gives, so the draws an experiment consumes do not
 depend on how the kernels batch their work.
 
-Each transmit curve is defined once, in ``_curve``, as a chain of ufunc
-calls that take an ``out=`` argument: with ``out=None`` the first call
-allocates the result and the rest of the chain runs in place on it; with
-``out=x`` the whole chain overwrites ``x`` (the rational curve and the
-signed power keep one scratch array for their second operand). The order
-of operations is fixed, so every entry point gives bit-identical values.
+Every kernel takes the ``TransmitFunction`` f itself. Each curve is
+defined once, in ``_curve``, as a chain of ufunc calls that take an
+``out=`` argument: with ``out=None`` the first call allocates the result
+and the rest of the chain runs in place on it; with ``out=x`` the whole
+chain overwrites ``x`` (the rational curve and the signed power keep one
+scratch array for their second operand). The order of operations is
+fixed, so every entry point gives bit-identical values. ``x`` and
+``targets`` are keyword-only because ``perfbench/tracer.py`` counts them by name.
 
 The mean response h(theta) = sum_j w_j f(theta + u_j) is evaluated by
 ``eval_response`` in tiles of at most ``numerics.DRAW_BLOCK_ELEMENTS``
@@ -45,54 +47,56 @@ def get_backend() -> str:
     return "numpy"
 
 
-def _curve(code: int, a: float, b: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """f(x) for the kind ``code``; the one definition of each curve.
+def _curve(f: tx.TransmitFunction, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """f(x); the one array definition of each curve.
 
     ``out=None`` leaves ``x`` untouched and returns a new array; ``out=x``
     overwrites ``x`` with f(x).
     """
-    if code == 0:
-        y = np.multiply(a, x, out=out)
+    if f.kind == tx.TANH:
+        y = np.multiply(f.omega, x, out=out)
         return np.tanh(y, out=y)
-    if code == 1:
-        y = np.multiply(0.5 * a, x, out=out)
+    if f.kind == tx.GUDERMANNIAN:
+        y = np.multiply(0.5 * f.omega, x, out=out)
         np.tanh(y, out=y)
         np.arctan(y, out=y)
         return np.multiply(_FOUR_OVER_PI, y, out=y)
-    if code == 2:
-        t = np.multiply(a, x, out=out)
+    if f.kind == tx.RATIONAL:
+        t = np.multiply(f.omega, x, out=out)
         d = np.abs(t)
         np.add(1.0, d, out=d)
         return np.divide(t, d, out=t)
-    if code == 3:
+    if f.kind == tx.SIGNED_POWER:
         s = np.sign(x)
         y = np.abs(x, out=out)
-        np.power(y, a, out=y)
+        np.power(y, f.p_exponent, out=y)
         return np.multiply(s, y, out=y)
-    if code == 4:
-        k = np.divide(x, a, out=out)
+    if f.kind == tx.UNIFORM_QUANTIZER:
+        step = tx.quantizer_step(f)
+        top = (f.levels - 1) / 2.0
+        k = np.divide(x, step, out=out)
         np.add(k, 0.5, out=k)
         np.floor(k, out=k)
-        np.clip(k, -b, b, out=k)
-        return np.multiply(k, a, out=k)
-    return np.multiply(a, x, out=out)
+        np.clip(k, -top, top, out=k)
+        return np.multiply(k, step, out=k)
+    return np.multiply(f.alpha, x, out=out)
 
 
-def eval_transmit(code: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
+def eval_transmit(f: tx.TransmitFunction, *, x) -> np.ndarray:
     """f applied elementwise to an array of any shape; ``x`` is not modified."""
-    return _curve(code, a, b, np.ascontiguousarray(x, dtype=np.float64))
+    return _curve(f, np.asarray(x, dtype=np.float64))
 
 
-def channel_sums(code: int, a: float, b: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def channel_sums(f: tx.TransmitFunction, *, x, out: np.ndarray | None = None) -> np.ndarray:
     """Row sums of f over a (trials, sensors) observation block.
 
     ``x`` is not modified unless it is ``out``: f(x) goes to ``out``, a
-    contiguous float64 array of ``x``'s shape, so ``out=x`` applies f in
-    place; with ``out=None`` to a new array.
+    float64 array of ``x``'s shape, so ``out=x`` applies f in place; with
+    ``out=None`` to a new array.
     """
     if out is None:
-        x = np.ascontiguousarray(x, dtype=np.float64)
-    return _curve(code, a, b, x, out=out).sum(axis=1)
+        x = np.asarray(x, dtype=np.float64)
+    return _curve(f, x, out=out).sum(axis=1)
 
 
 def draw_blocks(setup, trials: int, stream, lead: int = 0):
@@ -126,7 +130,6 @@ def draw_blocks(setup, trials: int, stream, lead: int = 0):
     bit-identical to summing the whole row at once.
     """
     sigmas = setup.sigmas.resolve(setup.L)
-    code, a, b = tx.kind_params(setup.transmit)
     channel = noise.gaussian(math.sqrt(setup.channel_noise_var))
     cols = lead + setup.L + 1
     work = np.empty(numerics.block_elements(trials, cols))
@@ -139,7 +142,7 @@ def draw_blocks(setup, trials: int, stream, lead: int = 0):
                 np.multiply(sigmas[lo:hi], x, out=x)
                 scaled_sums = x.sum(axis=1) if scaled else None
                 np.add(shift, x, out=x)
-                f_sums = channel_sums(code, a, b, x, out=x)
+                f_sums = channel_sums(setup.transmit, x=x, out=x)
                 return np.stack([f_sums, scaled_sums]) if scaled else f_sums
 
             total = numerics.pairwise_row_sum(setup.L, leaf)
@@ -150,21 +153,14 @@ def draw_blocks(setup, trials: int, stream, lead: int = 0):
         yield slice(start, start + count), draw(0, lead) if lead else None, sums
 
 
-def eval_response(
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    code: int,
-    a: float,
-    b: float,
-    thetas: np.ndarray,
-) -> np.ndarray:
+def eval_response(nodes: np.ndarray, weights: np.ndarray, f: tx.TransmitFunction, thetas) -> np.ndarray:
     """sum_j weights[j] * f(theta + nodes[j]) for every theta.
 
     Works through the thetas in tiles of at most
     ``numerics.DRAW_BLOCK_ELEMENTS`` theta-node products (one theta per
     tile if a single row is larger), with one scratch tile per call.
     """
-    thetas = np.ascontiguousarray(thetas, dtype=np.float64).ravel()
+    thetas = np.asarray(thetas, dtype=np.float64).ravel()
     rows = max(1, numerics.DRAW_BLOCK_ELEMENTS // nodes.size)
     h = np.empty(thetas.size)
     tile = np.empty((min(rows, thetas.size), nodes.size))
@@ -172,7 +168,7 @@ def eval_response(
         stop = min(start + rows, thetas.size)
         part = tile[: stop - start]
         np.add(thetas[start:stop, None], nodes, out=part)
-        _curve(code, a, b, part, out=part)
+        _curve(f, part, out=part)
         np.vecdot(part, weights, out=h[start:stop])
     return h
 
@@ -208,9 +204,8 @@ def _cubic_seed(grid_x: np.ndarray, grid_h: np.ndarray, idx: np.ndarray, targets
 def invert_h_targets(
     nodes: np.ndarray,
     weights: np.ndarray,
-    code: int,
-    a: float,
-    b: float,
+    f: tx.TransmitFunction,
+    *,
     targets: np.ndarray,
     grid_x: np.ndarray,
     grid_h: np.ndarray,
@@ -227,13 +222,8 @@ def invert_h_targets(
     just beyond the root and one more step usually finishes. A target stops
     as soon as its residual is within eps * max(1, |target|), the rounding
     of h, its iterate stops moving, or its bracket holds no float strictly
-    inside.
+    inside. Every array is float64.
     """
-    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    targets = np.ascontiguousarray(targets, dtype=np.float64)
-    grid_x = np.ascontiguousarray(grid_x, dtype=np.float64)
-    grid_h = np.ascontiguousarray(grid_h, dtype=np.float64)
     idx = np.clip(np.searchsorted(grid_h, targets, side="left"), 1, grid_x.size - 1)
     seed, slope = _cubic_seed(grid_x, grid_h, idx, targets)
     tol = np.finfo(np.float64).eps * np.maximum(1.0, np.abs(targets))
@@ -268,7 +258,7 @@ def invert_h_targets(
         if active.size == 0:
             break
         x[active] = x_new
-        fx = eval_response(nodes, weights, code, a, b, x_new) - targets[active]
+        fx = eval_response(nodes, weights, f, x_new) - targets[active]
         below = fx < 0.0
         lo_x = np.where(below, x_new, lo_x)
         lo_f = np.where(below, fx, lo_f)

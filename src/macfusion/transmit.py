@@ -9,7 +9,7 @@ count M = 2K + 1, step Delta = 2*x_max/M, half-open cells
 amplify-and-forward baseline and the heavy-tail side experiment.
 
 Array evaluation lives in :mod:`macfusion.kernels`, which holds the one
-array definition of each curve; ``kind_params`` gives its arguments.
+array definition of each curve and takes the ``TransmitFunction`` itself.
 """
 
 from __future__ import annotations
@@ -26,16 +26,6 @@ UNIFORM_QUANTIZER = "uniform_quantizer"
 LINEAR = "linear"
 
 TRANSMIT_KINDS = (TANH, GUDERMANNIAN, RATIONAL, SIGNED_POWER, UNIFORM_QUANTIZER, LINEAR)
-
-# Kind codes understood by the kernels.
-KIND_CODES = {
-    TANH: 0,
-    GUDERMANNIAN: 1,
-    RATIONAL: 2,
-    SIGNED_POWER: 3,
-    UNIFORM_QUANTIZER: 4,
-    LINEAR: 5,
-}
 
 # Kinds satisfying smooth strict monotonicity with bounded range.
 BOUNDED_SMOOTH_KINDS = (TANH, GUDERMANNIAN, RATIONAL)
@@ -134,18 +124,6 @@ def quantizer_step(f: TransmitFunction) -> float:
     if f.kind != UNIFORM_QUANTIZER:
         raise UnsupportedKindError("quantizer_step is defined only for uniform_quantizer")
     return 2.0 * f.x_max / f.levels
-
-
-def kind_params(f: TransmitFunction) -> tuple[int, float, float]:
-    """(code, a, b) triple consumed by the kernels."""
-    code = KIND_CODES[f.kind]
-    if f.kind in BOUNDED_SMOOTH_KINDS:
-        return code, f.omega, 0.0
-    if f.kind == SIGNED_POWER:
-        return code, f.p_exponent, 0.0
-    if f.kind == UNIFORM_QUANTIZER:
-        return code, quantizer_step(f), (f.levels - 1) / 2.0
-    return code, f.alpha, 0.0
 
 
 def derivative(f: TransmitFunction, x):

@@ -62,9 +62,8 @@ def from_variance(kind: str, target_variance: float) -> NoiseModel:
 
 def eval_fn(f: tx.TransmitFunction, x):
     """Evaluate f(x); vectorized over ``x``."""
-    code, a, b = tx.kind_params(f)
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    out = kernels.eval_transmit(code, a, b, np.asarray(x, dtype=np.float64).ravel())
+    out = kernels.eval_transmit(f, x=np.asarray(x, dtype=np.float64).ravel())
     if scalar:
         return float(out[0])
     return out.reshape(np.shape(x))
@@ -119,9 +118,8 @@ def simulate_channel(setup, trial_stream) -> ChannelRealization:
     sigmas = setup.sigmas.resolve(setup.L)
     noise_draws = sample(setup.noise, trial_stream, setup.L)
     chan_u = trial_stream.uniforms(1)
-    code, a, b = tx.kind_params(setup.transmit)
     x = setup.theta + sigmas * noise_draws
-    y_raw = math.sqrt(setup.rho) * float(kernels.channel_sums(code, a, b, x[None, :])[0])
+    y_raw = math.sqrt(setup.rho) * float(kernels.channel_sums(setup.transmit, x=x[None, :])[0])
     y_raw += math.sqrt(setup.channel_noise_var) * float(ndtri(chan_u[0]))
     return ChannelRealization.from_raw(y_raw, setup.L)
 
@@ -237,11 +235,11 @@ def clear_moment_cache() -> None:
     est._g_moments_cached.cache_clear()
 
 
-def scalar_mesh_is_valid(setup, nodes, weights, code, a, b, sigma, count, probes, spec) -> bool:
+def scalar_mesh_is_valid(setup, nodes, weights, sigma, count, probes, spec) -> bool:
     """The mesh check as 13 scalar moments: one quadrature per check theta."""
     check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
     share = count / setup.L
-    for theta, flat in zip(check, kernels.eval_response(nodes, weights, code, a, b, check)):
+    for theta, flat in zip(check, kernels.eval_response(nodes, weights, setup.transmit, check)):
         exact = share * est.g_moment(setup.noise, setup.transmit, float(sigma), float(theta), 1, spec)
         if abs(flat - exact) > 1e-9 * max(1.0, abs(exact)):
             return False

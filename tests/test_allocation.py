@@ -60,8 +60,7 @@ def test_inversion_of_many_targets_holds_one_chunk():
     inversion held about 23 target-length arrays (35 blocks here).
     """
     v, w = numerics.fixed_mesh_nodes(np.linspace(1e-6, 1.0 - 1e-6, 3))
-    code, a, b = tx.kind_params(tx.tanh_fn(1.0))
-    flat = est.FlatResponse(nodes=ndtri(v), weights=w, code=code, a=a, b=b, limit=float(w.sum()))
+    flat = est.FlatResponse(nodes=ndtri(v), weights=w, f=tx.tanh_fn(1.0), limit=float(w.sum()))
     targets = np.random.default_rng(1).uniform(-0.95, 0.95, 10**5) * flat.limit
     targets[:2] = [-1.0, 1.0]
     (thetas, clamped), peak = _traced_peak(lambda: flat.invert(targets))

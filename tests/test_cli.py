@@ -285,10 +285,15 @@ class TestFoundProbes:
                 2,
                 "config error at transmits[0].alpha:",
             ),
-            ("consistency", ['sigmas={"kind":"constant","sigma":1e-200}'], 3, "numerical failure in consistency:"),
-            ("cauchy-af", ['sigmas={"kind":"constant","sigma":1e-200}'], 3, "numerical failure in af_compare:"),
-            ("consistency", ['sigmas={"kind":"constant","sigma":1e200}'], 3, "numerical failure in consistency:"),
-            ("cauchy-af", ['sigmas={"kind":"constant","sigma":1e200}'], 3, "numerical failure in af_compare:"),
+            ("consistency", ['sigmas={"kind":"constant","sigma":1e-200}'], 0, ""),
+            ("cauchy-af", ['sigmas={"kind":"constant","sigma":1e-200}'], 3, "numerical failure in af_compare: AF power normalization"),
+            (
+                "consistency",
+                ['sigmas={"kind":"constant","sigma":1e200}'],
+                3,
+                "numerical failure in consistency: inverting the mean response: no theta above -1e18",
+            ),
+            ("cauchy-af", ['sigmas={"kind":"constant","sigma":1e200}'], 3, "numerical failure in af_compare: AF power normalization"),
         ],
         ids=["fig6-1e200", "fig6-1e-200", "consistency-1e-200", "cauchy-af-1e-200", "consistency-1e200", "cauchy-af-1e200"],
     )
@@ -296,19 +301,30 @@ class TestFoundProbes:
         """A sensor scale whose square underflows to 0 or overflows to inf left
         no positive finite gain: the power-normalized linear curve ended in
         a ZeroDivisionError or a FieldError traceback, and the AF gain in a
-        ZeroDivisionError, or in divide-by-zero warnings."""
+        ZeroDivisionError, or in divide-by-zero warnings. The bounded
+        estimator of ``consistency`` needs no AF gain: at sigma=1e-200 it
+        inverts finite thetas, and at 1e200 the flat response cannot reach
+        the targets."""
         if preset == "fig6":
             overrides = ["trials=10", "L_values=[2]"] + overrides
         else:
             overrides = ["trials=10", "L_values=[5]", "theta=0"] + overrides
+        out = tmp_path / "x.csv"
+        args = ["run", preset, "--out", str(out)]
+        for ov in overrides:
+            args += ["--set", ov]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got, err = self._fails(tmp_path, capsys, preset, *overrides)
+            got = _run(args)
+        err = capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "Traceback" not in err
         assert got == code
         assert err.startswith(prefix)
-        if code == 3:
-            assert "AF power normalization" in err
+        assert out.exists() == (code == 0)
+        if code == 0:
+            header, rows = read_csv(out)
+            assert rows and all(math.isfinite(float(row[header.index("median_abs_error")])) for row in rows)
 
     def test_huge_theta_exits_2(self, tmp_path, capsys):
         """theta=1e308 overflowed theta**2 in estimation.af_gain."""

@@ -348,9 +348,9 @@ class TestFlatResponseFastPath:
         calls = []
         invert = kernels.invert_h_targets
 
-        def counting(*args):
-            calls.append(args[5].size)
-            return invert(*args)
+        def counting(*args, targets, **kwargs):
+            calls.append(targets.size)
+            return invert(*args, targets=targets, **kwargs)
 
         monkeypatch.setattr(kernels, "invert_h_targets", counting)
         monkeypatch.setattr(est, "INVERT_CHUNK", targets.size)
@@ -376,9 +376,9 @@ class TestFlatResponseFastPath:
         rows = []
         evaluate = kernels.eval_response
 
-        def counting(nodes, weights, code, a, b, thetas):
+        def counting(nodes, weights, f, thetas):
             rows.append(np.size(thetas))
-            return evaluate(nodes, weights, code, a, b, thetas)
+            return evaluate(nodes, weights, f, thetas)
 
         monkeypatch.setattr(kernels, "eval_response", counting)
         thetas, clamped = flat.invert(targets)
@@ -408,7 +408,6 @@ def _check_decisions(setup, *, every=1, scale=1.0, mesh_spec=None):
     check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
     values, counts = setup.sigmas.distinct(setup.L)
     exact = est.g_moment(setup.noise, setup.transmit, values, check, 1, spec)
-    code, a, b = tx.kind_params(setup.transmit)
     verdicts = []
     for k in sorted({*range(0, values.size, every), values.size - 1}):
         sigma, count = values[k], counts[k]
@@ -418,8 +417,8 @@ def _check_decisions(setup, *, every=1, scale=1.0, mesh_spec=None):
             v_nodes, v_weights = numerics.fixed_mesh_nodes(edges)
             nodes = sigma * np.asarray(noise.quantile(setup.noise, v_nodes))
             weights = scale * share * v_weights
-            old = scalar_mesh_is_valid(setup, nodes, weights, code, a, b, sigma, count, probes, spec)
-            flat = kernels.eval_response(nodes, weights, code, a, b, check)
+            old = scalar_mesh_is_valid(setup, nodes, weights, sigma, count, probes, spec)
+            flat = kernels.eval_response(nodes, weights, setup.transmit, check)
             new = est._worst_check(flat, share * exact[:, k], check) is None
             verdicts.append((old, new))
             if old and new:

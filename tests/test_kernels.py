@@ -27,13 +27,12 @@ class TestTransmitKernels:
     def test_channel_sums_are_row_sums_of_eval_transmit(self, f):
         rng = np.random.default_rng(9)
         x = rng.standard_cauchy(size=(300, 40))
-        code, a, b = tx.kind_params(f)
-        sums = kernels.channel_sums(code, a, b, x)
-        assert np.array_equal(sums, kernels.eval_transmit(code, a, b, x).sum(axis=1))
-        assert np.array_equal(kernels.eval_transmit(code, a, b, x[0]), kernels.eval_transmit(code, a, b, x)[0])
+        sums = kernels.channel_sums(f, x=x)
+        assert np.array_equal(sums, kernels.eval_transmit(f, x=x).sum(axis=1))
+        assert np.array_equal(kernels.eval_transmit(f, x=x[0]), kernels.eval_transmit(f, x=x)[0])
 
 
-def _ten_step_illinois(nodes, weights, code, a, b, targets, grid_x, grid_h):
+def _ten_step_illinois(nodes, weights, f, targets, grid_x, grid_h):
     """The former inversion: exactly 10 Illinois steps for every target."""
     idx = np.clip(np.searchsorted(grid_h, targets, side="left"), 1, grid_x.size - 1)
     lo_x, hi_x = grid_x[idx - 1], grid_x[idx]
@@ -46,7 +45,7 @@ def _ten_step_illinois(nodes, weights, code, a, b, targets, grid_x, grid_h):
         with np.errstate(divide="ignore", invalid="ignore"):
             x = np.where(df > 0.0, lo_x - lo_f * (hi_x - lo_x) / np.where(df > 0.0, df, 1.0), 0.5 * (lo_x + hi_x))
         x = np.minimum(np.maximum(x, lo_x), hi_x)
-        fx = kernels.eval_transmit(code, a, b, x[:, None] + nodes[None, :]) @ weights - targets
+        fx = kernels.eval_transmit(f, x=x[:, None] + nodes[None, :]) @ weights - targets
         below = fx < 0.0
         lo_x, lo_f = np.where(below, x, lo_x), np.where(below, fx, lo_f)
         hi_x, hi_f = np.where(below, hi_x, x), np.where(below, hi_f, fx)
@@ -93,7 +92,7 @@ class TestConvergedInversion:
     def test_agrees_with_ten_steps_on_the_fine_grid(self, mesh):
         flat, targets = mesh
         grid_x, grid_h = _grid(flat, targets, 2049)
-        old = _ten_step_illinois(flat.nodes, flat.weights, flat.code, flat.a, flat.b, targets, grid_x, grid_h)
+        old = _ten_step_illinois(flat.nodes, flat.weights, flat.f, targets, grid_x, grid_h)
         assert np.max(np.abs(flat.invert(targets)[0] - old)) <= 1e-13
 
     def test_margins_and_grid_nodes_terminate(self, mesh, monkeypatch):
@@ -115,12 +114,12 @@ class TestConvergedInversion:
         steps = []
         evaluate = kernels.eval_response
 
-        def counting(nodes, weights, code, a, b, thetas):
+        def counting(nodes, weights, f, thetas):
             steps.append(thetas.size)
-            return evaluate(nodes, weights, code, a, b, thetas)
+            return evaluate(nodes, weights, f, thetas)
 
         monkeypatch.setattr(kernels, "eval_response", counting)
-        thetas = kernels.invert_h_targets(flat.nodes, flat.weights, flat.code, flat.a, flat.b, hard, grid_x, grid_h)
+        thetas = kernels.invert_h_targets(flat.nodes, flat.weights, flat.f, targets=hard, grid_x=grid_x, grid_h=grid_h)
         monkeypatch.undo()
         assert len(steps) < kernels._MAX_ILLINOIS_STEPS // 2
         assert np.all(np.isfinite(thetas))
@@ -140,14 +139,14 @@ class TestSeededInversion:
         calls = []
         evaluate, invert = kernels.eval_response, kernels.invert_h_targets
 
-        def counting(nodes, weights, code, a, b, thetas):
+        def counting(nodes, weights, f, thetas):
             calls.append(thetas.size)
-            return evaluate(nodes, weights, code, a, b, thetas)
+            return evaluate(nodes, weights, f, thetas)
 
-        def inverting(*args):
+        def inverting(*args, **kwargs):
             monkeypatch.setattr(kernels, "eval_response", counting)
             try:
-                return invert(*args)
+                return invert(*args, **kwargs)
             finally:
                 monkeypatch.setattr(kernels, "eval_response", evaluate)
 
@@ -182,21 +181,23 @@ class TestSeededInversion:
 _FOUR_OVER_PI = 4.0 / np.pi
 
 
-def _plain_curve(code, a, b, x):
+def _plain_curve(f, x):
     """The curves as plain allocating expressions, in the kernel's order of operations."""
-    if code == 0:
-        return np.tanh(a * x)
-    if code == 1:
-        return _FOUR_OVER_PI * np.arctan(np.tanh(0.5 * a * x))
-    if code == 2:
-        t = a * x
+    if f.kind == tx.TANH:
+        return np.tanh(f.omega * x)
+    if f.kind == tx.GUDERMANNIAN:
+        return _FOUR_OVER_PI * np.arctan(np.tanh(0.5 * f.omega * x))
+    if f.kind == tx.RATIONAL:
+        t = f.omega * x
         return t / (1.0 + np.abs(t))
-    if code == 3:
-        return np.sign(x) * np.abs(x) ** a
-    if code == 4:
-        k = np.clip(np.floor(x / a + 0.5), -b, b)
-        return k * a
-    return a * x
+    if f.kind == tx.SIGNED_POWER:
+        return np.sign(x) * np.abs(x) ** f.p_exponent
+    if f.kind == tx.UNIFORM_QUANTIZER:
+        step = 2.0 * f.x_max / f.levels
+        k = np.clip(np.floor(x / step + 0.5), -(f.levels - 1) / 2.0, (f.levels - 1) / 2.0)
+        return k * step
+    assert f.kind == tx.LINEAR
+    return f.alpha * x
 
 
 def _plain_transform(model, u):
@@ -236,15 +237,14 @@ CURVES = CASES + [tx.tanh_fn(3.0), tx.rational_fn(0.3), tx.uniform_quantizer_fn(
 class TestSingleCurveDefinition:
     @pytest.mark.parametrize("f", CURVES, ids=lambda f: f.kind)
     def test_allocating_and_in_place_match_the_plain_formula(self, f):
-        code, a, b = tx.kind_params(f)
         x = _curve_inputs(f)
         with np.errstate(all="ignore"):
-            plain = _plain_curve(code, a, b, x)
-            fresh = kernels._curve(code, a, b, x)
+            plain = _plain_curve(f, x)
+            fresh = kernels._curve(f, x)
             work = x.copy()
-            in_place = kernels._curve(code, a, b, work, out=work)
-            public = kernels.eval_transmit(code, a, b, x)
-            sums = kernels.channel_sums(code, a, b, x[None, :])
+            in_place = kernels._curve(f, work, out=work)
+            public = kernels.eval_transmit(f, x=x)
+            sums = kernels.channel_sums(f, x=x[None, :])
         assert in_place is work
         for got in (fresh, in_place, public):
             assert np.array_equal(_bits(got), _bits(plain))
@@ -262,12 +262,11 @@ class TestSingleCurveDefinition:
 class TestCallerArraysUntouched:
     @pytest.mark.parametrize("f", CURVES, ids=lambda f: f.kind)
     def test_eval_transmit_and_channel_sums(self, f):
-        code, a, b = tx.kind_params(f)
         x = np.random.default_rng(7).standard_normal((30, 40))
         before = x.copy()
-        kernels.eval_transmit(code, a, b, x)
-        kernels.channel_sums(code, a, b, x)
-        kernels.channel_sums(code, a, b, x[:, 3:17])
+        kernels.eval_transmit(f, x=x)
+        kernels.channel_sums(f, x=x)
+        kernels.channel_sums(f, x=x[:, 3:17])
         assert np.array_equal(x, before)
 
     @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
@@ -315,16 +314,16 @@ class TestTiledResponse:
         shapes = []
         curve = kernels._curve
 
-        def recording(code, a, b, x, out=None):
+        def recording(f, x, out=None):
             shapes.append(x.shape)
-            return curve(code, a, b, x, out=out)
+            return curve(f, x, out=out)
 
         monkeypatch.setattr(kernels, "_curve", recording)
         thetas = np.linspace(-3.0, 3.0, 23)
-        h = kernels.eval_response(flat.nodes, flat.weights, flat.code, flat.a, flat.b, thetas)
+        h = kernels.eval_response(flat.nodes, flat.weights, flat.f, thetas)
         assert [s[0] for s in shapes] == [5, 5, 5, 5, 3]
         assert all(s[0] * s[1] <= budget for s in shapes)
-        full = np.array([curve(flat.code, flat.a, flat.b, t + flat.nodes) @ flat.weights for t in thetas])
+        full = np.array([curve(flat.f, t + flat.nodes) @ flat.weights for t in thetas])
         assert np.max(np.abs(h - full)) <= 4 * np.finfo(float).eps
 
 
@@ -335,7 +334,6 @@ class TestTiledResponse:
 
 def _plain_simulate_decisions(setup, detector, trials, stream, stratified):
     """simulate_decisions with the allocating span closure it replaced."""
-    code, a, b = tx.kind_params(setup.transmit)
     sigmas = setup.sigmas.resolve(setup.L)
     sqrt_rho = np.sqrt(setup.rho)
     sigma_v = np.sqrt(setup.channel_noise_var)
@@ -356,7 +354,7 @@ def _plain_simulate_decisions(setup, detector, trials, stream, stratified):
         def sensor_sums(lo, hi):
             noise_draws = _plain_transform(setup.noise, draw(lead + lo, lead + hi))
             x = np.ascontiguousarray(shift + sigmas[lo:hi] * noise_draws)
-            return _plain_curve(code, a, b, x).sum(axis=1)
+            return _plain_curve(setup.transmit, x).sum(axis=1)
 
         y[rows] = sqrt_rho * numerics.pairwise_row_sum(setup.L, sensor_sums) + sigma_v * ndtri(draw(cols - 1, cols)[:, 0])
     wrong = (det.decide(detector, y) != hypotheses).astype(np.uint8)
@@ -367,7 +365,6 @@ def _plain_signal_statistics(setup, trials, master_seed):
     """harness._collect_signal_statistics with the allocating span closure it replaced."""
     stream = numerics.RngStream(master_seed, 0)
     sigmas = setup.sigmas.resolve(setup.L)
-    code, a, b = tx.kind_params(setup.transmit)
     alpha, _ = est.af_gain(setup)
     f_sums = np.empty(trials)
     scaled_sums = np.empty(trials)
@@ -376,7 +373,7 @@ def _plain_signal_statistics(setup, trials, master_seed):
 
         def sensor_sums(lo, hi):
             scaled = sigmas[lo:hi] * _plain_transform(setup.noise, draw(lo, hi))
-            return np.stack([_plain_curve(code, a, b, setup.theta + scaled).sum(axis=1), scaled.sum(axis=1)])
+            return np.stack([_plain_curve(setup.transmit, setup.theta + scaled).sum(axis=1), scaled.sum(axis=1)])
 
         rows = slice(start, start + count)
         f_sums[rows], scaled_sums[rows] = numerics.pairwise_row_sum(setup.L, sensor_sums)

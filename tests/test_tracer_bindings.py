@@ -26,15 +26,31 @@ def test_instrument_finds_every_binding_site():
 
 
 # Per-layer counts that two small runs must produce: fig4 runs 3 curves x 2
-# omegas and inverts 40 targets at each point; fig5 runs 4 omegas of 2000
-# trials each.
+# omegas and inverts 40 targets at each point, each trial a row of L=500
+# sensor uniforms and one channel uniform; fig5 runs 4 omegas of 2000
+# trials each, a row of one hypothesis, 20 sensor and one channel uniform.
 COUNT_RUNS = [
     (
         "fig4",
         ["trials=40", "omega_grid.points=2"],
-        {"harness.experiments": 6, "kernels.invert.targets": 240, "estimation.inverted": 240},
+        {
+            "harness.experiments": 6,
+            "kernels.invert.targets": 240,
+            "estimation.inverted": 240,
+            "kernels.channel_sums.elems": 6 * 40 * 500,
+            "numerics.uniforms.values": 6 * 40 * 501,
+        },
     ),
-    ("fig5", ["trials=2000", "omega_grid.points=4"], {"harness.experiments": 4, "detection.simulate.trials": 8000}),
+    (
+        "fig5",
+        ["trials=2000", "omega_grid.points=4"],
+        {
+            "harness.experiments": 4,
+            "detection.simulate.trials": 8000,
+            "kernels.channel_sums.elems": 4 * 2000 * 20,
+            "numerics.uniforms.values": 4 * 2000 * 22,
+        },
+    ),
 ]
 
 
