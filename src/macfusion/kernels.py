@@ -8,6 +8,13 @@ draw loop of estimation and detection, draws random numbers, in the fixed
 layout its docstring gives, so the draws an experiment consumes do not
 depend on how the kernels batch their work.
 
+For detection, ``cell_bounds`` tabulates a sensor's draw pipeline
+f(shift + sigma n(u)) as certified lower and upper bounds over each cell
+[k/K, (k+1)/K] of its uniform, K = ``BRACKET_CELLS``, and
+``transform_nodes`` the noise transform alone at u = k/K; the ``pick``
+argument of ``draw_blocks``' ``sums`` lets a caller settle most trials of
+a block from such tables and compute only the rest exactly.
+
 Every kernel takes the ``TransmitFunction`` f itself. Each curve is
 defined once, in ``_curve``, as a chain of ufunc calls that take an
 ``out=`` argument: with ``out=None`` the first call allocates the result
@@ -40,6 +47,14 @@ import numpy as np
 from . import noise, numerics, transmit as tx
 
 _FOUR_OVER_PI = 4.0 / math.pi
+
+# Cells of the unit interval in the tables of ``cell_bounds``: a power of
+# two, so floor(u * BRACKET_CELLS) is exact for every uniform.
+BRACKET_CELLS = 2**12
+# Relative slack of those tables: thousands of times the few-ulp error of
+# the noise transforms and curves.
+BRACKET_SLACK = 1e-12
+_TINY = np.finfo(np.float64).tiny
 
 
 def get_backend() -> str:
@@ -99,6 +114,53 @@ def channel_sums(f: tx.TransmitFunction, *, x, out: np.ndarray | None = None) ->
     return _curve(f, x, out=out).sum(axis=1)
 
 
+def transform_nodes(model: noise.NoiseModel) -> np.ndarray:
+    """``noise.transform_uniforms(model, k/K)`` for k = 0 .. K, K = ``BRACKET_CELLS``.
+
+    The ends take the transform's limits -inf and +inf instead of being
+    evaluated. The transform is monotone up to the few-ulp error of
+    ``ndtri``, ``log1p`` and ``tan``, so every u in [k/K, (k+1)/K] maps into
+    [n[k] - s[k], n[k + 1] + s[k + 1]] with s = BRACKET_SLACK |n| + tiny.
+    """
+    k = BRACKET_CELLS
+    n = np.empty(k + 1)
+    n[0], n[k] = -np.inf, np.inf
+    noise.transform_uniforms(model, np.arange(1, k) / k, out=n[1:k])
+    return n
+
+
+def cell_bounds(nodes: np.ndarray, f: tx.TransmitFunction, scale: float, shift: float, out=None) -> np.ndarray:
+    """Certified bounds of f(shift + scale * n(u)), cell by cell of the uniform u.
+
+    ``nodes`` is ``transform_nodes`` of the noise model, and the ufuncs and
+    their order are those of ``draw_blocks``. Returns a (K, 2) array, K =
+    ``BRACKET_CELLS``, whose row k holds a lower and an upper bound of the
+    value of every u in [k/K, (k+1)/K]; written into ``out`` if given.
+
+    The ends of a cell are its nodes widened by their slack, so f is
+    applied to bounds of n and a cell is bounded even where f steps (the
+    quantizer). The curves too are monotone up to a few ulps, which a
+    slack of ``BRACKET_SLACK`` (1 + max |bound|) covers. A bound where the
+    curve is undefined (the rational curve at infinity) is NaN: callers
+    treat NaN and infinite bounds as "no bound".
+    """
+    out = np.empty((BRACKET_CELLS, 2)) if out is None else out
+    with np.errstate(all="ignore"):
+        slack = BRACKET_SLACK * np.abs(nodes)
+        slack += _TINY
+        np.subtract(nodes[:-1], slack[:-1], out=out[:, 0])
+        np.add(nodes[1:], slack[1:], out=out[:, 1])
+        np.multiply(scale, out, out=out)
+        np.add(shift, out, out=out)
+        _curve(f, out, out=out)
+        slack = np.abs(out).max(axis=1)
+        slack *= BRACKET_SLACK
+        slack += BRACKET_SLACK
+        out[:, 0] -= slack
+        out[:, 1] += slack
+    return out
+
+
 def draw_blocks(setup, trials: int, stream, lead: int = 0):
     """The simulated channel of ``setup``, block by block of trials.
 
@@ -115,12 +177,19 @@ def draw_blocks(setup, trials: int, stream, lead: int = 0):
     Yields ``(rows, lead_columns, sums)`` per block. ``rows`` is the block's
     slice of the trials and ``lead_columns`` its (trials, lead) uniforms,
     None when ``lead`` is 0; the view is valid until ``sums`` is called.
-    ``sums(shift, scaled=False)`` draws the rest of the block and returns
-    ``(f_sums, scaled_sums, channel)``: the row sums of f(shift + sigma n),
-    those of sigma n when ``scaled`` (else None), and the channel draws;
-    ``shift`` is a scalar or one value per trial as a (trials, 1) column.
-    Call it exactly once per block, so every column is drawn once and in
-    stream order.
+    ``sums(shift, scaled=False, pick=None)`` draws the rest of the block and
+    returns ``(f_sums, scaled_sums, channel)``: the row sums of
+    f(shift + sigma n), those of sigma n when ``scaled`` (else None), and the
+    channel draws; ``shift`` is a scalar or one value per trial as a
+    (trials, 1) column. Call it exactly once per block, so every column is
+    drawn once and in stream order.
+
+    ``pick``, for blocks of whole rows only, selects the rows to compute.
+    ``sums`` first calls ``pick(sensor_uniforms, channel_uniforms, scratch)``
+    with the block's (trials, L) and (trials,) uniform views and the
+    workspace as flat float64 scratch; it returns the ascending indices of
+    the rows to compute, and the three results then hold those rows only.
+    Each value is bit-identical to the one ``sums`` gives without ``pick``.
 
     Nothing of draw size is allocated per block: each span's transform is
     written into one workspace of ``numerics.block_elements`` doubles per
@@ -135,9 +204,19 @@ def draw_blocks(setup, trials: int, stream, lead: int = 0):
     work = np.empty(numerics.block_elements(trials, cols))
     for start, count, draw in numerics.row_blocks(stream, trials, cols):
 
-        def sums(shift, scaled=False):
+        def sums(shift, scaled=False, pick=None):
+            picked = None
+            if pick is not None:
+                if cols > numerics.DRAW_BLOCK_ELEMENTS:
+                    raise ValueError("pick needs blocks of whole rows")
+                picked = pick(draw(lead, lead + setup.L), draw(cols - 1, cols)[:, 0], work)
+                if np.ndim(shift):
+                    shift = shift[picked]
+
             def leaf(lo, hi):
                 u = draw(lead + lo, lead + hi)
+                if picked is not None:
+                    u = u[picked]
                 x = noise.transform_uniforms(setup.noise, u, out=work[: u.size].reshape(u.shape))
                 np.multiply(sigmas[lo:hi], x, out=x)
                 scaled_sums = x.sum(axis=1) if scaled else None
@@ -148,7 +227,10 @@ def draw_blocks(setup, trials: int, stream, lead: int = 0):
             total = numerics.pairwise_row_sum(setup.L, leaf)
             f_sums, scaled_sums = total if scaled else (total, None)
             # Requested last: a wide row draws the channel column after its sensor spans.
-            return f_sums, scaled_sums, noise.transform_uniforms(channel, draw(cols - 1, cols)[:, 0])
+            channel_u = draw(cols - 1, cols)[:, 0]
+            if picked is not None:
+                channel_u = channel_u[picked]
+            return f_sums, scaled_sums, noise.transform_uniforms(channel, channel_u)
 
         yield slice(start, start + count), draw(0, lead) if lead else None, sums
 

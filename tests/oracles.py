@@ -16,6 +16,8 @@ computes in batches:
   per sigma group;
 - ``af_estimate`` is the amplify-and-forward estimate of one trial (the
   harness forms it for whole blocks);
+- ``unbounded_cells`` stands in for ``kernels.cell_bounds`` with tables
+  that bound nothing, so every detection trial takes the exact path;
 - ``eval_fn`` evaluates a transmit curve on scalars or arrays of any shape,
   ``from_variance`` builds a noise model of a given variance,
   ``read_csv`` reads the CLI's CSV back, and ``clear_moment_cache`` empties
@@ -58,6 +60,13 @@ def from_variance(kind: str, target_variance: float) -> NoiseModel:
     if kind == CAUCHY:
         return NoiseModel(kind, root)
     raise ValueError(f"unknown noise kind {kind!r}")
+
+
+def unbounded_cells(nodes, f, scale, shift, out=None):
+    """``kernels.cell_bounds`` with every cell bounded by (-inf, +inf)."""
+    out = np.empty((kernels.BRACKET_CELLS, 2)) if out is None else out
+    out[:] = (-np.inf, np.inf)
+    return out
 
 
 def eval_fn(f: tx.TransmitFunction, x):

@@ -8,7 +8,7 @@ import pytest
 
 from macfusion import detection as det
 from macfusion import estimation as est
-from macfusion import harness, noise, transmit as tx
+from macfusion import harness, noise, numerics, transmit as tx
 from macfusion.numerics import RngStream, adaptive_quadrature
 
 GAUSS = noise.gaussian(1.0)
@@ -184,6 +184,20 @@ class TestErrorProbability:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             harness.run_detection_experiment(_setup(), 0, 5)
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_bracket_filter_settles_all_but_a_few_trials(self, monkeypatch, stratified):
+        """fig5's setup at omega = 1 over eight draw blocks: under 1% of the
+        trials reach ``decide``. A filter that settled nothing would still
+        count right, only at the old cost; this is what catches it."""
+        setup = _setup(theta=math.sqrt(10.0), total_power=10**0.3)
+        trials = 8 * numerics.DRAW_BLOCK_ELEMENTS // (setup.L + 2)
+        decide = det.decide
+        reached = []
+        monkeypatch.setattr(det, "decide", lambda d, y: reached.append(np.size(y)) or decide(d, y))
+        trials_by_h, _ = det.simulate_decisions(setup, det.build_detector(setup), trials, RngStream(6, 0), stratified=stratified)
+        assert trials_by_h.sum() == trials
+        assert 0 < sum(reached) < 0.01 * trials
 
 
 class TestLocallyOptimal:

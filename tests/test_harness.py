@@ -7,9 +7,9 @@ import pytest
 
 from macfusion import estimation as est
 from macfusion import detection as det
-from macfusion import cli, harness, noise, numerics, transmit as tx
+from macfusion import cli, harness, kernels, noise, numerics, transmit as tx
 from macfusion.numerics import RngStream
-from oracles import eval_fn, read_csv, sample, simulate_channel, split_stream
+from oracles import eval_fn, read_csv, sample, simulate_channel, split_stream, unbounded_cells
 
 
 class HalfStream:
@@ -183,24 +183,31 @@ class TestDetectionExperiment:
 
     @pytest.mark.parametrize("stratified", [False, True])
     def test_element_budget_does_not_change_decisions(self, monkeypatch, stratified):
-        """Budgets of part of a row, one row and the whole run agree: the same
-        received values reach the decision, and the counts match."""
+        """Budgets of part of a row, one row and the whole run agree on the
+        counts. Whole rows go through the bracket filter, which hands
+        ``decide`` only the trials it cannot settle; with unbounded tables
+        every trial reaches ``decide``, and the same received values reach
+        it under every budget."""
         setup = _det_setup(L=400)
         detector = det.build_detector(setup)
         trials = 60
         cols = setup.L + (1 if stratified else 2)
         decide = det.decide
-        runs = []
-        for budget in (numerics.DRAW_BLOCK_ELEMENTS, 150, cols, trials * cols):
-            monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
-            received = []
-            monkeypatch.setattr(det, "decide", lambda d, y: received.append(y.copy()) or decide(d, y))
-            counts = det.simulate_decisions(setup, detector, trials, RngStream(14, 0), stratified=stratified)
-            runs.append((np.concatenate(received), counts))
-        for y, (trials_by_h, errors_by_h) in runs[1:]:
-            assert np.array_equal(y, runs[0][0])
-            assert np.array_equal(trials_by_h, runs[0][1][0])
-            assert np.array_equal(errors_by_h, runs[0][1][1])
+        for exact in (False, True):
+            if exact:
+                monkeypatch.setattr(kernels, "cell_bounds", unbounded_cells)
+            runs = []
+            for budget in (numerics.DRAW_BLOCK_ELEMENTS, 150, cols, trials * cols):
+                monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
+                received = []
+                monkeypatch.setattr(det, "decide", lambda d, y: received.append(y.copy()) or decide(d, y))
+                counts = det.simulate_decisions(setup, detector, trials, RngStream(14, 0), stratified=stratified)
+                runs.append((np.concatenate(received), counts))
+            for y, (trials_by_h, errors_by_h) in runs[1:]:
+                if exact:
+                    assert np.array_equal(y, runs[0][0])
+                assert np.array_equal(trials_by_h, runs[0][1][0])
+                assert np.array_equal(errors_by_h, runs[0][1][1])
 
     def test_zero_theta_coin_flip(self):
         pe, stderr = harness.run_detection_experiment(_det_setup(theta=0.0), 4000, 13)

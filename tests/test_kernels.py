@@ -7,7 +7,7 @@ from scipy.special import ndtri
 from macfusion import estimation as est
 from macfusion import detection as det
 from macfusion import harness, kernels, noise, numerics, transmit as tx
-from oracles import sample
+from oracles import sample, unbounded_cells
 
 CASES = [
     tx.tanh_fn(0.75),
@@ -259,6 +259,33 @@ class TestSingleCurveDefinition:
             assert np.array_equal(_bits(noise.transform_uniforms(model, u)), _bits(_plain_transform(model, u)))
 
 
+class TestCellBounds:
+    @pytest.mark.parametrize("f", CURVES + [None], ids=lambda f: "nodes" if f is None else f.kind)
+    @pytest.mark.parametrize("model", [noise.gaussian(1.3), noise.laplacian(0.7), noise.cauchy(2.0)], ids=lambda m: m.kind)
+    def test_every_uniform_of_a_cell_lies_within_its_bounds(self, model, f):
+        """Both ends of every cell, the draw extremes and random draws, each
+        through the pipeline of ``draw_blocks``, land inside their cell's
+        bounds, or the bound is NaN (the rational curve at infinity, in the
+        end cells); the ends u = 0 and 1 themselves are never evaluated.
+        Without a curve the bounds are the transform's nodes and their slack."""
+        cells = kernels.BRACKET_CELLS
+        k = np.arange(cells)
+        u = np.concatenate([
+            k[1:] / cells, np.nextafter((k + 1) / cells, 0.0), [2.0**-54], numerics.RngStream(8, 0).uniforms(20000)
+        ])
+        x = noise.transform_uniforms(model, u)
+        if f is None:
+            n = kernels.transform_nodes(model)
+            with np.errstate(invalid="ignore"):
+                slack = kernels.BRACKET_SLACK * np.abs(n) + np.finfo(float).tiny
+                lo, hi = n[:-1] - slack[:-1], n[1:] + slack[1:]
+        else:
+            lo, hi = kernels.cell_bounds(kernels.transform_nodes(model), f, 0.8, 1.5).T
+            x = kernels._curve(f, np.add(1.5, np.multiply(0.8, x)))
+        cell = (u * cells).astype(np.int64)
+        assert np.all((lo[cell] <= x) & (x <= hi[cell]) | np.isnan(lo[cell]) | np.isnan(hi[cell]))
+
+
 class TestCallerArraysUntouched:
     @pytest.mark.parametrize("f", CURVES, ids=lambda f: f.kind)
     def test_eval_transmit_and_channel_sums(self, f):
@@ -385,41 +412,77 @@ def _plain_signal_statistics(setup, trials, master_seed):
     }
 
 
-def _check_decisions(setup, trials, stratified, monkeypatch):
-    """simulate_decisions hands ``decide`` the received values of the
-    allocating closure, bit for bit, and counts its outcomes."""
-    detector = det.GaussianApproxDetector(mean0=0.0, mean1=4.0, var0=3.0, var1=3.5, log_prior_ratio=0.0)
-    captured = []
-    decide = det.decide
-    monkeypatch.setattr(det, "decide", lambda d, y: captured.append(np.array(y)) or decide(d, y))
-    trials_by_h, errors_by_h = det.simulate_decisions(setup, detector, trials, numerics.RngStream(11, 3), stratified=stratified)
-    monkeypatch.setattr(det, "decide", decide)
+def _check_decisions(setup, trials, stratified, monkeypatch, detector=None):
+    """simulate_decisions counts the outcomes of the allocating closure.
+
+    With the bracket filter on, every received value that reaches
+    ``decide`` is the allocating closure's value for that trial, bit for
+    bit, and in trial order. With unbounded tables every trial takes the
+    exact path, and ``decide`` sees the closure's received values of all
+    trials, bit for bit."""
+    if detector is None:
+        detector = det.GaussianApproxDetector(mean0=0.0, mean1=4.0, var0=3.0, var1=3.5, log_prior_ratio=0.0)
     ref_h, ref_wrong, ref_y = _plain_simulate_decisions(setup, detector, trials, numerics.RngStream(11, 3), stratified)
-    assert np.array_equal(_bits(np.concatenate(captured)), _bits(ref_y))  # one decide call per draw block
-    assert np.array_equal(trials_by_h, np.bincount(ref_h, minlength=2))
-    assert np.array_equal(errors_by_h, np.bincount(ref_h[ref_wrong == 1], minlength=2))
+    decide = det.decide
+
+    def run():
+        captured = []
+        monkeypatch.setattr(det, "decide", lambda d, y: captured.append(np.array(y)) or decide(d, y))
+        counts = det.simulate_decisions(setup, detector, trials, numerics.RngStream(11, 3), stratified=stratified)
+        monkeypatch.setattr(det, "decide", decide)
+        assert np.array_equal(counts[0], np.bincount(ref_h, minlength=2))
+        assert np.array_equal(counts[1], np.bincount(ref_h[ref_wrong == 1], minlength=2))
+        return _bits(np.concatenate(captured))  # one decide call per draw block
+
+    remaining = iter(_bits(ref_y).tolist())
+    assert all(bits in remaining for bits in run().tolist())
+    monkeypatch.setattr(kernels, "cell_bounds", unbounded_cells)
+    assert np.array_equal(run(), _bits(ref_y))
 
 
 SIGMAS = {"constant": est.constant_sigmas(1.0), "sqrt": est.sqrt_growth_sigmas(0.5)}
 # (L, element budget): whole rows per block, and rows wider than a block,
 # which are drawn and summed span by span.
 WIDTHS = {"rows": (30, None), "spans": (300, 128)}
+# name -> (curve, detector or None for _check_decisions' own, setup fields,
+# trials). Every curve kind, including the unbounded and step-shaped ones;
+# a detector with one threshold (equal variances) and one whose H1 region
+# is a bounded interval. "ties" sums the integer levels of a unit-step
+# quantizer at rho = 1 with a channel far below one ulp of y, so y sits on
+# the integers and the threshold y = 3 is met exactly by about one trial in
+# thirty. In "channel" the sensors carry almost no power, so y is nearly
+# the channel draw and about one trial in two thousand has its channel
+# cell across a boundary of the settled regions.
+DECISION_CASES = {
+    **{f.kind: (f, None, {}, 700) for f in CASES},
+    "tanh": (tx.tanh_fn(1.0), None, {}, 700),
+    "equal-variances": (tx.tanh_fn(1.0), det.GaussianApproxDetector(0.0, 4.0, 3.0, 3.0, 0.0), {}, 700),
+    "bounded-h1": (tx.tanh_fn(1.0), det.GaussianApproxDetector(0.0, 4.0, 6.0, 2.0, 0.0), {}, 700),
+    "ties": (
+        tx.uniform_quantizer_fn(x_max=2.5, levels=5), det.GaussianApproxDetector(0.0, 6.0, 3.0, 3.0, 0.0),
+        {"total_power": 30.0, "channel_noise_var": 1e-40}, 700,
+    ),
+    "channel": (tx.tanh_fn(1.0), det.GaussianApproxDetector(-1.0, 1.0, 1.0, 1.0, 0.0), {"total_power": 1e-6}, 4000),
+}
+# The filter needs whole rows (L = 30), so the cases beyond tanh run at that width only.
+WIDTH_CASES = [("rows", case) for case in sorted(DECISION_CASES)] + [("spans", "tanh")]
 
 
 class TestMonteCarloSpans:
-    @pytest.mark.parametrize("width", sorted(WIDTHS))
+    @pytest.mark.parametrize("width, case", WIDTH_CASES)
     @pytest.mark.parametrize("sigmas", sorted(SIGMAS))
     @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
     @pytest.mark.parametrize("stratified", [False, True])
-    def test_decisions_match_the_allocating_closure(self, kind, sigmas, width, stratified, monkeypatch):
+    def test_decisions_match_the_allocating_closure(self, kind, sigmas, width, stratified, case, monkeypatch):
         L, budget = WIDTHS[width]
         if budget is not None:
             monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
-        setup = det.DetectionSetup(
-            theta=1.5, L=L, sigmas=SIGMAS[sigmas], noise=noise.NoiseModel(kind, 1.0),
-            transmit=tx.tanh_fn(1.0), total_power=2.0, channel_noise_var=1.0,
-        )
-        _check_decisions(setup, 700, stratified, monkeypatch)
+        transmit, detector, fields, trials = DECISION_CASES[case]
+        setup = det.DetectionSetup(**{
+            "theta": 1.5, "L": L, "sigmas": SIGMAS[sigmas], "noise": noise.NoiseModel(kind, 1.0), "transmit": transmit,
+            "total_power": 2.0, "channel_noise_var": 1.0, **fields,
+        })
+        _check_decisions(setup, trials, stratified, monkeypatch, detector)
 
     @pytest.mark.parametrize("width", sorted(WIDTHS))
     @pytest.mark.parametrize("sigmas", sorted(SIGMAS))
