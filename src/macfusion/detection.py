@@ -263,25 +263,14 @@ def _largest_finite(a: np.ndarray) -> float:
     return max(np.max(a, where=finite, initial=0.0), -np.min(a, where=finite, initial=0.0))
 
 
-def _cell_index(u, index, position):
-    """floor(u * K) of each uniform into the int64 array ``index``.
-
-    ``position`` is a float64 array of the same shape that holds u * K
-    (exact, as K is a power of two); the copies allocate nothing, where a
-    ufunc reading strided ``u`` or casting to int buffers its operands.
-    """
-    np.copyto(position, u)
-    position *= kernels.BRACKET_CELLS
-    np.copyto(index, position, casting="unsafe")
-
-
 class _DecisionBracket:
     """Exact decisions for most trials of a point, without their noise transforms.
 
     Each sensor term f(shift + sigma n(u)) is monotone in its uniform u
     (sigma is constant), so the cell of u in the tables of
     ``kernels.cell_bounds`` (one per hypothesis) bounds it, and one
-    ``einsum`` adds up a trial's lower and upper bounds.
+    ``einsum`` adds up a trial's lower and upper bounds. The cell comes
+    from the top bits of u's Philox word, so no uniform is made.
     The channel draw of cell k lies within the nodes' slack of
     [channel[k], channel[k + 1]] (``kernels.transform_nodes``). So
     y_lo = sqrt(rho) lo_sum + channel[k] and y_hi = sqrt(rho) hi_sum +
@@ -317,36 +306,42 @@ class _DecisionBracket:
         self.state = np.full(self.edges.size + 1, _UNSETTLED, dtype=np.uint8)
         self.state[1::2] = verdicts
 
-    def settle(self, h1, decision, u, channel_u, scratch):
+    def settle(self, h1, decision, words, channel_words, scratch):
         """Write the certified decision of each trial into ``decision`` and
         return the rows left ``_UNSETTLED``.
 
-        ``h1`` holds the trials' hypotheses, ``u`` their (trials, L) sensor
-        uniforms and ``channel_u`` their channel uniforms. The trials go in
-        row chunks that fit ``scratch`` (three for a draw block), which
-        holds the cell indices, the gathered bounds and the brackets, so
-        nothing of block size is allocated.
+        ``h1`` holds the trials' hypotheses, ``words`` the Philox words of
+        their (trials, L) sensor uniforms and ``channel_words`` those of
+        their channel uniforms; the cell of each uniform is the word's top
+        bits. The trials go in row chunks that fit ``scratch`` (three for a
+        draw block), which holds the cell indices, the gathered bounds and
+        the brackets, so nothing of block size is allocated.
         """
-        count, sensors = u.shape
+        count, sensors = words.shape
         decision.fill(_UNSETTLED)
         chunk = scratch.size // (3 * sensors + 2)
         if chunk == 0 or not self.edges.size:
             return np.arange(count)
-        cells = kernels.BRACKET_CELLS
         with np.errstate(all="ignore"):
             for a in range(0, count, chunk):
                 b = min(a + chunk, count)
                 rows, size = b - a, (b - a) * sensors
-                index = scratch[:size].view(np.int64).reshape(rows, sensors)
+                # Cells: the words' top bits, shifted in place in the scratch (a
+                # ufunc reading the strided block takes a buffer), read as signed.
+                cells = scratch[:size].view(np.uint64).reshape(rows, sensors)
                 gathered = scratch[size : 3 * size]
                 y = scratch[3 * size : 3 * size + 2 * rows].reshape(2, rows)
-                _cell_index(u[a:b], index, gathered[:size].reshape(rows, sensors))
-                np.add(index, cells, out=index, where=h1[a:b, None])
+                np.copyto(cells, words[a:b])
+                cells >>= kernels.CELL_SHIFT
+                index = cells.view(np.int64)
+                np.add(index, kernels.BRACKET_CELLS, out=index, where=h1[a:b, None])
                 bounds = np.take(self.bounds, index, axis=0, out=gathered.reshape(rows, sensors, 2), mode="clip")
                 np.einsum("ijk->ki", bounds, out=y)
                 y *= self.sqrt_rho
-                index = scratch[:rows].view(np.int64)
-                _cell_index(channel_u[a:b], index, gathered[:rows])
+                cells = scratch[:rows].view(np.uint64)
+                np.copyto(cells, channel_words[a:b])
+                cells >>= kernels.CELL_SHIFT
+                index = cells.view(np.int64)
                 y_lo, y_hi = y
                 y_lo += np.take(self.channel, index, out=gathered[:rows], mode="clip")
                 y_hi += np.take(self.channel[1:], index, out=gathered[:rows], mode="clip")
@@ -376,10 +371,12 @@ def simulate_decisions(
     With a constant sigma sequence and rows that fit a draw block, each
     block is decided in two steps. ``_DecisionBracket.settle`` decides the
     trials whose bracket of y clears the threshold (all but about 0.1% at
-    fig5's settings); the others go through the exact pipeline
-    (``noise.transform_uniforms``, the scale and shift, ``kernels.channel_sums``)
-    and ``decide``. Every decision, and so every count, is the one the
-    exact pipeline gives; only the rows that reach ``decide`` differ.
+    fig5's settings) from the cells of their Philox words; the others go
+    through the exact pipeline (their uniforms, ``noise.transform_uniforms``,
+    the scale and shift, ``kernels.channel_sums``) and ``decide``. Of a
+    settled trial only the hypothesis uniform is ever made. Every decision,
+    and so every count, is the one the exact pipeline gives; only the rows
+    that reach ``decide`` differ.
     """
     p0, _ = setup.priors
     n_h0_total = int(round(p0 * trials)) if stratified else 0

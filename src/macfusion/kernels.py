@@ -11,9 +11,11 @@ depend on how the kernels batch their work.
 For detection, ``cell_bounds`` tabulates a sensor's draw pipeline
 f(shift + sigma n(u)) as certified lower and upper bounds over each cell
 [k/K, (k+1)/K] of its uniform, K = ``BRACKET_CELLS``, and
-``transform_nodes`` the noise transform alone at u = k/K; the ``pick``
-argument of ``draw_blocks``' ``sums`` lets a caller settle most trials of
-a block from such tables and compute only the rest exactly.
+``transform_nodes`` the noise transform alone at u = k/K. A uniform's cell
+is the top 12 bits of the Philox word it is made from (``CELL_SHIFT``), so
+the ``pick`` argument of ``draw_blocks``' ``sums`` lets a caller settle
+most trials of a block from such tables and the block's words, and
+compute only the rest exactly.
 
 Every kernel takes the ``TransmitFunction`` f itself. Each curve is
 defined once, in ``_curve``, as a chain of ufunc calls that take an
@@ -48,9 +50,12 @@ from . import noise, numerics, transmit as tx
 
 _FOUR_OVER_PI = 4.0 / math.pi
 
-# Cells of the unit interval in the tables of ``cell_bounds``: a power of
-# two, so floor(u * BRACKET_CELLS) is exact for every uniform.
-BRACKET_CELLS = 2**12
+# Cells of the unit interval in the tables of ``cell_bounds``. A power of
+# two: the uniform of a Philox word w lies in the closed cell
+# w >> CELL_SHIFT (``numerics.words_to_uniforms``).
+CELL_BITS = 12
+BRACKET_CELLS = 2**CELL_BITS
+CELL_SHIFT = 64 - CELL_BITS
 # Relative slack of those tables: thousands of times the few-ulp error of
 # the noise transforms and curves.
 BRACKET_SLACK = 1e-12
@@ -140,9 +145,12 @@ def cell_bounds(nodes: np.ndarray, f: tx.TransmitFunction, scale: float, shift: 
     The ends of a cell are its nodes widened by their slack, so f is
     applied to bounds of n and a cell is bounded even where f steps (the
     quantizer). The curves too are monotone up to a few ulps, which a
-    slack of ``BRACKET_SLACK`` (1 + max |bound|) covers. A bound where the
-    curve is undefined (the rational curve at infinity) is NaN: callers
-    treat NaN and infinite bounds as "no bound".
+    slack of ``BRACKET_SLACK`` (1 + max |bound|) covers. Where a bounded
+    curve is undefined (the rational curve's inf/inf at n = +-inf), its
+    limits -sup|f| and +sup|f| bound the end cells. Those of an unbounded
+    curve stay infinite ("no bound" to callers): a finite bound at the
+    extreme draws (a Cauchy n(2**-54) is about -5.7e15) would inflate the
+    rounding margin, which scales with the largest finite bound.
     """
     out = np.empty((BRACKET_CELLS, 2)) if out is None else out
     with np.errstate(all="ignore"):
@@ -153,6 +161,9 @@ def cell_bounds(nodes: np.ndarray, f: tx.TransmitFunction, scale: float, shift: 
         np.multiply(scale, out, out=out)
         np.add(shift, out, out=out)
         _curve(f, out, out=out)
+        limit = tx.bound(f)
+        if limit is not None:
+            np.copyto(out, (-limit, limit), where=np.isnan(out))
         slack = np.abs(out).max(axis=1)
         slack *= BRACKET_SLACK
         slack += BRACKET_SLACK
@@ -170,33 +181,35 @@ def draw_blocks(setup, trials: int, stream, lead: int = 0):
     in ascending index order, then the channel column. Sensor i sends
     f(shift + sigma_i n_i), where n_i is the noise transform of its uniform
     under ``setup.noise``; the channel draw is the transform under
-    N(0, channel_noise_var). ``numerics.row_blocks`` draws as many whole rows
-    as fit in ``numerics.DRAW_BLOCK_ELEMENTS`` at once, and a wider row span
-    by span; the values are the same for any budget.
+    N(0, channel_noise_var). ``numerics.row_blocks`` draws the Philox words
+    of as many whole rows as fit in ``numerics.DRAW_BLOCK_ELEMENTS`` at
+    once, and a wider row span by span; the values are the same for any
+    budget. A column becomes uniforms (``numerics.words_to_uniforms``) only
+    where it is transformed.
 
     Yields ``(rows, lead_columns, sums)`` per block. ``rows`` is the block's
     slice of the trials and ``lead_columns`` its (trials, lead) uniforms,
-    None when ``lead`` is 0; the view is valid until ``sums`` is called.
-    ``sums(shift, scaled=False, pick=None)`` draws the rest of the block and
-    returns ``(f_sums, scaled_sums, channel)``: the row sums of
-    f(shift + sigma n), those of sigma n when ``scaled`` (else None), and the
-    channel draws; ``shift`` is a scalar or one value per trial as a
-    (trials, 1) column. Call it exactly once per block, so every column is
-    drawn once and in stream order.
+    None when ``lead`` is 0. ``sums(shift, scaled=False, pick=None)`` draws
+    the rest of the block and returns ``(f_sums, scaled_sums, channel)``:
+    the row sums of f(shift + sigma n), those of sigma n when ``scaled``
+    (else None), and the channel draws; ``shift`` is a scalar or one value
+    per trial as a (trials, 1) column. Call it exactly once per block, so
+    every column is drawn once and in stream order.
 
     ``pick``, for blocks of whole rows only, selects the rows to compute.
-    ``sums`` first calls ``pick(sensor_uniforms, channel_uniforms, scratch)``
-    with the block's (trials, L) and (trials,) uniform views and the
+    ``sums`` first calls ``pick(sensor_words, channel_words, scratch)`` with
+    the block's (trials, L) and (trials,) uint64 word views and the
     workspace as flat float64 scratch; it returns the ascending indices of
     the rows to compute, and the three results then hold those rows only.
     Each value is bit-identical to the one ``sums`` gives without ``pick``.
 
-    Nothing of draw size is allocated per block: each span's transform is
-    written into one workspace of ``numerics.block_elements`` doubles per
-    call, scaled and shifted in place and mapped through f in place by
-    ``channel_sums``. A wide row's span sums are combined along numpy's
-    pairwise tree (``numerics.pairwise_row_sum``), so every sum is
-    bit-identical to summing the whole row at once.
+    Nothing of draw size is allocated per block beyond its words: each
+    span's uniforms are written into one workspace of
+    ``numerics.block_elements`` doubles per call, transformed, scaled and
+    shifted in place and mapped through f in place by ``channel_sums``. A
+    wide row's span sums are combined along numpy's pairwise tree
+    (``numerics.pairwise_row_sum``), so every sum is bit-identical to
+    summing the whole row at once.
     """
     sigmas = setup.sigmas.resolve(setup.L)
     channel = noise.gaussian(math.sqrt(setup.channel_noise_var))
@@ -214,10 +227,11 @@ def draw_blocks(setup, trials: int, stream, lead: int = 0):
                     shift = shift[picked]
 
             def leaf(lo, hi):
-                u = draw(lead + lo, lead + hi)
+                words = draw(lead + lo, lead + hi)
                 if picked is not None:
-                    u = u[picked]
-                x = noise.transform_uniforms(setup.noise, u, out=work[: u.size].reshape(u.shape))
+                    words = words[picked]
+                x = numerics.words_to_uniforms(words, out=work[: words.size].reshape(words.shape))
+                noise.transform_uniforms(setup.noise, x, out=x)
                 np.multiply(sigmas[lo:hi], x, out=x)
                 scaled_sums = x.sum(axis=1) if scaled else None
                 np.add(shift, x, out=x)
@@ -227,12 +241,13 @@ def draw_blocks(setup, trials: int, stream, lead: int = 0):
             total = numerics.pairwise_row_sum(setup.L, leaf)
             f_sums, scaled_sums = total if scaled else (total, None)
             # Requested last: a wide row draws the channel column after its sensor spans.
-            channel_u = draw(cols - 1, cols)[:, 0]
+            channel_words = draw(cols - 1, cols)[:, 0]
             if picked is not None:
-                channel_u = channel_u[picked]
-            return f_sums, scaled_sums, noise.transform_uniforms(channel, channel_u)
+                channel_words = channel_words[picked]
+            channel_u = numerics.words_to_uniforms(channel_words)
+            return f_sums, scaled_sums, noise.transform_uniforms(channel, channel_u, out=channel_u)
 
-        yield slice(start, start + count), draw(0, lead) if lead else None, sums
+        yield slice(start, start + count), (numerics.words_to_uniforms(draw(0, lead)) if lead else None), sums
 
 
 def eval_response(nodes: np.ndarray, weights: np.ndarray, f: tx.TransmitFunction, thetas) -> np.ndarray:

@@ -148,10 +148,11 @@ def transform_uniforms(model: NoiseModel, u: np.ndarray, out: np.ndarray | None 
     """Map open-(0,1) uniforms to noise draws by inverse CDF (Cauchy: the tan
     transform of a centered uniform).
 
-    ``u`` is not modified. The draws go to ``out``, a float64 array of
-    ``u``'s shape, or to a new array if it is None; the first ufunc writes
-    them there and the rest of the chain runs in place (the Laplacian keeps
-    one scratch array for its log term).
+    ``u`` is not modified unless it is ``out``. The draws go to ``out``, a
+    float64 array of ``u``'s shape, or to a new array if it is None; the
+    first ufunc writes them there and every later step reads only ``out``
+    (and the Laplacian's one scratch array for its log term), so ``out``
+    may be ``u`` itself.
     """
     s = model.scale
     u = np.asarray(u, dtype=np.float64)

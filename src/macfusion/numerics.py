@@ -15,8 +15,12 @@ mesh are summed exactly (``math.fsum``).
 Random streams are counter-keyed Philox generators: the pair
 (master_seed, stream_id) fully determines the draw sequence, so any worker
 layout that assigns disjoint stream ids reproduces bit-identical results.
-``row_blocks`` and ``pairwise_row_sum`` serve ``kernels.draw_blocks``, the
-one Monte Carlo draw loop, whose docstring describes the draw layout.
+A stream hands out raw 64-bit Philox words, and ``words_to_uniforms`` is
+the one map from words to uniforms (bit-identical to ``Generator.random``
+plus a half step); the top bits of a word name the cell of its uniform, so
+a caller that needs only the cell reads the word. ``row_blocks`` and
+``pairwise_row_sum`` serve ``kernels.draw_blocks``, the one Monte Carlo
+draw loop, whose docstring describes the draw layout.
 """
 
 from __future__ import annotations
@@ -321,24 +325,49 @@ def minimize_scalar(g, lo: float, hi: float, grid_points: int = 32):
 _MAX_UINT64 = 2**64
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
-# Largest number of uniforms a simulation draws at once: 2**16 doubles
+# Largest number of uniforms a simulation draws at once: 2**16 words
 # (512 KiB) keep each block and its temporaries in cache.
 DRAW_BLOCK_ELEMENTS = 2**16
+
+
+def words_to_uniforms(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The uniform in the open interval (0, 1) made from each 64-bit Philox word.
+
+    u = min(((w >> 11) + 1/2) 2**-53, 1 - 2**-53): ``Generator.random``'s
+    double (the top 53 bits of w), a half step up that keeps inverse-CDF
+    transforms finite, and a clamp for the top value, which the half step
+    rounds up to 1.0. So u lies in the closed cell [k/K, (k+1)/K] of
+    k = w >> (64 - log2 K), for any power of two K <= 2**53.
+
+    ``out``, a C-contiguous float64 array of ``words``' shape (None: a new
+    one), holds the words on the way: ``copyto`` reads strided words
+    without a ufunc's buffer, and the cast runs in place on flat views.
+    """
+    out = np.empty(np.shape(words)) if out is None else out
+    np.copyto(out.view(np.uint64), words)
+    flat = out.reshape(-1)
+    top = flat.view(np.uint64)
+    top >>= 11
+    np.copyto(flat, top, casting="unsafe")
+    flat *= 2.0**-53
+    flat += 2.0**-54
+    np.minimum(flat, _BELOW_ONE, out=flat)
+    return out
 
 
 @dataclass
 class RngStream:
     """A counter-keyed random stream owned by exactly one consumer.
 
-    (master_seed, stream_id) keys a Philox generator; ``counter`` counts
-    values drawn so far. Every drawn value consumes exactly one uniform,
-    which makes draw accounting across a simulated trial exact.
+    (master_seed, stream_id) keys a Philox bit generator; ``counter``
+    counts values drawn so far. Every drawn value consumes exactly one
+    64-bit word, which makes draw accounting across a simulated trial exact.
     """
 
     master_seed: int
     stream_id: int
     counter: int = 0
-    _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
+    _bits: np.random.Philox | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
@@ -346,29 +375,20 @@ class RngStream:
             if not (0 <= v < _MAX_UINT64):
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {v}")
 
-    def _generator(self) -> np.random.Generator:
-        if self._gen is None:
-            key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
-        return self._gen
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` Philox words of the stream, a uint64 array.
 
-    def uniforms(self, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``count`` uniforms in the open interval (0, 1).
-
-        With ``out``, a contiguous float64 array of ``count`` values, the
-        draws are written there and ``out`` is returned; the values are the
-        same either way.
+        Each word is one uniform's worth of the stream:
+        ``words_to_uniforms`` makes the uniforms in (0, 1), and the word's
+        top bits name the cell of its uniform.
         """
         if count < 0:
             raise ValueError("count must be >= 0")
-        u = self._generator().random(count, out=out)
+        if self._bits is None:
+            self._bits = np.random.Philox(key=np.array([self.master_seed, self.stream_id], dtype=np.uint64))
+        words = self._bits.random_raw(count)
         self.counter += count
-        # random() yields [0, 1); the half-ulp shift keeps inverse-CDF
-        # transforms finite without statistically visible bias. It rounds
-        # the largest draw, 1 - 2**-53, up to 1.0, which the clamp undoes.
-        u += 2.0**-54
-        np.minimum(u, _BELOW_ONE, out=u)
-        return u
+        return words
 
 
 # numpy sums a contiguous run of more than this many values pairwise: it
@@ -377,7 +397,7 @@ _PAIRWISE_LEAF = 128
 
 
 def block_elements(rows: int, cols: int) -> int:
-    """Doubles in the largest block ``row_blocks(stream, rows, cols)`` draws:
+    """Values in the largest block ``row_blocks(stream, rows, cols)`` draws:
     whole rows, or for a row wider than ``DRAW_BLOCK_ELEMENTS`` the widest
     leaf of ``pairwise_row_sum``."""
     if cols > DRAW_BLOCK_ELEMENTS:
@@ -386,31 +406,38 @@ def block_elements(rows: int, cols: int) -> int:
 
 
 def row_blocks(stream: RngStream, rows: int, cols: int):
-    """Draw ``rows`` rows of ``cols`` uniforms row-major from ``stream``.
+    """Draw ``rows`` rows of ``cols`` Philox words row-major from ``stream``.
 
     Yields ``(start, count, draw)`` per block of rows, where ``draw(lo, hi)``
     returns columns [lo, hi) of the block's rows as a (count, hi - lo)
-    view. As many whole rows as fit in ``DRAW_BLOCK_ELEMENTS`` are drawn
-    in one request; a row wider than that comes alone and is drawn span by
-    span as its columns are requested, so a caller must then request every
-    column once, in increasing order, at most ``block_elements(rows, cols)``
-    columns at a time. Every block goes into one buffer that the call owns,
-    so its views stay valid only until the next block or span is drawn.
+    uint64 view; ``words_to_uniforms`` makes the uniforms of any of them.
+    As many whole rows as fit in ``DRAW_BLOCK_ELEMENTS`` are drawn in one
+    request; a row wider than that comes alone and is drawn span by span as
+    its columns are requested, so a caller must then request every column
+    once, in increasing order, at most ``block_elements(rows, cols)``
+    columns at a time. Each block or span is a fresh array, and the
+    generator drops its block before drawing the next, so views stay valid
+    only until then and a caller that keeps none holds one block at a time.
     """
-    per_block = max(1, DRAW_BLOCK_ELEMENTS // cols)
-    buffer = np.empty(block_elements(rows, cols))
     if cols > DRAW_BLOCK_ELEMENTS:
 
         def span(lo, hi):
-            return stream.uniforms(hi - lo, out=buffer[: hi - lo])[None, :]
+            return stream.uniforms(hi - lo)[None, :]
 
         for start in range(rows):
             yield start, 1, span
         return
+    per_block = DRAW_BLOCK_ELEMENTS // cols
+    block = [None]
+
+    def draw(lo, hi):
+        return block[0][:, lo:hi]
+
     for start in range(0, rows, per_block):
         count = min(per_block, rows - start)
-        block = stream.uniforms(count * cols, out=buffer[: count * cols]).reshape(count, cols)
-        yield start, count, lambda lo, hi, block=block: block[:, lo:hi]
+        block[0] = None  # dropped before the next block is drawn
+        block[0] = stream.uniforms(count * cols).reshape(count, cols)
+        yield start, count, draw
 
 
 def _pairwise_node(leaf, lo: int, hi: int):

@@ -36,7 +36,7 @@ from scipy.special import ndtri
 from macfusion import estimation as est
 from macfusion import kernels, transmit as tx
 from macfusion.noise import CAUCHY, GAUSSIAN, LAPLACIAN, NoiseModel, transform_uniforms
-from macfusion.numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec, RngStream
+from macfusion.numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec, RngStream, words_to_uniforms
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def sample(model: NoiseModel, stream, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    u = stream.uniforms(count)
+    u = words_to_uniforms(stream.uniforms(count))
     return transform_uniforms(model, u)
 
 
@@ -126,7 +126,7 @@ def simulate_channel(setup, trial_stream) -> ChannelRealization:
     """
     sigmas = setup.sigmas.resolve(setup.L)
     noise_draws = sample(setup.noise, trial_stream, setup.L)
-    chan_u = trial_stream.uniforms(1)
+    chan_u = words_to_uniforms(trial_stream.uniforms(1))
     x = setup.theta + sigmas * noise_draws
     y_raw = math.sqrt(setup.rho) * float(kernels.channel_sums(setup.transmit, x=x[None, :])[0])
     y_raw += math.sqrt(setup.channel_noise_var) * float(ndtri(chan_u[0]))

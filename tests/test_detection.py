@@ -199,6 +199,21 @@ class TestErrorProbability:
         assert trials_by_h.sum() == trials
         assert 0 < sum(reached) < 0.01 * trials
 
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("transmit", [tx.tanh_fn(0.74), tx.rational_fn(4.2)], ids=lambda f: f.kind)
+    def test_bounded_curves_settle_their_end_cells(self, monkeypatch, transmit, stratified):
+        """fig6's setup at L=30 and about its DC-optimal omegas: under 0.2%
+        of 20,000 trials reach ``decide``, for the rational curve as for
+        tanh. The rational curve is inf/inf at the transform's limits, so
+        its end cells are bounded by its limits; left unbounded, they sent
+        about 1.5% of the trials to ``decide``."""
+        setup = _setup(theta=math.sqrt(10.0), L=30, transmit=transmit, total_power=1.0)
+        decide = det.decide
+        reached = []
+        monkeypatch.setattr(det, "decide", lambda d, y: reached.append(np.size(y)) or decide(d, y))
+        det.simulate_decisions(setup, det.build_detector(setup), 20000, RngStream(6, 0), stratified=stratified)
+        assert 0 < sum(reached) < 0.002 * 20000
+
 
 class TestLocallyOptimal:
     def test_gaussian_score_is_linear(self):

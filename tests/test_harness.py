@@ -13,17 +13,15 @@ from oracles import eval_fn, read_csv, sample, simulate_channel, split_stream, u
 
 
 class HalfStream:
-    """Stub stream whose uniforms are all 0.5, i.e. zero-median draws."""
+    """Stub stream whose uniforms are all 0.5, i.e. zero-median draws: the
+    word 2**63 makes 0.5 + 2**-54, which ties to even at 0.5."""
 
     def __init__(self):
         self.counter = 0
 
-    def uniforms(self, count, out=None):
+    def uniforms(self, count):
         self.counter += count
-        if out is None:
-            return np.full(count, 0.5)
-        out.fill(0.5)
-        return out
+        return np.full(count, 2**63, dtype=np.uint64)
 
 
 def _est_setup(**kwargs):
@@ -129,9 +127,9 @@ class TestEstimationExperiment:
         requests = []
         draw = RngStream.uniforms
 
-        def recording(stream, count, out=None):
+        def recording(stream, count):
             requests.append(count)
-            return draw(stream, count, out)
+            return draw(stream, count)
 
         monkeypatch.setattr(RngStream, "uniforms", recording)
         stats = harness.run_signal_statistics(setup, 3, 8)
@@ -162,7 +160,7 @@ class TestEstimationExperiment:
 class TestStatistics:
     @pytest.mark.parametrize("size", [7, 8])
     def test_median_abs_error_is_the_plain_median_and_keeps_its_input(self, size):
-        values = RngStream(3, 0).uniforms(size) - 0.25
+        values = numerics.words_to_uniforms(RngStream(3, 0).uniforms(size)) - 0.25
         before = values.copy()
         got = harness.median_abs_error(values, 0.125)
         assert np.array_equal(values, before)

@@ -256,34 +256,48 @@ class TestSingleCurveDefinition:
                  0.75, 1.0 - 1e-10, 1.0 - 2.0**-53, 0.0, 1.0, np.nan]
         u = np.concatenate([edges, np.random.default_rng(6).random(300)])
         with np.errstate(all="ignore"):
-            assert np.array_equal(_bits(noise.transform_uniforms(model, u)), _bits(_plain_transform(model, u)))
+            expected = _bits(_plain_transform(model, u))
+            assert np.array_equal(_bits(noise.transform_uniforms(model, u)), expected)
+            # ``out`` may be ``u`` itself, as in ``draw_blocks``.
+            assert noise.transform_uniforms(model, u, out=u) is u
+        assert np.array_equal(_bits(u), expected)
 
 
 class TestCellBounds:
     @pytest.mark.parametrize("f", CURVES + [None], ids=lambda f: "nodes" if f is None else f.kind)
     @pytest.mark.parametrize("model", [noise.gaussian(1.3), noise.laplacian(0.7), noise.cauchy(2.0)], ids=lambda m: m.kind)
     def test_every_uniform_of_a_cell_lies_within_its_bounds(self, model, f):
-        """Both ends of every cell, the draw extremes and random draws, each
-        through the pipeline of ``draw_blocks``, land inside their cell's
-        bounds, or the bound is NaN (the rational curve at infinity, in the
-        end cells); the ends u = 0 and 1 themselves are never evaluated.
-        Without a curve the bounds are the transform's nodes and their slack."""
+        """Each value, through the pipeline of ``draw_blocks``, lands inside
+        the bounds of its row: both closed ends u = k/K and (k+1)/K of every
+        cell k in row k; and in the row of its word's top 12 bits, the
+        extreme words, the words whose uniform the half step rounds up onto
+        the upper end of that cell, and 20,000 drawn words. The ends u = 0
+        and 1 themselves are never evaluated. Without a curve the bounds are
+        the transform's nodes and their slack. A bounded curve has finite
+        bounds everywhere, the end cells included; no bound is NaN."""
         cells = kernels.BRACKET_CELLS
         k = np.arange(cells)
-        u = np.concatenate([
-            k[1:] / cells, np.nextafter((k + 1) / cells, 0.0), [2.0**-54], numerics.RngStream(8, 0).uniforms(20000)
+        words = np.concatenate([
+            np.array([0, 2**64 - 1], dtype=np.uint64),
+            (k[cells // 2 :].astype(np.uint64) << 52) | ((2**41 - 1) << 11),
+            numerics.RngStream(8, 0).uniforms(20000),
         ])
+        u = np.concatenate([k[1:] / cells, (k[:-1] + 1) / cells, numerics.words_to_uniforms(words)])
+        row = np.concatenate([k[1:], k[:-1], (words >> kernels.CELL_SHIFT).astype(np.int64)])
         x = noise.transform_uniforms(model, u)
         if f is None:
             n = kernels.transform_nodes(model)
             with np.errstate(invalid="ignore"):
                 slack = kernels.BRACKET_SLACK * np.abs(n) + np.finfo(float).tiny
-                lo, hi = n[:-1] - slack[:-1], n[1:] + slack[1:]
+                bounds = np.stack([n[:-1] - slack[:-1], n[1:] + slack[1:]], axis=1)
         else:
-            lo, hi = kernels.cell_bounds(kernels.transform_nodes(model), f, 0.8, 1.5).T
+            bounds = kernels.cell_bounds(kernels.transform_nodes(model), f, 0.8, 1.5)
             x = kernels._curve(f, np.add(1.5, np.multiply(0.8, x)))
-        cell = (u * cells).astype(np.int64)
-        assert np.all((lo[cell] <= x) & (x <= hi[cell]) | np.isnan(lo[cell]) | np.isnan(hi[cell]))
+            if tx.bound(f) is not None:
+                assert np.all(np.isfinite(bounds))
+        assert not np.any(np.isnan(bounds))
+        lo, hi = bounds.T
+        assert np.all((lo[row] <= x) & (x <= hi[row]))
 
 
 class TestCallerArraysUntouched:
@@ -304,12 +318,16 @@ class TestCallerArraysUntouched:
         noise.transform_uniforms(model, block)
         noise.transform_uniforms(model, block[:, 1:21])
 
+        words = numerics.RngStream(8, 0).uniforms(500)
+        held = words.copy()
+
         class HeldStream:
             def uniforms(self, count):
-                return block.ravel()[:count]
+                return words[:count]
 
         sample(model, HeldStream(), 500)
         assert np.array_equal(block, before)
+        assert np.array_equal(words, held)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +388,8 @@ def _plain_simulate_decisions(setup, detector, trials, stream, stratified):
     cols = lead + setup.L + 1
     hypotheses = np.empty(trials, dtype=np.uint8)
     y = np.empty(trials)
-    for start, count, draw in numerics.row_blocks(stream, trials, cols):
+    for start, count, words in numerics.row_blocks(stream, trials, cols):
+        draw = lambda lo, hi: numerics.words_to_uniforms(words(lo, hi))
         rows = slice(start, start + count)
         if stratified:
             hypotheses[rows] = np.arange(start, start + count) >= n_h0_total
@@ -396,7 +415,8 @@ def _plain_signal_statistics(setup, trials, master_seed):
     f_sums = np.empty(trials)
     scaled_sums = np.empty(trials)
     chan = np.empty(trials)
-    for start, count, draw in numerics.row_blocks(stream, trials, setup.L + 1):
+    for start, count, words in numerics.row_blocks(stream, trials, setup.L + 1):
+        draw = lambda lo, hi: numerics.words_to_uniforms(words(lo, hi))
 
         def sensor_sums(lo, hi):
             scaled = sigmas[lo:hi] * _plain_transform(setup.noise, draw(lo, hi))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -375,56 +376,78 @@ class TestRngStreams:
 
     def test_disjoint_ids_pass_two_sample_ks(self):
         """Streams 0 and 1 look independent: two-sample KS at 1%."""
-        a = split_stream(RngStream(2024, 0), 0).uniforms(10**5)
-        b = split_stream(RngStream(2024, 0), 1).uniforms(10**5)
+        a = numerics.words_to_uniforms(split_stream(RngStream(2024, 0), 0).uniforms(10**5))
+        b = numerics.words_to_uniforms(split_stream(RngStream(2024, 0), 1).uniforms(10**5))
         assert ks_2samp(a, b).pvalue > 0.01
 
     def test_uniforms_open_interval(self):
-        u = RngStream(3, 3).uniforms(10**6)
+        u = numerics.words_to_uniforms(RngStream(3, 3).uniforms(10**6))
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
     def test_largest_draw_stays_below_one(self):
-        """random() = 1 - 2**-53 must not round up to 1.0 (ndtri would be inf)."""
+        """The all-ones word, random() = 1 - 2**-53, must not round up to 1.0
+        (ndtri would be inf)."""
 
-        class TopGenerator:
-            def random(self, count, out=None):
-                if out is None:
-                    return np.full(count, 1.0 - 2.0**-53)
-                out.fill(1.0 - 2.0**-53)
-                return out
+        class TopWords:
+            def random_raw(self, count):
+                return np.full(count, 2**64 - 1, dtype=np.uint64)
 
-        u = RngStream(4, 4, _gen=TopGenerator()).uniforms(3)
-        assert np.all(u < 1.0)
-        buffer = np.empty(3)
-        assert RngStream(4, 4, _gen=TopGenerator()).uniforms(3, out=buffer) is buffer
-        assert np.all(buffer < 1.0)
-        draws = sample(noise.gaussian(1.0), RngStream(4, 4, _gen=TopGenerator()), 3)
+        u = numerics.words_to_uniforms(RngStream(4, 4, _bits=TopWords()).uniforms(3))
+        assert np.all(u == 1.0 - 2.0**-53)
+        draws = sample(noise.gaussian(1.0), RngStream(4, 4, _bits=TopWords()), 3)
         assert np.all(np.isfinite(draws))
 
-    def test_out_receives_the_same_draws(self):
-        buffer = np.empty(1000)
-        stream = RngStream(7, 1)
-        assert stream.uniforms(1000, out=buffer) is buffer
-        assert stream.counter == 1000
-        assert np.array_equal(buffer, RngStream(7, 1).uniforms(1000))
+    @pytest.mark.parametrize("key", [(0, 0), (7, 1), (2024, 5), (2**64 - 1, 2**63 + 3)])
+    def test_words_make_the_uniforms_of_generator_random(self, key):
+        """Over 1.2e6 draws per key in consecutive calls of odd sizes, the
+        uniform of each word is ``Generator.random``'s double plus 2**-54,
+        clamped below 1, bit for bit, made into a new array or a given one of
+        any shape; the calls advance ``counter`` and the sequence alike."""
+        sizes = [1, 7, 999, 65_537, 1_134_007]
+        stream = RngStream(*key)
+        generator = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+        for size in sizes:
+            expected = np.minimum(generator.random(size) + 2.0**-54, np.nextafter(1.0, 0.0))
+            words = stream.uniforms(size)
+            assert words.dtype == np.uint64
+            got = numerics.words_to_uniforms(words)
+            if size % 7 == 0:
+                out = np.empty((7, size // 7))
+                assert numerics.words_to_uniforms(words.reshape(7, -1), out=out) is out
+                assert np.array_equal(out.view(np.uint64).ravel(), got.view(np.uint64))
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert stream.counter == sum(sizes)
+
+    def test_extreme_words(self):
+        """Word 0 gives 2**-54 and word 2**64 - 1 gives 1 - 2**-53. A word
+        whose low 53 - 12 bits are all ones has its uniform on the upper end
+        of its top-12-bit cell k once the half step rounds up (k >= 2048)."""
+        words = np.array([0, 2**64 - 1, (3000 << 52) | ((2**41 - 1) << 11), (2047 << 52) | ((2**41 - 1) << 11)], dtype=np.uint64)
+        u = numerics.words_to_uniforms(words)
+        assert u[0] == 2.0**-54 and u[1] == 1.0 - 2.0**-53
+        assert u[2] * 4096 == 3001.0
+        assert 2047.0 < u[3] * 4096 < 2048.0
 
     @pytest.mark.parametrize("cols", [7, 300])
-    def test_row_blocks_fill_one_buffer(self, monkeypatch, cols):
-        """Whole-row blocks and the spans of a wide row are views of one
-        buffer of ``block_elements`` doubles, with the values of one request."""
+    def test_row_blocks_hold_one_block_of_words(self, monkeypatch, cols):
+        """Whole-row blocks and the spans of a wide row are words with the
+        values of one request, at most ``block_elements`` of them per draw,
+        and each is dropped before the next is drawn."""
         monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", 128)
         rows = 40
         reference = RngStream(2, 5).uniforms(rows * cols).reshape(rows, cols)
-        got = np.empty((rows, cols))
-        spans = []
+        got = np.empty((rows, cols), dtype=np.uint64)
+        previous = None
         for start, count, draw in numerics.row_blocks(RngStream(2, 5), rows, cols):
+            assert previous is None or previous() is None
             for lo in range(0, cols, 100):
                 hi = min(lo + 100, cols)
-                spans.append(draw(lo, hi))
-                got[start : start + count, lo:hi] = spans[-1]
+                span = draw(lo, hi)
+                assert span.dtype == np.uint64 and span.base.size <= numerics.block_elements(rows, cols)
+                got[start : start + count, lo:hi] = span
+                previous = weakref.ref(span.base)
+                del span
         assert np.array_equal(got, reference)
-        assert all(np.shares_memory(span, spans[0]) for span in spans)
-        assert all(span.base.size == numerics.block_elements(rows, cols) for span in spans)
 
     def test_counter_tracks_draws(self):
         s = RngStream(1, 2)
