@@ -21,7 +21,6 @@ detector weight their per-sigma moments by its ``sigma_shares()``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -282,7 +281,8 @@ class _DecisionBracket:
 
     A trial whose bracket lies inside a settled region gets that region's
     decision, which is the one ``decide`` gives; the rest (ties, NaN and
-    infinite bounds included) go to the exact pipeline. This is the
+    infinite bounds included) go to the exact pipeline, in batches through
+    the stash of ``simulate_decisions``. This is the
     filtered predicate of Shewchuk (Discrete Comput. Geom. 18, 1997): a
     cheap certified filter with an exact fallback.
     """
@@ -353,6 +353,13 @@ class _DecisionBracket:
         return np.flatnonzero(decision == _UNSETTLED)
 
 
+def _count_errors(errors_by_h, h1, decision):
+    """Add the wrong decisions among rows with hypotheses ``h1`` to ``errors_by_h``."""
+    wrong = decision != h1
+    e1 = np.count_nonzero(wrong & h1)
+    errors_by_h += (np.count_nonzero(wrong) - e1, e1)
+
+
 def simulate_decisions(
     setup: DetectionSetup,
     detector: GaussianApproxDetector,
@@ -363,41 +370,65 @@ def simulate_decisions(
     """Run the full transmit/superpose/decide pipeline over ``trials`` trials.
 
     Returns ``(trials_by_h, errors_by_h)``: the number of trials and of wrong
-    decisions under H0 and H1. Each trial draws one hypothesis uniform
-    (omitted when stratified: the first round(P0 * trials) trials are H0) in
-    the lead column of ``kernels.draw_blocks``, and each block is decided
-    as soon as it is drawn.
+    decisions under H0 and H1. A trial is a row of Philox words in the
+    layout of ``kernels.exact_sums``, led by a hypothesis word (omitted when
+    stratified: the first round(P0 * trials) trials are H0).
 
-    With a constant sigma sequence and rows that fit a draw block, each
-    block is decided in two steps. ``_DecisionBracket.settle`` decides the
-    trials whose bracket of y clears the threshold (all but about 0.1% at
-    fig5's settings) from the cells of their Philox words; the others go
-    through the exact pipeline (their uniforms, ``noise.transform_uniforms``,
-    the scale and shift, ``kernels.channel_sums``) and ``decide``. Of a
-    settled trial only the hypothesis uniform is ever made. Every decision,
-    and so every count, is the one the exact pipeline gives; only the rows
-    that reach ``decide`` differ.
+    With a constant sigma sequence and two rows per draw block at least,
+    ``_DecisionBracket.settle`` decides the trials whose bracket of y
+    clears the threshold (all but about 0.1% at fig5's settings) from the
+    cells of their words. The others' rows wait in trial order in a stash,
+    the tail of the point's workspace; when it fills, and at the end, they
+    go through ``exact_sums`` together (their uniforms in the head) and
+    ``decide``. Other setups run every block through ``exact_sums``. Each
+    decision is the exact pipeline's; only the rows reaching ``decide`` differ.
     """
     p0, _ = setup.priors
     n_h0_total = int(round(p0 * trials)) if stratified else 0
-    sqrt_rho = math.sqrt(setup.rho)
+    h1_word = numerics.least_word_at_least(p0)
     lead = 0 if stratified else 1
-    whole_rows = lead + setup.L + 1 <= numerics.DRAW_BLOCK_ELEMENTS
-    bracket = _DecisionBracket(setup, detector) if whole_rows and setup.sigma_shares()[0].size == 1 else None
+    cols = lead + setup.L + 1
+    sigmas = setup.sigmas.resolve(setup.L)
+    work = np.empty(numerics.block_elements(trials, cols))
     trials_by_h = np.zeros(2, dtype=np.int64)
     errors_by_h = np.zeros(2, dtype=np.int64)
-    for rows, lead_columns, sums in kernels.draw_blocks(setup, trials, stream, lead=lead):
-        h1 = np.arange(rows.start, rows.stop) >= n_h0_total if stratified else lead_columns[:, 0] >= p0
-        decision = np.full(h1.size, _UNSETTLED, dtype=np.uint8)
-        pick = None if bracket is None else functools.partial(bracket.settle, h1, decision)
+
+    def exact(h1, draw):
         # h1 * theta, without the cast buffer of a bool-times-float product.
         shift = np.where(h1, setup.theta, 0.0 * setup.theta)[:, None]
-        f_sums, _, chan = sums(shift, pick=pick)
-        decision[decision == _UNSETTLED] = decide(detector, sqrt_rho * f_sums + chan)
-        wrong = decision != h1
-        n1, e1 = np.count_nonzero(h1), np.count_nonzero(wrong & h1)
-        trials_by_h += (h1.size - n1, n1)
-        errors_by_h += (np.count_nonzero(wrong) - e1, e1)
+        f_sums, _, chan = kernels.exact_sums(setup, sigmas, draw, lead, shift, work)
+        _count_errors(errors_by_h, h1, decide(detector, math.sqrt(setup.rho) * f_sums + chan))
+
+    bracket = None
+    # Two rows per block at least: the stash's uniforms must fit beside its rows.
+    if 2 * cols <= numerics.DRAW_BLOCK_ELEMENTS and trials > 1 and setup.sigma_shares()[0].size == 1:
+        bracket = _DecisionBracket(setup, detector)
+        # The stash holds a 32nd of a block's rows (one at least); the filter's row chunks use the rest.
+        capacity = max(1, work.size // cols // 32)
+        scratch = work[: work.size - capacity * cols]
+        stash = work[scratch.size :].view(np.uint64).reshape(capacity, cols)
+        stash_h1, stashed = np.empty(capacity, dtype=bool), 0
+    for start, count, draw in numerics.row_blocks(stream, trials, cols):
+        h1 = np.arange(start, start + count) >= n_h0_total if stratified else draw(0, 1)[:, 0] >= h1_word
+        n1 = np.count_nonzero(h1)
+        trials_by_h += (count - n1, n1)
+        if bracket is None:
+            exact(h1, draw)
+            continue
+        decision = np.empty(count, dtype=np.uint8)
+        unsettled = bracket.settle(h1, decision, draw(lead, lead + setup.L), draw(cols - 1, cols)[:, 0], scratch)
+        decision[unsettled] = h1[unsettled]  # counted when the stash is flushed
+        _count_errors(errors_by_h, h1, decision)
+        while unsettled.size:
+            part, unsettled = unsettled[: capacity - stashed], unsettled[capacity - stashed :]
+            # Indexing, not ``np.take``, which would copy the whole block first.
+            stash[stashed : stashed + part.size], stash_h1[stashed : stashed + part.size] = draw(0, cols)[part], h1[part]
+            stashed += part.size
+            if stashed == capacity:
+                exact(stash_h1, lambda lo, hi: stash[:, lo:hi])
+                stashed = 0
+    if bracket is not None:
+        exact(stash_h1[:stashed], lambda lo, hi: stash[:stashed, lo:hi])
     return trials_by_h, errors_by_h
 
 

@@ -2,7 +2,7 @@
 
 Experiments consume streams keyed by (master_seed, stream_id); within an
 experiment, every trial is drawn from a single stream in the layout of
-``kernels.draw_blocks``, so results are bit-identical for a given
+``kernels.exact_sums``, so results are bit-identical for a given
 configuration and seed regardless of how sweep points are distributed over
 workers. Sweep points own disjoint stream-id blocks: ``cli.run_experiment``
 gives point k the stream ids from k * POINT_STREAM_STRIDE = k * 2**32. A
@@ -79,7 +79,7 @@ def _collect_signal_statistics(setup, trials, master_seed, stream_id_base, keys)
     af = "af_estimates" in keys
     alpha = af_gain(setup)[0] if af else None
     out = {key: np.empty(trials) for key in keys}
-    for rows, _, sums in kernels.draw_blocks(setup, trials, RngStream(master_seed, stream_id_base)):
+    for rows, sums in kernels.draw_blocks(setup, trials, RngStream(master_seed, stream_id_base)):
         f_sums, scaled_sums, chan = sums(setup.theta, scaled=af)
         if "z_targets" in out:
             out["z_targets"][rows] = (sqrt_rho * f_sums + chan) / math.sqrt(setup.L) / math.sqrt(setup.total_power)

@@ -3,19 +3,18 @@
 Three operations dominate simulation runtime: transmit-curve evaluation
 over large draw arrays, per-trial channel sums, and batched inversion of
 the frozen mean-response function (about three response evaluations per
-target, from a cubic seed). Only ``draw_blocks``, the one Monte Carlo
-draw loop of estimation and detection, draws random numbers, in the fixed
-layout its docstring gives, so the draws an experiment consumes do not
-depend on how the kernels batch their work.
+target, from a cubic seed). ``exact_sums`` is the one definition of the
+simulated channel, on rows of Philox words in the fixed layout its
+docstring gives, so the draws an experiment consumes do not depend on how
+the kernels batch their work.
 
 For detection, ``cell_bounds`` tabulates a sensor's draw pipeline
 f(shift + sigma n(u)) as certified lower and upper bounds over each cell
 [k/K, (k+1)/K] of its uniform, K = ``BRACKET_CELLS``, and
 ``transform_nodes`` the noise transform alone at u = k/K. A uniform's cell
 is the top 12 bits of the Philox word it is made from (``CELL_SHIFT``), so
-the ``pick`` argument of ``draw_blocks``' ``sums`` lets a caller settle
-most trials of a block from such tables and the block's words, and
-compute only the rest exactly.
+a caller can settle most trials of a block from such tables and the
+block's words, and send only the rest through ``exact_sums``.
 
 Every kernel takes the ``TransmitFunction`` f itself. Each curve is
 defined once, in ``_curve``, as a chain of ufunc calls that take an
@@ -138,7 +137,7 @@ def cell_bounds(nodes: np.ndarray, f: tx.TransmitFunction, scale: float, shift: 
     """Certified bounds of f(shift + scale * n(u)), cell by cell of the uniform u.
 
     ``nodes`` is ``transform_nodes`` of the noise model, and the ufuncs and
-    their order are those of ``draw_blocks``. Returns a (K, 2) array, K =
+    their order are those of ``exact_sums``. Returns a (K, 2) array, K =
     ``BRACKET_CELLS``, whose row k holds a lower and an upper bound of the
     value of every u in [k/K, (k+1)/K]; written into ``out`` if given.
 
@@ -164,7 +163,7 @@ def cell_bounds(nodes: np.ndarray, f: tx.TransmitFunction, scale: float, shift: 
         limit = tx.bound(f)
         if limit is not None:
             np.copyto(out, (-limit, limit), where=np.isnan(out))
-        slack = np.abs(out).max(axis=1)
+        slack = np.maximum(np.abs(out[:, 0]), np.abs(out[:, 1]))
         slack *= BRACKET_SLACK
         slack += BRACKET_SLACK
         out[:, 0] -= slack
@@ -172,82 +171,61 @@ def cell_bounds(nodes: np.ndarray, f: tx.TransmitFunction, scale: float, shift: 
     return out
 
 
-def draw_blocks(setup, trials: int, stream, lead: int = 0):
-    """The simulated channel of ``setup``, block by block of trials.
+def exact_sums(setup, sigmas, draw, lead, shift, work, scaled=False):
+    """The simulated channel of ``setup`` on one block of trials: the exact pipeline.
 
-    Draw layout: each trial is one row of ``lead + L + 1`` uniforms from
-    ``stream``, rows one after another. The ``lead`` columns belong to the
-    caller (detection's hypothesis uniform), then come the L sensor columns
-    in ascending index order, then the channel column. Sensor i sends
-    f(shift + sigma_i n_i), where n_i is the noise transform of its uniform
-    under ``setup.noise``; the channel draw is the transform under
-    N(0, channel_noise_var). ``numerics.row_blocks`` draws the Philox words
-    of as many whole rows as fit in ``numerics.DRAW_BLOCK_ELEMENTS`` at
-    once, and a wider row span by span; the values are the same for any
-    budget. A column becomes uniforms (``numerics.words_to_uniforms``) only
-    where it is transformed.
+    Draw layout: a trial is a row of ``lead + L + 1`` Philox words, one per
+    uniform: the caller's ``lead`` columns (detection's hypothesis), the L
+    sensors in ascending index order, then the channel. ``draw(lo, hi)``
+    returns the block's words of columns [lo, hi), as ``numerics.row_blocks``
+    does; the sensor spans are requested in order and the channel last.
+    Sensor i sends f(shift + sigma_i n_i), n_i the transform of its uniform
+    under ``setup.noise``, ``sigmas`` = ``setup.sigmas.resolve(L)``, and
+    ``shift`` a scalar or a (trials, 1) column; the channel draw is the
+    transform under N(0, channel_noise_var). Returns ``(f_sums,
+    scaled_sums, channel)``: the row sums of f(shift + sigma n), those of
+    sigma n when ``scaled`` (else None), and the channel draws.
 
-    Yields ``(rows, lead_columns, sums)`` per block. ``rows`` is the block's
-    slice of the trials and ``lead_columns`` its (trials, lead) uniforms,
-    None when ``lead`` is 0. ``sums(shift, scaled=False, pick=None)`` draws
-    the rest of the block and returns ``(f_sums, scaled_sums, channel)``:
-    the row sums of f(shift + sigma n), those of sigma n when ``scaled``
-    (else None), and the channel draws; ``shift`` is a scalar or one value
-    per trial as a (trials, 1) column. Call it exactly once per block, so
-    every column is drawn once and in stream order.
+    Each span's uniforms are made in ``work`` (``numerics.block_elements``
+    doubles, apart from the words), then transformed, scaled, shifted and
+    mapped through f in place. Span sums combine along numpy's pairwise
+    tree (``numerics.pairwise_row_sum``), so each sum is bit-identical to
+    the whole row's, and no row's values depend on the block's other rows.
+    """
+    cols = lead + setup.L + 1
 
-    ``pick``, for blocks of whole rows only, selects the rows to compute.
-    ``sums`` first calls ``pick(sensor_words, channel_words, scratch)`` with
-    the block's (trials, L) and (trials,) uint64 word views and the
-    workspace as flat float64 scratch; it returns the ascending indices of
-    the rows to compute, and the three results then hold those rows only.
-    Each value is bit-identical to the one ``sums`` gives without ``pick``.
+    def leaf(lo, hi):
+        words = draw(lead + lo, lead + hi)
+        x = numerics.words_to_uniforms(words, out=work[: words.size].reshape(words.shape))
+        noise.transform_uniforms(setup.noise, x, out=x)
+        np.multiply(sigmas[lo:hi], x, out=x)
+        scaled_sums = x.sum(axis=1) if scaled else None
+        np.add(shift, x, out=x)
+        f_sums = channel_sums(setup.transmit, x=x, out=x)
+        return np.stack([f_sums, scaled_sums]) if scaled else f_sums
 
-    Nothing of draw size is allocated per block beyond its words: each
-    span's uniforms are written into one workspace of
-    ``numerics.block_elements`` doubles per call, transformed, scaled and
-    shifted in place and mapped through f in place by ``channel_sums``. A
-    wide row's span sums are combined along numpy's pairwise tree
-    (``numerics.pairwise_row_sum``), so every sum is bit-identical to
-    summing the whole row at once.
+    total = numerics.pairwise_row_sum(setup.L, leaf)
+    f_sums, scaled_sums = total if scaled else (total, None)
+    channel_u = numerics.words_to_uniforms(draw(cols - 1, cols)[:, 0])
+    channel = noise.gaussian(math.sqrt(setup.channel_noise_var))
+    return f_sums, scaled_sums, noise.transform_uniforms(channel, channel_u, out=channel_u)
+
+
+def draw_blocks(setup, trials: int, stream):
+    """``exact_sums`` over ``trials`` trials of ``setup`` drawn from ``stream``, block by block.
+
+    Yields ``(rows, sums)`` per block: its slice of the trials, and
+    ``sums(shift, scaled=False)``, ``exact_sums`` of the block without lead
+    columns; call it once per block. All blocks share one workspace.
     """
     sigmas = setup.sigmas.resolve(setup.L)
-    channel = noise.gaussian(math.sqrt(setup.channel_noise_var))
-    cols = lead + setup.L + 1
-    work = np.empty(numerics.block_elements(trials, cols))
-    for start, count, draw in numerics.row_blocks(stream, trials, cols):
+    work = np.empty(numerics.block_elements(trials, setup.L + 1))
+    for start, count, draw in numerics.row_blocks(stream, trials, setup.L + 1):
 
-        def sums(shift, scaled=False, pick=None):
-            picked = None
-            if pick is not None:
-                if cols > numerics.DRAW_BLOCK_ELEMENTS:
-                    raise ValueError("pick needs blocks of whole rows")
-                picked = pick(draw(lead, lead + setup.L), draw(cols - 1, cols)[:, 0], work)
-                if np.ndim(shift):
-                    shift = shift[picked]
+        def sums(shift, scaled=False):
+            return exact_sums(setup, sigmas, draw, 0, shift, work, scaled)
 
-            def leaf(lo, hi):
-                words = draw(lead + lo, lead + hi)
-                if picked is not None:
-                    words = words[picked]
-                x = numerics.words_to_uniforms(words, out=work[: words.size].reshape(words.shape))
-                noise.transform_uniforms(setup.noise, x, out=x)
-                np.multiply(sigmas[lo:hi], x, out=x)
-                scaled_sums = x.sum(axis=1) if scaled else None
-                np.add(shift, x, out=x)
-                f_sums = channel_sums(setup.transmit, x=x, out=x)
-                return np.stack([f_sums, scaled_sums]) if scaled else f_sums
-
-            total = numerics.pairwise_row_sum(setup.L, leaf)
-            f_sums, scaled_sums = total if scaled else (total, None)
-            # Requested last: a wide row draws the channel column after its sensor spans.
-            channel_words = draw(cols - 1, cols)[:, 0]
-            if picked is not None:
-                channel_words = channel_words[picked]
-            channel_u = numerics.words_to_uniforms(channel_words)
-            return f_sums, scaled_sums, noise.transform_uniforms(channel, channel_u, out=channel_u)
-
-        yield slice(start, start + count), (numerics.words_to_uniforms(draw(0, lead)) if lead else None), sums
+        yield slice(start, start + count), sums
 
 
 def eval_response(nodes: np.ndarray, weights: np.ndarray, f: tx.TransmitFunction, thetas) -> np.ndarray:

@@ -18,9 +18,9 @@ layout that assigns disjoint stream ids reproduces bit-identical results.
 A stream hands out raw 64-bit Philox words, and ``words_to_uniforms`` is
 the one map from words to uniforms (bit-identical to ``Generator.random``
 plus a half step); the top bits of a word name the cell of its uniform, so
-a caller that needs only the cell reads the word. ``row_blocks`` and
-``pairwise_row_sum`` serve ``kernels.draw_blocks``, the one Monte Carlo
-draw loop, whose docstring describes the draw layout.
+a caller that needs only the cell reads the word. ``row_blocks`` draws
+every Monte Carlo trial, and ``pairwise_row_sum`` sums its wide rows, in
+the layout of ``kernels.exact_sums``.
 """
 
 from __future__ import annotations
@@ -353,6 +353,17 @@ def words_to_uniforms(words: np.ndarray, out: np.ndarray | None = None) -> np.nd
     flat += 2.0**-54
     np.minimum(flat, _BELOW_ONE, out=flat)
     return out
+
+
+def least_word_at_least(p: float) -> np.uint64:
+    """The least Philox word whose uniform (``words_to_uniforms``) is >= p, for 0 < p < 1.
+
+    The uniform of w lies in [k, k + 1] 2**-53 for k = w >> 11 and grows
+    with w, so the word is (k << 11) for k within one of floor(p 2**53),
+    and ``words >= least_word_at_least(p)`` is ``uniforms >= p``.
+    """
+    top = np.clip(int(p * 2.0**53) + np.arange(-1, 2), 0, 2**53 - 1).astype(np.uint64) << np.uint64(11)
+    return top[words_to_uniforms(top) >= p][0]
 
 
 @dataclass

@@ -17,7 +17,8 @@ from scipy.special import ndtri
 
 from macfusion import detection as det
 from macfusion import estimation as est
-from macfusion import harness, noise, numerics, transmit as tx
+from macfusion import harness, kernels, noise, numerics, transmit as tx
+from oracles import unbounded_cells
 
 
 def _block_bytes():
@@ -92,6 +93,27 @@ def test_decision_loop_peak_stays_within_a_few_blocks(stratified, blocks):
     )
     detector = det.build_detector(setup)
     trials = blocks * numerics.DRAW_BLOCK_ELEMENTS // (setup.L + 2)
+    stream = numerics.RngStream(5, 0)
+    (trials_by_h, _), peak = _traced_peak(
+        lambda: det.simulate_decisions(setup, detector, trials, stream, stratified=stratified)
+    )
+    assert trials_by_h.sum() == trials
+    assert peak <= 2.5 * _block_bytes()
+
+
+@pytest.mark.parametrize("stratified", [False, True])
+def test_overflowing_stash_stays_within_a_few_blocks(stratified, monkeypatch):
+    """The same loop over 32 draw blocks with tables that bound nothing:
+    every trial is unsettled, so the stash of unsettled rows, which holds
+    a 32nd of a block, fills and is flushed 32 times a block. It lives in
+    the workspace's tail and its uniforms in the head, so the bound holds."""
+    monkeypatch.setattr(kernels, "cell_bounds", unbounded_cells)
+    setup = det.DetectionSetup(
+        theta=math.sqrt(10.0), L=20, sigmas=est.constant_sigmas(1.0), noise=noise.gaussian(1.0),
+        transmit=tx.tanh_fn(1.0), total_power=10**0.3, channel_noise_var=1.0,
+    )
+    detector = det.build_detector(setup)
+    trials = 32 * numerics.DRAW_BLOCK_ELEMENTS // (setup.L + 2)
     stream = numerics.RngStream(5, 0)
     (trials_by_h, _), peak = _traced_peak(
         lambda: det.simulate_decisions(setup, detector, trials, stream, stratified=stratified)

@@ -8,7 +8,7 @@ import pytest
 
 from macfusion import detection as det
 from macfusion import estimation as est
-from macfusion import harness, noise, numerics, transmit as tx
+from macfusion import harness, kernels, noise, numerics, transmit as tx
 from macfusion.numerics import RngStream, adaptive_quadrature
 
 GAUSS = noise.gaussian(1.0)
@@ -198,6 +198,26 @@ class TestErrorProbability:
         trials_by_h, _ = det.simulate_decisions(setup, det.build_detector(setup), trials, RngStream(6, 0), stratified=stratified)
         assert trials_by_h.sum() == trials
         assert 0 < sum(reached) < 0.01 * trials
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_unsettled_trials_run_through_the_exact_pipeline_once_per_point(self, monkeypatch, stratified):
+        """fig5's setup over eight draw blocks: the few trials the filter
+        leaves wait in the stash, which they do not fill, so the channel
+        sums and ``decide`` each run once for the point, not once per block."""
+        setup = _setup(theta=math.sqrt(10.0), total_power=10**0.3)
+        trials = 8 * numerics.DRAW_BLOCK_ELEMENTS // (setup.L + 2)
+        calls = {"channel_sums": 0, "decide": 0}
+        for module, name in ((kernels, "channel_sums"), (det, "decide")):
+            original = getattr(module, name)
+
+            def counted(*args, original=original, name=name, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        trials_by_h, _ = det.simulate_decisions(setup, det.build_detector(setup), trials, RngStream(6, 0), stratified=stratified)
+        assert trials_by_h.sum() == trials
+        assert calls == {"channel_sums": 1, "decide": 1}
 
     @pytest.mark.parametrize("stratified", [False, True])
     @pytest.mark.parametrize("transmit", [tx.tanh_fn(0.74), tx.rational_fn(4.2)], ids=lambda f: f.kind)

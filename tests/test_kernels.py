@@ -258,7 +258,7 @@ class TestSingleCurveDefinition:
         with np.errstate(all="ignore"):
             expected = _bits(_plain_transform(model, u))
             assert np.array_equal(_bits(noise.transform_uniforms(model, u)), expected)
-            # ``out`` may be ``u`` itself, as in ``draw_blocks``.
+            # ``out`` may be ``u`` itself, as in ``exact_sums``.
             assert noise.transform_uniforms(model, u, out=u) is u
         assert np.array_equal(_bits(u), expected)
 
@@ -536,3 +536,41 @@ class TestMonteCarloSpans:
             transmit=tx.tanh_fn(0.75), total_power=2.0, channel_noise_var=1.0,
         )
         _check_decisions(setup, 4, stratified, monkeypatch)
+
+    @pytest.mark.parametrize("budget", [numerics.DRAW_BLOCK_ELEMENTS, 4096])
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("unsettled", ["every-row", "linear"])
+    def test_stash_filled_mid_point_matches_the_allocating_closure(self, unsettled, stratified, budget, monkeypatch):
+        """The stash of unsettled rows fills and is flushed mid-point: with
+        unbounded tables every row is unsettled, and the linear curve at
+        L=30 leaves about 2% of them (its end cells stay unbounded). The
+        stash holds a 32nd of a block's rows, so both fill it within a few
+        blocks. The counts are the allocating closure's, and the values
+        reaching ``decide`` are the closure's values of their trials, bit
+        for bit and in trial order: all of them with unbounded tables."""
+        monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
+        if unsettled == "every-row":
+            monkeypatch.setattr(kernels, "cell_bounds", unbounded_cells)
+        setup = det.DetectionSetup(
+            theta=1.5, L=30, sigmas=est.constant_sigmas(1.0), noise=noise.gaussian(1.0),
+            transmit=tx.linear_fn(1.0), total_power=2.0, channel_noise_var=1.0,
+        )
+        detector = det.build_detector(setup)
+        trials = 6000
+        ref_h, ref_wrong, ref_y = _plain_simulate_decisions(setup, detector, trials, numerics.RngStream(11, 3), stratified)
+        decide = det.decide
+        received = []
+        monkeypatch.setattr(det, "decide", lambda d, y: received.append(np.array(y)) or decide(d, y))
+        trials_by_h, errors_by_h = det.simulate_decisions(setup, detector, trials, numerics.RngStream(11, 3), stratified)
+        assert np.array_equal(trials_by_h, np.bincount(ref_h, minlength=2))
+        assert np.array_equal(errors_by_h, np.bincount(ref_h[ref_wrong == 1], minlength=2))
+        rows_per_block = budget // (setup.L + (1 if stratified else 2))
+        full = rows_per_block // 32
+        assert len(received) >= 2 and all(y.size == full for y in received[:-1])
+        got = _bits(np.concatenate(received))
+        if unsettled == "every-row":
+            assert np.array_equal(got, _bits(ref_y))
+        else:
+            assert 0.01 * trials < got.size < 0.03 * trials
+            remaining = iter(_bits(ref_y).tolist())
+            assert all(bits in remaining for bits in got.tolist())

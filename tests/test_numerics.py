@@ -428,6 +428,22 @@ class TestRngStreams:
         assert u[2] * 4096 == 3001.0
         assert 2047.0 < u[3] * 4096 < 2048.0
 
+    def test_least_word_at_least_splits_the_words_as_their_uniforms(self):
+        """``words >= least_word_at_least(p)`` is ``words_to_uniforms(words) >= p``
+        for p at the ends of the interval, around 1/2, exactly at uniforms
+        that the half step rounds (top values from 2**52 on), and at random:
+        checked on the threshold word, its neighbours, the extreme words and
+        1e5 Philox words."""
+        tops = np.array([1, 2**52 - 1, 2**52, 2**52 + 1, 3 * 2**51 + 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+        ps = [2.0**-60, 2.0**-54, 2.0**-53, 3 * 2.0**-54, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0 - 2.0**-53]
+        ps += [*numerics.words_to_uniforms(tops << np.uint64(11)), *np.random.default_rng(3).random(20)]
+        words = RngStream(8, 1).uniforms(10**5)
+        for p in ps:
+            w0 = numerics.least_word_at_least(float(p))
+            near = np.array([w0, max(int(w0), 1) - 1, w0 + 1, 0, 2**64 - 1], dtype=np.uint64)
+            for w in (words, near):
+                assert np.array_equal(w >= w0, numerics.words_to_uniforms(w) >= p)
+
     @pytest.mark.parametrize("cols", [7, 300])
     def test_row_blocks_hold_one_block_of_words(self, monkeypatch, cols):
         """Whole-row blocks and the spans of a wide row are words with the
