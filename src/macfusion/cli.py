@@ -9,10 +9,10 @@ be reproduced byte-identically from the manifest alone.
 Exit codes: 0 success, 2 config error (diagnostics name the offending
 field), 3 numerical failure (diagnostics name the failed operation).
 
-The CLI checks only the shape of the JSON: objects and their keys, number
-types, finiteness and integrality, count ranges, grids, flags, the seed,
-output paths, the estimator name and the sweep rules. Every value rule
-lives in the type that holds the value (``NoiseModel``,
+The CLI checks only the shape of the JSON: objects and their keys, string
+kinds, number types, finiteness and integrality, count ranges, grids,
+flags, the seed, output paths, the estimator name and the sweep rules.
+Every value rule lives in the type that holds the value (``NoiseModel``,
 ``TransmitFunction``, ``SigmaSequence``, ``QuadratureSpec``, the setups and
 ``estimation.check_asymptotic_regime``); its ``FieldError`` is reported as
 ``config error at <path>.<field>``, before any point runs.
@@ -57,6 +57,14 @@ def _require_mapping(value, path):
     if not isinstance(value, dict):
         raise ConfigError(f"config error at {path}: expected an object, got {type(value).__name__}")
     return value
+
+
+def _kind(d: dict, path: str):
+    """``d``'s ``kind``, which must be a string if it is given (None if not)."""
+    kind = d.get("kind")
+    if "kind" in d and not isinstance(kind, str):
+        raise ConfigError(f"config error at {path}: expected a string, got {kind!r}")
+    return kind
 
 
 def _check_keys(d: dict, path: str, required: set[str], optional: set[str] = frozenset()):
@@ -130,14 +138,14 @@ def _built(make, where, *args, **kwargs):
 def build_noise(d, path="noise") -> noise_mod.NoiseModel:
     d = _require_mapping(d, path)
     _check_keys(d, path, {"kind", "scale"})
-    return _built(noise_mod.NoiseModel, path, d["kind"], _number(d, "scale", path))
+    return _built(noise_mod.NoiseModel, path, _kind(d, f"{path}.kind"), _number(d, "scale", path))
 
 
 def build_transmit(d, path="transmit") -> tx.TransmitFunction:
     """The curve of a transmit config; an unknown kind has no key set to
     check, and the type rejects it. The quantizer's ``levels`` is the key ``M``."""
     d = _require_mapping(d, path)
-    kind = d.get("kind")
+    kind = _kind(d, f"{path}.kind")
     fields = {}
     if kind in tx.BOUNDED_SMOOTH_KINDS:
         _check_keys(d, path, {"kind"}, {"omega"})
@@ -172,7 +180,7 @@ def _transmit_configs(cfg) -> list[tuple[str, object]]:
 
 def build_sigmas(d, path="sigmas") -> est.SigmaSequence:
     d = _require_mapping(d, path)
-    if d.get("kind") == est.EXPLICIT_LIST:
+    if _kind(d, f"{path}.kind") == est.EXPLICIT_LIST:
         _check_keys(d, path, {"kind", "values"})
         fields = {"values": tuple(_values_list(d, "values", f"{path}.values"))}
     else:
@@ -724,6 +732,8 @@ def load_config(source: str, overrides=(), env=None) -> dict:
                 cfg = json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config error at config: invalid JSON ({exc})") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config error at config: cannot read {source!r} as UTF-8 JSON ({exc})") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("config error at config: top level must be an object")
         cfg.setdefault("experiment_id", os.path.splitext(os.path.basename(source))[0])
@@ -738,7 +748,7 @@ def load_config(source: str, overrides=(), env=None) -> dict:
 
 
 def validate_common(cfg: dict) -> None:
-    kind = cfg.get("kind")
+    kind = _kind(cfg, "kind")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(
             f"config error at kind: unknown experiment kind {kind!r}; expected one of {list(EXPERIMENT_KINDS)}"

@@ -256,12 +256,6 @@ def _settled_regions(detector: GaussianApproxDetector, margin: float):
     return edges, np.array([verdict for _, _, verdict in settled], dtype=np.uint8)
 
 
-def _largest_finite(a: np.ndarray) -> float:
-    """max |a| over the finite entries of ``a`` (0 if there are none); the only temporary is a boolean mask."""
-    finite = np.isfinite(a)
-    return max(np.max(a, where=finite, initial=0.0), -np.min(a, where=finite, initial=0.0))
-
-
 class _DecisionBracket:
     """Exact decisions for most trials of a point, without their noise transforms.
 
@@ -295,11 +289,13 @@ class _DecisionBracket:
         nodes = kernels.transform_nodes(setup.noise)
         for table, shift in zip(np.split(self.bounds, 2), np.array([False, True]) * setup.theta):
             kernels.cell_bounds(nodes, setup.transmit, sigma, shift, out=table)
+        largest = np.max(np.abs(self.bounds), where=np.isfinite(self.bounds), initial=0.0)
+        # Monotone, with infinite ends: the largest finite |node| is next to an end.
         self.channel = kernels.transform_nodes(noise.gaussian(math.sqrt(setup.channel_noise_var)))
         self.sqrt_rho = math.sqrt(setup.rho)
         margin = (
-            6.0 * setup.L * setup.L * np.finfo(np.float64).eps * _largest_finite(self.bounds) * self.sqrt_rho
-            + kernels.BRACKET_SLACK * _largest_finite(self.channel) + np.finfo(np.float64).tiny
+            6.0 * setup.L * setup.L * np.finfo(np.float64).eps * largest * self.sqrt_rho
+            + kernels.BRACKET_SLACK * max(-self.channel[1], self.channel[-2]) + np.finfo(np.float64).tiny
         )
         self.edges, verdicts = _settled_regions(detector, margin)
         # The verdict of a y_lo whose searchsorted position in the edges is k.
@@ -313,9 +309,9 @@ class _DecisionBracket:
         ``h1`` holds the trials' hypotheses, ``words`` the Philox words of
         their (trials, L) sensor uniforms and ``channel_words`` those of
         their channel uniforms; the cell of each uniform is the word's top
-        bits. The trials go in row chunks that fit ``scratch`` (three for a
-        draw block), which holds the cell indices, the gathered bounds and
-        the brackets, so nothing of block size is allocated.
+        bits. The trials go in row chunks that fit ``scratch`` (if none fits,
+        every row is left), which holds the cell indices, the gathered bounds
+        and the brackets, so nothing of block size is allocated.
         """
         count, sensors = words.shape
         decision.fill(_UNSETTLED)
@@ -374,14 +370,14 @@ def simulate_decisions(
     layout of ``kernels.exact_sums``, led by a hypothesis word (omitted when
     stratified: the first round(P0 * trials) trials are H0).
 
-    With a constant sigma sequence and two rows per draw block at least,
+    With a constant sigma sequence and rows that fit a draw block,
     ``_DecisionBracket.settle`` decides the trials whose bracket of y
     clears the threshold (all but about 0.1% at fig5's settings) from the
-    cells of their words. The others' rows wait in trial order in a stash,
-    the tail of the point's workspace; when it fills, and at the end, they
-    go through ``exact_sums`` together (their uniforms in the head) and
-    ``decide``. Other setups run every block through ``exact_sums``. Each
-    decision is the exact pipeline's; only the rows reaching ``decide`` differ.
+    cells of their words. The others' rows wait in trial order in a stash
+    of a 32nd of a block's rows; when it fills, and at the end, they go
+    through ``exact_sums`` together and ``decide``. Other setups run every
+    block through ``exact_sums``. Each decision is the exact pipeline's;
+    only the rows reaching ``decide`` differ.
     """
     p0, _ = setup.priors
     n_h0_total = int(round(p0 * trials)) if stratified else 0
@@ -396,17 +392,14 @@ def simulate_decisions(
     def exact(h1, draw):
         # h1 * theta, without the cast buffer of a bool-times-float product.
         shift = np.where(h1, setup.theta, 0.0 * setup.theta)[:, None]
-        f_sums, _, chan = kernels.exact_sums(setup, sigmas, draw, lead, shift, work)
-        _count_errors(errors_by_h, h1, decide(detector, math.sqrt(setup.rho) * f_sums + chan))
+        y, _, _ = kernels.exact_sums(setup, sigmas, draw, lead, shift, work)
+        _count_errors(errors_by_h, h1, decide(detector, y))
 
     bracket = None
-    # Two rows per block at least: the stash's uniforms must fit beside its rows.
-    if 2 * cols <= numerics.DRAW_BLOCK_ELEMENTS and trials > 1 and setup.sigma_shares()[0].size == 1:
+    if cols <= numerics.DRAW_BLOCK_ELEMENTS and setup.sigma_shares()[0].size == 1:
         bracket = _DecisionBracket(setup, detector)
-        # The stash holds a 32nd of a block's rows (one at least); the filter's row chunks use the rest.
         capacity = max(1, work.size // cols // 32)
-        scratch = work[: work.size - capacity * cols]
-        stash = work[scratch.size :].view(np.uint64).reshape(capacity, cols)
+        stash = np.empty((capacity, cols), dtype=np.uint64)
         stash_h1, stashed = np.empty(capacity, dtype=bool), 0
     for start, count, draw in numerics.row_blocks(stream, trials, cols):
         h1 = np.arange(start, start + count) >= n_h0_total if stratified else draw(0, 1)[:, 0] >= h1_word
@@ -416,7 +409,7 @@ def simulate_decisions(
             exact(h1, draw)
             continue
         decision = np.empty(count, dtype=np.uint8)
-        unsettled = bracket.settle(h1, decision, draw(lead, lead + setup.L), draw(cols - 1, cols)[:, 0], scratch)
+        unsettled = bracket.settle(h1, decision, draw(lead, lead + setup.L), draw(cols - 1, cols)[:, 0], work)
         decision[unsettled] = h1[unsettled]  # counted when the stash is flushed
         _count_errors(errors_by_h, h1, decision)
         while unsettled.size:

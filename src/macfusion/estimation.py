@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels, transmit as tx
-from .noise import NoiseModel, cdf, nominal_variance, quantile, tail_truncation
+from .noise import MAX_SCALE, MIN_SCALE, NoiseModel, cdf, nominal_variance, quantile, tail_truncation
 from .numerics import (
     DEFAULT_QUADRATURE,
     NumericsError,
@@ -133,8 +133,9 @@ class EstimationSetup:
             raise tx.FieldError(f"L must be positive, got {self.L}", field="L")
         if not (self.total_power > 0.0 and np.isfinite(self.total_power)):
             raise tx.FieldError(f"total_power must be positive, got {self.total_power}", field="total_power")
-        if not (self.channel_noise_var > 0.0 and np.isfinite(self.channel_noise_var)):
-            message = f"channel_noise_var must be positive, got {self.channel_noise_var}"
+        # Its square root is the scale of the channel's Gaussian noise model.
+        if not (self.channel_noise_var > 0.0 and MIN_SCALE <= math.sqrt(self.channel_noise_var) <= MAX_SCALE):
+            message = f"channel_noise_var must lie in [{MIN_SCALE**2:g}, {MAX_SCALE**2:g}], got {self.channel_noise_var}"
             raise tx.FieldError(message, field="channel_noise_var")
         if self.sigmas.kind == EXPLICIT_LIST and len(self.sigmas.values) != self.L:
             raise tx.FieldError(f"{len(self.sigmas.values)} entries, but L is {self.L}", field="sigmas.values")

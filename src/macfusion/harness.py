@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from . import kernels
+from . import kernels, numerics
 from .detection import DetectionSetup, build_detector, simulate_decisions, summarize_errors
 from .estimation import EstimationSetup, af_gain, build_flat_response
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, RngStream
@@ -75,14 +75,16 @@ def _collect_signal_statistics(setup, trials, master_seed, stream_id_base, keys)
     need the AF gain and the sums of sigma n, so they are computed only
     when asked for.
     """
-    sqrt_rho = math.sqrt(setup.rho)
     af = "af_estimates" in keys
     alpha = af_gain(setup)[0] if af else None
     out = {key: np.empty(trials) for key in keys}
-    for rows, sums in kernels.draw_blocks(setup, trials, RngStream(master_seed, stream_id_base)):
-        f_sums, scaled_sums, chan = sums(setup.theta, scaled=af)
+    sigmas = setup.sigmas.resolve(setup.L)
+    work = np.empty(numerics.block_elements(trials, setup.L + 1))
+    for start, count, draw in numerics.row_blocks(RngStream(master_seed, stream_id_base), trials, setup.L + 1):
+        rows = slice(start, start + count)
+        y, scaled_sums, chan = kernels.exact_sums(setup, sigmas, draw, 0, setup.theta, work, scaled=af)
         if "z_targets" in out:
-            out["z_targets"][rows] = (sqrt_rho * f_sums + chan) / math.sqrt(setup.L) / math.sqrt(setup.total_power)
+            out["z_targets"][rows] = y / math.sqrt(setup.L) / math.sqrt(setup.total_power)
         if af:
             out["af_estimates"][rows] = setup.theta + scaled_sums / setup.L + chan / (setup.L * alpha)
     return out

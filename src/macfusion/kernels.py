@@ -181,10 +181,10 @@ def exact_sums(setup, sigmas, draw, lead, shift, work, scaled=False):
     does; the sensor spans are requested in order and the channel last.
     Sensor i sends f(shift + sigma_i n_i), n_i the transform of its uniform
     under ``setup.noise``, ``sigmas`` = ``setup.sigmas.resolve(L)``, and
-    ``shift`` a scalar or a (trials, 1) column; the channel draw is the
-    transform under N(0, channel_noise_var). Returns ``(f_sums,
-    scaled_sums, channel)``: the row sums of f(shift + sigma n), those of
-    sigma n when ``scaled`` (else None), and the channel draws.
+    ``shift`` a scalar or a (trials, 1) column; the channel draw v is the
+    transform under N(0, channel_noise_var). Returns ``(y, scaled_sums,
+    channel)``: the received values y = sqrt(rho) sum_i f(...) + v (formed
+    nowhere else), the row sums of sigma n when ``scaled`` (else None), and v.
 
     Each span's uniforms are made in ``work`` (``numerics.block_elements``
     doubles, apart from the words), then transformed, scaled, shifted and
@@ -205,27 +205,12 @@ def exact_sums(setup, sigmas, draw, lead, shift, work, scaled=False):
         return np.stack([f_sums, scaled_sums]) if scaled else f_sums
 
     total = numerics.pairwise_row_sum(setup.L, leaf)
-    f_sums, scaled_sums = total if scaled else (total, None)
+    y, scaled_sums = total if scaled else (total, None)
     channel_u = numerics.words_to_uniforms(draw(cols - 1, cols)[:, 0])
-    channel = noise.gaussian(math.sqrt(setup.channel_noise_var))
-    return f_sums, scaled_sums, noise.transform_uniforms(channel, channel_u, out=channel_u)
-
-
-def draw_blocks(setup, trials: int, stream):
-    """``exact_sums`` over ``trials`` trials of ``setup`` drawn from ``stream``, block by block.
-
-    Yields ``(rows, sums)`` per block: its slice of the trials, and
-    ``sums(shift, scaled=False)``, ``exact_sums`` of the block without lead
-    columns; call it once per block. All blocks share one workspace.
-    """
-    sigmas = setup.sigmas.resolve(setup.L)
-    work = np.empty(numerics.block_elements(trials, setup.L + 1))
-    for start, count, draw in numerics.row_blocks(stream, trials, setup.L + 1):
-
-        def sums(shift, scaled=False):
-            return exact_sums(setup, sigmas, draw, 0, shift, work, scaled)
-
-        yield slice(start, start + count), sums
+    channel = noise.transform_uniforms(noise.gaussian(math.sqrt(setup.channel_noise_var)), channel_u, out=channel_u)
+    y *= math.sqrt(setup.rho)
+    y += channel
+    return y, scaled_sums, channel
 
 
 def eval_response(nodes: np.ndarray, weights: np.ndarray, f: tx.TransmitFunction, thetas) -> np.ndarray:

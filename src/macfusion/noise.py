@@ -28,6 +28,10 @@ NOISE_KINDS = (GAUSSIAN, LAPLACIAN, CAUCHY)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
+# Range of a scale: its square (in the Cauchy density), its draws and its
+# tail truncation points at ordinary tail masses stay finite, normal floats.
+MIN_SCALE, MAX_SCALE = 1e-100, 1e100
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -35,7 +39,7 @@ class NoiseModel:
 
     ``scale`` is the family's own scale parameter: the standard deviation
     for Gaussian, the exponential scale b for Laplacian, and the half-width
-    gamma for Cauchy.
+    gamma for Cauchy; it lies in [``MIN_SCALE``, ``MAX_SCALE``].
     """
 
     kind: str
@@ -44,8 +48,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise FieldError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}", field="kind")
-        if not (self.scale > 0.0 and np.isfinite(self.scale)):
-            raise FieldError(f"noise scale must be positive and finite, got {self.scale}", field="scale")
+        if not MIN_SCALE <= self.scale <= MAX_SCALE:
+            raise FieldError(f"noise scale must lie in [{MIN_SCALE:g}, {MAX_SCALE:g}], got {self.scale}", field="scale")
 
 
 def gaussian(scale: float = 1.0) -> NoiseModel:
@@ -115,16 +119,18 @@ def tail_truncation(model: NoiseModel, mass: float) -> float:
 
     Computed directly from the lower-tail quantile at mass/2, which stays
     accurate for tiny masses where forming 1 - mass/2 would lose digits.
+    A T beyond the float range comes back as inf, for the caller to reject.
     """
     if not (0.0 < mass < 1.0):
         raise ValueError(f"tail mass must lie in (0, 1), got {mass}")
     s = model.scale
     half = 0.5 * mass
-    if model.kind == GAUSSIAN:
-        return float(-s * ndtri(half))
-    if model.kind == LAPLACIAN:
-        return float(-s * np.log(mass))
-    return float(s / np.tan(np.pi * half))
+    with np.errstate(over="ignore"):
+        if model.kind == GAUSSIAN:
+            return float(-s * ndtri(half))
+        if model.kind == LAPLACIAN:
+            return float(-s * np.log(mass))
+        return float(s / np.tan(np.pi * half))
 
 
 def variance(model: NoiseModel) -> float:

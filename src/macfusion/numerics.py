@@ -190,6 +190,8 @@ def adaptive_quadrature(
         tols = np.maximum(abs_tol, rel_tol * np.abs(vals2.sum(axis=1)))
         over = errs2.sum(axis=1) > tols
         if not over.any():
+            if not (np.isfinite(vals2).all() and np.isfinite(errs2).all()):
+                raise NumericsError(f"quadrature of {context or 'integral'} has a total that is not finite")
             order = np.argsort(lefts)
             final_edges = np.append(lefts[order], rights[order][-1])
             totals = np.array([math.fsum(row) for row in vals2.tolist()])
@@ -252,6 +254,10 @@ def expect(
     (quantizer cells) pass the kink locations through ``breakpoints``.
     """
     t = tail_truncation(model, spec.tail_mass)
+    if not math.isfinite(t * t):
+        # The Cauchy density and every second moment square the abscissa.
+        message = f"tail truncation point {t!r} of {model} at tail mass {spec.tail_mass!r} has no finite square"
+        raise NumericsError(message)
 
     def integrand(x):
         return np.asarray(g(x), dtype=np.float64) * pdf(model, x)

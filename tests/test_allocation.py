@@ -105,8 +105,9 @@ def test_decision_loop_peak_stays_within_a_few_blocks(stratified, blocks):
 def test_overflowing_stash_stays_within_a_few_blocks(stratified, monkeypatch):
     """The same loop over 32 draw blocks with tables that bound nothing:
     every trial is unsettled, so the stash of unsettled rows, which holds
-    a 32nd of a block, fills and is flushed 32 times a block. It lives in
-    the workspace's tail and its uniforms in the head, so the bound holds."""
+    a 32nd of a block, fills and is flushed 32 times a block. It is an
+    array of its own beside the workspace, which holds its uniforms, so
+    the bound holds."""
     monkeypatch.setattr(kernels, "cell_bounds", unbounded_cells)
     setup = det.DetectionSetup(
         theta=math.sqrt(10.0), L=20, sigmas=est.constant_sigmas(1.0), noise=noise.gaussian(1.0),

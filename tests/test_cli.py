@@ -189,6 +189,22 @@ class TestErrors:
         assert _run(["run", "/nonexistent/config.json"]) == 2
         assert "neither a preset nor a file" in capsys.readouterr().err
 
+    def test_directory_as_config_exit_2(self, tmp_path, capsys):
+        assert _run(["run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error at config: cannot read {str(tmp_path)!r}")
+        assert "Traceback" not in err
+
+    def test_config_that_is_not_utf8_exit_2(self, tmp_path, capsys):
+        """A UTF-16 file with its byte-order mark FF FE."""
+        path = tmp_path / "utf16.json"
+        path.write_bytes('{"kind": "consistency"}'.encode("utf-16"))
+        assert path.read_bytes().startswith(b"\xff\xfe")
+        assert _run(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error at config: cannot read {str(path)!r}")
+        assert "Traceback" not in err
+
     def test_non_convergence_exit_3(self, tmp_path, capsys):
         code = _run([
             "run", "fig2", "--out", str(tmp_path / "x.csv"),
@@ -518,6 +534,67 @@ class TestFoundProbes:
         assert code == 2
         assert f"config error at {field}: {path!r} is not a file in an existing directory" in err
         assert runs == []
+
+    # The smallest runs of the three presets: two omegas, or one trial at L = 2 and 3.
+    TINY = {
+        "fig5": ['omega_grid={"lo":1,"hi":2,"points":2}'],
+        "theorem3": ["trials=1", "L_values=[2,3]"],
+        "cauchy-af": ["trials=1", "L_values=[2,3]"],
+    }
+
+    @pytest.mark.parametrize(
+        "preset, kind, scale",
+        [
+            ("fig5", "cauchy", "1e-300"),
+            ("theorem3", "cauchy", "1e-300"),
+            ("fig5", "cauchy", "1e300"),
+            ("theorem3", "cauchy", "1e308"),
+            ("theorem3", "laplacian", "1e308"),
+            ("cauchy-af", "gaussian", "1e308"),
+        ],
+    )
+    def test_extreme_noise_scale_exits_2(self, tmp_path, capsys, preset, kind, scale):
+        """A Cauchy scale of 1e-300 ended in "-inf + inf in fsum" (its
+        squared scale underflows in the density) and one of 1e300 in
+        "detector variances must be positive"; scales of 1e308 wrote
+        h_gap = nan or raised overflow RuntimeWarnings: their tail
+        truncation points overflow. The scale's range rejects them all."""
+        noise_cfg = f'noise={{"kind":"{kind}","scale":{scale}}}'
+        code, err = self._fails(tmp_path, capsys, preset, noise_cfg, *self.TINY[preset])
+        assert code == 2
+        assert err.startswith("config error at noise.scale: noise scale must lie in [1e-100, 1e+100]")
+
+    @pytest.mark.parametrize("preset, mass", [("fig5", "1e-310"), ("fig5", "1e-200"), ("theorem3", "1e-200")])
+    def test_tail_truncation_beyond_the_float_range_exits_3(self, tmp_path, capsys, preset, mass):
+        """Inside the scale's range a small enough tail mass still puts the
+        Cauchy truncation point at inf (1e-310) or past the square root of
+        the largest float (1e-200)."""
+        overrides = ['noise={"kind":"cauchy","scale":1}', f'quadrature={{"tail_mass":{mass}}}', *self.TINY[preset]]
+        code, err = self._fails(tmp_path, capsys, preset, *overrides)
+        assert code == 3
+        assert "tail truncation point" in err and "has no finite square" in err
+
+    @pytest.mark.parametrize("var", ["1e-300", "1e300"])
+    def test_channel_noise_variance_beyond_the_scale_range_exits_2(self, tmp_path, capsys, var):
+        """Its square root is the scale of the channel's noise model."""
+        code, err = self._fails(tmp_path, capsys, "fig5", f"channel_noise_var={var}", *self.TINY["fig5"])
+        assert code == 2
+        assert err.startswith("config error at config.channel_noise_var: channel_noise_var must lie in")
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ("kind={}", "kind"),
+            ('noise={"kind":{},"scale":1.0}', "noise.kind"),
+            ('transmit={"kind":[],"omega":1.0}', "transmit.kind"),
+            ('sigmas={"kind":null,"sigma":1.0}', "sigmas.kind"),
+        ],
+    )
+    def test_kind_that_is_not_a_string_exits_2(self, tmp_path, capsys, override, field):
+        """A kind of the wrong type is a shape error, like any other wrong type."""
+        code, err = self._fails(tmp_path, capsys, "fig5", override, *self.TINY["fig5"])
+        assert code == 2
+        assert err.startswith(f"config error at {field}: expected a string, got ")
 
 
 class TestMeshValidationMessage:

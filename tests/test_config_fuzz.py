@@ -3,9 +3,9 @@
 Configs are derived from each ``cli.EXPERIMENTS`` entry's required and
 optional keys. They start from tiny valid values (a few trials, sensors and
 grid points), then up to three entries are replaced, dropped or added:
-hostile values (NaN, +-inf, 1e308, counts beyond 2**53, zero, negatives,
-wrong types, empty lists and objects) go in at the top level or one level
-down, and unknown keys are added. Each config runs through ``cli.main``
+hostile values (NaN, +-inf, 1e308, 1e-300, counts beyond 2**53, zero,
+negatives, wrong types, empty lists and objects) go in at the top level or
+one level down, and unknown keys are added. Each config runs through ``cli.main``
 in-process, with ``--out`` under ``tmp_path``. The exit code must be 0, 2
 or 3, and no exception may escape. An exit-2 message must name its field:
 it starts with ``config error at <path>:``, and when ``<path>`` is a JSON
@@ -64,7 +64,7 @@ VALID = {
 
 # Hostile values: numbers (a number's place gets one of these three times in
 # four), then wrong types, empty containers and a path in a missing directory.
-NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 2**70, 2**53 + 1, 0, -1, 2.5]
+NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, 2**70, 2**53 + 1, 0, -1, 2.5]
 OTHERS = [True, None, "x", "", "missing/x.csv", [], {}, [1.0], {"lo": 1}]
 
 

@@ -267,7 +267,7 @@ class TestCellBounds:
     @pytest.mark.parametrize("f", CURVES + [None], ids=lambda f: "nodes" if f is None else f.kind)
     @pytest.mark.parametrize("model", [noise.gaussian(1.3), noise.laplacian(0.7), noise.cauchy(2.0)], ids=lambda m: m.kind)
     def test_every_uniform_of_a_cell_lies_within_its_bounds(self, model, f):
-        """Each value, through the pipeline of ``draw_blocks``, lands inside
+        """Each value, through the pipeline of ``exact_sums``, lands inside
         the bounds of its row: both closed ends u = k/K and (k+1)/K of every
         cell k in row k; and in the row of its word's top 12 bits, the
         extreme words, the words whose uniform the half step rounds up onto
@@ -574,3 +574,28 @@ class TestMonteCarloSpans:
             assert 0.01 * trials < got.size < 0.03 * trials
             remaining = iter(_bits(ref_y).tolist())
             assert all(bits in remaining for bits in got.tolist())
+
+    @pytest.mark.parametrize("L, trials", [(30, 1), (30, 2), (40_000, 3)])
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_filter_runs_for_every_row_that_fits_a_block(self, L, trials, stratified, monkeypatch):
+        """The filter takes every constant-sigma point whose row fits a draw
+        block: one or two trials, and rows of more than 2**15 words, one to
+        a block. Its scratch (the workspace) then holds no row chunk, so
+        ``settle`` leaves every row to the stash. The counts are the
+        allocating closure's, in both runs of ``_check_decisions``."""
+        cols = L + (1 if stratified else 2)
+        assert cols <= numerics.DRAW_BLOCK_ELEMENTS and (trials <= 2 or 2 * cols > numerics.DRAW_BLOCK_ELEMENTS)
+        settled = []
+        settle = det._DecisionBracket.settle
+
+        def counting(bracket, h1, *rest):
+            settled.append(h1.size)
+            return settle(bracket, h1, *rest)
+
+        monkeypatch.setattr(det._DecisionBracket, "settle", counting)
+        setup = det.DetectionSetup(
+            theta=1.5, L=L, sigmas=est.constant_sigmas(1.0), noise=noise.gaussian(1.0),
+            transmit=tx.tanh_fn(1.0), total_power=2.0, channel_noise_var=1.0,
+        )
+        _check_decisions(setup, trials, stratified, monkeypatch)
+        assert sum(settled) == 2 * trials

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from macfusion import noise
+from macfusion import noise, transmit as tx
 from macfusion.numerics import RngStream, adaptive_quadrature
 from oracles import from_variance, sample
 
@@ -159,6 +159,15 @@ class TestValidation:
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             noise.NoiseModel("gaussian", 0.0)
+
+    @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
+    def test_scale_range_is_inclusive(self, kind):
+        for scale in (noise.MIN_SCALE, noise.MAX_SCALE):
+            assert noise.NoiseModel(kind, scale).scale == scale
+        for scale in (0.5 * noise.MIN_SCALE, 2.0 * noise.MAX_SCALE, math.inf, math.nan):
+            with pytest.raises(tx.FieldError, match="noise scale must lie in") as err:
+                noise.NoiseModel(kind, scale)
+            assert err.value.field == "scale"
 
     def test_variance_convention(self):
         assert noise.variance(noise.gaussian(2.0)) == 4.0

@@ -70,6 +70,15 @@ class TestExpect:
         assert math.isfinite(err.value.estimate)
         assert err.value.error_bound > 0.0
 
+    def test_total_that_is_not_finite_is_a_numerics_error(self):
+        """Panel totals of -inf and +inf ended in "-inf + inf in fsum" (a
+        ValueError), and a NaN total came back as a value. The caller here
+        silences numpy's floating-point warnings, which an inf integrand raises."""
+        with pytest.raises(numerics.NumericsError, match="quadrature of probe has a total that is not finite"):
+            adaptive_quadrature(lambda x: np.where(x == 0.0, np.nan, 1.0), -1.0, 1.0, context="probe")
+        with np.errstate(all="ignore"), pytest.raises(numerics.NumericsError, match="total that is not finite"):
+            adaptive_quadrature(lambda x: np.sign(x) / 0.0, -1.0, 1.0, breakpoints=(0.0,))
+
 
 def _scalar_reference_quadrature(fun, a, b, rel_tol, abs_tol, breakpoints, max_subdivisions=2000):
     """The scalar-only adaptive G7/K15 loop the vector version replaced."""
