@@ -261,9 +261,10 @@ class _DecisionBracket:
 
     Each sensor term f(shift + sigma n(u)) is monotone in its uniform u
     (sigma is constant), so the cell of u in the tables of
-    ``kernels.cell_bounds`` (one per hypothesis) bounds it, and one
-    ``einsum`` adds up a trial's lower and upper bounds. The cell comes
-    from the top bits of u's Philox word, so no uniform is made.
+    ``kernels.cell_bounds`` (one per hypothesis) bounds it, and an
+    ``einsum`` adds up a trial's lower bounds, another its upper bounds.
+    The cell comes from the top bits of u's Philox word, so no uniform is
+    made.
     The channel draw of cell k lies within the nodes' slack of
     [channel[k], channel[k + 1]] (``kernels.transform_nodes``). So
     y_lo = sqrt(rho) lo_sum + channel[k] and y_hi = sqrt(rho) hi_sum +
@@ -283,12 +284,13 @@ class _DecisionBracket:
 
     def __init__(self, setup: DetectionSetup, detector: GaussianApproxDetector):
         sigma = setup.sigma_shares()[0][0]
-        # Rows [0, K) bound H0's cells, rows [K, 2K) H1's: the shifts of the
+        # Row 0 holds the cells' lower bounds and row 1 their upper bounds,
+        # H0's cells in columns [0, K) and H1's in [K, 2K): the shifts of the
         # draw loop are hypothesis (False, True) times theta.
-        self.bounds = np.empty((2 * kernels.BRACKET_CELLS, 2))
+        self.bounds = np.empty((2, 2 * kernels.BRACKET_CELLS))
         nodes = kernels.transform_nodes(setup.noise)
-        for table, shift in zip(np.split(self.bounds, 2), np.array([False, True]) * setup.theta):
-            kernels.cell_bounds(nodes, setup.transmit, sigma, shift, out=table)
+        for table, shift in zip(np.split(self.bounds, 2, axis=1), (0.0, setup.theta)):
+            kernels.cell_bounds(nodes, setup.transmit, sigma, shift, out=table.T)
         largest = np.max(np.abs(self.bounds), where=np.isfinite(self.bounds), initial=0.0)
         # Monotone, with infinite ends: the largest finite |node| is next to an end.
         self.channel = kernels.transform_nodes(noise.gaussian(math.sqrt(setup.channel_noise_var)))
@@ -303,57 +305,60 @@ class _DecisionBracket:
         self.state[1::2] = verdicts
 
     def settle(self, h1, decision, words, channel_words, scratch):
-        """Write the certified decision of each trial into ``decision`` and
-        return the rows left ``_UNSETTLED``.
+        """Write each trial's certified decision, or ``_UNSETTLED``, into ``decision``.
 
         ``h1`` holds the trials' hypotheses, ``words`` the Philox words of
         their (trials, L) sensor uniforms and ``channel_words`` those of
         their channel uniforms; the cell of each uniform is the word's top
-        bits. The trials go in row chunks that fit ``scratch`` (if none fits,
-        every row is left), which holds the cell indices, the gathered bounds
-        and the brackets, so nothing of block size is allocated.
+        bits. Nothing of block size is allocated. The trials go in spans of
+        up to a quarter of ``scratch``'s size (at fig5's settings the whole
+        block), whose brackets (y_lo, y_hi) sit at its tail. The sensor sums
+        go in row chunks: each chunk's cells and one (rows, L) buffer for
+        the lower and then the upper bounds (2L doubles per row). The
+        channel cells, the search among the edges and the verdict run once
+        per span. If no row chunk fits, every row is left.
         """
         count, sensors = words.shape
-        decision.fill(_UNSETTLED)
-        chunk = scratch.size // (3 * sensors + 2)
+        # A span's row takes 4 doubles: its bracket, and its channel cell and gathered value.
+        span = min(count, scratch.size // 4)
+        front = scratch.size - 2 * span
+        chunk = min(span, front // (2 * sensors))
         if chunk == 0 or not self.edges.size:
-            return np.arange(count)
+            decision.fill(_UNSETTLED)
+            return
         with np.errstate(all="ignore"):
-            for a in range(0, count, chunk):
-                b = min(a + chunk, count)
-                rows, size = b - a, (b - a) * sensors
-                # Cells: the words' top bits, shifted in place in the scratch (a
-                # ufunc reading the strided block takes a buffer), read as signed.
-                cells = scratch[:size].view(np.uint64).reshape(rows, sensors)
-                gathered = scratch[size : 3 * size]
-                y = scratch[3 * size : 3 * size + 2 * rows].reshape(2, rows)
-                np.copyto(cells, words[a:b])
-                cells >>= kernels.CELL_SHIFT
-                index = cells.view(np.int64)
-                np.add(index, kernels.BRACKET_CELLS, out=index, where=h1[a:b, None])
-                bounds = np.take(self.bounds, index, axis=0, out=gathered.reshape(rows, sensors, 2), mode="clip")
-                np.einsum("ijk->ki", bounds, out=y)
+            for v in range(0, count, span):
+                w = min(v + span, count)
+                y_lo, y_hi = y = scratch[front:].reshape(2, span)[:, : w - v]
+                for a in range(v, w, chunk):
+                    b = min(a + chunk, w)
+                    size = (b - a) * sensors
+                    # Cells: the words' top bits, shifted in place in the scratch (a
+                    # ufunc reading the strided block takes a buffer), read as signed.
+                    cells = scratch[:size].view(np.uint64).reshape(b - a, sensors)
+                    gathered = scratch[size : 2 * size].reshape(b - a, sensors)
+                    np.copyto(cells, words[a:b])
+                    cells >>= kernels.CELL_SHIFT
+                    index = cells.view(np.int64)
+                    np.add(index, kernels.BRACKET_CELLS, out=index, where=h1[a:b, None])
+                    for table, sums in zip(self.bounds, y):
+                        np.einsum("ij->i", table.take(index, out=gathered, mode="clip"), out=sums[a - v : b - v])
                 y *= self.sqrt_rho
-                cells = scratch[:rows].view(np.uint64)
-                np.copyto(cells, channel_words[a:b])
+                cells = scratch[: w - v].view(np.uint64)
+                gathered = scratch[w - v : 2 * (w - v)]
+                np.copyto(cells, channel_words[v:w])
                 cells >>= kernels.CELL_SHIFT
                 index = cells.view(np.int64)
-                y_lo, y_hi = y
-                y_lo += np.take(self.channel, index, out=gathered[:rows], mode="clip")
-                y_hi += np.take(self.channel[1:], index, out=gathered[:rows], mode="clip")
-                # y_lo's position k among the edges names its region (odd k)
-                # or gap (even k); y_hi must not pass the region's far edge.
-                k = np.searchsorted(self.edges, y_lo, side="right")
-                inside = y_hi <= np.take(self.edges, k, out=gathered[:rows], mode="clip")
-                np.copyto(decision[a:b], self.state.take(k), where=inside)
-        return np.flatnonzero(decision == _UNSETTLED)
-
-
-def _count_errors(errors_by_h, h1, decision):
-    """Add the wrong decisions among rows with hypotheses ``h1`` to ``errors_by_h``."""
-    wrong = decision != h1
-    e1 = np.count_nonzero(wrong & h1)
-    errors_by_h += (np.count_nonzero(wrong) - e1, e1)
+                y_lo += self.channel.take(index, out=gathered, mode="clip")
+                y_hi += self.channel[1:].take(index, out=gathered, mode="clip")
+                # y_lo's position k among the edges names its region (odd k) or
+                # gap (even k); a y_hi past the far edge (or NaN) sends k to gap 0.
+                # The test writes int64 0/1 over the far edges it reads, so the
+                # product takes no cast buffer.
+                k = self.edges.searchsorted(y_lo, side="right")
+                far = self.edges.take(k, out=gathered, mode="clip")
+                k *= np.less_equal(y_hi, far, out=far.view(np.int64))
+                self.state.take(k, out=decision[v:w])
 
 
 def simulate_decisions(
@@ -377,7 +382,9 @@ def simulate_decisions(
     of a 32nd of a block's rows; when it fills, and at the end, they go
     through ``exact_sums`` together and ``decide``. Other setups run every
     block through ``exact_sums``. Each decision is the exact pipeline's;
-    only the rows reaching ``decide`` differ.
+    only the rows reaching ``decide`` differ. One ``bincount`` of decision
+    + 3 h1 per block or batch counts the trials and errors of both
+    hypotheses.
     """
     p0, _ = setup.priors
     n_h0_total = int(round(p0 * trials)) if stratified else 0
@@ -386,14 +393,20 @@ def simulate_decisions(
     cols = lead + setup.L + 1
     sigmas = setup.sigmas.resolve(setup.L)
     work = np.empty(numerics.block_elements(trials, cols))
-    trials_by_h = np.zeros(2, dtype=np.int64)
-    errors_by_h = np.zeros(2, dtype=np.int64)
+    # Trials by decision + 3 h1: H0's right and wrong decisions, H1's wrong
+    # and right ones at 0, 1, 3, 4, and at 2, 5 the rows ``settle`` leaves,
+    # which the totals skip: ``exact`` counts them when they reach it.
+    by_code = np.zeros(6, dtype=np.int64)
+
+    def tally(h1, decision):
+        np.add(decision, 3, out=decision, where=h1)
+        by_code[:] += np.bincount(decision, minlength=6)
 
     def exact(h1, draw):
         # h1 * theta, without the cast buffer of a bool-times-float product.
         shift = np.where(h1, setup.theta, 0.0 * setup.theta)[:, None]
         y, _, _ = kernels.exact_sums(setup, sigmas, draw, lead, shift, work)
-        _count_errors(errors_by_h, h1, decide(detector, y))
+        tally(h1, decide(detector, y))
 
     bracket = None
     if cols <= numerics.DRAW_BLOCK_ELEMENTS and setup.sigma_shares()[0].size == 1:
@@ -403,15 +416,16 @@ def simulate_decisions(
         stash_h1, stashed = np.empty(capacity, dtype=bool), 0
     for start, count, draw in numerics.row_blocks(stream, trials, cols):
         h1 = np.arange(start, start + count) >= n_h0_total if stratified else draw(0, 1)[:, 0] >= h1_word
-        n1 = np.count_nonzero(h1)
-        trials_by_h += (count - n1, n1)
         if bracket is None:
             exact(h1, draw)
             continue
         decision = np.empty(count, dtype=np.uint8)
-        unsettled = bracket.settle(h1, decision, draw(lead, lead + setup.L), draw(cols - 1, cols)[:, 0], work)
-        decision[unsettled] = h1[unsettled]  # counted when the stash is flushed
-        _count_errors(errors_by_h, h1, decision)
+        bracket.settle(h1, decision, draw(lead, lead + setup.L), draw(cols - 1, cols)[:, 0], work)
+        left = decision == _UNSETTLED
+        # Counted before the rows are indexed: bincount's intp copy of
+        # ``decision`` and the index, each 8 bytes a row, are not held together.
+        tally(h1, decision)
+        unsettled = left.nonzero()[0]
         while unsettled.size:
             part, unsettled = unsettled[: capacity - stashed], unsettled[capacity - stashed :]
             # Indexing, not ``np.take``, which would copy the whole block first.
@@ -422,7 +436,7 @@ def simulate_decisions(
                 stashed = 0
     if bracket is not None:
         exact(stash_h1[:stashed], lambda lo, hi: stash[:stashed, lo:hi])
-    return trials_by_h, errors_by_h
+    return by_code[[0, 3]] + by_code[[1, 4]], by_code[[1, 3]]
 
 
 def locally_optimal_nonlinearity(model: NoiseModel):

@@ -132,12 +132,13 @@ def _gk15_batch(fun, lefts: np.ndarray, rights: np.ndarray):
     # nodes come back as (components, panels).
     y = y.reshape(-1, _NODES.size)
     panels = (-1, lefts.size)
-    vals = half * (y @ _KW).reshape(panels)
-    gauss = half * (y @ _GW).reshape(panels)
-    errdiff = np.abs(vals - gauss)
-    mean = vals / np.where(rights != lefts, rights - lefts, 1.0)
-    resasc = half * (np.abs(y - mean.reshape(-1, 1)) @ _KW).reshape(panels)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Infinite integrand values give NaN and inf, which the caller reports.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = half * (y @ _KW).reshape(panels)
+        gauss = half * (y @ _GW).reshape(panels)
+        errdiff = np.abs(vals - gauss)
+        mean = vals / np.where(rights != lefts, rights - lefts, 1.0)
+        resasc = half * (np.abs(y - mean.reshape(-1, 1)) @ _KW).reshape(panels)
         scaled = np.where(
             resasc > 0.0,
             resasc * np.minimum(1.0, (200.0 * errdiff / np.where(resasc > 0.0, resasc, 1.0)) ** 1.5),
@@ -187,7 +188,8 @@ def adaptive_quadrature(
         # Round decisions use numpy row sums; only the reported totals are
         # summed exactly, so a decision differs from an exact-sum one only
         # when an error total is within rounding of its tolerance.
-        tols = np.maximum(abs_tol, rel_tol * np.abs(vals2.sum(axis=1)))
+        with np.errstate(invalid="ignore"):  # -inf + inf: reported below
+            tols = np.maximum(abs_tol, rel_tol * np.abs(vals2.sum(axis=1)))
         over = errs2.sum(axis=1) > tols
         if not over.any():
             if not (np.isfinite(vals2).all() and np.isfinite(errs2).all()):

@@ -1,5 +1,7 @@
 """Kernel layer: transmit curves, channel sums and converged inversion."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -472,7 +474,9 @@ WIDTHS = {"rows": (30, None), "spans": (300, 128)}
 # the integers and the threshold y = 3 is met exactly by about one trial in
 # thirty. In "channel" the sensors carry almost no power, so y is nearly
 # the channel draw and about one trial in two thousand has its channel
-# cell across a boundary of the settled regions.
+# cell across a boundary of the settled regions. "unequal-priors" has
+# P0 = 0.3, so the stratified blocks hold unequal numbers of H0 and H1
+# trials, and a detector whose threshold carries ln(P1/P0).
 DECISION_CASES = {
     **{f.kind: (f, None, {}, 700) for f in CASES},
     "tanh": (tx.tanh_fn(1.0), None, {}, 700),
@@ -483,6 +487,9 @@ DECISION_CASES = {
         {"total_power": 30.0, "channel_noise_var": 1e-40}, 700,
     ),
     "channel": (tx.tanh_fn(1.0), det.GaussianApproxDetector(-1.0, 1.0, 1.0, 1.0, 0.0), {"total_power": 1e-6}, 4000),
+    "unequal-priors": (
+        tx.tanh_fn(1.0), det.GaussianApproxDetector(0.0, 4.0, 3.0, 3.5, math.log(7.0 / 3.0)), {"priors": (0.3, 0.7)}, 700,
+    ),
 }
 # The filter needs whole rows (L = 30), so the cases beyond tanh run at that width only.
 WIDTH_CASES = [("rows", case) for case in sorted(DECISION_CASES)] + [("spans", "tanh")]
@@ -575,14 +582,39 @@ class TestMonteCarloSpans:
             remaining = iter(_bits(ref_y).tolist())
             assert all(bits in remaining for bits in got.tolist())
 
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_narrow_rows_settle_span_by_span(self, stratified, monkeypatch):
+        """At L=1 the brackets of a whole block and its channel step do not
+        fit the workspace (three or two words per row) together, so
+        ``settle`` takes each block in spans of a quarter of it (here two
+        spans in each of two or three blocks). It still settles most trials, and the counts
+        are the allocating closure's, in both runs of ``_check_decisions``."""
+        monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", 1024)
+        left = []
+        settle = det._DecisionBracket.settle
+
+        def counting(bracket, h1, decision, *rest):
+            settle(bracket, h1, decision, *rest)
+            left.append(np.count_nonzero(decision == det._UNSETTLED))
+
+        monkeypatch.setattr(det._DecisionBracket, "settle", counting)
+        setup = det.DetectionSetup(
+            theta=1.5, L=1, sigmas=est.constant_sigmas(1.0), noise=noise.gaussian(1.0),
+            transmit=tx.tanh_fn(1.0), total_power=2.0, channel_noise_var=1.0,
+        )
+        _check_decisions(setup, 1000, stratified, monkeypatch)
+        # The second run has unbounded tables, which settle nothing.
+        assert sum(left[: len(left) // 2]) < 0.01 * 1000
+
     @pytest.mark.parametrize("L, trials", [(30, 1), (30, 2), (40_000, 3)])
     @pytest.mark.parametrize("stratified", [False, True])
     def test_filter_runs_for_every_row_that_fits_a_block(self, L, trials, stratified, monkeypatch):
         """The filter takes every constant-sigma point whose row fits a draw
         block: one or two trials, and rows of more than 2**15 words, one to
-        a block. Its scratch (the workspace) then holds no row chunk, so
-        ``settle`` leaves every row to the stash. The counts are the
-        allocating closure's, in both runs of ``_check_decisions``."""
+        a block. Its scratch (the workspace) then holds one row chunk at
+        most (two trials at L=30, not stratified), and with none ``settle``
+        leaves every row to the stash. The counts are the allocating
+        closure's, in both runs of ``_check_decisions``."""
         cols = L + (1 if stratified else 2)
         assert cols <= numerics.DRAW_BLOCK_ELEMENTS and (trials <= 2 or 2 * cols > numerics.DRAW_BLOCK_ELEMENTS)
         settled = []

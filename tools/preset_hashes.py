@@ -9,9 +9,10 @@ Run it from anywhere; it runs ``python -m macfusion run <preset>`` with
 worker count, and compares the SHA-256 of each CSV with the hash pinned in
 ``CHANGES.md``: for each preset, the first ``<preset> <64 hex digits>`` pair
 in that file (the entry that pinned all nine). Prints one line per run,
-with its wall seconds, and its CPU seconds (user plus system), peak RSS and
-minor page faults (from ``os.wait4``),
-then a table of each preset's hash with its wall seconds at every worker
+with its wall seconds, and its CPU seconds (user plus system), peak RSS,
+minor page faults and voluntary context switches (from ``os.wait4``; at
+two workers most of the switches are threads waiting for the GIL), then
+a table of each preset's hash with its wall seconds at every worker
 count and the total per worker count, so the end-to-end times of all
 presets come with the hash check. Exits 0 if every hash matches, 1 on any
 mismatch and 2 if a preset has no pinned hash or a run fails. The full set
@@ -45,10 +46,10 @@ def pinned_hashes(presets, path=CHANGES) -> dict:
     return pinned
 
 
-def run_preset(name: str, workers: int, out_dir: str) -> tuple[str | None, float, float, float, int]:
+def run_preset(name: str, workers: int, out_dir: str) -> tuple[str | None, float, float, float, int, int]:
     """(SHA-256 of the CSV or None if the run failed, wall seconds, CPU
-    seconds, peak RSS in MB, minor page faults); the last three come from
-    ``os.wait4``."""
+    seconds, peak RSS in MB, minor page faults, voluntary context
+    switches); the last four come from ``os.wait4``."""
     out = os.path.join(out_dir, f"{name}-w{workers}.csv")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     env.pop("MACFUSION_SEED", None)
@@ -69,9 +70,9 @@ def run_preset(name: str, workers: int, out_dir: str) -> tuple[str | None, float
         if proc.returncode != 0:
             stderr.seek(0)
             sys.stderr.write(stderr.read().decode(errors="replace"))
-            return None, elapsed, cpu_s, peak_mb, usage.ru_minflt
+            return None, elapsed, cpu_s, peak_mb, usage.ru_minflt, usage.ru_nvcsw
     with open(out, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest(), elapsed, cpu_s, peak_mb, usage.ru_minflt
+        return hashlib.sha256(f.read()).hexdigest(), elapsed, cpu_s, peak_mb, usage.ru_minflt, usage.ru_nvcsw
 
 
 def summary(presets, worker_counts, results) -> list[str]:
@@ -108,7 +109,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as out_dir:
         for workers in args.workers:
             for name in args.presets:
-                digest, elapsed, cpu_s, peak_mb, faults = run_preset(name, workers, out_dir)
+                digest, elapsed, cpu_s, peak_mb, faults, switches = run_preset(name, workers, out_dir)
                 results[name, workers] = digest, elapsed
                 if digest is None:
                     verdict, status = "FAILED RUN", max(status, 2)
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
                 else:
                     verdict = "ok"
                 print(
-                    f"{name:12s} workers={workers}  {elapsed:7.1f} s  {cpu_s:7.1f} s cpu  {peak_mb:6.1f} MB  {faults:8d} minflt"
+                    f"{name:12s} workers={workers}  {elapsed:7.1f} s  {cpu_s:7.1f} s cpu  {peak_mb:6.1f} MB  {faults:8d} minflt  {switches:7d} nvcsw"
                     f"  {digest or '-'}  {verdict}",
                     flush=True,
                 )
