@@ -6,6 +6,9 @@ The fusion center distinguishes signal present (theta under H1) from absent
 likelihood ratio needs an (L+1)-fold convolution, so the working detector
 is the Bayesian likelihood-ratio test between two moment-matched Gaussians;
 its first two moments under each hypothesis come from density quadrature.
+Its accept-H1 set (``h1_region``) is at most two closed intervals of the
+received value, with ends at the real roots of one quadratic; ``decide``
+and the Monte Carlo filter's settled regions both read it.
 The deflection coefficient serves as the detector-free output-SNR surrogate
 
     D_L = (mean shift)^2 / (normalized H0 variance + channel term)
@@ -109,7 +112,7 @@ class GaussianApproxDetector:
 def build_detector(setup: DetectionSetup, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> GaussianApproxDetector:
     """Exact first two moments of the channel output under each hypothesis."""
     values, shares = setup.sigma_shares()
-    scale = math.sqrt(setup.total_power * setup.L)
+    scale = math.sqrt(setup.total_power) * math.sqrt(setup.L)
     means = []
     variances = []
     for theta in (0.0, setup.theta):
@@ -127,25 +130,50 @@ def build_detector(setup: DetectionSetup, spec: QuadratureSpec = DEFAULT_QUADRAT
     )
 
 
-def log_density_ratio(detector: GaussianApproxDetector, y):
-    """ln N(y; mean1, var1) - ln N(y; mean0, var0), vectorized."""
-    y = np.asarray(y, dtype=np.float64)
-    d0 = y - detector.mean0
-    d1 = y - detector.mean1
-    return (
-        0.5 * math.log(detector.var0 / detector.var1)
-        - 0.5 * d1 * d1 / detector.var1
-        + 0.5 * d0 * d0 / detector.var0
-    )
+def _quadratic_roots(a: float, b: float, c: float) -> list:
+    """Real roots of a y^2 + b y + c, by the cancellation-free formula."""
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    if not disc >= 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q != 0.0 else [0.0]
+
+
+def h1_region(detector: GaussianApproxDetector) -> list:
+    """The accept-H1 set of ``decide``: at most two closed intervals (lo, hi) of y, in order.
+
+    In z = (y - mean0) / sqrt(var0), the llr plus ln(P1/P0) is the quadratic
+    a z^2 + b z + c with k = var0 / var1, m = (mean1 - mean0) / sqrt(var0),
+    a = (1 - k) / 2, b = k m and c = ln(k) / 2 - k m^2 / 2 + ln(P1/P0), so no
+    coefficient overflows for finite moments. H1 is where it is >= 0 (ties
+    go to H1): between its real roots, outside them, or on one side of the
+    single root when the variances are equal.
+    """
+    d = detector
+    s0 = math.sqrt(d.var0)
+    k = d.var0 / d.var1
+    m = (d.mean1 - d.mean0) / s0
+    a, b, c = 0.5 * (1.0 - k), k * m, 0.5 * math.log(k) - 0.5 * k * m * m + d.log_prior_ratio
+    z = sorted(_quadratic_roots(a, b, c))
+    if a == 0.0 and b != 0.0:
+        ends = [(z[0], math.inf)] if b > 0.0 else [(-math.inf, z[0])]
+    elif z:
+        ends = [(-math.inf, z[0]), (z[-1], math.inf)] if a > 0.0 else [(z[0], z[-1])]
+    else:
+        # No real root: a z^2 + c keeps one sign.
+        ends = [(-math.inf, math.inf)] if a > 0.0 or (a == 0.0 and c >= 0.0) else []
+    return [(d.mean0 + s0 * lo, d.mean0 + s0 * hi) for lo, hi in ends]
 
 
 def decide(detector: GaussianApproxDetector, y):
-    """0/1 hypothesis decision; ties go to H1. Vectorized over ``y``."""
-    llr = log_density_ratio(detector, y)
-    out = (llr >= -detector.log_prior_ratio).astype(np.uint8)
-    if out.ndim == 0:
-        return int(out)
-    return out
+    """0/1 hypothesis decision: whether y lies in ``h1_region``. Vectorized over ``y``."""
+    y = np.asarray(y, dtype=np.float64)
+    out = np.zeros(y.shape, dtype=np.uint8)
+    for lo, hi in h1_region(detector):
+        out |= (lo <= y) & (y <= hi)
+    return int(out) if out.ndim == 0 else out
 
 
 def summarize_errors(priors, trials_by_h, errors_by_h, stratified: bool) -> tuple[float, float]:
@@ -169,30 +197,6 @@ def summarize_errors(priors, trials_by_h, errors_by_h, stratified: bool) -> tupl
 
 # Verdict of a trial that the bracket filter leaves to the exact pipeline.
 _UNSETTLED = 2
-# Margin of the settled regions of y, relative to the size of the llr's
-# terms at y: far above the few-ulp error with which ``log_density_ratio``
-# and the region check evaluate the quadratic.
-_LLR_SLACK = 1e-9
-
-
-def _nudge(holds, end: float, toward: float) -> float:
-    """``end``, or the first point from it toward ``toward``, in doubling steps, where ``holds``."""
-    step = 2.0**-52 * max(abs(end), abs(toward - end))
-    while not holds(end) and step < abs(toward - end):
-        end += math.copysign(step, toward - end)
-        step *= 2.0
-    return end
-
-
-def _quadratic_roots(a: float, b: float, c: float) -> list:
-    """Real roots of a y^2 + b y + c, by the cancellation-free formula."""
-    if a == 0.0:
-        return [-c / b] if b != 0.0 else []
-    disc = b * b - 4.0 * a * c
-    if not disc >= 0.0:
-        return []
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    return [q / a, c / q] if q != 0.0 else [0.0]
 
 
 def _settled_regions(detector: GaussianApproxDetector, margin: float):
@@ -200,60 +204,21 @@ def _settled_regions(detector: GaussianApproxDetector, margin: float):
 
     Returns ``(edges, verdicts)``: sorted disjoint intervals
     [edges[2i], edges[2i + 1]] such that ``decide(detector, y)`` returns
-    ``verdicts[i]`` for every y within ``margin`` of the interval. The llr
-    is the quadratic q(y) = a y^2 + b y + c, which ``log_density_ratio``
-    evaluates with an error of a few ulps of the size of its terms, at most
-    s(y) = 1 + |threshold| + |c0| + (y^2 + m_i^2) / var_i summed over i. So
-    decide returns 1 where q - threshold >= _LLR_SLACK s and 0 where
-    q - threshold < -_LLR_SLACK s. Both sides are quadratics in y; their
-    real roots and vertex cut the axis into pieces on which each is
-    monotone, so a piece is settled when its inequality holds at both ends
-    (an end at a root is nudged inward until it does). Adjacent pieces with
-    one verdict merge, and each interval then shrinks by ``margin`` and by
-    4 eps ``cap`` for its own rounding. Beyond +-``cap`` nothing is
-    settled: far out the llr's terms could overflow.
+    ``verdicts[i]`` for every y within ``margin`` of the interval. The ends
+    of ``h1_region`` cut [-cap, cap] into pieces, each inside or outside
+    the region, as its midpoint is; each piece then shrinks by ``margin``
+    and by 4 eps ``cap`` for its own rounding and that of the bracket's
+    sums with the channel, so no region end lies within the margin of a
+    settled interval. Beyond +-``cap`` nothing is settled.
     """
     d = detector
-    threshold = -d.log_prior_ratio
-    c0 = 0.5 * math.log(d.var0 / d.var1)
-    q = (
-        0.5 / d.var0 - 0.5 / d.var1,
-        d.mean1 / d.var1 - d.mean0 / d.var0,
-        c0 + 0.5 * d.mean0 * d.mean0 / d.var0 - 0.5 * d.mean1 * d.mean1 / d.var1 - threshold,
-    )
-    weight = 1.0 / d.var0 + 1.0 / d.var1
-    base = 1.0 + abs(threshold) + abs(c0) + d.mean0 * d.mean0 / d.var0 + d.mean1 * d.mean1 / d.var1
+    region = h1_region(d)
     cap = 2.0**20 * (1.0 + abs(d.mean0) + abs(d.mean1) + math.sqrt(d.var0) + math.sqrt(d.var1))
-    pieces = []
-    if math.isfinite(weight * cap * cap + base + margin) and all(math.isfinite(x) for x in q):
-        for verdict, sign in ((1, -1.0), (0, 1.0)):
-            g0, g1, g2 = q[0] + sign * _LLR_SLACK * weight, q[1], q[2] + sign * _LLR_SLACK * base
-            if verdict:
-                holds = lambda y, g0=g0, g1=g1, g2=g2: (g0 * y + g1) * y + g2 >= 0.0
-            else:
-                holds = lambda y, g0=g0, g1=g1, g2=g2: (g0 * y + g1) * y + g2 < 0.0
-            cuts = _quadratic_roots(g0, g1, g2)
-            if g0 != 0.0:
-                cuts.append(-0.5 * g1 / g0)
-            ends = [-cap, *sorted(x for x in cuts if -cap < x < cap), cap]
-            for lo, hi in zip(ends[:-1], ends[1:]):
-                if not holds(0.5 * (lo + hi)):
-                    continue
-                lo, hi = _nudge(holds, lo, hi), _nudge(holds, hi, lo)
-                if lo <= hi and holds(lo) and holds(hi):
-                    pieces.append([lo, hi, verdict])
-    merged = []
-    for piece in sorted(pieces):
-        if merged and merged[-1][2] == piece[2] and merged[-1][1] >= piece[0]:
-            merged[-1][1] = max(merged[-1][1], piece[1])
-        else:
-            merged.append(piece)
-    shrink = margin + 4.0 * np.finfo(np.float64).eps * cap
-    settled = [(lo + shrink, hi - shrink, verdict) for lo, hi, verdict in merged if lo + shrink <= hi - shrink]
-    edges = np.array([end for lo, hi, _ in settled for end in (lo, hi)])
-    if np.any(np.diff(edges) < 0.0):
-        return np.empty(0), np.empty(0, dtype=np.uint8)
-    return edges, np.array([verdict for _, _, verdict in settled], dtype=np.uint8)
+    ends = sorted({-cap, cap, *(end for piece in region for end in piece if -cap < end < cap)})
+    shrink = float(margin) + 4.0 * 2.0**-52 * cap
+    pieces = [(lo + shrink, hi - shrink) for lo, hi in zip(ends[:-1], ends[1:]) if lo + shrink <= hi - shrink]
+    verdicts = [any(a <= 0.5 * (lo + hi) <= b for a, b in region) for lo, hi in pieces]
+    return np.array(pieces).reshape(-1), np.array(verdicts, dtype=np.uint8)
 
 
 class _DecisionBracket:
@@ -275,7 +240,8 @@ class _DecisionBracket:
     channel.
 
     A trial whose bracket lies inside a settled region gets that region's
-    decision, which is the one ``decide`` gives; the rest (ties, NaN and
+    decision, which is the one ``decide`` gives: no end of ``h1_region``
+    lies within the margin of the region. The rest (ties, NaN and
     infinite bounds included) go to the exact pipeline, in batches through
     the stash of ``simulate_decisions``. This is the
     filtered predicate of Shewchuk (Discrete Comput. Geom. 18, 1997): a
@@ -434,6 +400,8 @@ def simulate_decisions(
             if stashed == capacity:
                 exact(stash_h1, lambda lo, hi: stash[:, lo:hi])
                 stashed = 0
+        # Both are views of the block's index of unsettled rows: free it before the next draw.
+        unsettled = part = None
     if bracket is not None:
         exact(stash_h1[:stashed], lambda lo, hi: stash[:stashed, lo:hi])
     return by_code[[0, 3]] + by_code[[1, 4]], by_code[[1, 3]]

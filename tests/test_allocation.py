@@ -123,6 +123,32 @@ def test_overflowing_stash_stays_within_a_few_blocks(stratified, monkeypatch):
     assert peak <= 2.5 * _block_bytes()
 
 
+@pytest.mark.parametrize("stratified", [False, True])
+def test_each_block_enters_the_filter_with_what_the_first_held(stratified, monkeypatch):
+    """Every trial unsettled over eight draw blocks (L=20): the traced memory
+    on entry to each later ``settle`` is at most 0.02 block above the first
+    entry's. The index of a block's unsettled rows, 8 bytes a row, was
+    still held by views when the next block was drawn."""
+    monkeypatch.setattr(kernels, "cell_bounds", unbounded_cells)
+    settle = det._DecisionBracket.settle
+    entries = []
+
+    def recording(self, *args):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return settle(self, *args)
+
+    monkeypatch.setattr(det._DecisionBracket, "settle", recording)
+    setup = det.DetectionSetup(
+        theta=math.sqrt(10.0), L=20, sigmas=est.constant_sigmas(1.0), noise=noise.gaussian(1.0),
+        transmit=tx.tanh_fn(1.0), total_power=10**0.3, channel_noise_var=1.0,
+    )
+    detector = det.build_detector(setup)
+    trials = 8 * numerics.DRAW_BLOCK_ELEMENTS // (setup.L + 2)
+    _traced_peak(lambda: det.simulate_decisions(setup, detector, trials, numerics.RngStream(5, 0), stratified=stratified))
+    assert len(entries) >= 8
+    assert max(entries[1:]) - entries[0] <= 0.02 * _block_bytes()
+
+
 def test_draw_loops_leave_no_reference_cycles(monkeypatch):
     """With the collector off, the draw loops leave nothing for ``gc.collect``.
 

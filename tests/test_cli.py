@@ -342,6 +342,22 @@ class TestFoundProbes:
             header, rows = read_csv(out)
             assert rows and all(math.isfinite(float(row[header.index("median_abs_error")])) for row in rows)
 
+    def test_huge_power_budget_detects_without_warnings(self, tmp_path):
+        """P_T = 1e308 is accepted, but P_T L overflowed in the detector's
+        scale: its means were inf, the llr warned, and Pe came out near 1/2.
+        The same run at P_T = 1e8 gives Pe 0 and 1e-4."""
+        out = tmp_path / "x.csv"
+        args = ["run", "fig5", "--out", str(out)]
+        for ov in ("trials=20000", 'omega_grid={"lo":0.5,"hi":1.0,"points":2}', "total_power=1e308"):
+            args += ["--set", ov]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run(args) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        header, rows = read_csv(str(out))
+        assert len(rows) == 2
+        assert all(float(row[header.index("pe")]) <= 1e-3 for row in rows)
+
     def test_huge_theta_exits_2(self, tmp_path, capsys):
         """theta=1e308 overflowed theta**2 in estimation.af_gain."""
         code, err = self._fails(tmp_path, capsys, "cauchy-af", "theta=1e308", "trials=10", "L_values=[10]")

@@ -1,10 +1,12 @@
 """Deflection coefficient, quadratic detector, and duality contracts."""
 
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macfusion import detection as det
 from macfusion import estimation as est
@@ -133,18 +135,48 @@ class TestDecide:
         d = det.GaussianApproxDetector(mean0=0.0, mean1=5.0, var0=1.0, var1=1.0, log_prior_ratio=0.0)
         assert det.decide(d, 5.0) == 1
 
-    def test_unequal_variance_region_matches_density_comparison(self):
-        """var1 = 4 var0 carves two H1 intervals; compare densities directly."""
-        d = det.GaussianApproxDetector(mean0=0.0, mean1=1.0, var0=0.5, var1=2.0, log_prior_ratio=math.log(0.6 / 0.4))
+    @pytest.mark.parametrize(
+        "moments, priors, intervals",
+        [
+            pytest.param((0.0, 1.0, 2.0, 0.5), (0.5, 0.5), [(False, False)], id="bounded"),
+            pytest.param((0.0, 0.0, 2.0, 1.0), (0.9, 0.1), [], id="a<0, no root"),
+            pytest.param((0.0, 1.0, 0.5, 2.0), (0.4, 0.6), [(True, False), (False, True)], id="two half-lines"),
+            pytest.param((0.0, 0.0, 1.0, 2.0), (0.1, 0.9), [(True, True)], id="a>0, no root"),
+            pytest.param((0.0, 2.0, 1.0, 1.0), (0.5, 0.5), [(False, True)], id="equal variances, mean1 > mean0"),
+            pytest.param((2.0, 0.0, 1.0, 1.0), (0.4, 0.6), [(True, False)], id="equal variances, mean1 < mean0"),
+            pytest.param((1.0, 1.0, 1.0, 1.0), (0.5, 0.5), [(True, True)], id="a=b=0, ln(P1/P0) >= 0"),
+            pytest.param((1.0, 1.0, 1.0, 1.0), (0.6, 0.4), [], id="a=b=0, ln(P1/P0) < 0"),
+            # b = c = 0: the quadratic touches zero at y = mean0, and is positive elsewhere.
+            pytest.param((0.0, 0.0, 1.0, 4.0), (1.0 / 3.0, 2.0 / 3.0), [(True, False), (False, True)], id="tangent"),
+        ],
+    )
+    def test_unequal_variance_region_matches_density_comparison(self, moments, priors, intervals):
+        """Every shape of the H1 region against P1 N(y; m1, v1) >= P0 N(y; m0, v0)
+        on a grid; ``intervals`` says which ends of each interval are infinite."""
+        (m0, m1, v0, v1), (p0, p1) = moments, priors
+        d = det.GaussianApproxDetector(m0, m1, v0, v1, math.log(p1 / p0))
+        region = det.h1_region(d)
+        assert [(lo == -math.inf, hi == math.inf) for lo, hi in region] == intervals
         y = np.linspace(-8.0, 8.0, 1001)
 
         def normal_pdf(x, m, v):
             return np.exp(-0.5 * (x - m) ** 2 / v) / math.sqrt(2.0 * math.pi * v)
 
-        brute = (0.6 * normal_pdf(y, 1.0, 2.0) >= 0.4 * normal_pdf(y, 0.0, 0.5)).astype(np.uint8)
+        brute = (p1 * normal_pdf(y, m1, v1) >= p0 * normal_pdf(y, m0, v0)).astype(np.uint8)
         assert np.array_equal(det.decide(d, y), brute)
-        flips = np.flatnonzero(np.diff(det.decide(d, y).astype(int)))
-        assert flips.size == 2  # two-interval decision region
+
+    @pytest.mark.parametrize("moments", [(0.0, 1.0, 2.0, 0.5), (0.0, 1.0, 0.5, 2.0), (2.0, 0.0, 1.0, 1.0)])
+    def test_extreme_and_non_finite_y_are_tested_for_membership(self, moments):
+        """Far, infinite and NaN received values raise no RuntimeWarning: the
+        llr's squares overflowed at 1e300 and took inf - inf at +-inf."""
+        d = det.GaussianApproxDetector(*moments, 0.0)
+        y = np.array([1e300, -1e300, math.inf, -math.inf, math.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = det.decide(d, y)
+        want = [any(lo <= v <= hi for lo, hi in det.h1_region(d)) for v in y]
+        assert got.tolist() == want
+        assert got[-1] == 0
 
     def test_prior_scale_invariance(self):
         """Only the prior ratio enters, so common rescaling changes nothing."""
@@ -152,6 +184,36 @@ class TestDecide:
         scaled = det.GaussianApproxDetector(0.0, 1.5, 1.0, 2.0, math.log((0.7 * 3.7) / (0.3 * 3.7)))
         y = np.linspace(-6.0, 6.0, 501)
         assert np.array_equal(det.decide(base, y), det.decide(scaled, y))
+
+
+_MAGNITUDES = st.floats(-3.0, 6.0).map(lambda e: 10.0**e)
+_MEANS = st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), _MAGNITUDES)
+
+
+@st.composite
+def _detectors_and_margins(draw):
+    """Means and variances of magnitude 1e-3 to 1e6, equal variances half the
+    time, P1 of 0.5 or anywhere in [0.05, 0.95], and a margin of 1e-12 to 1e2."""
+    var0 = draw(_MAGNITUDES)
+    var1 = var0 if draw(st.booleans()) else draw(_MAGNITUDES)
+    p1 = draw(st.one_of(st.just(0.5), st.floats(0.05, 0.95)))
+    detector = det.GaussianApproxDetector(draw(_MEANS), draw(_MEANS), var0, var1, math.log(p1 / (1.0 - p1)))
+    return detector, draw(st.floats(-12.0, 2.0).map(lambda e: 10.0**e))
+
+
+class TestSettledRegions:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(case=_detectors_and_margins())
+    def test_decide_agrees_with_every_settled_interval(self, case):
+        """``decide`` gives each settled interval's verdict at both ends widened
+        by the margin and at random floats inside: the filter's certificate."""
+        detector, margin = case
+        edges, verdicts = det._settled_regions(detector, margin)
+        assert np.all(np.diff(edges) >= 0.0)
+        rng = np.random.default_rng(0)
+        for (lo, hi), verdict in zip(edges.reshape(-1, 2), verdicts):
+            y = np.concatenate([[lo - margin, lo, hi, hi + margin], rng.uniform(lo, hi, 32)])
+            assert np.all(det.decide(detector, y) == verdict), (lo, hi, verdict)
 
 
 class TestErrorProbability:

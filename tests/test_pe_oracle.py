@@ -148,6 +148,19 @@ class TestOracleSelfChecks:
         assert cdf[1] == pytest.approx(1.0, abs=1e-7)
 
 
+class TestRegionAgainstOracle:
+    @pytest.mark.parametrize("omega", np.linspace(0.1, 3.0, 32).tolist())
+    def test_h1_region_matches_the_oracle_region(self, omega):
+        """``det.h1_region`` (roots of the standardized quadratic) and this
+        file's ``_h1_region`` (textbook roots in y) give the same intervals
+        at every detector of fig5's omega grid."""
+        detector = det.build_detector(_fig5_setup(omega))
+        got, want = det.h1_region(detector), _h1_region(detector)
+        assert len(got) == len(want)
+        for ends, oracle_ends in zip(got, want):
+            assert ends == pytest.approx(oracle_ends, rel=1e-9)
+
+
 class TestMonteCarloAgainstOracle:
     @pytest.mark.parametrize("omega", [0.568, 0.848, 1.5])
     def test_pe_within_monte_carlo_noise(self, omega):

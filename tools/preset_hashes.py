@@ -4,19 +4,21 @@
 Usage:
     python tools/preset_hashes.py [--workers N [N ...]] [--presets NAME [NAME ...]]
 
-Run it from anywhere; it runs ``python -m macfusion run <preset>`` with
-``src/`` of this checkout first on ``PYTHONPATH``, once per preset and
-worker count, and compares the SHA-256 of each CSV with the hash pinned in
-``CHANGES.md``: for each preset, the first ``<preset> <64 hex digits>`` pair
-in that file (the entry that pinned all nine). Prints one line per run,
-with its wall seconds, and its CPU seconds (user plus system), peak RSS,
-minor page faults and voluntary context switches (from ``os.wait4``; at
-two workers most of the switches are threads waiting for the GIL), then
-a table of each preset's hash with its wall seconds at every worker
-count and the total per worker count, so the end-to-end times of all
-presets come with the hash check. Exits 0 if every hash matches, 1 on any
-mismatch and 2 if a preset has no pinned hash or a run fails. The full set
-takes a few minutes per worker count.
+Run it from anywhere; it runs ``python -W error::RuntimeWarning -m
+macfusion run <preset>`` with ``src/`` of this checkout first on
+``PYTHONPATH``, once per preset and worker count, so a numpy overflow or
+invalid-value warning fails the run as it fails a test, and compares the
+SHA-256 of each CSV with the hash pinned in ``CHANGES.md``: for each
+preset, the first ``<preset> <64 hex digits>`` pair in that file (the
+entry that pinned all nine). Prints one line per run, with its wall
+seconds, and its CPU seconds (user plus system), peak RSS, minor page
+faults and voluntary context switches (from ``os.wait4``; at two workers
+most of the switches are threads waiting for the GIL), then a table of
+each preset's hash with its wall seconds at every worker count and the
+total per worker count, so the end-to-end times of all presets come with
+the hash check. Exits 0 if every hash matches, 1 on any mismatch and 2 if
+a preset has no pinned hash or a run fails (a run that warns included; its
+stderr is printed). The full set takes a few minutes per worker count.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def run_preset(name: str, workers: int, out_dir: str) -> tuple[str | None, float
     with tempfile.TemporaryFile() as stderr:
         start = time.perf_counter()
         proc = subprocess.Popen(
-            [sys.executable, "-m", "macfusion", "run", name, "--workers", str(workers), "--out", out],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "macfusion", "run", name, "--workers", str(workers), "--out", out],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=stderr,
