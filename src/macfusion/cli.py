@@ -7,7 +7,8 @@ be reproduced byte-identically from the manifest alone.
 ``macfusion presets`` lists the built-in figure-reproduction recipes.
 
 Exit codes: 0 success, 2 config error (diagnostics name the offending
-field), 3 numerical failure (diagnostics name the failed operation).
+field), 3 numerical failure (diagnostics name the failed operation) or a
+run that is out of memory.
 
 The CLI checks only the shape of the JSON: objects and their keys, string
 kinds, number types, finiteness and integrality, count ranges, grids,
@@ -164,10 +165,6 @@ def build_transmit(d, path="transmit") -> tx.TransmitFunction:
     return _built(tx.TransmitFunction, lambda field: f"{path}.{'M' if field == 'levels' else field}", kind, **fields)
 
 
-def _transmit_wants_power_alpha(d) -> bool:
-    return isinstance(d, dict) and d.get("kind") == tx.LINEAR and d.get("alpha") == "power"
-
-
 def _transmit_configs(cfg) -> list[tuple[str, object]]:
     """(path, config) of each transmit curve: ``transmit``, or the ``transmits`` list."""
     if "transmits" not in cfg:
@@ -249,37 +246,37 @@ def _trials(cfg) -> int:
     return _number(cfg, "trials", "config", **_COUNT)
 
 
-def _channel(cfg) -> dict:
-    """The setup fields that estimation and detection kinds share."""
-    return dict(
+def _sweep(cfg, setup_type) -> list:
+    """The setups of a kind's sweep, each built and checked before any point
+    runs: each curve of ``transmits`` (or the one ``transmit``) at each L of
+    ``L_values``, or at each omega of ``omega_grid`` with the config's L,
+    curve by curve. A detection setup's ``"alpha": "power"`` curve gets the
+    gain of ``_power_normalized_linear`` at its own L."""
+    if "L_values" in cfg:
+        swept = [(L, None) for L in _values_list(cfg, "L_values", **_COUNT)]
+    else:
+        omegas = _grid(cfg.get("omega_grid"), "omega_grid", positive=True)
+        L = _number(cfg, "L", "config", **_COUNT)
+        swept = [(L, omega) for omega in omegas]
+    curves = [(path, d, build_transmit(d, path)) for path, d in _transmit_configs(cfg)]
+    channel = dict(
         theta=_number(cfg, "theta", "config", minimum=-_THETA_LIMIT, maximum=_THETA_LIMIT),
         sigmas=build_sigmas(cfg.get("sigmas", _DEFAULT_SIGMAS)),
         noise=build_noise(cfg.get("noise")),
         total_power=_number(cfg, "total_power", "config"),
         channel_noise_var=_number(cfg, "channel_noise_var", "config"),
     )
-
-
-def _estimation_setup(cfg, *, L=None, transmit=None) -> est.EstimationSetup:
-    L = _number(cfg, "L", "config", **_COUNT) if L is None else L
-    transmit = build_transmit(cfg.get("transmit")) if transmit is None else transmit
-    return _built(est.EstimationSetup, _setup_location, L=L, transmit=transmit, **_channel(cfg))
-
-
-def _L_sweep(cfg):
-    """(L values, trials, seed, setup at the first L) of the estimation kinds that sweep L."""
-    L_values = _values_list(cfg, "L_values", **_COUNT)
-    return L_values, _trials(cfg), cfg["master_seed"], _estimation_setup(cfg, L=L_values[0])
-
-
-def _detection_setup(cfg, transmit_path="transmit", transmit_cfg=None, L=None) -> det.DetectionSetup:
-    transmit_cfg = transmit_cfg if transmit_cfg is not None else cfg.get("transmit")
-    L = _number(cfg, "L", "config", **_COUNT) if L is None else L
-    transmit = build_transmit(transmit_cfg, transmit_path)
-    setup = _built(det.DetectionSetup, _setup_location, L=L, **_channel(cfg), priors=_priors(cfg), transmit=transmit)
-    if _transmit_wants_power_alpha(transmit_cfg):
-        setup = replace(setup, transmit=_built(_power_normalized_linear, transmit_path, setup))
-    return setup
+    if setup_type is det.DetectionSetup:
+        channel["priors"] = _priors(cfg)
+    setups = []
+    for path, d, f in curves:
+        for L, omega in swept:
+            transmit = f if omega is None else tx.with_omega(f, omega)
+            setup = _built(setup_type, _setup_location, L=L, transmit=transmit, **channel)
+            if "priors" in channel and f.kind == tx.LINEAR and d.get("alpha") == "power":
+                setup = replace(setup, transmit=_built(_power_normalized_linear, path, setup))
+            setups.append(setup)
+    return setups
 
 
 def _power_normalized_linear(setup) -> tx.TransmitFunction:
@@ -288,7 +285,7 @@ def _power_normalized_linear(setup) -> tx.TransmitFunction:
     E[x^2] averaged over hypotheses is p1*theta^2 + mean(sigma_i^2)*var(n),
     with ``noise.nominal_variance`` standing in for Cauchy's var(n).
     """
-    var_n, _ = noise_mod.nominal_variance(setup.noise)
+    var_n = noise_mod.nominal_variance(setup.noise)
     with np.errstate(over="ignore"):
         mean_sq = est.sensor_sum(setup.sigmas, setup.L, lambda s: s**2) / setup.L
     power = setup.priors[1] * setup.theta * setup.theta + mean_sq * var_n
@@ -297,135 +294,117 @@ def _power_normalized_linear(setup) -> tx.TransmitFunction:
     return tx.linear_fn(1.0 / math.sqrt(power))
 
 
-def _l_var_row(setup, trials, seed, stream_id_base, spec) -> list:
-    """The l_var, trials and stderr cells of one estimation point."""
-    estimates = harness.run_estimation_experiment(setup, trials, seed, stream_id_base=stream_id_base, spec=spec)
-    l_var = harness.l_var(estimates, setup.L)
-    return [l_var, trials, l_var * math.sqrt(2.0 / max(trials - 1, 1))]
+def _stratified(cfg, setups, trials) -> bool:
+    """The ``stratified`` flag. A stratified Pe weighs each hypothesis's
+    error rate, so each hypothesis needs a trial."""
+    stratified = _flag(cfg, "stratified")
+    n0 = det.stratified_h0_trials(setups[0].priors, trials)
+    if stratified and n0 in (0, trials):
+        message = f"a stratified run of {trials} trials at priors {setups[0].priors} gives H{int(n0 > 0)} no trials"
+        raise ConfigError(f"config error at trials: {message}")
+    return stratified
 
 
-def _pe_row(setup, trials, stratified, seed, stream_id_base, spec) -> list:
-    """The pe, stderr and trials cells of one detection point."""
-    pe, stderr = harness.run_detection_experiment(
-        setup, trials, seed, stream_id_base=stream_id_base, stratified=stratified, spec=spec
-    )
-    return [pe, stderr, trials]
-
-
-def _prepare_asv_vs_omega(cfg, spec):
-    functions = [build_transmit(d, path) for path, d in _transmit_configs(cfg)]
-    base = _estimation_setup(cfg, transmit=functions[0])
-    _built(est.check_asymptotic_regime, _setup_location, base)
-    omegas = _grid(cfg.get("omega_grid"), "omega_grid", positive=True)
-    trials = _trials(cfg)
-    seed = cfg["master_seed"]
+def _prepare_asv(cfg, spec):
+    """AsV beside L times the variance of the estimates, swept over omega
+    (``asv_vs_omega``) or over L (``lvar_vs_L``, where AsV is the same at every L)."""
+    setups = _sweep(cfg, est.EstimationSetup)
+    _built(est.check_asymptotic_regime, _setup_location, setups[0])
+    trials, seed = _trials(cfg), cfg["master_seed"]
     labelled = "transmits" in cfg
+    swept = "L" if "L_values" in cfg else "omega"
 
-    def row(stream_id_base, point):
-        f, omega = point
-        setup = replace(base, transmit=tx.with_omega(f, omega))
+    def row(stream_id_base, setup):
         asv = est.asymptotic_variance(setup, spec)
-        return [f.kind] * labelled + [omega, asv] + _l_var_row(setup, trials, seed, stream_id_base, spec)
+        estimates = harness.run_estimation_experiment(setup, trials, seed, stream_id_base=stream_id_base, spec=spec)
+        l_var = harness.l_var(estimates, setup.L)
+        value = setup.L if swept == "L" else setup.transmit.omega
+        return [setup.transmit.kind] * labelled + [value, asv, l_var, trials, l_var * math.sqrt(2.0 / max(trials - 1, 1))]
 
-    header = ["function"] * labelled + ["omega", "asv", "l_var", "trials", "stderr"]
-    return header, [(f, omega) for f in functions for omega in omegas], row
-
-
-def _prepare_lvar_vs_L(cfg, spec):
-    L_values, trials, seed, base = _L_sweep(cfg)
-    _built(est.check_asymptotic_regime, _setup_location, base)
-    asv = est.asymptotic_variance(base, spec)
-
-    def row(stream_id_base, L):
-        setup = replace(base, L=L)
-        return [L, asv] + _l_var_row(setup, trials, seed, stream_id_base, spec)
-
-    return ["L", "asv", "l_var", "trials", "stderr"], L_values, row
+    return ["function"] * labelled + [swept, "asv", "l_var", "trials", "stderr"], setups, row
 
 
 def _prepare_consistency(cfg, spec):
     estimator = cfg.get("estimator", "bounded")
     if estimator not in ("bounded", "af"):
         raise ConfigError(f"config error at estimator: expected 'bounded' or 'af', got {estimator!r}")
-    L_values, trials, seed, base = _L_sweep(cfg)
+    setups = _sweep(cfg, est.EstimationSetup)
+    trials, seed = _trials(cfg), cfg["master_seed"]
 
-    def row(stream_id_base, L):
-        setup = replace(base, L=L)
+    def row(stream_id_base, setup):
         estimates = harness.run_estimation_experiment(
             setup, trials, seed, estimator=estimator, stream_id_base=stream_id_base, spec=spec
         )
-        return [L, harness.median_abs_error(estimates, setup.theta), trials]
+        return [setup.L, harness.median_abs_error(estimates, setup.theta), trials]
 
-    return ["L", "median_abs_error", "trials"], L_values, row
+    return ["L", "median_abs_error", "trials"], setups, row
 
 
 def _prepare_af_compare(cfg, spec):
-    L_values, trials, seed, base = _L_sweep(cfg)
+    setups = _sweep(cfg, est.EstimationSetup)
+    trials, seed = _trials(cfg), cfg["master_seed"]
 
-    def row(stream_id_base, L):
+    def row(stream_id_base, setup):
         # One draw pass feeds both estimators, so the comparison is paired.
-        setup = replace(base, L=L)
         stats = harness.run_signal_statistics(setup, trials, seed, stream_id_base=stream_id_base)
         bounded, _ = est.build_flat_response(setup, spec=spec).invert(stats["z_targets"])
         mae_af = harness.median_abs_error(stats["af_estimates"], setup.theta)
-        return [L, harness.median_abs_error(bounded, setup.theta), mae_af, trials]
+        return [setup.L, harness.median_abs_error(bounded, setup.theta), mae_af, trials]
 
-    return ["L", "mae_bounded", "mae_af", "trials"], L_values, row
+    return ["L", "mae_bounded", "mae_af", "trials"], setups, row
 
 
 def _prepare_theorem3(cfg, spec):
-    L_values, trials, seed, base = _L_sweep(cfg)
+    setups = _sweep(cfg, est.EstimationSetup)
+    trials, seed = _trials(cfg), cfg["master_seed"]
 
-    def row(stream_id_base, L):
-        setup = replace(base, L=L)
+    def row(stream_id_base, setup):
         gap = abs(est.mean_response(setup, setup.theta, spec) - est.mean_response(setup, 0.0, spec))
         stats = harness.run_signal_statistics(setup, trials, seed, stream_id_base=stream_id_base)
         af_mae = harness.median_abs_error(stats["af_estimates"], setup.theta)
-        return [L, gap, harness.median_abs_error(stats["z_targets"], 0.0), af_mae, trials]
+        return [setup.L, gap, harness.median_abs_error(stats["z_targets"], 0.0), af_mae, trials]
 
-    return ["L", "h_gap", "z_abs_median", "af_mae", "trials"], L_values, row
+    return ["L", "h_gap", "z_abs_median", "af_mae", "trials"], setups, row
 
 
 def _prepare_dc_vs_omega(cfg, spec):
-    omegas = _grid(cfg.get("omega_grid"), "omega_grid", positive=True)
-    base = _detection_setup(cfg)
+    def row(stream_id_base, setup):
+        return [setup.transmit.omega, det.deflection(setup, spec)]
 
-    def row(stream_id_base, omega):
-        return [omega, det.deflection(replace(base, transmit=tx.with_omega(base.transmit, omega)), spec)]
-
-    return ["omega", "dc"], omegas, row
+    return ["omega", "dc"], _sweep(cfg, det.DetectionSetup), row
 
 
 def _prepare_pe_vs_omega(cfg, spec):
-    omegas = _grid(cfg.get("omega_grid"), "omega_grid", positive=True)
-    trials = _trials(cfg)
-    seed = cfg["master_seed"]
-    stratified = _flag(cfg, "stratified")
-    base = _detection_setup(cfg)
+    setups = _sweep(cfg, det.DetectionSetup)
+    trials, seed = _trials(cfg), cfg["master_seed"]
+    stratified = _stratified(cfg, setups, trials)
 
-    def row(stream_id_base, omega):
-        setup = replace(base, transmit=tx.with_omega(base.transmit, omega))
-        return [omega, det.deflection(setup, spec)] + _pe_row(setup, trials, stratified, seed, stream_id_base, spec)
+    def row(stream_id_base, setup):
+        dc = det.deflection(setup, spec)
+        pe, stderr = harness.run_detection_experiment(
+            setup, trials, seed, stream_id_base=stream_id_base, stratified=stratified, spec=spec
+        )
+        return [setup.transmit.omega, dc, pe, stderr, trials]
 
-    return ["omega", "dc", "pe", "stderr", "trials"], omegas, row
+    return ["omega", "dc", "pe", "stderr", "trials"], setups, row
 
 
 def _prepare_pe_vs_L(cfg, spec):
-    L_values = _values_list(cfg, "L_values", **_COUNT)
-    trials = _trials(cfg)
-    seed = cfg["master_seed"]
-    stratified = _flag(cfg, "stratified")
-    search_cfg = cfg.get("omega_search", _DEFAULT_OMEGA_SEARCH)
-    search = _grid(search_cfg, "omega_search", positive=True, min_points=MIN_SCAN_POINTS)
-    setups = [_detection_setup(cfg, path, d, L) for path, d in _transmit_configs(cfg) for L in L_values]
+    setups = _sweep(cfg, det.DetectionSetup)
+    trials, seed = _trials(cfg), cfg["master_seed"]
+    stratified = _stratified(cfg, setups, trials)
+    search = _grid(cfg.get("omega_search", _DEFAULT_OMEGA_SEARCH), "omega_search", positive=True, min_points=MIN_SCAN_POINTS)
 
     def row(stream_id_base, setup):
         omega_star = float("nan")
         if setup.transmit.kind in tx.BOUNDED_SMOOTH_KINDS:
             omega_star, _ = det.optimal_omega(setup, search[0], search[-1], len(search), spec)
             setup = replace(setup, transmit=tx.with_omega(setup.transmit, float(omega_star)))
+        pe, stderr = harness.run_detection_experiment(
+            setup, trials, seed, stream_id_base=stream_id_base, stratified=stratified, spec=spec
+        )
         label = setup.transmit.kind if setup.transmit.kind != tx.LINEAR else "linear_af"
-        return [label, setup.L, omega_star] + _pe_row(setup, trials, stratified, seed, stream_id_base, spec)
+        return [label, setup.L, omega_star, pe, stderr, trials]
 
     return ["function", "L", "omega_star", "pe", "stderr", "trials"], setups, row
 
@@ -456,8 +435,9 @@ class ExperimentKind:
 
     ``prepare(cfg, spec)`` validates the kind's values and returns
     ``(header, points, row)``; ``row(stream_id_base, point)`` computes the
-    CSV row of one point. With ``transmits`` set, a ``transmits`` list may
-    stand in for the single ``transmit``.
+    CSV row of one point. Every point is a setup from ``_sweep``, except
+    ``duality_check``'s density abscissae. With ``transmits`` set, a
+    ``transmits`` list may stand in for the single ``transmit``.
     """
 
     required: set[str]
@@ -468,9 +448,9 @@ class ExperimentKind:
 
 EXPERIMENTS = {
     "asv_vs_omega": ExperimentKind(
-        _CHANNEL | {"trials", "L", "transmit", "omega_grid"}, {"sigmas"}, _prepare_asv_vs_omega, transmits=True
+        _CHANNEL | {"trials", "L", "transmit", "omega_grid"}, {"sigmas"}, _prepare_asv, transmits=True
     ),
-    "lvar_vs_L": ExperimentKind(_CHANNEL | {"trials", "transmit", "L_values"}, {"sigmas"}, _prepare_lvar_vs_L),
+    "lvar_vs_L": ExperimentKind(_CHANNEL | {"trials", "transmit", "L_values"}, {"sigmas"}, _prepare_asv),
     "consistency": ExperimentKind(
         _CHANNEL | {"trials", "transmit", "L_values"}, {"sigmas", "estimator"}, _prepare_consistency
     ),
@@ -842,6 +822,9 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         failure = "non-convergence" if isinstance(exc, QuadratureConvergenceError) else "failure"
         print(f"numerical {failure} in {cfg.get('kind')}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"out of memory in {cfg.get('kind')}: the run needs more memory than the process can get", file=sys.stderr)
         return 3
     print(f"wrote {manifest['csv_path']} ({manifest['rows']} rows) in {manifest['wall_time_seconds']:.2f}s")
     return 0

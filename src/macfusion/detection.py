@@ -176,19 +176,25 @@ def decide(detector: GaussianApproxDetector, y):
     return int(out) if out.ndim == 0 else out
 
 
+def stratified_h0_trials(priors, trials: int) -> int:
+    """The trials a stratified run gives H0, the first round(P0 * trials);
+    H1 gets the rest."""
+    return int(round(priors[0] * trials))
+
+
 def summarize_errors(priors, trials_by_h, errors_by_h, stratified: bool) -> tuple[float, float]:
-    """(Pe, binomial standard error) from the trial and error counts per hypothesis."""
+    """(Pe, binomial standard error) from the trial and error counts per
+    hypothesis. A stratified Pe weighs each hypothesis's error rate, so
+    both need trials (ValueError if not)."""
     p0, p1 = priors
     n0, n1 = (int(n) for n in trials_by_h)
     e0, e1 = (int(e) for e in errors_by_h)
     if stratified:
-        rate0 = e0 / n0 if n0 else 0.0
-        rate1 = e1 / n1 if n1 else 0.0
+        if not (n0 and n1):
+            raise ValueError(f"a stratified Pe needs trials of both hypotheses, got {n0} and {n1}")
+        rate0, rate1 = e0 / n0, e1 / n1
         pe = p0 * rate0 + p1 * rate1
-        stderr = math.sqrt(
-            (p0 * p0 * rate0 * (1.0 - rate0) / n0 if n0 else 0.0)
-            + (p1 * p1 * rate1 * (1.0 - rate1) / n1 if n1 else 0.0)
-        )
+        stderr = math.sqrt(p0 * p0 * rate0 * (1.0 - rate0) / n0 + p1 * p1 * rate1 * (1.0 - rate1) / n1)
         return pe, stderr
     trials = n0 + n1
     pe = (e0 + e1) / trials
@@ -353,7 +359,7 @@ def simulate_decisions(
     hypotheses.
     """
     p0, _ = setup.priors
-    n_h0_total = int(round(p0 * trials)) if stratified else 0
+    n_h0_total = stratified_h0_trials(setup.priors, trials) if stratified else 0
     h1_word = numerics.least_word_at_least(p0)
     lead = 0 if stratified else 1
     cols = lead + setup.L + 1

@@ -183,8 +183,13 @@ def _moment_breakpoints(f: tx.TransmitFunction, sigmas, theta: float, domain: fl
 # their per-round arrays outgrow the cache.
 MOMENT_GROUP = 64
 
+# Moment quadratures the process keeps, least recently used first out. One
+# run's working set fits: fig6, the largest, makes 961 (its omega scans
+# reuse each curve's moments across the four L).
+MOMENT_CACHE_SIZE = 1024
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=MOMENT_CACHE_SIZE)
 def _g_moments_cached(
     noise: NoiseModel,
     f: tx.TransmitFunction,
@@ -328,20 +333,20 @@ def sensor_sum(sigmas: SigmaSequence, length: int, term) -> float:
     return float(np.sum(term(values)))
 
 
-def af_gain(setup: EstimationSetup) -> tuple[float, bool]:
-    """Power-normalizing gain alpha_L for amplify-and-forward.
+def af_gain(setup: EstimationSetup) -> float:
+    """Power-normalizing gain alpha_L for amplify-and-forward, with
+    ``noise.nominal_variance`` as the sensing noise variance.
 
-    Returns (alpha_L, used_nominal_variance): see ``noise.nominal_variance``.
     Raises ``NumericsError`` when the power sum is not positive and finite,
     or the gain it gives is not.
     """
-    sigma_n2, nominal = nominal_variance(setup.noise)
+    sigma_n2 = nominal_variance(setup.noise)
     with np.errstate(over="ignore"):
         denom = sensor_sum(setup.sigmas, setup.L, lambda s: setup.theta**2 + s**2 * sigma_n2)
     alpha = math.sqrt(setup.total_power / denom) if 0.0 < denom < math.inf else 0.0
     if not 0.0 < alpha < math.inf:
         raise NumericsError(f"AF power normalization at L={setup.L}: the power sum {denom!r} gives no positive finite gain")
-    return alpha, nominal
+    return alpha
 
 
 # ---------------------------------------------------------------------------

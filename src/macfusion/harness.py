@@ -6,7 +6,7 @@ experiment, every trial is drawn from a single stream in the layout of
 configuration and seed regardless of how sweep points are distributed over
 workers. Sweep points own disjoint stream-id blocks: ``cli.run_experiment``
 gives point k the stream ids from k * POINT_STREAM_STRIDE = k * 2**32. A
-sweep point is a setup with one field swapped by ``dataclasses.replace``.
+sweep point is a setup, one per curve and swept omega or L.
 
 An estimation point returns its per-trial estimates, which ``l_var`` and
 ``median_abs_error`` reduce to a CSV cell; a detection point keeps counts
@@ -76,7 +76,7 @@ def _collect_signal_statistics(setup, trials, master_seed, stream_id_base, keys)
     when asked for.
     """
     af = "af_estimates" in keys
-    alpha = af_gain(setup)[0] if af else None
+    alpha = af_gain(setup) if af else None
     out = {key: np.empty(trials) for key in keys}
     sigmas = setup.sigmas.resolve(setup.L)
     work = np.empty(numerics.block_elements(trials, setup.L + 1))

@@ -143,11 +143,11 @@ def variance(model: NoiseModel) -> float:
     return float("inf")
 
 
-def nominal_variance(model: NoiseModel) -> tuple[float, bool]:
-    """(variance, is_nominal) for power normalizations: Cauchy noise has no
-    variance, so a nominal unit variance stands in for it."""
+def nominal_variance(model: NoiseModel) -> float:
+    """The variance for power normalizations: Cauchy noise has none, so a
+    nominal unit variance stands in for it."""
     v = variance(model)
-    return (v, False) if np.isfinite(v) else (1.0, True)
+    return v if np.isfinite(v) else 1.0
 
 
 def transform_uniforms(model: NoiseModel, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

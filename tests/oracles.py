@@ -138,7 +138,7 @@ def af_estimate(setup: est.EstimationSetup, sensor_noise: np.ndarray, channel_dr
     sensor_noise = np.asarray(sensor_noise, dtype=np.float64)
     if sensor_noise.shape != (setup.L,):
         raise ValueError(f"expected {setup.L} sensor noise draws, got shape {sensor_noise.shape}")
-    alpha, _ = est.af_gain(setup)
+    alpha = est.af_gain(setup)
     sigmas = setup.sigmas.resolve(setup.L)
     return setup.theta + float(np.mean(sigmas * sensor_noise)) + channel_draw / (setup.L * alpha)
 

@@ -455,6 +455,44 @@ class TestFoundProbes:
         assert code == 2
         assert f"config error at {field}: {rule}" in err
 
+    @pytest.mark.parametrize(
+        "preset, overrides, hypothesis",
+        [
+            ("fig5", ["trials=1000", "priors=[0.9995,0.0005]"], "H1"),
+            ("fig5", ["trials=1"], "H0"),
+            ("fig6", ["trials=1", "L_values=[2]"], "H0"),
+        ],
+    )
+    def test_stratified_run_without_trials_of_a_hypothesis_exits_2(self, tmp_path, capsys, preset, overrides, hypothesis):
+        """A stratified run gives H0 round(P0 * trials) trials. At none or all
+        of them, the missing hypothesis's error rate was taken as 0, so Pe
+        and its stderr read 0 at every point."""
+        code, err = self._fails(tmp_path, capsys, preset, "stratified=true", *overrides)
+        assert code == 2
+        assert err.startswith("config error at trials: ")
+        assert f"gives {hypothesis} no trials" in err
+
+    def test_run_out_of_memory_exits_3(self, tmp_path):
+        """A trial count whose arrays cannot be allocated ended in numpy's
+        _ArrayMemoryError traceback (exit 1). The child caps its address
+        space at 3 GiB first, so the 8 TB request fails at once and no
+        memory of the host is filled."""
+        out = str(tmp_path / "x.csv")
+        script = f"""import resource, sys
+sys.path.insert(0, {str(SRC)!r})
+from macfusion import cli
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+args = ["run", "consistency", "--set", "trials=1000000000000", "--set", "L_values=[5]", "--workers", "1"]
+sys.exit(cli.main(args + ["--out", {out!r}]))
+"""
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("out of memory in consistency: ")
+        assert "Traceback" not in result.stderr
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("mass", ["1", "2"])
     def test_tail_mass_of_one_or_more_exits_2(self, tmp_path, capsys, mass):
         """tail_mass >= 1 passed validation and raised ValueError in noise.tail_truncation."""

@@ -247,6 +247,18 @@ class TestErrorProbability:
         with pytest.raises(ValueError):
             harness.run_detection_experiment(_setup(), 0, 5)
 
+    def test_stratified_counts_need_both_hypotheses(self):
+        """A stratified Pe weighs each hypothesis's error rate; a hypothesis
+        without trials had its rate taken as 0. A pooled Pe needs no split."""
+        for trials_by_h in ((0, 1), (1000, 0)):
+            with pytest.raises(ValueError, match="trials of both hypotheses"):
+                det.summarize_errors((0.9995, 0.0005), trials_by_h, (0, 0), True)
+        assert det.summarize_errors((0.5, 0.5), (0, 1), (0, 0), False) == (0.0, 0.0)
+        # The splits that give a hypothesis no trials: round(0.5) = 0, round(999.5) = 1000.
+        assert det.stratified_h0_trials((0.5, 0.5), 1) == 0
+        assert det.stratified_h0_trials((0.9995, 0.0005), 1000) == 1000
+        assert det.stratified_h0_trials((0.9995, 0.0005), 2000) == 1999
+
     @pytest.mark.parametrize("stratified", [False, True])
     def test_bracket_filter_settles_all_but_a_few_trials(self, monkeypatch, stratified):
         """fig5's setup at omega = 1 over eight draw blocks: under 1% of the

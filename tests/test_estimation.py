@@ -1,6 +1,7 @@
 """Mean response, inversion estimator, asymptotic variance, AF baseline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,15 +189,14 @@ class TestAmplifyForward:
         rng = np.random.default_rng(0)
         draws = rng.normal(size=5)
         chan = 0.37
-        alpha, nominal = est.af_gain(setup)
+        alpha = est.af_gain(setup)
         sigmas = setup.sigmas.resolve(5)
         expected = 1.0 + np.mean(sigmas * draws) + chan / (5 * alpha)
-        assert not nominal
         assert af_estimate(setup, draws, chan) == pytest.approx(expected, rel=1e-14)
 
     def test_gain_satisfies_power_constraint(self):
         setup = _setup(L=50, theta=0.6)
-        alpha, _ = est.af_gain(setup)
+        alpha = est.af_gain(setup)
         sigmas = setup.sigmas.resolve(50)
         total = alpha**2 * np.sum(0.6**2 + sigmas**2 * noise.variance(setup.noise))
         assert total == pytest.approx(setup.total_power, rel=1e-12)
@@ -206,14 +206,14 @@ class TestAmplifyForward:
         """af_gain sums one term broadcast over L sensors; numpy's pairwise
         sum gives the same bits as summing L materialized terms."""
         setup = _setup(L=L, theta=0.6, sigmas=est.constant_sigmas(1.7), noise=noise.laplacian(0.8))
-        sigma_n2, _ = noise.nominal_variance(setup.noise)
+        sigma_n2 = noise.nominal_variance(setup.noise)
         expected = math.sqrt(setup.total_power / float(np.sum(0.6**2 + np.full(L, 1.7) ** 2 * sigma_n2)))
-        assert est.af_gain(setup)[0] == expected
+        assert est.af_gain(setup) == expected
 
     def test_cauchy_uses_nominal_variance(self):
+        """Cauchy noise has no variance; its gain is that of unit-variance noise."""
         setup = _setup(noise=noise.cauchy(1.0))
-        _, nominal = est.af_gain(setup)
-        assert nominal
+        assert est.af_gain(setup) == est.af_gain(replace(setup, noise=noise.gaussian(1.0)))
 
     def test_error_shrinks_for_gaussian(self):
         """Median |theta_af - theta| decreases with L for finite variance."""
@@ -504,3 +504,20 @@ class TestCheckQuadratureCount:
         monkeypatch.setattr(est, "fixed_mesh_nodes", perturbed)
         with pytest.raises(est.MeshValidationError, match="theta="):
             self._count(monkeypatch, _setup())
+
+
+class TestMomentCache:
+    def test_stays_within_its_bound(self):
+        """The process-wide moment memo evicts its least recently used
+        entries instead of growing with every distinct moment."""
+        clear_moment_cache()
+        try:
+            f = tx.tanh_fn(1.0)
+            for i in range(est.MOMENT_CACHE_SIZE + 20):
+                est.g_moment(noise.gaussian(1.0), f, 1.0, 1e-3 * i)
+            info = est._g_moments_cached.cache_info()
+            assert info.misses == est.MOMENT_CACHE_SIZE + 20
+            assert info.maxsize == est.MOMENT_CACHE_SIZE
+            assert info.currsize == est.MOMENT_CACHE_SIZE
+        finally:
+            clear_moment_cache()

@@ -413,7 +413,7 @@ def _plain_signal_statistics(setup, trials, master_seed):
     """harness._collect_signal_statistics with the allocating span closure it replaced."""
     stream = numerics.RngStream(master_seed, 0)
     sigmas = setup.sigmas.resolve(setup.L)
-    alpha, _ = est.af_gain(setup)
+    alpha = est.af_gain(setup)
     f_sums = np.empty(trials)
     scaled_sums = np.empty(trials)
     chan = np.empty(trials)

@@ -175,9 +175,9 @@ class TestValidation:
         assert math.isinf(noise.variance(noise.cauchy(1.0)))
 
     def test_nominal_variance_stands_in_only_for_cauchy(self):
-        assert noise.nominal_variance(noise.gaussian(2.0)) == (4.0, False)
-        assert noise.nominal_variance(noise.laplacian(1.0)) == (2.0, False)
-        assert noise.nominal_variance(noise.cauchy(3.0)) == (1.0, True)
+        assert noise.nominal_variance(noise.gaussian(2.0)) == 4.0
+        assert noise.nominal_variance(noise.laplacian(1.0)) == 2.0
+        assert noise.nominal_variance(noise.cauchy(3.0)) == 1.0
 
     def test_from_variance_laplacian_scale(self):
         model = from_variance("laplacian", 1.0)
