@@ -10,15 +10,14 @@ so inversion is well posed; when channel noise pushes the target outside
 the attainable range the target is clamped just inside and the event is
 reported to the caller.
 
-One moment engine, ``g_moment``, computes every E[f^k(theta + sigma n)]:
-vector-valued adaptive quadratures over n, with a sigma axis (the distinct
-per-sensor scales) and a theta axis, each quadrature covering one group of
-sigma on a shared mesh. ``mean_response`` and the asymptotic variance make
-scalar-theta calls. The estimator inverts whole target arrays at once:
-h_L is frozen once per setup into flat node/weight arrays, validated
-against the engine's moments at 13 check thetas (one quadrature per sigma
-group), and the targets are then solved in a kernel, each seeded by an
-inverse cubic through a 129-point monotone response grid.
+One moment engine, ``g_moment``, computes every E[f^k(theta + sigma n)] at
+one theta: vector-valued adaptive quadratures over n, each covering one
+group of the distinct per-sensor scales on a shared mesh. The estimator
+inverts whole target arrays at once: h_L is frozen once per setup into flat
+node/weight arrays, one mesh per band of sigma within a factor of 4,
+validated against independent quadratures at 13 check thetas, and the
+targets are then solved in a kernel, each seeded by an inverse cubic
+through a 129-point monotone response grid.
 
 Memory does not grow with L for a constant sigma sequence: ``resolve``
 returns one value broadcast to L entries, ``distinct`` skips the sort, and
@@ -36,9 +35,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels, transmit as tx
-from .noise import MAX_SCALE, MIN_SCALE, NoiseModel, cdf, nominal_variance, quantile, tail_truncation
+from .noise import MAX_SCALE, MIN_SCALE, NoiseModel, cdf, nominal_variance, pdf, quantile, tail_truncation
 from .numerics import (
     DEFAULT_QUADRATURE,
+    DRAW_BLOCK_ELEMENTS,
     NumericsError,
     QuadratureSpec,
     adaptive_quadrature,
@@ -139,6 +139,12 @@ class EstimationSetup:
             raise tx.FieldError(message, field="channel_noise_var")
         if self.sigmas.kind == EXPLICIT_LIST and len(self.sigmas.values) != self.L:
             raise tx.FieldError(f"{len(self.sigmas.values)} entries, but L is {self.L}", field="sigmas.values")
+        # Each sensor's noise scale sigma_i * noise.scale has a noise model's range.
+        s, scale = self.sigmas, self.noise.scale
+        top = max(s.values) if s.kind == EXPLICIT_LIST else s.sigma * math.sqrt(self.L if s.kind == SQRT_GROWTH else 1)
+        if not top * scale <= MAX_SCALE:
+            message = f"sigma_i * noise.scale must be at most {MAX_SCALE:g}, got {top * scale!r} for the largest sigma_i"
+            raise tx.FieldError(message, field="sigmas.values" if s.kind == EXPLICIT_LIST else "sigmas.sigma")
 
     @property
     def rho(self) -> float:
@@ -191,33 +197,25 @@ MOMENT_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=MOMENT_CACHE_SIZE)
 def _g_moments_cached(
-    noise: NoiseModel,
-    f: tx.TransmitFunction,
-    sigmas: tuple[float, ...],
-    thetas: tuple[float, ...],
-    power: int,
-    spec: QuadratureSpec,
+    noise: NoiseModel, f: tx.TransmitFunction, sigmas: tuple[float, ...], theta: float, power: int, spec: QuadratureSpec
 ) -> np.ndarray:
-    """E[f^power(theta + sigma n)] for every (theta, sigma) pair, as a
-    read-only (thetas, sigmas) array from one vector-valued quadrature."""
+    """E[f^power(theta + sigma n)] for every sigma, as a read-only array
+    from one vector-valued quadrature."""
     t = tail_truncation(noise, spec.tail_mass)
-    # One component per (theta, sigma), theta-major.
-    shift = np.repeat(thetas, len(sigmas))[:, None]
-    scale = np.tile(sigmas, len(thetas))[:, None]
+    scale = np.array(sigmas)[:, None]
 
     def g(n):
-        v = kernels.eval_transmit(f, x=shift + scale * n)
+        v = kernels.eval_transmit(f, x=theta + scale * n)
         return v if power == 1 else v * v
 
     label = f"sigma={sigmas[0]}" if len(sigmas) == 1 else f"sigma in [{sigmas[0]}, {sigmas[-1]}]"
-    where = f"theta={thetas[0]}" if len(thetas) == 1 else f"theta in [{thetas[0]}, {thetas[-1]}]"
     values = expect(
         noise,
         g,
         spec,
-        breakpoints=[p for theta in thetas for p in _moment_breakpoints(f, sigmas, theta, t)],
-        context=f"E[f^{power}(theta + sigma n)] at {label}, {where}",
-    ).reshape(len(thetas), len(sigmas))
+        breakpoints=_moment_breakpoints(f, sigmas, theta, t),
+        context=f"E[f^{power}(theta + sigma n)] at {label}, theta={theta}",
+    )
     values.flags.writeable = False
     return values
 
@@ -226,32 +224,25 @@ def g_moment(
     noise: NoiseModel,
     f: tx.TransmitFunction,
     sigma,
-    theta,
+    theta: float,
     power: int = 1,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ):
     """E[f(theta + sigma n)^power] by adaptive quadrature (memoized).
 
     ``sigma`` may be an array: the result is then the array of moments, one
-    per entry. ``theta`` may be an array too: the result is then a
-    (thetas, sigmas) array. Each vector-valued quadrature integrates every
-    theta with up to ``MOMENT_GROUP`` // len(thetas) consecutive sigma
-    entries on one shared mesh. Callers pass distinct sigma values in
-    ascending order, so each group has similar features.
+    per entry. Each vector-valued quadrature integrates up to
+    ``MOMENT_GROUP`` consecutive sigma entries on one shared mesh. Callers
+    pass distinct sigma values in ascending order, so each group has
+    similar features.
     """
     sigmas = np.atleast_1d(np.asarray(sigma, dtype=np.float64)).tolist()
-    thetas = tuple(np.atleast_1d(np.asarray(theta, dtype=np.float64)).tolist())
-    group = max(1, MOMENT_GROUP // len(thetas))
+    theta = float(theta)
+    groups = range(0, len(sigmas), MOMENT_GROUP)
     values = np.concatenate(
-        [
-            _g_moments_cached(noise, f, tuple(sigmas[i : i + group]), thetas, int(power), spec)
-            for i in range(0, len(sigmas), group)
-        ],
-        axis=1,
+        [_g_moments_cached(noise, f, tuple(sigmas[i : i + MOMENT_GROUP]), theta, int(power), spec) for i in groups]
     )
-    if np.ndim(theta) > 0:
-        return values
-    return float(values[0, 0]) if np.ndim(sigma) == 0 else values[0]
+    return float(values[0]) if np.ndim(sigma) == 0 else values
 
 
 def mean_response(setup: EstimationSetup, theta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
@@ -363,8 +354,9 @@ class FlatResponse:
     """h_L frozen into flat shifted-node/weight arrays.
 
     h(theta) = sum_j weights[j] * f(theta + nodes[j]) for the setup's
-    transmit curve ``f``; the weights absorb the probability measure and
-    sigma multiplicities, so evaluation and batched inversion reduce to
+    transmit curve ``f``; the nodes of each sigma band are those of its
+    largest sigma, and the weights absorb the probability measure and the
+    band's mixture ratio, so evaluation and batched inversion reduce to
     kernel calls.
     """
 
@@ -455,20 +447,17 @@ class FlatResponse:
 
 
 def _probability_mesh(
-    noise: NoiseModel,
-    f: tx.TransmitFunction,
-    sigma: float,
-    probes,
-    spec: QuadratureSpec,
+    noise: NoiseModel, f: tx.TransmitFunction, sigma: float, ratio, probes, spec: QuadratureSpec, kinks
 ):
-    """Adaptive mesh edges in probability space for E[f(theta + sigma n)].
+    """Adaptive mesh edges in probability space for a band's share of h_L.
 
-    Integrating in v with n = Q(v) turns the truncated density expectation
-    into integral_{d}^{1-d} f(theta + sigma Q(v)) dv, whose mesh stays
-    compact even for heavy-tailed noise. One adaptive pass on the summed
-    probe integrand resolves every probe's transition, so a single mesh
-    serves the whole inversion bracket. The constant offset keeps the total
-    away from zero without touching the panel error estimates, so the
+    Integrating in v with n = Q(v) turns the truncated expectation over the
+    band's largest scale ``sigma`` into integral_{d}^{1-d} f(theta + sigma
+    Q(v)) r(Q(v)) dv, r its ``_mixture_ratio`` and ``kinks`` more breakpoints
+    in n; the mesh stays compact for heavy-tailed noise. One adaptive pass on the
+    summed probe integrand resolves every probe's transition, so a single
+    mesh serves the whole inversion bracket. The constant offset keeps the
+    total away from zero without touching the panel error estimates, so the
     relative tolerance stays meaningful for odd integrands.
     """
     d = 0.5 * spec.tail_mass
@@ -476,18 +465,18 @@ def _probability_mesh(
     offset = 2.0 * probes.size
 
     def integrand(v):
-        q = sigma * np.asarray(quantile(noise, v))
+        n = np.asarray(quantile(noise, v))
+        q = sigma * n
         acc = np.full(q.shape, offset)
         for theta in probes:
             acc = acc + kernels.eval_transmit(f, x=theta + q)
-        return acc
+        return acc * ratio(n)
 
     bps = set()
-    for theta in probes:
-        for p in _moment_breakpoints(f, (sigma,), float(theta), math.inf):
-            u = float(cdf(noise, p))
-            if d < u < 1.0 - d:
-                bps.add(u)
+    for p in [*kinks, *(p for theta in probes for p in _moment_breakpoints(f, (sigma,), float(theta), math.inf))]:
+        u = float(cdf(noise, p))
+        if d < u < 1.0 - d:
+            bps.add(u)
     _, _, edges = adaptive_quadrature(
         integrand,
         d,
@@ -508,51 +497,87 @@ def _probes(setup: EstimationSetup) -> np.ndarray:
     return np.linspace(setup.theta - pad, setup.theta + pad, 7)
 
 
+# Largest ratio of the largest to the smallest sigma in one band. A band is
+# integrated over its largest sigma, whose density has the heaviest tails,
+# so the mixture ratio stays below 4 times the band's share and the
+# narrowest member density is at least a quarter as wide as the reference's.
+SIGMA_BAND_RATIO = 4.0
+
+
+def _sigma_bands(values: np.ndarray, shares: np.ndarray):
+    """(sigmas, shares) of each run of the ascending distinct sigma whose
+    largest is at most ``SIGMA_BAND_RATIO`` times its smallest."""
+    start = 0
+    while start < values.size:
+        stop = int(np.searchsorted(values, SIGMA_BAND_RATIO * values[start], side="right"))
+        yield values[start:stop], shares[start:stop]
+        start = stop
+
+
+def _mixture_ratio(noise: NoiseModel, sigmas: np.ndarray, shares: np.ndarray):
+    """The band's weight r(n) = sum_k share_k p_k(s n) / p_s(s n), p_k the
+    density of sigma_k times the noise and s = sigmas[-1], as a sum over
+    c_k = s / sigma_k of share_k c_k p(c_k n) / p(n) in chunks of sigma of at
+    most ``DRAW_BLOCK_ELEMENTS`` doubles. One sigma gives r = its share."""
+    if sigmas.size == 1:
+        return lambda n: np.full(n.shape, shares[0])
+    c = sigmas[-1] / sigmas
+
+    def ratio(n):
+        step = max(1, DRAW_BLOCK_ELEMENTS // n.size)
+        chunks = (slice(i, i + step) for i in range(0, c.size, step))
+        return sum(shares[k] @ (c[k, None] * pdf(noise, c[k, None] * n)) for k in chunks) / pdf(noise, n)
+
+    return ratio
+
+
 def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FlatResponse:
     """Freeze h_L into flat arrays and validate against the adaptive path.
 
-    The mesh is built from adaptive runs at probe thetas around the true
-    theta and accepted only if each sigma's frozen evaluation
-    matches its share of E[f(theta + sigma n)] to 1e-9 (relative to
-    max(1, |moment|)) at 13 check thetas; otherwise every panel is halved
-    and the check repeats, at most four times. The check moments come from
-    independent n-space quadratures, computed once per build: one
-    vector-valued quadrature covers every check theta for a group of sigma.
+    Each band of sigma (``_sigma_bands``) contributes the expectation of
+    f(theta + s n) r(n) over its largest sigma s, r its ``_mixture_ratio``
+    (a lone sigma's share), frozen on one mesh built from adaptive runs at
+    probe thetas around the true theta. A band's mesh is accepted only if it
+    matches an independent n-space quadrature of that expectation to 1e-9
+    (relative to max(1, |moment|)) at 13 check thetas; otherwise every
+    panel is halved and the check repeats, at most four times.
     """
+    f = setup.transmit
     probes = _probes(setup)
     check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
-    values, shares = setup.sigma_shares()
-    exact = g_moment(setup.noise, setup.transmit, values, check, 1, spec)
-
-    parts_nodes = []
-    parts_weights = []
-    for sigma, share, moments in zip(values, shares, exact.T):
-        edges = _probability_mesh(setup.noise, setup.transmit, float(sigma), probes, spec)
+    t = tail_truncation(setup.noise, spec.tail_mass)
+    parts = []
+    for sigmas, shares in _sigma_bands(*setup.sigma_shares()):
+        sigma, ratio = float(sigmas[-1]), _mixture_ratio(setup.noise, sigmas, shares)
+        label = f"sigma={sigma}" if sigmas.size == 1 else f"sigma in [{sigmas[0]}, {sigma}]"
+        exact = expect(
+            setup.noise,
+            lambda n: kernels.eval_transmit(f, x=check[:, None] + sigma * n) * ratio(n),
+            spec,
+            breakpoints=[p for theta in check for p in _moment_breakpoints(f, (sigma,), theta, t)],
+            context=f"the flat response check at {label}",
+        )
+        # A mixture of Laplacian densities has a kink at the center, v = 1/2.
+        edges = _probability_mesh(setup.noise, f, sigma, ratio, probes, spec, () if sigmas.size == 1 else (0.0,))
         for _ in range(4):
             v_nodes, v_weights = fixed_mesh_nodes(edges)
-            nodes = sigma * np.asarray(quantile(setup.noise, v_nodes))
-            weights = share * v_weights
-            worst = _worst_check(kernels.eval_response(nodes, weights, setup.transmit, check), share * moments, check)
+            n = np.asarray(quantile(setup.noise, v_nodes))
+            nodes, weights = sigma * n, ratio(n) * v_weights
+            worst = _worst_check(kernels.eval_response(nodes, weights, f, check), exact, check)
             if worst is None:
                 break
             edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
         else:
             theta, diff, bound = worst
             raise MeshValidationError(
-                f"flat response mesh failed validation at sigma={sigma}: worst check at theta={theta!r}, "
+                f"flat response mesh failed validation at {label}: worst check at theta={theta!r}, "
                 f"|flat - exact| = {diff:.3g} > bound {bound:.3g}"
             )
-        parts_nodes.append(nodes)
-        parts_weights.append(weights)
+        parts.append((nodes, weights))
 
-    c = tx.bound(setup.transmit)
-    weights = np.concatenate(parts_weights)
-    return FlatResponse(
-        nodes=np.concatenate(parts_nodes),
-        weights=weights,
-        f=setup.transmit,
-        limit=math.inf if c is None else c * math.fsum(weights),
-    )
+    c = tx.bound(f)
+    nodes, weights = (np.concatenate(arrays) for arrays in zip(*parts))
+    return FlatResponse(nodes=nodes, weights=weights, f=f, limit=math.inf if c is None else c * math.fsum(weights))
 
 
 def _worst_check(flat: np.ndarray, exact: np.ndarray, thetas: np.ndarray):

@@ -11,9 +11,10 @@ computes in batches:
   response in batches);
 - ``invert_monotone`` and ``InversionRangeError`` are that scalar solver;
 - ``split_stream`` derives a child stream;
-- ``scalar_mesh_is_valid`` is the 13-call mesh check that
-  ``estimation.build_flat_response`` replaced with one vector quadrature
-  per sigma group;
+- ``scalar_mesh_is_valid`` checks a band's frozen response against the
+  per-sigma moments, one quadrature per check theta and sigma group, where
+  ``estimation.build_flat_response`` integrates the whole band once over
+  its largest sigma, weighted by the band's mixture ratio;
 - ``af_estimate`` is the amplify-and-forward estimate of one trial (the
   harness forms it for whole blocks);
 - ``unbounded_cells`` stands in for ``kernels.cell_bounds`` with tables
@@ -244,13 +245,13 @@ def clear_moment_cache() -> None:
     est._g_moments_cached.cache_clear()
 
 
-def scalar_mesh_is_valid(setup, nodes, weights, sigma, count, probes, spec) -> bool:
-    """The mesh check as 13 scalar moments: one quadrature per check theta."""
-    check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
-    share = count / setup.L
-    for theta, flat in zip(check, kernels.eval_response(nodes, weights, setup.transmit, check)):
-        exact = share * est.g_moment(setup.noise, setup.transmit, float(sigma), float(theta), 1, spec)
-        if abs(flat - exact) > 1e-9 * max(1.0, abs(exact)):
+def scalar_mesh_is_valid(setup, flat, sigmas, shares, thetas, spec=DEFAULT_QUADRATURE) -> bool:
+    """The check of one band's frozen response values ``flat`` at ``thetas``
+    against the per-sigma moments: one scalar-theta quadrature per check
+    theta and group of sigma."""
+    for theta, value in zip(thetas, flat):
+        exact = math.fsum(shares * est.g_moment(setup.noise, setup.transmit, sigmas, float(theta), 1, spec))
+        if abs(value - exact) > 1e-9 * max(1.0, abs(exact)):
             return False
     return True
 

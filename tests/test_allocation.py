@@ -202,3 +202,17 @@ def test_estimation_point_holds_two_trial_length_arrays():
     (estimates, _), peak = _traced_peak(point)
     assert estimates.size == trials
     assert peak / trials <= 32.0
+
+
+def test_sqrt_growth_response_build_holds_a_few_blocks():
+    """The flat response of 10**4 sqrt-growth sensors under Cauchy noise.
+
+    One mesh per band of sigma: its mixture ratio sums the band's densities
+    in sigma chunks of at most one draw block, so the build holds a few
+    blocks besides the returned nodes and weights. One mesh per distinct
+    sigma stacked about 4 million nodes and copied them to concatenate.
+    """
+    setup = est.EstimationSetup(1.0, 10**4, est.sqrt_growth_sigmas(1.0), noise.cauchy(1.0), tx.tanh_fn(0.75), 10.0, 1.0)
+    flat, peak = _traced_peak(lambda: est.build_flat_response(setup))
+    assert flat.nodes.size <= 6000
+    assert peak - flat.nodes.nbytes - flat.weights.nbytes <= 5 * _block_bytes()

@@ -8,9 +8,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from macfusion import cli, harness, noise
+from macfusion import cli, harness, kernels, noise
 from macfusion import estimation as est
 from macfusion import transmit as tx
 from oracles import InversionRangeError, read_csv
@@ -294,7 +295,7 @@ class TestFoundProbes:
     @pytest.mark.parametrize(
         "preset, overrides, code, prefix",
         [
-            ("fig6", [POWER_LINEAR, 'sigmas={"kind":"constant","sigma":1e200}'], 2, "config error at transmits[0].alpha:"),
+            ("fig6", [POWER_LINEAR, 'sigmas={"kind":"constant","sigma":1e200}'], 2, "config error at sigmas.sigma:"),
             (
                 "fig6",
                 [POWER_LINEAR, 'sigmas={"kind":"constant","sigma":1e-200}', "theta=0"],
@@ -303,13 +304,8 @@ class TestFoundProbes:
             ),
             ("consistency", ['sigmas={"kind":"constant","sigma":1e-200}'], 0, ""),
             ("cauchy-af", ['sigmas={"kind":"constant","sigma":1e-200}'], 3, "numerical failure in af_compare: AF power normalization"),
-            (
-                "consistency",
-                ['sigmas={"kind":"constant","sigma":1e200}'],
-                3,
-                "numerical failure in consistency: inverting the mean response: no theta above -1e18",
-            ),
-            ("cauchy-af", ['sigmas={"kind":"constant","sigma":1e200}'], 3, "numerical failure in af_compare: AF power normalization"),
+            ("consistency", ['sigmas={"kind":"constant","sigma":1e200}'], 2, "config error at sigmas.sigma:"),
+            ("cauchy-af", ['sigmas={"kind":"constant","sigma":1e200}'], 2, "config error at sigmas.sigma:"),
         ],
         ids=["fig6-1e200", "fig6-1e-200", "consistency-1e-200", "cauchy-af-1e-200", "consistency-1e200", "cauchy-af-1e200"],
     )
@@ -319,8 +315,10 @@ class TestFoundProbes:
         a ZeroDivisionError or a FieldError traceback, and the AF gain in a
         ZeroDivisionError, or in divide-by-zero warnings. The bounded
         estimator of ``consistency`` needs no AF gain: at sigma=1e-200 it
-        inverts finite thetas, and at 1e200 the flat response cannot reach
-        the targets."""
+        inverts finite thetas. A sensor scale of 1e200 lies beyond a noise
+        model's scale range, and the setup rejects it at ``sigmas.sigma``
+        (the bounded estimator ended in exit 3: its flat response could
+        not reach the targets)."""
         if preset == "fig6":
             overrides = ["trials=10", "L_values=[2]"] + overrides
         else:
@@ -618,6 +616,40 @@ sys.exit(cli.main(args + ["--out", {out!r}]))
         assert code == 2
         assert err.startswith("config error at noise.scale: noise scale must lie in [1e-100, 1e+100]")
 
+    @pytest.mark.parametrize(
+        "preset, overrides, field",
+        [
+            ("consistency", ['sigmas={"kind":"sqrt_growth","sigma":1e300}'], "sigmas.sigma"),
+            ("consistency", ['sigmas={"kind":"sqrt_growth","sigma":1e200}'], "sigmas.sigma"),
+            # sigma * sqrt(L) = 1e100 * sqrt(4) at the largest sensor.
+            ("consistency", ['sigmas={"kind":"sqrt_growth","sigma":1e100}'], "sigmas.sigma"),
+            (
+                "consistency",
+                ['sigmas={"kind":"constant","sigma":1e60}', 'noise={"kind":"cauchy","scale":1e50}'],
+                "sigmas.sigma",
+            ),
+            ("fig2", ["L=3", 'sigmas={"kind":"explicit_list","values":[1,2,1e101]}'], "sigmas.values"),
+        ],
+        ids=["sqrt-1e300", "sqrt-1e200", "sqrt-1e100", "constant-times-scale", "explicit"],
+    )
+    def test_sensor_noise_scale_beyond_the_scale_range_exits_2(self, tmp_path, capsys, preset, overrides, field):
+        """sigma_i * noise.scale above 1e100 ended in an overflow warning and a
+        misleading exit 3 ("no theta above -1e18 brings h below the target");
+        the largest sensor scale now has the range of a noise model's scale."""
+        size = ['omega_grid={"lo":1,"hi":2,"points":2}'] if preset == "fig2" else ["L_values=[4]"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = self._fails(tmp_path, capsys, preset, "trials=5", *size, *overrides)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code == 2
+        assert err.startswith(f"config error at {field}: sigma_i * noise.scale must be at most 1e+100")
+
+    def test_tiny_sensor_noise_scale_still_runs(self, tmp_path):
+        out = tmp_path / "x.csv"
+        args = ["run", "consistency", "--out", str(out), "--set", "trials=5", "--set", "L_values=[4]"]
+        assert _run(args + ["--set", 'sigmas={"kind":"sqrt_growth","sigma":1e-300}']) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("preset, mass", [("fig5", "1e-310"), ("fig5", "1e-200"), ("theorem3", "1e-200")])
     def test_tail_truncation_beyond_the_float_range_exits_3(self, tmp_path, capsys, preset, mass):
         """Inside the scale's range a small enough tail mass still puts the
@@ -668,6 +700,40 @@ class TestMeshValidationMessage:
         assert "flat response mesh failed validation at sigma=1.0" in err
         assert "theta=" in err
         assert "|flat - exact|" in err and "bound" in err
+
+    def test_names_the_failing_band(self, tmp_path, capsys, monkeypatch):
+        """Under sqrt-growth sigma the first band, sigma = 1 .. 4, fails."""
+        fixed_mesh_nodes = est.fixed_mesh_nodes
+
+        def perturbed(edges):
+            nodes, weights = fixed_mesh_nodes(edges)
+            return nodes, weights * (1.0 + 1e-6)
+
+        monkeypatch.setattr(est, "fixed_mesh_nodes", perturbed)
+        args = ["run", "cauchy-af", "--out", str(tmp_path / "x.csv"), "--set", "trials=20", "--set", "L_values=[20]"]
+        code = _run(args + ["--set", 'sigmas={"kind":"sqrt_growth","sigma":1.0}'])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert "flat response mesh failed validation at sigma in [1.0, 4.0]: worst check at theta=" in err
+
+
+class TestSigmaBandCost:
+    def test_sqrt_growth_consistency_evaluates_few_theta_nodes(self, tmp_path, monkeypatch):
+        """One flat-response mesh per sigma band: about 1.6e6 theta-node
+        products over the whole run, where one mesh per distinct sigma put
+        about 4e5 nodes behind every evaluation at L=1000 (3.3e8 in all)."""
+        evaluate, products = kernels.eval_response, []
+
+        def counting(nodes, weights, f, thetas):
+            products.append(np.size(thetas) * nodes.size)
+            return evaluate(nodes, weights, f, thetas)
+
+        monkeypatch.setattr(kernels, "eval_response", counting)
+        args = ["run", "consistency", "--out", str(tmp_path / "x.csv"), "--set", "trials=200"]
+        args += ["--set", "L_values=[100,1000]", "--set", 'sigmas={"kind":"sqrt_growth","sigma":1.0}']
+        assert _run(args) == 0
+        assert 0 < sum(products) <= 2e7
 
 
 class TestAfCompare:

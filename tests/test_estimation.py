@@ -392,38 +392,43 @@ class TestFlatResponseFastPath:
         assert np.max(np.abs(flat.eval(thetas[inner]) - targets[inner])) <= 8 * np.finfo(float).eps
 
 
-def _halve(edges):
-    return np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+def _check_decisions(monkeypatch, setup, *, scale=1.0, mesh_spec=None):
+    """(per-sigma oracle, band check) verdicts on each mesh ``build_flat_response`` tests.
 
-
-def _check_decisions(setup, *, every=1, scale=1.0, mesh_spec=None):
-    """(scalar oracle, batched check) verdicts on each mesh build_flat_response would test.
-
-    Walks every ``every``-th distinct sigma through up to four halving
-    passes, like ``build_flat_response``; ``scale`` multiplies the frozen
-    weights and ``mesh_spec`` builds a coarser mesh than the checks.
+    Records every band's check as the build runs it (up to four halving
+    passes a band) and asks the oracle about the same frozen values;
+    ``scale`` multiplies the frozen weights and ``mesh_spec`` builds a
+    coarser mesh than the checks.
     """
-    spec = QuadratureSpec()
-    probes = est._probes(setup)
-    check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
-    values, counts = setup.sigmas.distinct(setup.L)
-    exact = est.g_moment(setup.noise, setup.transmit, values, check, 1, spec)
-    verdicts = []
-    for k in sorted({*range(0, values.size, every), values.size - 1}):
-        sigma, count = values[k], counts[k]
-        share = count / setup.L
-        edges = est._probability_mesh(setup.noise, setup.transmit, float(sigma), probes, mesh_spec or spec)
-        for _ in range(4):
-            v_nodes, v_weights = numerics.fixed_mesh_nodes(edges)
-            nodes = sigma * np.asarray(noise.quantile(setup.noise, v_nodes))
-            weights = scale * share * v_weights
-            old = scalar_mesh_is_valid(setup, nodes, weights, sigma, count, probes, spec)
-            flat = kernels.eval_response(nodes, weights, setup.transmit, check)
-            new = est._worst_check(flat, share * exact[:, k], check) is None
-            verdicts.append((old, new))
-            if old and new:
-                break
-            edges = _halve(edges)
+    bands, verdicts = [], []
+    mixture_ratio, worst_check = est._mixture_ratio, est._worst_check
+    fixed_mesh_nodes, probability_mesh = est.fixed_mesh_nodes, est._probability_mesh
+
+    def ratio(model, sigmas, shares):
+        bands.append((sigmas, shares))
+        return mixture_ratio(model, sigmas, shares)
+
+    def check(flat, exact, thetas):
+        worst = worst_check(flat, exact, thetas)
+        verdicts.append((scalar_mesh_is_valid(setup, flat, *bands[-1], thetas), worst is None))
+        return worst
+
+    def scaled(edges):
+        nodes, weights = fixed_mesh_nodes(edges)
+        return nodes, scale * weights
+
+    def mesh(model, f, sigma, r, probes, spec, kinks):
+        return probability_mesh(model, f, sigma, r, probes, mesh_spec or spec, kinks)
+
+    patches = {"_mixture_ratio": ratio, "_worst_check": check, "fixed_mesh_nodes": scaled, "_probability_mesh": mesh}
+    for name, fn in patches.items():
+        monkeypatch.setattr(est, name, fn)
+    try:
+        est.build_flat_response(setup)
+    except est.MeshValidationError:
+        pass
+    finally:
+        monkeypatch.undo()
     return verdicts
 
 
@@ -432,35 +437,36 @@ FIG4_OMEGAS = np.linspace(0.3, 3.0, 10)
 
 
 class TestBatchedMeshCheck:
-    """One vector quadrature per sigma group decides like the 13 scalar checks it replaced."""
+    """One vector quadrature per sigma band decides like the per-sigma scalar moments."""
 
     @pytest.mark.parametrize("make", FIG4_CURVES, ids=lambda make: make.__name__)
-    def test_fig4_curves_on_the_omega_grid(self, make):
+    def test_fig4_curves_on_the_omega_grid(self, monkeypatch, make):
         for omega in FIG4_OMEGAS:
-            verdicts = _check_decisions(_setup(transmit=make(float(omega))))
+            verdicts = _check_decisions(monkeypatch, _setup(transmit=make(float(omega))))
             assert all(old == new for old, new in verdicts)
             assert verdicts[-1] == (True, True)
 
-    def test_cauchy_af(self):
+    def test_cauchy_af(self, monkeypatch):
         for L in (100, 1000, 10000):
-            verdicts = _check_decisions(_setup(noise=noise.cauchy(1.0), L=L))
+            verdicts = _check_decisions(monkeypatch, _setup(noise=noise.cauchy(1.0), L=L))
             assert verdicts == [(True, True)]
 
-    def test_sqrt_growth_at_L_300(self):
-        """Every 23rd of the 300 distinct sigma, and the largest, under Cauchy noise."""
-        setup = _setup(noise=noise.cauchy(1.0), L=300, sigmas=est.sqrt_growth_sigmas(1.0))
-        verdicts = _check_decisions(setup, every=23)
-        assert len(verdicts) >= 14
-        assert all(old == new for old, new in verdicts)
+    @pytest.mark.parametrize("model", [GAUSS, noise.laplacian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)
+    def test_sqrt_growth_bands_at_L_300(self, monkeypatch, model):
+        """The 300 distinct sigma fall into 3 bands; each band's mesh passes
+        its check, and the per-sigma moments agree."""
+        setup = _setup(noise=model, L=300, sigmas=est.sqrt_growth_sigmas(1.0))
+        verdicts = _check_decisions(monkeypatch, setup)
+        assert verdicts == [(True, True)] * 3
 
-    def test_perturbed_mesh_is_rejected_by_both(self):
-        verdicts = _check_decisions(_setup(noise=noise.cauchy(1.0)), scale=1.0 + 1e-6)
+    def test_perturbed_mesh_is_rejected_by_both(self, monkeypatch):
+        verdicts = _check_decisions(monkeypatch, _setup(noise=noise.cauchy(1.0)), scale=1.0 + 1e-6)
         assert verdicts == [(False, False)] * 4
 
-    def test_coarse_mesh_is_refined_the_same_way(self):
+    def test_coarse_mesh_is_refined_the_same_way(self, monkeypatch):
         """A mesh built to 1e-6 fails the first checks and passes after halving, for both."""
         setup = _setup(noise=noise.laplacian(1.0))
-        verdicts = _check_decisions(setup, mesh_spec=QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
+        verdicts = _check_decisions(monkeypatch, setup, mesh_spec=QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9))
         assert all(old == new for old, new in verdicts)
         assert verdicts[0] == (False, False) and verdicts[-1] == (True, True)
 
@@ -488,11 +494,11 @@ class TestCheckQuadratureCount:
             clear_moment_cache()
         return calls["mesh"], calls["check"]
 
-    def test_one_check_quadrature_per_sigma_group(self, monkeypatch):
+    def test_one_mesh_and_one_check_quadrature_per_sigma_band(self, monkeypatch):
         assert self._count(monkeypatch, _setup(noise=noise.cauchy(1.0))) == (1, 1)
-        group = est.MOMENT_GROUP // 13
+        # sigma_i = sqrt(i): i = 1..16 and i = 17..30 are the two bands.
         setup = _setup(L=30, sigmas=est.sqrt_growth_sigmas(1.0))
-        assert self._count(monkeypatch, setup) == (30, -(-30 // group))
+        assert self._count(monkeypatch, setup) == (2, 2)
 
     def test_refinement_passes_reuse_the_check_moments(self, monkeypatch):
         fixed_mesh_nodes = est.fixed_mesh_nodes
@@ -504,6 +510,55 @@ class TestCheckQuadratureCount:
         monkeypatch.setattr(est, "fixed_mesh_nodes", perturbed)
         with pytest.raises(est.MeshValidationError, match="theta="):
             self._count(monkeypatch, _setup())
+
+
+FINE = QuadratureSpec(rel_tol=1e-13)
+NINE_THETAS = np.linspace(-3.0, 5.0, 9)
+
+
+def _response_gap(setup):
+    """max |flat response - per-sigma mean_response at rel_tol 1e-13| on nine thetas."""
+    flat = est.build_flat_response(setup)
+    exact = np.array([est.mean_response(setup, float(theta), FINE) for theta in NINE_THETAS])
+    return float(np.max(np.abs(flat.eval(NINE_THETAS) - exact)))
+
+
+class TestSigmaBands:
+    """One mesh per band of sigma within ``SIGMA_BAND_RATIO``: the sqrt-growth
+    response no longer stacks one mesh per sensor."""
+
+    @pytest.mark.parametrize("model", [GAUSS, noise.laplacian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)
+    def test_sqrt_growth_matches_the_per_sigma_response(self, model):
+        """Per-sigma meshes missed by 2.3e-11 under Laplacian noise."""
+        setup = _setup(noise=model, L=300, sigmas=est.sqrt_growth_sigmas(1.0))
+        assert _response_gap(setup) <= 1e-12
+
+    @pytest.mark.parametrize("model", [GAUSS, noise.cauchy(1.0)], ids=lambda m: m.kind)
+    @pytest.mark.parametrize(
+        "values",
+        [(1e-50, 1.0), (1e-3, 1.0, 1e3), tuple(np.geomspace(1e-3, 1e3, 50))],
+        ids=["1e-50,1", "1e-3,1,1e3", "geomspace-50"],
+    )
+    def test_explicit_lists_match_the_per_sigma_response(self, model, values):
+        """One reference for all sigma passes its own check but misses the
+        narrow densities by up to 0.5."""
+        setup = _setup(noise=model, L=len(values), sigmas=est.SigmaSequence(est.EXPLICIT_LIST, values=values))
+        assert _response_gap(setup) <= 1e-11
+
+    @pytest.mark.parametrize("model", [GAUSS, noise.laplacian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)
+    def test_node_count_stays_flat_in_L(self, model):
+        """Per-sigma meshes held 1.2-1.3 million nodes at L=3000."""
+        sizes = [
+            est.build_flat_response(_setup(noise=model, L=L, sigmas=est.sqrt_growth_sigmas(1.0))).nodes.size
+            for L in (300, 3000)
+        ]
+        assert sizes[1] <= 6000
+        assert abs(sizes[1] - sizes[0]) <= 0.1 * sizes[0]
+
+    def test_bands_split_at_the_ratio(self):
+        values = np.array([1.0, 2.0, 4.0, 4.5, 16.0, 18.0, 100.0])
+        bands = list(est._sigma_bands(values, values / values.sum()))
+        assert [band.tolist() for band, _ in bands] == [[1.0, 2.0, 4.0], [4.5, 16.0, 18.0], [100.0]]
 
 
 class TestMomentCache:

@@ -280,21 +280,6 @@ class TestVectorMoments:
         )
         assert est.mean_response(setup, 0.8) == pytest.approx(scalar, rel=2e-9, abs=1e-12)
 
-    @pytest.mark.parametrize("model", [noise.gaussian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)
-    def test_theta_axis_within_tolerance_of_scalar_calls(self, model):
-        """A (thetas, sigmas) call groups MOMENT_GROUP // len(thetas) sigma per quadrature."""
-        spec = QuadratureSpec()
-        f = tx.rational_fn(1.5)
-        thetas = np.linspace(-4.0, 5.0, 13)
-        sigmas = np.sqrt(np.arange(1.0, 12.0))
-        together = est.g_moment(model, f, sigmas, thetas, 1, spec)
-        assert together.shape == (thetas.size, sigmas.size)
-        for j, theta in enumerate(thetas):
-            for k, sigma in enumerate(sigmas):
-                alone = est.g_moment(model, f, float(sigma), float(theta), 1, spec)
-                assert abs(together[j, k] - alone) <= 2.0 * max(spec.abs_tol, spec.rel_tol * abs(alone))
-        assert est.g_moment(model, f, sigmas, thetas[:1], 1, spec).shape == (1, sigmas.size)
-
     def test_constant_sigma_is_the_scalar_moment(self):
         setup = est.EstimationSetup(
             0.6, 500, est.constant_sigmas(1.0), noise.cauchy(1.0), tx.rational_fn(1.2), 10.0, 1.0
