@@ -10,14 +10,13 @@ so inversion is well posed; when channel noise pushes the target outside
 the attainable range the target is clamped just inside and the event is
 reported to the caller.
 
-One moment engine, ``g_moment``, computes every E[f^k(theta + sigma n)] at
-one theta: vector-valued adaptive quadratures over n, each covering one
-group of the distinct per-sensor scales on a shared mesh. The estimator
-inverts whole target arrays at once: h_L is frozen once per setup into flat
-node/weight arrays, one mesh per band of sigma within a factor of 4,
-validated against independent quadratures at 13 check thetas, and the
-targets are then solved in a kernel, each seeded by an inverse cubic
-through a 129-point monotone response grid.
+h_L sums one adaptive quadrature over n per band of sigma within a factor
+of 4 (``mean_response``); ``g_moment`` gives the per-sigma moments
+E[f^k(theta + sigma n)] where each sigma's own value is needed. The
+estimator inverts whole target arrays at once: h_L is frozen once per setup
+into flat node/weight arrays, one mesh per band, checked against the band's
+quadrature at 13 thetas, and the targets are solved in a kernel, each
+seeded by an inverse cubic through a 129-point monotone response grid.
 
 Memory does not grow with L for a constant sigma sequence: ``resolve``
 returns one value broadcast to L entries, ``distinct`` skips the sort, and
@@ -38,7 +37,6 @@ from . import kernels, transmit as tx
 from .noise import MAX_SCALE, MIN_SCALE, NoiseModel, cdf, nominal_variance, pdf, quantile, tail_truncation
 from .numerics import (
     DEFAULT_QUADRATURE,
-    DRAW_BLOCK_ELEMENTS,
     NumericsError,
     QuadratureSpec,
     adaptive_quadrature,
@@ -230,11 +228,11 @@ def g_moment(
 ):
     """E[f(theta + sigma n)^power] by adaptive quadrature (memoized).
 
-    ``sigma`` may be an array: the result is then the array of moments, one
-    per entry. Each vector-valued quadrature integrates up to
-    ``MOMENT_GROUP`` consecutive sigma entries on one shared mesh. Callers
-    pass distinct sigma values in ascending order, so each group has
-    similar features.
+    ``sigma`` may be an array of ascending distinct values: the result is
+    then one moment per entry, for callers that need each sigma's own value
+    (detection's variance term). Each vector-valued quadrature integrates up
+    to ``MOMENT_GROUP`` consecutive entries on one shared mesh; h_L sums one
+    quadrature per band of sigma instead (``mean_response``).
     """
     sigmas = np.atleast_1d(np.asarray(sigma, dtype=np.float64)).tolist()
     theta = float(theta)
@@ -245,15 +243,69 @@ def g_moment(
     return float(values[0]) if np.ndim(sigma) == 0 else values
 
 
-def mean_response(setup: EstimationSetup, theta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """h_L(theta), deduplicated over distinct sigma values.
+# Largest ratio of the largest to the smallest sigma in one band. A band is
+# integrated over its largest sigma, whose density has the heaviest tails,
+# so the mixture ratio stays below 4 times the band's share and the
+# narrowest member density is at least a quarter as wide as the reference's.
+SIGMA_BAND_RATIO = 4.0
 
-    For a constant sequence the average over L identical terms is computed
-    as 1.0 * g(theta), so the result is bit-identical for every L.
-    """
-    values, shares = setup.sigma_shares()
-    moments = g_moment(setup.noise, setup.transmit, values, theta, 1, spec)
-    return math.fsum(shares * moments)
+# Doubles in one (sigma, point) piece of the mixture ratio's sum: 64 KiB stays
+# in cache; draw-block-sized pieces made the band quadratures 1.5 times as slow.
+RATIO_CHUNK_ELEMENTS = 2**13
+
+
+def _sigma_bands(values: np.ndarray, shares: np.ndarray):
+    """(sigmas, shares) of each run of the ascending distinct sigma whose
+    largest is at most ``SIGMA_BAND_RATIO`` times its smallest."""
+    start = 0
+    while start < values.size:
+        stop = int(np.searchsorted(values, SIGMA_BAND_RATIO * values[start], side="right"))
+        yield values[start:stop], shares[start:stop]
+        start = stop
+
+
+def _mixture_ratio(noise: NoiseModel, sigmas: np.ndarray, shares: np.ndarray):
+    """The band's weight r(n) = sum_k share_k p_k(s n) / p_s(s n), p_k the
+    density of sigma_k times the noise and s = sigmas[-1], as a sum over
+    c_k = s / sigma_k of share_k c_k p(c_k n) / p(n) in pieces of sigma of
+    at most ``RATIO_CHUNK_ELEMENTS`` (sigma, point) doubles. One sigma gives
+    r = its share."""
+    if sigmas.size == 1:
+        return lambda n: np.full(n.shape, shares[0])
+    c = sigmas[-1] / sigmas
+
+    def ratio(n):
+        step = max(1, RATIO_CHUNK_ELEMENTS // n.size)
+        chunks = (slice(i, i + step) for i in range(0, c.size, step))
+        return sum(shares[k] @ (c[k, None] * pdf(noise, c[k, None] * n)) for k in chunks) / pdf(noise, n)
+
+    return ratio
+
+
+def _band_responses(setup: EstimationSetup, theta, spec: QuadratureSpec):
+    """(sigmas, r, share of h_L) of each band (``_sigma_bands``): the share
+    E[f(theta + s n) r(n)], s the band's largest sigma and r its
+    ``_mixture_ratio``, is one quadrature (one value per entry of an array
+    ``theta``); a band of several sigma adds n = 0, a Laplacian mixture's kink."""
+    f = setup.transmit
+    for sigmas, shares in _sigma_bands(*setup.sigma_shares()):
+        s, ratio = float(sigmas[-1]), _mixture_ratio(setup.noise, sigmas, shares)
+        label = f"sigma={s}" if sigmas.size == 1 else f"sigma in [{sigmas[0]}, {s}]"
+        kinks = [p for k in np.atleast_1d(theta) for p in _moment_breakpoints(f, (s,), float(k), math.inf)]
+        yield sigmas, ratio, expect(
+            setup.noise,
+            lambda n: kernels.eval_transmit(f, x=np.add.outer(theta, s * n)) * ratio(n),
+            spec,
+            breakpoints=kinks if sigmas.size == 1 else [*kinks, 0.0],
+            context=f"the mean response at {label}, theta={theta if np.ndim(theta) == 0 else 'each check theta'}",
+        )
+
+
+def mean_response(setup: EstimationSetup, theta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+    """h_L(theta), one quadrature per band of sigma (``_band_responses``). A
+    constant sequence is one band with mixture ratio 1.0, so the result is
+    bit-identical to ``g_moment(noise, f, sigma, theta, 1)`` for every L."""
+    return math.fsum(share for _, _, share in _band_responses(setup, float(theta), spec))
 
 
 CLAMP_MARGIN = 1e-9
@@ -497,40 +549,6 @@ def _probes(setup: EstimationSetup) -> np.ndarray:
     return np.linspace(setup.theta - pad, setup.theta + pad, 7)
 
 
-# Largest ratio of the largest to the smallest sigma in one band. A band is
-# integrated over its largest sigma, whose density has the heaviest tails,
-# so the mixture ratio stays below 4 times the band's share and the
-# narrowest member density is at least a quarter as wide as the reference's.
-SIGMA_BAND_RATIO = 4.0
-
-
-def _sigma_bands(values: np.ndarray, shares: np.ndarray):
-    """(sigmas, shares) of each run of the ascending distinct sigma whose
-    largest is at most ``SIGMA_BAND_RATIO`` times its smallest."""
-    start = 0
-    while start < values.size:
-        stop = int(np.searchsorted(values, SIGMA_BAND_RATIO * values[start], side="right"))
-        yield values[start:stop], shares[start:stop]
-        start = stop
-
-
-def _mixture_ratio(noise: NoiseModel, sigmas: np.ndarray, shares: np.ndarray):
-    """The band's weight r(n) = sum_k share_k p_k(s n) / p_s(s n), p_k the
-    density of sigma_k times the noise and s = sigmas[-1], as a sum over
-    c_k = s / sigma_k of share_k c_k p(c_k n) / p(n) in chunks of sigma of at
-    most ``DRAW_BLOCK_ELEMENTS`` doubles. One sigma gives r = its share."""
-    if sigmas.size == 1:
-        return lambda n: np.full(n.shape, shares[0])
-    c = sigmas[-1] / sigmas
-
-    def ratio(n):
-        step = max(1, DRAW_BLOCK_ELEMENTS // n.size)
-        chunks = (slice(i, i + step) for i in range(0, c.size, step))
-        return sum(shares[k] @ (c[k, None] * pdf(noise, c[k, None] * n)) for k in chunks) / pdf(noise, n)
-
-    return ratio
-
-
 def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FlatResponse:
     """Freeze h_L into flat arrays and validate against the adaptive path.
 
@@ -538,25 +556,16 @@ def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_Q
     f(theta + s n) r(n) over its largest sigma s, r its ``_mixture_ratio``
     (a lone sigma's share), frozen on one mesh built from adaptive runs at
     probe thetas around the true theta. A band's mesh is accepted only if it
-    matches an independent n-space quadrature of that expectation to 1e-9
+    matches the n-space quadrature that ``mean_response`` sums to 1e-9
     (relative to max(1, |moment|)) at 13 check thetas; otherwise every
     panel is halved and the check repeats, at most four times.
     """
     f = setup.transmit
     probes = _probes(setup)
     check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
-    t = tail_truncation(setup.noise, spec.tail_mass)
     parts = []
-    for sigmas, shares in _sigma_bands(*setup.sigma_shares()):
-        sigma, ratio = float(sigmas[-1]), _mixture_ratio(setup.noise, sigmas, shares)
-        label = f"sigma={sigma}" if sigmas.size == 1 else f"sigma in [{sigmas[0]}, {sigma}]"
-        exact = expect(
-            setup.noise,
-            lambda n: kernels.eval_transmit(f, x=check[:, None] + sigma * n) * ratio(n),
-            spec,
-            breakpoints=[p for theta in check for p in _moment_breakpoints(f, (sigma,), theta, t)],
-            context=f"the flat response check at {label}",
-        )
+    for sigmas, ratio, exact in _band_responses(setup, check, spec):
+        sigma = float(sigmas[-1])
         # A mixture of Laplacian densities has a kink at the center, v = 1/2.
         edges = _probability_mesh(setup.noise, f, sigma, ratio, probes, spec, () if sigmas.size == 1 else (0.0,))
         for _ in range(4):
@@ -569,6 +578,7 @@ def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_Q
             edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
         else:
             theta, diff, bound = worst
+            label = f"sigma={sigma}" if sigmas.size == 1 else f"sigma in [{sigmas[0]}, {sigma}]"
             raise MeshValidationError(
                 f"flat response mesh failed validation at {label}: worst check at theta={theta!r}, "
                 f"|flat - exact| = {diff:.3g} > bound {bound:.3g}"

@@ -11,10 +11,12 @@ computes in batches:
   response in batches);
 - ``invert_monotone`` and ``InversionRangeError`` are that scalar solver;
 - ``split_stream`` derives a child stream;
-- ``scalar_mesh_is_valid`` checks a band's frozen response against the
-  per-sigma moments, one quadrature per check theta and sigma group, where
-  ``estimation.build_flat_response`` integrates the whole band once over
-  its largest sigma, weighted by the band's mixture ratio;
+- ``per_sigma_response`` sums h_L over the per-sigma moments, one
+  quadrature per group of 64 sigma, and ``scalar_mesh_is_valid`` checks a
+  band's frozen response against them at each check theta, where
+  ``estimation.mean_response`` and ``estimation.build_flat_response``
+  integrate each band of sigma once over its largest sigma, weighted by the
+  band's mixture ratio;
 - ``af_estimate`` is the amplify-and-forward estimate of one trial (the
   harness forms it for whole blocks);
 - ``unbounded_cells`` stands in for ``kernels.cell_bounds`` with tables
@@ -243,6 +245,14 @@ def estimate(setup: est.EstimationSetup, received_z: float, spec: QuadratureSpec
 
 def clear_moment_cache() -> None:
     est._g_moments_cached.cache_clear()
+
+
+def per_sigma_response(setup: est.EstimationSetup, theta: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+    """h_L(theta) as the sum over the distinct sigma of share * E[f(theta + sigma n)],
+    the moments from ``estimation.g_moment`` (one quadrature per group of
+    ``MOMENT_GROUP`` sigma)."""
+    values, shares = setup.sigma_shares()
+    return math.fsum(shares * est.g_moment(setup.noise, setup.transmit, values, float(theta), 1, spec))
 
 
 def scalar_mesh_is_valid(setup, flat, sigmas, shares, thetas, spec=DEFAULT_QUADRATURE) -> bool:

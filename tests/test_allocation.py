@@ -208,11 +208,22 @@ def test_sqrt_growth_response_build_holds_a_few_blocks():
     """The flat response of 10**4 sqrt-growth sensors under Cauchy noise.
 
     One mesh per band of sigma: its mixture ratio sums the band's densities
-    in sigma chunks of at most one draw block, so the build holds a few
-    blocks besides the returned nodes and weights. One mesh per distinct
-    sigma stacked about 4 million nodes and copied them to concatenate.
+    in cache-sized pieces of sigma, so the build holds a few blocks besides
+    the returned nodes and weights. One mesh per distinct sigma stacked
+    about 4 million nodes and copied them to concatenate.
     """
     setup = est.EstimationSetup(1.0, 10**4, est.sqrt_growth_sigmas(1.0), noise.cauchy(1.0), tx.tanh_fn(0.75), 10.0, 1.0)
     flat, peak = _traced_peak(lambda: est.build_flat_response(setup))
     assert flat.nodes.size <= 6000
     assert peak - flat.nodes.nbytes - flat.weights.nbytes <= 5 * _block_bytes()
+
+
+@pytest.mark.parametrize("model", [noise.gaussian(1.0), noise.laplacian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)
+def test_mixture_ratio_sums_cache_sized_pieces(model):
+    """r(n) of a band of 10**4 sigma at one quadrature round's 600 points holds
+    about 0.36 blocks beside its result; pieces of one draw block held 3."""
+    sigmas = np.linspace(1.0, 4.0, 10**4)
+    ratio = est._mixture_ratio(model, sigmas, np.full(sigmas.size, 1e-4))
+    n = np.linspace(-30.0, 30.0, 40 * 15)
+    r, peak = _traced_peak(lambda: ratio(n))
+    assert peak - r.nbytes <= 0.5 * _block_bytes()

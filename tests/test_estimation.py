@@ -12,7 +12,15 @@ from macfusion import estimation as est
 from macfusion import harness, kernels, numerics
 from macfusion.numerics import QuadratureSpec
 from macfusion.transmit import UnsupportedKindError
-from oracles import af_estimate, clear_moment_cache, estimate, estimate_info, from_variance, scalar_mesh_is_valid
+from oracles import (
+    af_estimate,
+    clear_moment_cache,
+    estimate,
+    estimate_info,
+    from_variance,
+    per_sigma_response,
+    scalar_mesh_is_valid,
+)
 
 GAUSS = noise.gaussian(1.0)
 
@@ -517,9 +525,9 @@ NINE_THETAS = np.linspace(-3.0, 5.0, 9)
 
 
 def _response_gap(setup):
-    """max |flat response - per-sigma mean_response at rel_tol 1e-13| on nine thetas."""
+    """max |flat response - per-sigma response at rel_tol 1e-13| on nine thetas."""
     flat = est.build_flat_response(setup)
-    exact = np.array([est.mean_response(setup, float(theta), FINE) for theta in NINE_THETAS])
+    exact = np.array([per_sigma_response(setup, float(theta), FINE) for theta in NINE_THETAS])
     return float(np.max(np.abs(flat.eval(NINE_THETAS) - exact)))
 
 
@@ -559,6 +567,93 @@ class TestSigmaBands:
         values = np.array([1.0, 2.0, 4.0, 4.5, 16.0, 18.0, 100.0])
         bands = list(est._sigma_bands(values, values / values.sum()))
         assert [band.tolist() for band, _ in bands] == [[1.0, 2.0, 4.0], [4.5, 16.0, 18.0], [100.0]]
+
+
+BAND_THETAS = (-3.0, 0.0, 0.4, 1.0, 5.0)
+
+
+def _band_gap(setup):
+    """max over ``BAND_THETAS`` of |mean_response - per-sigma response| / max(1, |h|)."""
+    gaps = []
+    for theta in BAND_THETAS:
+        exact = per_sigma_response(setup, theta)
+        gaps.append(abs(est.mean_response(setup, theta) - exact) / max(1.0, abs(exact)))
+    return max(gaps)
+
+
+def _recorded_quadratures(monkeypatch, run):
+    """The (value, error, edges) of every adaptive quadrature ``run()`` makes, from a cold moment cache."""
+    results = []
+    quadrature = numerics.adaptive_quadrature
+
+    def recording(*args, **kwargs):
+        results.append(quadrature(*args, **kwargs))
+        return results[-1]
+
+    clear_moment_cache()
+    monkeypatch.setattr(numerics, "adaptive_quadrature", recording)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+        clear_moment_cache()
+    return results
+
+
+class TestBandResponse:
+    """``mean_response`` integrates one quadrature per sigma band and agrees
+    with the per-sigma sum of moments (``oracles.per_sigma_response``)."""
+
+    @pytest.mark.parametrize("model", [GAUSS, noise.laplacian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("L", [100, 1000, 3000])
+    def test_sqrt_growth_matches_the_per_sigma_response(self, model, L):
+        assert _band_gap(_setup(noise=model, L=L, sigmas=est.sqrt_growth_sigmas(1.0))) <= 1e-11
+
+    @pytest.mark.parametrize("model", [GAUSS, noise.cauchy(1.0)], ids=lambda m: m.kind)
+    @pytest.mark.parametrize(
+        "values",
+        [(1e-50, 1.0), (1e-3, 1.0, 1e3), tuple(np.geomspace(1e-3, 1e3, 50))],
+        ids=["1e-50,1", "1e-3,1,1e3", "geomspace-50"],
+    )
+    def test_explicit_lists_match_the_per_sigma_response(self, model, values):
+        setup = _setup(noise=model, L=len(values), sigmas=est.SigmaSequence(est.EXPLICIT_LIST, values=values))
+        assert _band_gap(setup) <= 1e-11
+
+    @pytest.mark.parametrize("model", [GAUSS, noise.laplacian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)
+    @pytest.mark.parametrize(
+        "f",
+        [tx.tanh_fn(0.75), tx.gudermannian_fn(2.0), tx.rational_fn(1.5), tx.uniform_quantizer_fn(1.0, 5), tx.linear_fn(1.0)],
+        ids=lambda f: f.kind,
+    )
+    def test_curves_match_the_per_sigma_response(self, model, f):
+        """Under Laplacian noise the per-sigma moments, which have no
+        breakpoint at the density's kink, carry most of the gap (up to 1e-11
+        relative for the linear curve at theta = 5)."""
+        assert _band_gap(_setup(noise=model, L=300, sigmas=est.sqrt_growth_sigmas(1.0), transmit=f)) <= 1e-11
+
+    @pytest.mark.parametrize("L", [1, 20, 10**4])
+    @pytest.mark.parametrize("model", [GAUSS, noise.laplacian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)
+    def test_constant_sigma_is_bit_identical_to_g_moment(self, model, L):
+        setup = _setup(noise=model, L=L, sigmas=est.constant_sigmas(0.7))
+        for theta in BAND_THETAS:
+            assert est.mean_response(setup, theta) == est.g_moment(model, setup.transmit, 0.7, theta, 1)
+
+    def test_one_quadrature_per_sigma_band(self, monkeypatch):
+        """sqrt_growth at L = 2000 has 3 bands; the per-sigma groups made 32 quadratures."""
+        setup = _setup(L=2000, sigmas=est.sqrt_growth_sigmas(1.0))
+        assert len(list(est._sigma_bands(*setup.sigma_shares()))) == 3
+        assert len(_recorded_quadratures(monkeypatch, lambda: est.mean_response(setup, 1.0))) == 3
+
+    @pytest.mark.parametrize(
+        "sigmas, kink", [(est.sqrt_growth_sigmas(1.0), True), (est.constant_sigmas(1.0), False)], ids=["band", "lone"]
+    )
+    def test_laplacian_band_takes_the_center_as_a_breakpoint(self, monkeypatch, sigmas, kink):
+        """A mixture of several Laplacian densities has a kink at n = 0; a lone
+        sigma keeps the breakpoints (and floats) of its per-sigma moment."""
+        setup = _setup(noise=noise.laplacian(1.0), L=10, sigmas=sigmas)
+        assert len(list(est._sigma_bands(*setup.sigma_shares()))) == 1
+        [(_, _, edges)] = _recorded_quadratures(monkeypatch, lambda: est.mean_response(setup, 0.7))
+        assert (0.0 in edges) == kink
 
 
 class TestMomentCache:

@@ -210,9 +210,10 @@ def _fsum_reference_quadrature(fun, a, b, *, rel_tol, abs_tol, breakpoints, max_
 
 class TestRowSumDecisions:
     def test_theorem3_sigma_groups_match_the_fsum_loop(self, monkeypatch):
-        """Every 64-component moment quadrature of the theorem3 preset (sqrt-growth
-        sigma, L = 100, 1000, 10000, theta = 1 and 0) is bit-identical in value,
-        error and edges to the loop that summed each round with math.fsum."""
+        """Every 64-component moment quadrature of the per-sigma moments on the
+        theorem3 preset's sigma (sqrt growth, L = 100, 1000, 10000, theta = 1
+        and 0) is bit-identical in value, error and edges to the loop that
+        summed each round with math.fsum."""
         calls = []
         quadrature = numerics.adaptive_quadrature
 
@@ -225,9 +226,9 @@ class TestRowSumDecisions:
         monkeypatch.setattr(numerics, "adaptive_quadrature", recording)
         try:
             for L in (100, 1000, 10000):
-                setup = est.EstimationSetup(1.0, L, est.sqrt_growth_sigmas(1.0), model, f, 10.0, 1.0)
-                est.mean_response(setup, 1.0)
-                est.mean_response(setup, 0.0)
+                values, _ = est.EstimationSetup(1.0, L, est.sqrt_growth_sigmas(1.0), model, f, 10.0, 1.0).sigma_shares()
+                est.g_moment(model, f, values, 1.0, 1)
+                est.g_moment(model, f, values, 0.0, 1)
         finally:
             monkeypatch.undo()
             clear_moment_cache()

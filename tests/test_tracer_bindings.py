@@ -53,6 +53,13 @@ COUNT_RUNS = [
             "numerics.uniforms.values": 4 * 2000 * 22,
         },
     ),
+    (
+        # The benchmark's moment-quad shape: h_L at theta and 0 for each L is
+        # one quadrature per sigma band (2, 3 and 3 bands).
+        "theorem3",
+        ["trials=20", "L_values=[100,1000,2000]"],
+        {"numerics.quad.calls": 16},
+    ),
 ]
 
 
@@ -77,7 +84,7 @@ print(json.dumps(totals))
     result = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     cumulative = json.loads(result.stdout)
-    # The recorder accumulates over both runs; the second run's counts are the difference.
+    # The recorder accumulates over the runs; each later run's counts are differences.
     for k, (preset, _, expected) in enumerate(COUNT_RUNS):
         got = {key: cumulative[k].get(key, 0) - (cumulative[k - 1].get(key, 0) if k else 0) for key in expected}
         assert got == expected, preset
