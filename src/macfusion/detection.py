@@ -451,7 +451,7 @@ def matched_density(f, spec: QuadratureSpec = DEFAULT_QUADRATURE):
             hi,
             rel_tol=spec.rel_tol,
             abs_tol=spec.abs_tol,
-            breakpoints=[k for k in kinks if lo < k < hi],
+            breakpoints=kinks,
             max_subdivisions=spec.max_subdivisions,
             context="antiderivative of transmit curve",
         )
@@ -482,7 +482,7 @@ def matched_density(f, spec: QuadratureSpec = DEFAULT_QUADRATURE):
         t_plus,
         rel_tol=min(spec.rel_tol, 1e-10),
         abs_tol=spec.abs_tol,
-        breakpoints=[k for k in kinks if t_minus < k < t_plus],
+        breakpoints=kinks,
         max_subdivisions=spec.max_subdivisions,
         context="matched density antiderivative mesh",
     )
@@ -528,7 +528,7 @@ def matched_density(f, spec: QuadratureSpec = DEFAULT_QUADRATURE):
         t_plus,
         rel_tol=min(spec.rel_tol, 1e-10),
         abs_tol=spec.abs_tol,
-        breakpoints=[k for k in kinks if t_minus < k < t_plus],
+        breakpoints=kinks,
         max_subdivisions=spec.max_subdivisions,
         context="matched density normalization",
     )

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels, transmit as tx
-from .noise import MAX_SCALE, MIN_SCALE, NoiseModel, cdf, nominal_variance, pdf, quantile, tail_truncation
+from .noise import MAX_SCALE, MIN_SCALE, NoiseModel, breakpoints, cdf, nominal_variance, pdf, transform_uniforms
 from .numerics import (
     DEFAULT_QUADRATURE,
     NumericsError,
@@ -164,22 +164,28 @@ def _transition_width(f: tx.TransmitFunction) -> float:
     return 1.0
 
 
-def _moment_breakpoints(f: tx.TransmitFunction, sigmas, theta: float, domain: float):
-    """Seed points in n for the integrands f(theta + sigma n)^k p(n).
-
-    Kinks map exactly for every sigma. For smooth kinds the transition
-    center and a few width multiples of the smallest and the largest sigma
-    are seeded, so large sigma cannot hide the feature from the first
-    refinement rounds; the transitions of the sigmas in between lie among
-    those seeds.
+def _moment_breakpoints(noise: NoiseModel, f: tx.TransmitFunction, sigmas, thetas) -> list[float]:
+    """Breakpoints in n of every density integral of f(theta + sigma n)^k p(n),
+    at each theta of a scalar or array ``thetas``; the quadrature keeps those
+    inside its interval. The density's kinks (``noise.breakpoints``: n = 0
+    for Laplacian noise and for a mixture of its scales) come first, then
+    f's kinks, mapped exactly for every sigma. For smooth kinds the
+    transition center and a few width multiples of the smallest and the
+    largest sigma are seeded, so large sigma cannot hide the feature from the
+    first refinement rounds; the transitions of the sigmas in between lie
+    among those seeds.
     """
-    pts = [(b - theta) / sigma for sigma in sigmas for b in tx.breakpoints(f)]
-    for sigma in {min(sigmas), max(sigmas)}:
-        center = -theta / sigma
-        width = _transition_width(f) / sigma
-        for k in (0.0, 1.0, -1.0, 10.0, -10.0):
-            pts.append(center + k * width)
-    return tuple(p for p in pts if abs(p) < domain)
+    pts = list(breakpoints(noise))
+    for theta in np.atleast_1d(thetas).tolist():
+        pts += [(b - theta) / sigma for sigma in sigmas for b in tx.breakpoints(f)]
+        for sigma in {min(sigmas), max(sigmas)}:
+            center, width = -theta / sigma, _transition_width(f) / sigma
+            pts += [center + k * width for k in (0.0, 1.0, -1.0, 10.0, -10.0)]
+    return pts
+
+
+def _sigma_label(sigmas) -> str:
+    return f"sigma={sigmas[0]}" if len(sigmas) == 1 else f"sigma in [{sigmas[0]}, {sigmas[-1]}]"
 
 
 # Most (theta, sigma) components integrated together on one shared mesh;
@@ -199,20 +205,18 @@ def _g_moments_cached(
 ) -> np.ndarray:
     """E[f^power(theta + sigma n)] for every sigma, as a read-only array
     from one vector-valued quadrature."""
-    t = tail_truncation(noise, spec.tail_mass)
     scale = np.array(sigmas)[:, None]
 
     def g(n):
         v = kernels.eval_transmit(f, x=theta + scale * n)
         return v if power == 1 else v * v
 
-    label = f"sigma={sigmas[0]}" if len(sigmas) == 1 else f"sigma in [{sigmas[0]}, {sigmas[-1]}]"
     values = expect(
         noise,
         g,
         spec,
-        breakpoints=_moment_breakpoints(f, sigmas, theta, t),
-        context=f"E[f^{power}(theta + sigma n)] at {label}, theta={theta}",
+        breakpoints=_moment_breakpoints(noise, f, sigmas, theta),
+        context=f"E[f^{power}(theta + sigma n)] at {_sigma_label(sigmas)}, theta={theta}",
     )
     values.flags.writeable = False
     return values
@@ -286,18 +290,16 @@ def _band_responses(setup: EstimationSetup, theta, spec: QuadratureSpec):
     """(sigmas, r, share of h_L) of each band (``_sigma_bands``): the share
     E[f(theta + s n) r(n)], s the band's largest sigma and r its
     ``_mixture_ratio``, is one quadrature (one value per entry of an array
-    ``theta``); a band of several sigma adds n = 0, a Laplacian mixture's kink."""
+    ``theta``) with the ``_moment_breakpoints`` of s at every theta."""
     f = setup.transmit
     for sigmas, shares in _sigma_bands(*setup.sigma_shares()):
         s, ratio = float(sigmas[-1]), _mixture_ratio(setup.noise, sigmas, shares)
-        label = f"sigma={s}" if sigmas.size == 1 else f"sigma in [{sigmas[0]}, {s}]"
-        kinks = [p for k in np.atleast_1d(theta) for p in _moment_breakpoints(f, (s,), float(k), math.inf)]
         yield sigmas, ratio, expect(
             setup.noise,
             lambda n: kernels.eval_transmit(f, x=np.add.outer(theta, s * n)) * ratio(n),
             spec,
-            breakpoints=kinks if sigmas.size == 1 else [*kinks, 0.0],
-            context=f"the mean response at {label}, theta={theta if np.ndim(theta) == 0 else 'each check theta'}",
+            breakpoints=_moment_breakpoints(setup.noise, f, (s,), theta),
+            context=f"the mean response at {_sigma_label(sigmas)}, theta={'each check theta' if np.ndim(theta) else theta}",
         )
 
 
@@ -352,7 +354,7 @@ def asymptotic_variance(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_Q
         setup.noise,
         lambda n: tx.derivative(f, theta + n),
         spec,
-        breakpoints=_moment_breakpoints(f, (1.0,), theta, 1e300),
+        breakpoints=_moment_breakpoints(setup.noise, f, (1.0,), theta),
         context=f"E[f'(theta + n)] at theta={theta}",
     )
     noise_part = second - mean * mean + setup.channel_noise_var / setup.total_power
@@ -498,44 +500,38 @@ class FlatResponse:
         return thetas, clamped
 
 
-def _probability_mesh(
-    noise: NoiseModel, f: tx.TransmitFunction, sigma: float, ratio, probes, spec: QuadratureSpec, kinks
-):
+def _probability_mesh(noise: NoiseModel, f: tx.TransmitFunction, sigma: float, ratio, probes, spec: QuadratureSpec):
     """Adaptive mesh edges in probability space for a band's share of h_L.
 
-    Integrating in v with n = Q(v) turns the truncated expectation over the
-    band's largest scale ``sigma`` into integral_{d}^{1-d} f(theta + sigma
-    Q(v)) r(Q(v)) dv, r its ``_mixture_ratio`` and ``kinks`` more breakpoints
-    in n; the mesh stays compact for heavy-tailed noise. One adaptive pass on the
-    summed probe integrand resolves every probe's transition, so a single
-    mesh serves the whole inversion bracket. The constant offset keeps the
-    total away from zero without touching the panel error estimates, so the
-    relative tolerance stays meaningful for odd integrands.
+    Integrating in v with n = Q(v), Q the sampler's inverse CDF
+    ``transform_uniforms``, turns the truncated expectation over the band's
+    largest scale ``sigma`` into integral_{d}^{1-d} f(theta + sigma Q(v))
+    r(Q(v)) dv, r its ``_mixture_ratio``, with every probe's
+    ``_moment_breakpoints`` mapped to v by the CDF; the mesh stays compact
+    for heavy-tailed noise. One adaptive pass on the summed probe integrand
+    resolves every probe's transition, so a single mesh serves the whole
+    inversion bracket. The constant offset keeps the total away from zero
+    without touching the panel error estimates, so the relative tolerance
+    stays meaningful for odd integrands.
     """
     d = 0.5 * spec.tail_mass
-    probes = np.asarray(probes, dtype=np.float64)
     offset = 2.0 * probes.size
 
     def integrand(v):
-        n = np.asarray(quantile(noise, v))
+        n = transform_uniforms(noise, v)
         q = sigma * n
         acc = np.full(q.shape, offset)
         for theta in probes:
             acc = acc + kernels.eval_transmit(f, x=theta + q)
         return acc * ratio(n)
 
-    bps = set()
-    for p in [*kinks, *(p for theta in probes for p in _moment_breakpoints(f, (sigma,), float(theta), math.inf))]:
-        u = float(cdf(noise, p))
-        if d < u < 1.0 - d:
-            bps.add(u)
     _, _, edges = adaptive_quadrature(
         integrand,
         d,
         1.0 - d,
         rel_tol=spec.rel_tol,
         abs_tol=spec.abs_tol,
-        breakpoints=sorted(bps),
+        breakpoints=cdf(noise, _moment_breakpoints(noise, f, (sigma,), probes)),
         max_subdivisions=spec.max_subdivisions,
         context=f"probability-space response mesh at sigma={sigma}",
     )
@@ -554,11 +550,12 @@ def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_Q
 
     Each band of sigma (``_sigma_bands``) contributes the expectation of
     f(theta + s n) r(n) over its largest sigma s, r its ``_mixture_ratio``
-    (a lone sigma's share), frozen on one mesh built from adaptive runs at
-    probe thetas around the true theta. A band's mesh is accepted only if it
-    matches the n-space quadrature that ``mean_response`` sums to 1e-9
-    (relative to max(1, |moment|)) at 13 check thetas; otherwise every
-    panel is halved and the check repeats, at most four times.
+    (a lone sigma's share), frozen on one probability-space mesh built from
+    adaptive runs at probe thetas around the true theta. A band's mesh is
+    accepted only if it matches the n-space quadrature that ``mean_response``
+    sums to 1e-9 (relative to max(1, |moment|)) at 13 check thetas; otherwise
+    every panel is halved and the check repeats, at most four times. Mesh
+    and check take their breakpoints from ``_moment_breakpoints``.
     """
     f = setup.transmit
     probes = _probes(setup)
@@ -566,11 +563,10 @@ def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_Q
     parts = []
     for sigmas, ratio, exact in _band_responses(setup, check, spec):
         sigma = float(sigmas[-1])
-        # A mixture of Laplacian densities has a kink at the center, v = 1/2.
-        edges = _probability_mesh(setup.noise, f, sigma, ratio, probes, spec, () if sigmas.size == 1 else (0.0,))
+        edges = _probability_mesh(setup.noise, f, sigma, ratio, probes, spec)
         for _ in range(4):
             v_nodes, v_weights = fixed_mesh_nodes(edges)
-            n = np.asarray(quantile(setup.noise, v_nodes))
+            n = transform_uniforms(setup.noise, v_nodes)
             nodes, weights = sigma * n, ratio(n) * v_weights
             worst = _worst_check(kernels.eval_response(nodes, weights, f, check), exact, check)
             if worst is None:
@@ -578,9 +574,8 @@ def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_Q
             edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
         else:
             theta, diff, bound = worst
-            label = f"sigma={sigma}" if sigmas.size == 1 else f"sigma in [{sigmas[0]}, {sigma}]"
             raise MeshValidationError(
-                f"flat response mesh failed validation at {label}: worst check at theta={theta!r}, "
+                f"flat response mesh failed validation at {_sigma_label(sigmas)}: worst check at theta={theta!r}, "
                 f"|flat - exact| = {diff:.3g} > bound {bound:.3g}"
             )
         parts.append((nodes, weights))

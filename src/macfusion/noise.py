@@ -1,11 +1,11 @@
 """Symmetric zero-median sensing-noise families.
 
 Three families are built in: Gaussian, Laplacian, and Cauchy. Each exposes
-the exact density, the score -p'(x)/p(x), the CDF/quantile pair (used for
-tail truncation and inverse-CDF sampling), and the map from uniforms to
-draws. All densities are symmetric about zero with support on the whole
-real line, so every family has zero median even when (as for Cauchy) no
-mean exists.
+the exact density, the score -p'(x)/p(x), the CDF, the tail truncation
+point, the density's kinks (quadrature breakpoints), and the inverse CDF
+that maps uniforms to draws and the response mesh's v to n. All densities
+are symmetric about zero with support on the whole real line, so every
+family has zero median even when (as for Cauchy) no mean exists.
 
 Each draw is a deterministic function of exactly one uniform, which keeps
 stream counter accounting exact for the simulation harness.
@@ -101,17 +101,9 @@ def cdf(model: NoiseModel, x):
     return 0.5 + np.arctan(x / s) / np.pi
 
 
-def quantile(model: NoiseModel, q):
-    """Inverse CDF; closed form for all three families."""
-    q = np.asarray(q, dtype=np.float64)
-    if np.any(q <= 0.0) or np.any(q >= 1.0):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    s = model.scale
-    if model.kind == GAUSSIAN:
-        return s * ndtri(q)
-    if model.kind == LAPLACIAN:
-        return np.where(q < 0.5, s * np.log(2.0 * q), -s * np.log(np.maximum(2.0 * (1.0 - q), 1e-300)))
-    return s * np.tan(np.pi * (q - 0.5))
+def breakpoints(model: NoiseModel) -> tuple[float, ...]:
+    """x-locations where the density has a kink: the Laplacian's center."""
+    return (0.0,) if model.kind == LAPLACIAN else ()
 
 
 def tail_truncation(model: NoiseModel, mass: float) -> float:

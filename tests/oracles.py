@@ -17,6 +17,9 @@ computes in batches:
   ``estimation.mean_response`` and ``estimation.build_flat_response``
   integrate each band of sigma once over its largest sigma, weighted by the
   band's mixture ratio;
+- ``laplacian_moment`` integrates E f^k(theta + sigma n) under Laplacian
+  noise over the truncated support in mpmath, split at the density's kink
+  and at f's center (the package integrates in double precision);
 - ``af_estimate`` is the amplify-and-forward estimate of one trial (the
   harness forms it for whole blocks);
 - ``unbounded_cells`` stands in for ``kernels.cell_bounds`` with tables
@@ -33,6 +36,7 @@ import csv
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.special import ndtri
 
@@ -264,6 +268,25 @@ def scalar_mesh_is_valid(setup, flat, sigmas, shares, thetas, spec=DEFAULT_QUADR
         if abs(value - exact) > 1e-9 * max(1.0, abs(exact)):
             return False
     return True
+
+
+# Each curve in mpmath, for the reference moments.
+_MP_CURVES = {
+    tx.TANH: lambda f, x: mpmath.tanh(f.omega * x),
+    tx.RATIONAL: lambda f, x: f.omega * x / (1 + abs(f.omega * x)),
+    tx.LINEAR: lambda f, x: f.alpha * x,
+}
+
+
+def laplacian_moment(f: tx.TransmitFunction, scale: float, sigma: float, theta: float, power: int, t: float) -> float:
+    """integral over [-t, t] of f(theta + sigma n)^power p(n) dn for the
+    Laplacian density p of ``scale``, at 30 digits, with the interval split
+    at n = 0 (p's kink) and n = -theta / sigma (f's center)."""
+    curve = _MP_CURVES[f.kind]
+    with mpmath.workdps(30):
+        points = sorted({-t, t, *(p for p in (0.0, -theta / sigma) if -t < p < t)})
+        p = lambda n: mpmath.exp(-abs(n) / scale) / (2 * scale)
+        return float(mpmath.quad(lambda n: curve(f, theta + sigma * n) ** power * p(n), points))
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:

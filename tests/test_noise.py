@@ -114,6 +114,31 @@ class TestTailTruncation:
             noise.tail_truncation(noise.gaussian(1.0), 1.0)
 
 
+class TestInverseCdf:
+    """``transform_uniforms`` is the one inverse CDF: the sampler and the
+    probability-space response mesh both map uniforms through it."""
+
+    TAIL = np.geomspace(5e-13, 0.4, 200)
+    V = np.concatenate([TAIL, [0.5], 1.0 - TAIL[::-1]])
+
+    @pytest.mark.parametrize("model", MODELS[1::2], ids=lambda m: m.kind)
+    def test_inverts_the_cdf_from_tail_to_tail(self, model):
+        """Strictly increasing, n(1/2) = 0 and |cdf(n(v)) - v| within two
+        ulps of 1 for v from 5e-13 to 1 - 5e-13, both tails geometric."""
+        assert np.all(np.diff(self.V) > 0.0)
+        n = noise.transform_uniforms(model, self.V)
+        assert np.all(np.diff(n) > 0.0)
+        assert n[self.TAIL.size] == 0.0
+        assert np.max(np.abs(noise.cdf(model, n) - self.V)) <= 4.4e-16
+
+
+class TestBreakpoints:
+    def test_only_the_laplacian_density_has_a_kink(self):
+        assert noise.breakpoints(noise.laplacian(2.5)) == (0.0,)
+        assert noise.breakpoints(noise.gaussian(0.4)) == ()
+        assert noise.breakpoints(noise.cauchy(0.7)) == ()
+
+
 class TestSampler:
     def test_count_zero(self):
         out = sample(noise.gaussian(1.0), RngStream(1, 0), 0)

@@ -25,16 +25,16 @@ def test_changes_md_pins_every_preset():
     assert len(PRESETS) == 9
 
 
-def test_first_pair_per_preset_wins(tmp_path):
+def test_last_pair_per_preset_wins(tmp_path):
     first, later, other = "a" * 64, "b" * 64, "c" * 64
     text = (
         f"fig2 {first} pinned first.\n"
         f"Later: fig2 {later}, fig4 {other}.\n"
-        f"Not a preset: xfig2 {later}, fig2-large {later}; too short: fig5 {'d' * 63}.\n"
+        f"Not a preset: xfig2 {first}, fig2-large {first}; too short: fig5 {'d' * 63}.\n"
     )
     path = tmp_path / "CHANGES.md"
     path.write_text(text, encoding="utf-8")
-    assert _tool().pinned_hashes(["fig2", "fig4", "fig5"], str(path)) == {"fig2": first, "fig4": other}
+    assert _tool().pinned_hashes(["fig2", "fig4", "fig5"], str(path)) == {"fig2": later, "fig4": other}
 
 
 def test_summary_puts_wall_seconds_next_to_each_hash():

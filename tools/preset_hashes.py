@@ -9,8 +9,8 @@ macfusion run <preset>`` with ``src/`` of this checkout first on
 ``PYTHONPATH``, once per preset and worker count, so a numpy overflow or
 invalid-value warning fails the run as it fails a test, and compares the
 SHA-256 of each CSV with the hash pinned in ``CHANGES.md``: for each
-preset, the first ``<preset> <64 hex digits>`` pair in that file (the
-entry that pinned all nine). Prints one line per run, with its wall
+preset, the last ``<preset> <64 hex digits>`` pair in that file, so the
+latest entry that re-pins a preset wins. Prints one line per run, with its wall
 seconds, and its CPU seconds (user plus system), peak RSS, minor page
 faults and voluntary context switches (from ``os.wait4``; at two workers
 most of the switches are threads waiting for the GIL), then a table of
@@ -38,14 +38,11 @@ CHANGES = os.path.join(ROOT, "CHANGES.md")
 
 
 def pinned_hashes(presets, path=CHANGES) -> dict:
-    """The first hash given for each preset in ``path``."""
+    """The last hash given for each preset in ``path``."""
     with open(path, encoding="utf-8") as f:
         text = f.read()
     names = "|".join(re.escape(name) for name in presets)
-    pinned = {}
-    for name, digest in re.findall(rf"(?<![\w-])({names}) ([0-9a-f]{{64}})\b", text):
-        pinned.setdefault(name, digest)
-    return pinned
+    return dict(re.findall(rf"(?<![\w-])({names}) ([0-9a-f]{{64}})\b", text))
 
 
 def run_preset(name: str, workers: int, out_dir: str) -> tuple[str | None, float, float, float, int, int]:
