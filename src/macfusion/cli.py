@@ -237,7 +237,7 @@ _COMMON_OPTIONAL = {"experiment_id", "output", "quadrature"}
 _CHANNEL = {"theta", "noise", "total_power", "channel_noise_var"}
 _DEFAULT_SIGMAS = {"kind": "constant", "sigma": 1.0}
 _DEFAULT_OMEGA_SEARCH = {"lo": 0.05, "hi": 8.0, "points": 64}
-# Largest |theta|: beyond it theta +- the response mesh's probe span is no
+# Largest |theta|: beyond it theta +- the response series' probe span is no
 # longer resolved in float64, and L * theta**2 (the AF power) overflows.
 _THETA_LIMIT = 1e15
 

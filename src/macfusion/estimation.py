@@ -13,10 +13,10 @@ reported to the caller.
 h_L sums one adaptive quadrature over n per band of sigma within a factor
 of 4 (``mean_response``); ``g_moment`` gives the per-sigma moments
 E[f^k(theta + sigma n)] where each sigma's own value is needed. The
-estimator inverts whole target arrays at once: h_L is frozen once per setup
-into flat node/weight arrays, one mesh per band, checked against the band's
-quadrature at 13 thetas, and the targets are solved in a kernel, each
-seeded by an inverse cubic through a 129-point monotone response grid.
+estimator inverts whole target arrays at once, on a Chebyshev series of h_L
+fitted to that band quadrature over the targets' theta range and chopped at
+1e-13 (``FlatResponse``); a kernel solves each target on the series by
+Newton steps from a 513-point monotone seed grid.
 
 Memory does not grow with L for a constant sigma sequence: ``resolve``
 returns one value broadcast to L entries, ``distinct`` skips the sort, and
@@ -34,15 +34,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels, transmit as tx
-from .noise import MAX_SCALE, MIN_SCALE, NoiseModel, breakpoints, cdf, nominal_variance, pdf, transform_uniforms
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    NumericsError,
-    QuadratureSpec,
-    adaptive_quadrature,
-    expect,
-    fixed_mesh_nodes,
-)
+from .noise import MAX_SCALE, MIN_SCALE, NoiseModel, breakpoints, nominal_variance, pdf
+# adaptive_quadrature stays bound here: perfbench/tracer.py wraps it at this module.
+from .numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec, adaptive_quadrature, expect  # noqa: F401
 
 CONSTANT = "constant"
 EXPLICIT_LIST = "explicit_list"
@@ -286,20 +280,23 @@ def _mixture_ratio(noise: NoiseModel, sigmas: np.ndarray, shares: np.ndarray):
     return ratio
 
 
-def _band_responses(setup: EstimationSetup, theta, spec: QuadratureSpec):
-    """(sigmas, r, share of h_L) of each band (``_sigma_bands``): the share
-    E[f(theta + s n) r(n)], s the band's largest sigma and r its
-    ``_mixture_ratio``, is one quadrature (one value per entry of an array
-    ``theta``) with the ``_moment_breakpoints`` of s at every theta."""
+def _band_responses(setup: EstimationSetup, theta, spec: QuadratureSpec, mass: bool = False):
+    """The share of h_L of each band (``_sigma_bands``): E[f(theta + s n) r(n)],
+    s the band's largest sigma and r its ``_mixture_ratio``, is one
+    quadrature (one value per entry of an array ``theta``) with the
+    ``_moment_breakpoints`` of s at every theta. With ``mass`` (an array
+    ``theta``) E[r(n)], the band's share of the truncated mass, follows as
+    one more component."""
     f = setup.transmit
     for sigmas, shares in _sigma_bands(*setup.sigma_shares()):
         s, ratio = float(sigmas[-1]), _mixture_ratio(setup.noise, sigmas, shares)
-        yield sigmas, ratio, expect(
+        rows = lambda n: kernels.eval_transmit(f, x=np.add.outer(theta, s * n))
+        yield expect(
             setup.noise,
-            lambda n: kernels.eval_transmit(f, x=np.add.outer(theta, s * n)) * ratio(n),
+            lambda n: (np.vstack([rows(n), np.ones(n.size)]) if mass else rows(n)) * ratio(n),
             spec,
             breakpoints=_moment_breakpoints(setup.noise, f, (s,), theta),
-            context=f"the mean response at {_sigma_label(sigmas)}, theta={'each check theta' if np.ndim(theta) else theta}",
+            context=f"the mean response at {_sigma_label(sigmas)}, theta={'each theta' if np.ndim(theta) else theta}",
         )
 
 
@@ -307,18 +304,13 @@ def mean_response(setup: EstimationSetup, theta: float, spec: QuadratureSpec = D
     """h_L(theta), one quadrature per band of sigma (``_band_responses``). A
     constant sequence is one band with mixture ratio 1.0, so the result is
     bit-identical to ``g_moment(noise, f, sigma, theta, 1)`` for every L."""
-    return math.fsum(share for _, _, share in _band_responses(setup, float(theta), spec))
+    return math.fsum(_band_responses(setup, float(theta), spec))
 
 
 CLAMP_MARGIN = 1e-9
 
-# Points of the response grid that seeds the inversion. Cubic seeds from it
-# are close enough for a Newton and a false-position step to finish; a finer
-# grid costs more response evaluations than it saves.
-SEED_GRID_POINTS = 129
-
 # Targets ``FlatResponse.invert`` hands the kernel per call: its working set,
-# about 30 doubles per target, stays near one draw block.
+# about 20 doubles per target, stays near one draw block.
 INVERT_CHUNK = 2048
 
 
@@ -395,203 +387,163 @@ def af_gain(setup: EstimationSetup) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Flat-node fast path
+# Chebyshev series of h_L
 # ---------------------------------------------------------------------------
 
 
 class MeshValidationError(NumericsError):
-    """The frozen quadrature mesh failed to reproduce the adaptive answer."""
+    """A Chebyshev fit of h_L did not chop within ``MAX_DEGREE``."""
+
+
+# Degree of the coarse series and of a fine fit's first try; the fine fit
+# doubles it until its last three coefficients fall below CHOP_TOL *
+# max(1, |h|). FIT_CHUNK sample thetas share one band quadrature, whose
+# mesh resolves each one's kinks: 64 thetas of the signed power hit the
+# subdivision cap.
+FIT_DEGREE = 16
+CHOP_TOL = 1e-13
+MAX_DEGREE = 1024
+FIT_CHUNK = FIT_DEGREE + 1
+
+
+def _response(setup: EstimationSetup, thetas: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """h_L at every theta, summed over ``_band_responses`` of FIT_CHUNK thetas."""
+    chunks = (thetas[i : i + FIT_CHUNK] for i in range(0, thetas.size, FIT_CHUNK))
+    return np.array([math.fsum(values) for chunk in chunks for values in zip(*_band_responses(setup, chunk, spec))])
+
+
+def _chebyshev_points(lo: float, hi: float, n: int) -> np.ndarray:
+    """The n + 1 Chebyshev points of the second kind on [lo, hi], ascending,
+    with exact ends; those of n are every other point of 2n's."""
+    x = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * np.arange(n + 1) / n)
+    x[0], x[-1] = lo, hi
+    return x
+
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients of the series through ``values`` at ascending
+    ``_chebyshev_points``, from the FFT of their even extension."""
+    v = values[::-1]
+    c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / (v.size - 1)
+    c[[0, -1]] *= 0.5
+    return c
+
+
+def _fit(setup: EstimationSetup, lo: float, hi: float, spec: QuadratureSpec):
+    """(coefficients, h(lo), h(hi)) of h_L's series on [lo, hi] through the
+    band quadrature at Chebyshev points, its degree doubled from
+    ``FIT_DEGREE`` (sampling only the new points) until it chops (Aurentz
+    and Trefethen, ACM TOMS 43, 2017). h_L convolves f with the noise
+    density, so between the kinks ``_fit_span`` splits at its coefficients
+    fall geometrically."""
+    n, h = FIT_DEGREE, _response(setup, _chebyshev_points(lo, hi, FIT_DEGREE), spec)
+    while True:
+        c = _chebyshev_coefficients(h)
+        tail, tol = float(np.max(np.abs(c[-3:]))), CHOP_TOL * max(1.0, float(np.max(np.abs(h))))
+        if tail <= tol:
+            return c, float(h[0]), float(h[-1])
+        if n >= MAX_DEGREE:
+            message = f"the mean response's series on theta in [{lo!r}, {hi!r}] did not chop within degree {n}"
+            raise MeshValidationError(f"{message}: its last coefficients reach {tail:.3g} > {tol:.3g}")
+        n *= 2
+        h = np.insert(h, np.arange(1, h.size), _response(setup, _chebyshev_points(lo, hi, n)[1::2], spec))
+
+
+def _fit_span(setup: EstimationSetup, lo: float, hi: float, spec: QuadratureSpec) -> list:
+    """[(lo_k, hi_k, coefficients, h(lo_k), h(hi_k))] of the ``_fit`` pieces
+    of [lo, hi], split where a kink b of f meets a density's kink at n = 0
+    (Laplacian): at theta = b the quantizer's h_L has a jump in h'', and one
+    series across several stalled at degree 512."""
+    kinks = tx.breakpoints(setup.transmit) if breakpoints(setup.noise) else ()
+    cuts = [lo, *sorted(b for b in kinks if lo < b < hi), hi]
+    return [(a, b, *_fit(setup, a, b, spec)) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 @dataclass(frozen=True)
 class FlatResponse:
-    """h_L frozen into flat shifted-node/weight arrays.
+    """h_L of one setup for batched inversion: ``coarse`` is the series
+    through h_L at ``nodes``, Chebyshev points over the probe span, and only
+    locates targets; ``invert`` fits the fine series it solves on."""
 
-    h(theta) = sum_j weights[j] * f(theta + nodes[j]) for the setup's
-    transmit curve ``f``; the nodes of each sigma band are those of its
-    largest sigma, and the weights absorb the probability measure and the
-    band's mixture ratio, so evaluation and batched inversion reduce to
-    kernel calls.
-    """
-
+    setup: EstimationSetup
+    spec: QuadratureSpec
     nodes: np.ndarray
-    weights: np.ndarray
-    f: tx.TransmitFunction
-    # sup |h|: bound(f) times the weight sum, which falls short of 1 by the
-    # truncated tail mass; math.inf for unbounded kinds.
+    coarse: np.ndarray
+    # sup |f| times the band quadrature of the constant 1, which falls short
+    # of 1 by the truncated tail mass; math.inf for unbounded kinds.
     limit: float
 
-    def eval(self, theta) -> np.ndarray:
-        return kernels.eval_response(self.nodes, self.weights, self.f, theta)
-
-    def eval_one(self, theta: float) -> float:
-        return float(self.eval(np.array([theta]))[0])
-
-    def _walk(self, x: float, width: float, step: float, target: float):
-        """Step from x by doubling widths, downward (step -1) or upward (+1).
-
-        Stops at the first point whose response passes ``target`` (below it
-        going down, above it going up). Returns the points stepped to,
-        their responses and the last width.
-        """
-        xs, hs = [], []
-        h = self.eval_one(x)
-        while step * h <= step * target:
+    def fit(self, t_min: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+        """(edges, coefficient rows) of a piecewise series of h_L whose end
+        values bracket [t_min, t_max]: over the span from the values' cells
+        in a 129-point grid on the coarse series, plus 5% of its width at
+        each end (``_fit_span``), and while h at an end misses its value, a
+        piece of twice the last width beyond that end."""
+        span = self.nodes[[0, -1]]
+        grid = np.linspace(span[0], span[1], 129)
+        grid_h = np.maximum.accumulate(kernels.eval_series(self.coarse[None, :], span, grid))
+        i, j = np.clip(np.searchsorted(grid_h, [t_min, t_max]), 1, grid.size - 1)
+        lo, hi = grid[i - 1], grid[j]
+        pad, width = 0.05 * (hi - lo), 1.1 * (hi - lo)
+        pieces = _fit_span(self.setup, lo - pad, hi + pad, self.spec)
+        while pieces[0][3] > t_min or pieces[-1][4] < t_max:
             width *= 2.0
-            x += step * width
-            if abs(x) > 1e18:
-                where = "above -1e18 brings h below" if step < 0 else "below 1e18 brings h above"
-                raise NumericsError(f"inverting the mean response: no theta {where} the target {target!r}")
-            h = self.eval_one(x)
-            xs.append(x)
-            hs.append(h)
-        return xs, hs, width
+            if width > 1e18:
+                raise NumericsError(f"no theta within 1e18 brings the mean response to [{t_min!r}, {t_max!r}]")
+            if pieces[0][3] > t_min:
+                pieces[:0] = _fit_span(self.setup, pieces[0][0] - width, pieces[0][0], self.spec)
+            else:
+                pieces += _fit_span(self.setup, pieces[-1][1], pieces[-1][1] + width, self.spec)
+        coefs = np.array([np.pad(c, (0, max(p[2].size for p in pieces) - c.size)) for _, _, c, _, _ in pieces])
+        return np.array([p[0] for p in pieces] + [pieces[-1][1]]), coefs
 
     def invert(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Invert an array of targets; returns (thetas, clamp mask).
 
-        The seed grid spans the unclamped targets only. The clamp values
-        (at most two) sit far out on a saturating response; their brackets
-        come from continuing the doubling walk beyond the grid ends, whose
-        points extend the grid, so they do not stretch its cells.
-
-        One seed grid serves every target; the kernel then solves
-        ``INVERT_CHUNK`` targets at a time, so besides the two returned
-        arrays only one chunk's working set is held. A target's iteration
-        depends on its own values alone, so the thetas do not depend on the
-        chunk size.
+        A target within ``CLAMP_MARGIN`` of -+limit solves h_L = -+(limit -
+        margin) on ``mean_response`` itself (``_root``). The rest go to
+        ``kernels.invert_h_targets`` on one fine series (``fit``),
+        ``INVERT_CHUNK`` at a time, so only one chunk's working set is held
+        besides the results, which do not depend on the chunk size.
         """
-        targets = np.asarray(targets, dtype=np.float64)
-        clamped = np.zeros(targets.shape, dtype=bool)
-        lo_t, hi_t = -math.inf, math.inf
-        if math.isfinite(self.limit):
-            lo_t, hi_t = -self.limit + CLAMP_MARGIN, self.limit - CLAMP_MARGIN
-            clamped = (targets <= lo_t) | (targets >= hi_t)
-        inner = ~clamped
-        t_min = float(np.min(targets, initial=math.inf, where=inner))
-        t_max = float(np.max(targets, initial=-math.inf, where=inner))
-        below, _, width = self._walk(-1.0, 2.0, -1.0, t_min)
-        above, _, width = self._walk(1.0, width, 1.0, t_max)
-        lo = below[-1] if below else -1.0
-        hi = above[-1] if above else 1.0
-        # The grid only seeds each target's bracket; the kernel iterates every
-        # target to convergence.
-        grid_x = [np.linspace(lo, hi, SEED_GRID_POINTS)]
-        grid_h = [self.eval(grid_x[0])]
-        if (clamped & (targets < 0.0)).any():
-            xs, hs, _ = self._walk(lo, width, -1.0, lo_t)
-            grid_x.insert(0, xs[::-1])
-            grid_h.insert(0, hs[::-1])
-        if (clamped & (targets > 0.0)).any():
-            xs, hs, _ = self._walk(hi, width, 1.0, hi_t)
-            grid_x.append(xs)
-            grid_h.append(hs)
-        # Enforce nondecreasing grid values; saturation plateaus can wiggle
-        # at machine precision and searchsorted needs sorted input.
-        grid_h = np.maximum.accumulate(np.concatenate(grid_h))
-        grid_x = np.concatenate(grid_x)
-        thetas = np.empty(targets.shape)
-        flat_targets, flat_thetas = targets.reshape(-1), thetas.reshape(-1)
-        for start in range(0, flat_targets.size, INVERT_CHUNK):
-            chunk = np.clip(flat_targets[start : start + INVERT_CHUNK], lo_t, hi_t)
-            flat_thetas[start : start + INVERT_CHUNK] = kernels.invert_h_targets(
-                self.nodes, self.weights, self.f, targets=chunk, grid_x=grid_x, grid_h=grid_h
-            )
-        return thetas, clamped
+        shape, targets = np.shape(targets), np.asarray(targets, dtype=np.float64).reshape(-1)
+        bound = self.limit - CLAMP_MARGIN
+        clamped = (targets <= -bound) | (targets >= bound)
+        thetas, inner = np.empty(targets.shape), ~clamped
+        if inner.any():
+            t_min = np.min(targets, where=inner, initial=math.inf)
+            edges, coefs = self.fit(t_min, np.max(targets, where=inner, initial=-math.inf))
+            for chunk in (slice(i, i + INVERT_CHUNK) for i in range(0, targets.size, INVERT_CHUNK)):
+                solve = inner[chunk]
+                thetas[chunk][solve] = kernels.invert_h_targets(coefs, edges, targets=targets[chunk][solve])
+        for side, value in ((targets <= -bound, -bound), (targets >= bound, bound)):
+            if side.any():
+                thetas[side] = self._root(value)
+        return thetas.reshape(shape), clamped.reshape(shape)
 
-
-def _probability_mesh(noise: NoiseModel, f: tx.TransmitFunction, sigma: float, ratio, probes, spec: QuadratureSpec):
-    """Adaptive mesh edges in probability space for a band's share of h_L.
-
-    Integrating in v with n = Q(v), Q the sampler's inverse CDF
-    ``transform_uniforms``, turns the truncated expectation over the band's
-    largest scale ``sigma`` into integral_{d}^{1-d} f(theta + sigma Q(v))
-    r(Q(v)) dv, r its ``_mixture_ratio``, with every probe's
-    ``_moment_breakpoints`` mapped to v by the CDF; the mesh stays compact
-    for heavy-tailed noise. One adaptive pass on the summed probe integrand
-    resolves every probe's transition, so a single mesh serves the whole
-    inversion bracket. The constant offset keeps the total away from zero
-    without touching the panel error estimates, so the relative tolerance
-    stays meaningful for odd integrands.
-    """
-    d = 0.5 * spec.tail_mass
-    offset = 2.0 * probes.size
-
-    def integrand(v):
-        n = transform_uniforms(noise, v)
-        q = sigma * n
-        acc = np.full(q.shape, offset)
-        for theta in probes:
-            acc = acc + kernels.eval_transmit(f, x=theta + q)
-        return acc * ratio(n)
-
-    _, _, edges = adaptive_quadrature(
-        integrand,
-        d,
-        1.0 - d,
-        rel_tol=spec.rel_tol,
-        abs_tol=spec.abs_tol,
-        breakpoints=cdf(noise, _moment_breakpoints(noise, f, (sigma,), probes)),
-        max_subdivisions=spec.max_subdivisions,
-        context=f"probability-space response mesh at sigma={sigma}",
-    )
-    return edges
-
-
-def _probes(setup: EstimationSetup) -> np.ndarray:
-    """The seven probe thetas of the response mesh, evenly spread over
-    theta +- 6 * max(1, transition width)."""
-    pad = 6.0 * max(1.0, _transition_width(setup.transmit))
-    return np.linspace(setup.theta - pad, setup.theta + pad, 7)
+    def _root(self, target: float) -> float:
+        """theta with ``mean_response`` = target: steps from the setup's theta,
+        each four times the last, until one passes the target, then bisection
+        of that step until no float lies strictly inside."""
+        g = lambda theta: mean_response(self.setup, theta, self.spec) - target
+        x = self.setup.theta
+        y = x + (1.0 if g(x) < 0.0 else -1.0)
+        while (y > x) == (g(y) < 0.0):
+            x, y = y, y + 4.0 * (y - x)
+            if abs(y) > 1e18:
+                raise NumericsError(f"no theta within 1e18 brings the mean response to {target!r}")
+        while x != (m := 0.5 * (x + y)) != y:
+            x, y = (m, y) if (g(m) < 0.0) == (x < y) else (x, m)
+        return m
 
 
 def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FlatResponse:
-    """Freeze h_L into flat arrays and validate against the adaptive path.
-
-    Each band of sigma (``_sigma_bands``) contributes the expectation of
-    f(theta + s n) r(n) over its largest sigma s, r its ``_mixture_ratio``
-    (a lone sigma's share), frozen on one probability-space mesh built from
-    adaptive runs at probe thetas around the true theta. A band's mesh is
-    accepted only if it matches the n-space quadrature that ``mean_response``
-    sums to 1e-9 (relative to max(1, |moment|)) at 13 check thetas; otherwise
-    every panel is halved and the check repeats, at most four times. Mesh
-    and check take their breakpoints from ``_moment_breakpoints``.
-    """
-    f = setup.transmit
-    probes = _probes(setup)
-    check = np.unique(np.concatenate([probes, 0.5 * (probes[:-1] + probes[1:])]))
-    parts = []
-    for sigmas, ratio, exact in _band_responses(setup, check, spec):
-        sigma = float(sigmas[-1])
-        edges = _probability_mesh(setup.noise, f, sigma, ratio, probes, spec)
-        for _ in range(4):
-            v_nodes, v_weights = fixed_mesh_nodes(edges)
-            n = transform_uniforms(setup.noise, v_nodes)
-            nodes, weights = sigma * n, ratio(n) * v_weights
-            worst = _worst_check(kernels.eval_response(nodes, weights, f, check), exact, check)
-            if worst is None:
-                break
-            edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-        else:
-            theta, diff, bound = worst
-            raise MeshValidationError(
-                f"flat response mesh failed validation at {_sigma_label(sigmas)}: worst check at theta={theta!r}, "
-                f"|flat - exact| = {diff:.3g} > bound {bound:.3g}"
-            )
-        parts.append((nodes, weights))
-
-    c = tx.bound(f)
-    nodes, weights = (np.concatenate(arrays) for arrays in zip(*parts))
-    return FlatResponse(nodes=nodes, weights=weights, f=f, limit=math.inf if c is None else c * math.fsum(weights))
-
-
-def _worst_check(flat: np.ndarray, exact: np.ndarray, thetas: np.ndarray):
-    """None if |flat - exact| <= 1e-9 * max(1, |exact|) at every theta;
-    otherwise (theta, |flat - exact|, bound) of the worst failing check."""
-    diff = np.abs(flat - exact)
-    bound = 1e-9 * np.maximum(1.0, np.abs(exact))
-    failed = diff > bound
-    if not failed.any():
-        return None
-    j = int(np.argmax(np.where(failed, diff / bound, -math.inf)))
-    return float(thetas[j]), float(diff[j]), float(bound[j])
+    """The coarse series of h_L over the probe span theta +- 6 * max(1,
+    transition width), and ``limit``: sup |f| times the sum over the bands
+    of E[r(n)], r a band's ``_mixture_ratio``, from the same quadratures."""
+    pad = 6.0 * max(1.0, _transition_width(setup.transmit))
+    nodes = _chebyshev_points(setup.theta - pad, setup.theta + pad, FIT_DEGREE)
+    h = [math.fsum(values) for values in zip(*_band_responses(setup, nodes, spec, mass=True))]
+    c = tx.bound(setup.transmit)
+    limit = math.inf if c is None else c * h[-1]
+    return FlatResponse(setup, spec, nodes, _chebyshev_coefficients(np.array(h[:-1])), limit)

@@ -2,11 +2,11 @@
 
 Three operations dominate simulation runtime: transmit-curve evaluation
 over large draw arrays, per-trial channel sums, and batched inversion of
-the frozen mean-response function (about three response evaluations per
-target, from a cubic seed). ``exact_sums`` is the one definition of the
-simulated channel, on rows of Philox words in the fixed layout its
-docstring gives, so the draws an experiment consumes do not depend on how
-the kernels batch their work.
+the mean response's piecewise Chebyshev series (``invert_h_targets``:
+about three series evaluations per target, from a linear seed).
+``exact_sums`` is the one definition of the simulated channel, on rows of
+Philox words in the fixed layout its docstring gives, so the draws an
+experiment consumes do not depend on how the kernels batch their work.
 
 For detection, ``cell_bounds`` tabulates a sensor's draw pipeline
 f(shift + sigma n(u)) as certified lower and upper bounds over each cell
@@ -24,19 +24,6 @@ chain overwrites ``x`` (the rational curve and the signed power keep one
 scratch array for their second operand). The order of operations is
 fixed, so every entry point gives bit-identical values. ``x`` and
 ``targets`` are keyword-only because ``perfbench/tracer.py`` counts them by name.
-
-The mean response h(theta) = sum_j w_j f(theta + u_j) is evaluated by
-``eval_response`` in tiles of at most ``numerics.DRAW_BLOCK_ELEMENTS``
-theta-node products: a scratch tile is filled with theta + nodes, mapped
-through f in place and reduced against the weights, so the working set
-stays cache-sized however many thetas and nodes there are. The reduction
-is one dot product per row (``np.vecdot``). Its value depends on the row
-alone, not on how many rows share the tile or where they sit in it, so
-h(theta) is a function of theta and the inverted thetas are the same for
-every tile size. A BLAS mat-vec over the whole tile is not: its row
-blocking moves results by an ulp as the tile composition changes. Against
-the untiled mat-vec the inverted thetas differ by an ulp or two, since
-each row is summed in another order.
 """
 
 from __future__ import annotations
@@ -44,6 +31,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from . import noise, numerics, transmit as tx
 
@@ -213,127 +201,63 @@ def exact_sums(setup, sigmas, draw, lead, shift, work, scaled=False):
     return y, scaled_sums, channel
 
 
-def eval_response(nodes: np.ndarray, weights: np.ndarray, f: tx.TransmitFunction, thetas) -> np.ndarray:
-    """sum_j weights[j] * f(theta + nodes[j]) for every theta.
+def eval_series(coefs: np.ndarray, edges: np.ndarray, thetas, piece=None, derivative=False) -> np.ndarray:
+    """The piecewise Chebyshev series (its theta derivative if asked) at each
+    theta: row k of ``coefs`` holds the coefficients on [edges[k],
+    edges[k + 1]] mapped to [-1, 1]. Each theta takes its ``piece`` (found
+    unless given); one outside the edges takes the end piece."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if piece is None:
+        piece = np.clip(np.searchsorted(edges, thetas, side="right") - 1, 0, edges.size - 2)
+    out = np.empty(thetas.shape)
+    for k in np.unique(piece).tolist():
+        on = piece == k
+        lo, hi = edges[k], edges[k + 1]
+        c = chebder(coefs[k]) * (2.0 / (hi - lo)) if derivative else coefs[k]
+        out[on] = chebval((2.0 * thetas[on] - (lo + hi)) / (hi - lo), c)
+    return out
 
-    Works through the thetas in tiles of at most
-    ``numerics.DRAW_BLOCK_ELEMENTS`` theta-node products (one theta per
-    tile if a single row is larger), with one scratch tile per call.
+
+# Points of the monotone grid on the series that seeds every target, and a
+# safety cap on Newton steps: from its seed a target takes about three.
+SEED_POINTS = 513
+_MAX_NEWTON_STEPS = 100
+
+
+def invert_h_targets(coefs: np.ndarray, edges: np.ndarray, *, targets: np.ndarray) -> np.ndarray:
+    """Solve p(theta) = target for each target, p the piecewise Chebyshev
+    series ``coefs`` on ``edges`` (``eval_series``), whose end values must
+    bracket every target.
+
+    A nondecreasing grid of ``SEED_POINTS`` points, spread over the pieces
+    with their edges among them, puts each target in a cell of one piece;
+    linear interpolation there seeds Newton steps on that piece's series,
+    kept inside the bracket the residual signs narrow (bisection where a
+    step would leave it), until a step moves it by at most 4 ulp of
+    max(1, |theta|). A target's iterates depend on its own values alone.
     """
-    thetas = np.asarray(thetas, dtype=np.float64).ravel()
-    rows = max(1, numerics.DRAW_BLOCK_ELEMENTS // nodes.size)
-    h = np.empty(thetas.size)
-    tile = np.empty((min(rows, thetas.size), nodes.size))
-    for start in range(0, thetas.size, rows):
-        stop = min(start + rows, thetas.size)
-        part = tile[: stop - start]
-        np.add(thetas[start:stop, None], nodes, out=part)
-        _curve(f, part, out=part)
-        np.vecdot(part, weights, out=h[start:stop])
-    return h
-
-
-# Safety cap on Illinois steps per target; converged targets leave the
-# iteration long before (three response evaluations from a cubic seed).
-_MAX_ILLINOIS_STEPS = 100
-
-
-def _cubic_seed(grid_x: np.ndarray, grid_h: np.ndarray, idx: np.ndarray, targets: np.ndarray):
-    """Inverse-cubic seeds (theta, dtheta/dh) at the targets, from the grid.
-
-    theta(h) is interpolated through the four grid points around each
-    target's cell [idx - 1, idx]. The seed is NaN where that interpolant is
-    unusable: a seed outside its cell, or a value that is not finite, as
-    repeated grid values make it (they divide by zero).
-    """
-    j = np.clip(idx - 2, 0, grid_x.size - 4) + np.arange(4)[:, None]
-    xs, hs = grid_x[j], grid_h[j]
-    d = targets - hs
-    seed = np.zeros(targets.shape)
-    slope = np.zeros(targets.shape)
-    with np.errstate(all="ignore"):
-        for k in range(4):
-            m0, m1, m2 = (m for m in range(4) if m != k)
-            w = xs[k] / ((hs[k] - hs[m0]) * (hs[k] - hs[m1]) * (hs[k] - hs[m2]))
-            seed += w * d[m0] * d[m1] * d[m2]
-            slope += w * (d[m0] * d[m1] + d[m0] * d[m2] + d[m1] * d[m2])
-    usable = (grid_x[idx - 1] < seed) & (seed < grid_x[idx]) & np.isfinite(slope)
-    return np.where(usable, seed, np.nan), slope
-
-
-def invert_h_targets(
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    f: tx.TransmitFunction,
-    *,
-    targets: np.ndarray,
-    grid_x: np.ndarray,
-    grid_h: np.ndarray,
-) -> np.ndarray:
-    """Solve sum_j w_j f(theta + u_j) = target for each target.
-
-    ``grid_x``/``grid_h`` is a precomputed nondecreasing sampling of the
-    response, of at least four points, that must bracket every target; each
-    solve starts from its grid cell and polishes with a bracketed Illinois
-    false-position iteration, one ``eval_response`` call per step. The first
-    iterate is the inverse-cubic seed of ``_cubic_seed`` (the false-position
-    step where it is unusable). The second is one Newton step past the seed
-    with the cubic's dtheta/dh, scaled by 1 + 1e-4 plus 4 ulp, so it lands
-    just beyond the root and one more step usually finishes. A target stops
-    as soon as its residual is within eps * max(1, |target|), the rounding
-    of h, its iterate stops moving, or its bracket holds no float strictly
-    inside. Every array is float64.
-    """
+    per_piece = max(2, SEED_POINTS // (edges.size - 1))
+    grid_x = np.unique(np.concatenate([np.linspace(a, b, per_piece) for a, b in zip(edges[:-1], edges[1:])]))
+    grid_h = np.maximum.accumulate(eval_series(coefs, edges, grid_x))
     idx = np.clip(np.searchsorted(grid_h, targets, side="left"), 1, grid_x.size - 1)
-    seed, slope = _cubic_seed(grid_x, grid_h, idx, targets)
-    tol = np.finfo(np.float64).eps * np.maximum(1.0, np.abs(targets))
-    lo_x = grid_x[idx - 1]
-    hi_x = grid_x[idx]
-    lo_f = grid_h[idx - 1] - targets
-    hi_f = grid_h[idx] - targets
-    # Latest evaluated iterate of every target; NaN until the first step.
-    x = np.full(targets.shape, np.nan)
-    stuck_lo = np.zeros(targets.shape, dtype=np.int64)
-    stuck_hi = np.zeros(targets.shape, dtype=np.int64)
-    # Indices of the targets still iterating; the bracket arrays and fx
-    # hold only those.
-    active = np.arange(targets.size)
-    for step in range(_MAX_ILLINOIS_STEPS):
-        df = hi_f - lo_f
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = np.where(df > 0.0, lo_x - lo_f * (hi_x - lo_x) / np.where(df > 0.0, df, 1.0), 0.5 * (lo_x + hi_x))
-        if step == 0:
-            x_new = np.where(np.isnan(seed), x_new, seed)
-        elif step == 1:
-            seeded = ~np.isnan(seed[active])
-            newton = -fx * slope[active] * (1.0 + 1e-4)
-            newton += np.copysign(4.0 * np.spacing(np.abs(x[active])), newton)
-            x_new = np.where(seeded, x[active] + newton, x_new)
-        x_new = np.minimum(np.maximum(x_new, lo_x), hi_x)
-        # A target whose update returns its last iterate is converged.
-        moving = x_new != x[active]
-        active, x_new = active[moving], x_new[moving]
-        lo_x, hi_x, lo_f, hi_f = lo_x[moving], hi_x[moving], lo_f[moving], hi_f[moving]
-        stuck_lo, stuck_hi = stuck_lo[moving], stuck_hi[moving]
+    lo, hi = grid_x[idx - 1], grid_x[idx]
+    rise = grid_h[idx] - grid_h[idx - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(rise > 0.0, lo + (targets - grid_h[idx - 1]) / rise * (hi - lo), 0.5 * (lo + hi))
+    x = np.minimum(np.maximum(x, lo), hi)
+    piece = np.clip(np.searchsorted(edges, 0.5 * (lo + hi), side="right") - 1, 0, edges.size - 2)
+    thetas = np.empty(targets.shape)
+    # Indices of the targets still iterating; the other arrays hold only those.
+    active, t = np.arange(targets.size), targets
+    for _ in range(_MAX_NEWTON_STEPS):
         if active.size == 0:
             break
-        x[active] = x_new
-        fx = eval_response(nodes, weights, f, x_new) - targets[active]
-        below = fx < 0.0
-        lo_x = np.where(below, x_new, lo_x)
-        lo_f = np.where(below, fx, lo_f)
-        hi_x = np.where(below, hi_x, x_new)
-        hi_f = np.where(below, hi_f, fx)
-        # Illinois step: halve the retained side's residual when it stalls,
-        # which keeps the false-position update superlinear.
-        stuck_hi = np.where(below, stuck_hi + 1, 0)
-        stuck_lo = np.where(below, 0, stuck_lo + 1)
-        hi_f = np.where(stuck_hi >= 2, 0.5 * hi_f, hi_f)
-        lo_f = np.where(stuck_lo >= 2, 0.5 * lo_f, lo_f)
-        # Also converged: a residual at the rounding level of h, or no float
-        # left strictly inside the bracket.
-        live = (np.abs(fx) > tol[active]) & (np.nextafter(lo_x, hi_x) < hi_x)
-        active, fx = active[live], fx[live]
-        lo_x, hi_x, lo_f, hi_f = lo_x[live], hi_x[live], lo_f[live], hi_f[live]
-        stuck_lo, stuck_hi = stuck_lo[live], stuck_hi[live]
-    return x
+        fx = eval_series(coefs, edges, x, piece) - t
+        lo, hi = np.where(fx < 0.0, x, lo), np.where(fx < 0.0, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - fx / eval_series(coefs, edges, x, piece, derivative=True)
+        live = ~(np.abs(step - x) <= 4.0 * np.spacing(np.maximum(np.abs(x), 1.0)))
+        step = np.where((lo <= step) & (step <= hi) | ~live, step, 0.5 * (lo + hi))
+        thetas[active] = np.minimum(np.maximum(step, lo), hi)
+        active, x, lo, hi, piece, t = active[live], step[live], lo[live], hi[live], piece[live], t[live]
+    return thetas

@@ -1,9 +1,9 @@
 """Symmetric zero-median sensing-noise families.
 
 Three families are built in: Gaussian, Laplacian, and Cauchy. Each exposes
-the exact density, the score -p'(x)/p(x), the CDF, the tail truncation
-point, the density's kinks (quadrature breakpoints), and the inverse CDF
-that maps uniforms to draws and the response mesh's v to n. All densities
+the exact density, the score -p'(x)/p(x), the tail truncation point, the
+density's kinks (quadrature breakpoints), and the inverse CDF that maps
+uniforms to draws. All densities
 are symmetric about zero with support on the whole real line, so every
 family has zero median even when (as for Cauchy) no mean exists.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .transmit import FieldError
 
@@ -87,18 +87,6 @@ def score(model: NoiseModel, x):
     if model.kind == LAPLACIAN:
         return np.sign(x) / s
     return 2.0 * x / (x * x + s * s)
-
-
-def cdf(model: NoiseModel, x):
-    """Cumulative distribution function; vectorized over ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    s = model.scale
-    if model.kind == GAUSSIAN:
-        return ndtr(x / s)
-    if model.kind == LAPLACIAN:
-        z = x / s
-        return np.where(z < 0.0, 0.5 * np.exp(np.minimum(z, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(z, 0.0)))
-    return 0.5 + np.arctan(x / s) / np.pi
 
 
 def breakpoints(model: NoiseModel) -> tuple[float, ...]:

@@ -6,7 +6,7 @@ mass m keeps the error certifiable for the bounded integrands used
 throughout: |error| <= sup|g| * m. The refinement loop is round-based and
 evaluates every pending panel in one vectorized call. An integrand may
 return several components at once (for example one per distinct
-per-sensor reliability and per check theta); they share one mesh, which is
+per-sensor reliability and per sample theta); they share one mesh, which is
 refined until every component meets its own tolerance. Each round decides
 convergence and which panels to split from numpy row sums of the
 (components, panels) arrays; only the value and error bound of the final
@@ -170,7 +170,7 @@ def adaptive_quadrature(
     integrands never straddle a panel. Returns ``(value, error_bound,
     edges)``, where value and error bound are floats for a scalar integrand
     and arrays over components otherwise, and ``edges`` is the final sorted
-    mesh (useful for building fixed-node re-evaluations).
+    mesh.
     """
     if not b > a:
         raise ValueError("integration interval requires b > a")
@@ -223,21 +223,6 @@ def adaptive_quadrature(
         lefts, rights = new_lefts, new_rights
         vals = np.concatenate([vals.compress(keep, axis=-1), ref_vals], axis=-1)
         errs = np.concatenate([errs.compress(keep, axis=-1), ref_errs], axis=-1)
-
-
-def fixed_mesh_nodes(edges: np.ndarray):
-    """K15 nodes and weights for a fixed mesh given by sorted ``edges``.
-
-    ``sum(w * fun(x))`` reproduces the adaptive result on the mesh the
-    adaptive pass converged to, but as a single weighted dot product.
-    """
-    edges = np.asarray(edges, dtype=np.float64)
-    lefts, rights = edges[:-1], edges[1:]
-    centers = 0.5 * (lefts + rights)
-    half = 0.5 * (rights - lefts)
-    x = (centers[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    w = (half[:, None] * _KW[None, :]).ravel()
-    return x, w
 
 
 def expect(

@@ -7,16 +7,14 @@ computes in batches:
   pipeline (the harness draws whole blocks of trials);
 - ``sample`` draws noise values one request at a time;
 - ``estimate`` and ``estimate_info`` invert the adaptive mean response with
-  Brent's method, one target at a time (the estimator inverts a frozen
-  response in batches);
+  Brent's method, one target at a time (the estimator inverts a Chebyshev
+  series of it in batches);
 - ``invert_monotone`` and ``InversionRangeError`` are that scalar solver;
 - ``split_stream`` derives a child stream;
 - ``per_sigma_response`` sums h_L over the per-sigma moments, one
-  quadrature per group of 64 sigma, and ``scalar_mesh_is_valid`` checks a
-  band's frozen response against them at each check theta, where
-  ``estimation.mean_response`` and ``estimation.build_flat_response``
-  integrate each band of sigma once over its largest sigma, weighted by the
-  band's mixture ratio;
+  quadrature per group of 64 sigma, where ``estimation.mean_response`` and
+  ``estimation.build_flat_response`` integrate each band of sigma once over
+  its largest sigma, weighted by the band's mixture ratio;
 - ``laplacian_moment`` integrates E f^k(theta + sigma n) under Laplacian
   noise over the truncated support in mpmath, split at the density's kink
   and at f's center (the package integrates in double precision);
@@ -24,6 +22,9 @@ computes in batches:
   harness forms it for whole blocks);
 - ``unbounded_cells`` stands in for ``kernels.cell_bounds`` with tables
   that bound nothing, so every detection trial takes the exact path;
+- ``cdf`` is a noise model's cumulative distribution function, and
+  ``fixed_mesh_nodes`` the K15 nodes and weights of a fixed quadrature mesh
+  (the package integrates adaptively);
 - ``eval_fn`` evaluates a transmit curve on scalars or arrays of any shape,
   ``from_variance`` builds a noise model of a given variance,
   ``read_csv`` reads the CLI's CSV back, and ``clear_moment_cache`` empties
@@ -38,10 +39,10 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from macfusion import estimation as est
-from macfusion import kernels, transmit as tx
+from macfusion import kernels, numerics, transmit as tx
 from macfusion.noise import CAUCHY, GAUSSIAN, LAPLACIAN, NoiseModel, transform_uniforms
 from macfusion.numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec, RngStream, words_to_uniforms
 
@@ -67,6 +68,31 @@ def from_variance(kind: str, target_variance: float) -> NoiseModel:
     if kind == CAUCHY:
         return NoiseModel(kind, root)
     raise ValueError(f"unknown noise kind {kind!r}")
+
+
+def cdf(model: NoiseModel, x):
+    """Cumulative distribution function; vectorized over ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    s = model.scale
+    if model.kind == GAUSSIAN:
+        return ndtr(x / s)
+    if model.kind == LAPLACIAN:
+        z = x / s
+        return np.where(z < 0.0, 0.5 * np.exp(np.minimum(z, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(z, 0.0)))
+    return 0.5 + np.arctan(x / s) / np.pi
+
+
+def fixed_mesh_nodes(edges: np.ndarray):
+    """K15 nodes and weights for a fixed mesh given by sorted ``edges``:
+    ``sum(w * fun(x))`` reproduces the adaptive result on the mesh
+    ``numerics.adaptive_quadrature`` converged to."""
+    edges = np.asarray(edges, dtype=np.float64)
+    lefts, rights = edges[:-1], edges[1:]
+    centers = 0.5 * (lefts + rights)
+    half = 0.5 * (rights - lefts)
+    x = (centers[:, None] + half[:, None] * numerics._NODES[None, :]).ravel()
+    w = (half[:, None] * numerics._KW[None, :]).ravel()
+    return x, w
 
 
 def unbounded_cells(nodes, f, scale, shift, out=None):
@@ -243,7 +269,7 @@ def estimate(setup: est.EstimationSetup, received_z: float, spec: QuadratureSpec
 
 
 # ---------------------------------------------------------------------------
-# moment memo, frozen-mesh check and CSV reader
+# moment memo, per-sigma response and CSV reader
 # ---------------------------------------------------------------------------
 
 
@@ -257,17 +283,6 @@ def per_sigma_response(setup: est.EstimationSetup, theta: float, spec: Quadratur
     ``MOMENT_GROUP`` sigma)."""
     values, shares = setup.sigma_shares()
     return math.fsum(shares * est.g_moment(setup.noise, setup.transmit, values, float(theta), 1, spec))
-
-
-def scalar_mesh_is_valid(setup, flat, sigmas, shares, thetas, spec=DEFAULT_QUADRATURE) -> bool:
-    """The check of one band's frozen response values ``flat`` at ``thetas``
-    against the per-sigma moments: one scalar-theta quadrature per check
-    theta and group of sigma."""
-    for theta, value in zip(thetas, flat):
-        exact = math.fsum(shares * est.g_moment(setup.noise, setup.transmit, sigmas, float(theta), 1, spec))
-        if abs(value - exact) > 1e-9 * max(1.0, abs(exact)):
-            return False
-    return True
 
 
 # Each curve in mpmath, for the reference moments.

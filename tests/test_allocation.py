@@ -3,8 +3,8 @@
 numpy reports its array buffers to ``tracemalloc``, so the traced peak of a
 call bounds the memory its temporaries took. The budget is a few draw
 blocks (``numerics.DRAW_BLOCK_ELEMENTS`` doubles each) on top of the
-arrays the call returns; untiled inversion on this mesh peaked at about
-126 blocks.
+arrays the call returns; untiled inversion on a frozen node mesh peaked
+at about 126 blocks.
 """
 
 import gc
@@ -13,7 +13,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from macfusion import detection as det
 from macfusion import estimation as est
@@ -36,32 +35,32 @@ def _traced_peak(fn):
 
 
 @pytest.fixture(scope="module")
-def rational_mesh():
-    """fig4's rational omega=3 point: about 5,000 nodes at L=500."""
+def rational_response():
+    """fig4's rational omega=3 point at L=500, with its targets."""
     setup = est.EstimationSetup(1.0, 500, est.constant_sigmas(1.0), noise.gaussian(1.0), tx.rational_fn(3.0), 10.0, 1.0)
     flat = est.build_flat_response(setup)
     targets = harness.run_signal_statistics(setup, 400, 3)["z_targets"]
     return flat, targets
 
 
-def test_inversion_peak_stays_within_a_few_blocks(rational_mesh):
-    flat, targets = rational_mesh
-    assert flat.nodes.size > 4000
+def test_inversion_peak_stays_within_a_few_blocks(rational_response):
+    """The fine fit's band quadratures and the kernel's chunk together."""
+    flat, targets = rational_response
     (thetas, clamped), peak = _traced_peak(lambda: flat.invert(targets))
     outputs = thetas.nbytes + clamped.nbytes
     assert peak - outputs <= 3 * _block_bytes()
 
 
 def test_inversion_of_many_targets_holds_one_chunk():
-    """10**5 targets on a 30-node tanh response (two of them clamped).
+    """10**5 targets on a tanh response (two of them clamped).
 
-    One seed grid serves every target and the kernel solves them
+    One fine series serves every target and the kernel solves them
     ``estimation.INVERT_CHUNK`` at a time, so besides the returned thetas
     and clamp mask only one chunk's working set is held; whole-array
     inversion held about 23 target-length arrays (35 blocks here).
     """
-    v, w = numerics.fixed_mesh_nodes(np.linspace(1e-6, 1.0 - 1e-6, 3))
-    flat = est.FlatResponse(nodes=ndtri(v), weights=w, f=tx.tanh_fn(1.0), limit=float(w.sum()))
+    setup = est.EstimationSetup(1.0, 20, est.constant_sigmas(1.0), noise.gaussian(1.0), tx.tanh_fn(1.0), 10.0, 1.0)
+    flat = est.build_flat_response(setup)
     targets = np.random.default_rng(1).uniform(-0.95, 0.95, 10**5) * flat.limit
     targets[:2] = [-1.0, 1.0]
     (thetas, clamped), peak = _traced_peak(lambda: flat.invert(targets))
@@ -205,17 +204,18 @@ def test_estimation_point_holds_two_trial_length_arrays():
 
 
 def test_sqrt_growth_response_build_holds_a_few_blocks():
-    """The flat response of 10**4 sqrt-growth sensors under Cauchy noise.
+    """The response of 10**4 sqrt-growth sensors under Cauchy noise.
 
-    One mesh per band of sigma: its mixture ratio sums the band's densities
-    in cache-sized pieces of sigma, so the build holds a few blocks besides
-    the returned nodes and weights. One mesh per distinct sigma stacked
-    about 4 million nodes and copied them to concatenate.
+    One quadrature per band of sigma: its mixture ratio sums the band's
+    densities in cache-sized pieces of sigma, so the build holds a few
+    blocks besides the returned samples and coefficients. One frozen mesh
+    per distinct sigma stacked about 4 million nodes and copied them to
+    concatenate.
     """
     setup = est.EstimationSetup(1.0, 10**4, est.sqrt_growth_sigmas(1.0), noise.cauchy(1.0), tx.tanh_fn(0.75), 10.0, 1.0)
     flat, peak = _traced_peak(lambda: est.build_flat_response(setup))
-    assert flat.nodes.size <= 6000
-    assert peak - flat.nodes.nbytes - flat.weights.nbytes <= 5 * _block_bytes()
+    assert flat.nodes.size == est.FIT_DEGREE + 1
+    assert peak - flat.nodes.nbytes - flat.coarse.nbytes <= 5 * _block_bytes()
 
 
 @pytest.mark.parametrize("model", [noise.gaussian(1.0), noise.laplacian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)

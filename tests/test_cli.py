@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macfusion import cli, harness, kernels, noise
+from macfusion import cli, harness, noise
 from macfusion import estimation as est
 from macfusion import transmit as tx
 from oracles import InversionRangeError, read_csv
@@ -216,23 +216,31 @@ class TestErrors:
         assert code == 3
         assert "non-convergence" in capsys.readouterr().err
 
-    def test_mesh_validation_failure_exit_3(self, tmp_path, capsys):
-        """signed_power under Cauchy noise: the frozen mesh fails validation."""
-        code = _run([
-            "run", "consistency", "--out", str(tmp_path / "x.csv"),
-            "--set", "trials=20", "--set", "L_values=[20]",
-            "--set", 'transmit={"kind":"signed_power","p_exponent":0.3}',
-        ])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert "numerical failure in consistency" in err
-        assert "flat response mesh failed validation" in err
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ['transmit={"kind":"signed_power","p_exponent":0.3}'],
+            ['transmit={"kind":"uniform_quantizer","x_max":2,"M":5}'],
+            ['transmit={"kind":"rational","omega":2.7}', "trials=50", "L_values=[100]"],
+            ['transmit={"kind":"uniform_quantizer","x_max":2,"M":5}', 'noise={"kind":"laplacian","scale":1.0}'],
+        ],
+        ids=["signed_power", "quantizer", "rational", "quantizer-laplacian"],
+    )
+    def test_setups_a_frozen_mesh_could_not_represent_finish(self, tmp_path, capsys, overrides):
+        """A frozen node mesh failed validation on these (the last missed by
+        7.7e-4); the series of h_L fits each of them."""
+        out = tmp_path / "x.csv"
+        args = ["run", "consistency", "--out", str(out), "--set", "trials=20", "--set", "L_values=[20]"]
+        for override in overrides:
+            args += ["--set", override]
+        assert _run(args) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(read_csv(str(out))[1]) == 1
 
     @pytest.mark.parametrize(
         "error",
         [
-            est.MeshValidationError("flat response mesh failed validation at sigma=2.0"),
+            est.MeshValidationError("the mean response's series on theta in [0.0, 2.0] did not chop within degree 1024"),
             InversionRangeError(2.0, 1.0, 30.0),
         ],
         ids=lambda e: type(e).__name__,
@@ -684,56 +692,37 @@ sys.exit(cli.main(args + ["--out", {out!r}]))
 
 
 class TestMeshValidationMessage:
-    def test_names_the_worst_check(self, tmp_path, capsys, monkeypatch):
-        """Weights scaled by 1 + 1e-6 fail every pass; the message names sigma, theta and the bound."""
-        fixed_mesh_nodes = est.fixed_mesh_nodes
-
-        def perturbed(edges):
-            nodes, weights = fixed_mesh_nodes(edges)
-            return nodes, weights * (1.0 + 1e-6)
-
-        monkeypatch.setattr(est, "fixed_mesh_nodes", perturbed)
-        code = _run(["run", "cauchy-af", "--out", str(tmp_path / "x.csv"), "--set", "trials=20", "--set", "L_values=[20]"])
+    def test_a_fit_that_does_not_chop_exits_3(self, tmp_path, capsys, monkeypatch):
+        """The quantizer's series under Cauchy noise needs degree 64 over the
+        targets' range; capped at 16, the fit fails and names its interval."""
+        monkeypatch.setattr(est, "MAX_DEGREE", est.FIT_DEGREE)
+        args = ["run", "consistency", "--out", str(tmp_path / "x.csv"), "--set", "trials=20", "--set", "L_values=[20]"]
+        code = _run(args + ["--set", 'transmit={"kind":"uniform_quantizer","x_max":2,"M":5}'])
         err = capsys.readouterr().err
         assert code == 3
         assert "Traceback" not in err
-        assert "flat response mesh failed validation at sigma=1.0" in err
-        assert "theta=" in err
-        assert "|flat - exact|" in err and "bound" in err
-
-    def test_names_the_failing_band(self, tmp_path, capsys, monkeypatch):
-        """Under sqrt-growth sigma the first band, sigma = 1 .. 4, fails."""
-        fixed_mesh_nodes = est.fixed_mesh_nodes
-
-        def perturbed(edges):
-            nodes, weights = fixed_mesh_nodes(edges)
-            return nodes, weights * (1.0 + 1e-6)
-
-        monkeypatch.setattr(est, "fixed_mesh_nodes", perturbed)
-        args = ["run", "cauchy-af", "--out", str(tmp_path / "x.csv"), "--set", "trials=20", "--set", "L_values=[20]"]
-        code = _run(args + ["--set", 'sigmas={"kind":"sqrt_growth","sigma":1.0}'])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "Traceback" not in err
-        assert "flat response mesh failed validation at sigma in [1.0, 4.0]: worst check at theta=" in err
+        assert "numerical failure in consistency: the mean response's series on theta in [" in err
+        assert "did not chop within degree 16: its last coefficients reach" in err
 
 
 class TestSigmaBandCost:
-    def test_sqrt_growth_consistency_evaluates_few_theta_nodes(self, tmp_path, monkeypatch):
-        """One flat-response mesh per sigma band: about 1.6e6 theta-node
-        products over the whole run, where one mesh per distinct sigma put
-        about 4e5 nodes behind every evaluation at L=1000 (3.3e8 in all)."""
-        evaluate, products = kernels.eval_response, []
+    def test_sqrt_growth_consistency_samples_few_band_thetas(self, tmp_path, monkeypatch):
+        """One quadrature per sigma band: h_L is sampled at 250 (theta, band)
+        pairs over the whole run (17 + 17 + 16 thetas at each L, in 2 and 3
+        bands), where one frozen mesh per distinct sigma put about 4e5 nodes
+        behind every evaluation at L=1000."""
+        band_responses, pairs = est._band_responses, []
 
-        def counting(nodes, weights, f, thetas):
-            products.append(np.size(thetas) * nodes.size)
-            return evaluate(nodes, weights, f, thetas)
+        def counting(setup, theta, spec, mass=False):
+            for share in band_responses(setup, theta, spec, mass):
+                pairs.append(np.size(theta))
+                yield share
 
-        monkeypatch.setattr(kernels, "eval_response", counting)
+        monkeypatch.setattr(est, "_band_responses", counting)
         args = ["run", "consistency", "--out", str(tmp_path / "x.csv"), "--set", "trials=200"]
         args += ["--set", "L_values=[100,1000]", "--set", 'sigmas={"kind":"sqrt_growth","sigma":1.0}']
         assert _run(args) == 0
-        assert 0 < sum(products) <= 2e7
+        assert 0 < sum(pairs) <= 500
 
 
 class TestAfCompare:

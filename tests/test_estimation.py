@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.stats import jarque_bera
 
 from macfusion import noise, transmit as tx
@@ -20,7 +21,6 @@ from oracles import (
     from_variance,
     laplacian_moment,
     per_sigma_response,
-    scalar_mesh_is_valid,
 )
 
 GAUSS = noise.gaussian(1.0)
@@ -312,21 +312,29 @@ class TestCltOfNormalizedSignal:
         assert jarque_bera(standardized).pvalue > 0.01
 
 
-class TestFlatResponseFastPath:
+def _fitted(setup, lo, hi):
+    """The fine series ``FlatResponse.invert`` fits for the targets h(lo) .. h(hi),
+    as a function of theta, with its (edges, coefficient rows)."""
+    flat = est.build_flat_response(setup)
+    edges, coefs = flat.fit(est.mean_response(setup, lo), est.mean_response(setup, hi))
+    return (lambda thetas: kernels.eval_series(coefs, edges, thetas)), edges, coefs
+
+
+class TestChebyshevResponse:
     @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
     def test_matches_adaptive_everywhere(self, kind):
         setup = _setup(noise=noise.NoiseModel(kind, 1.0), L=40)
-        flat = est.build_flat_response(setup)
+        series, _, _ = _fitted(setup, -6.0, 6.0)
         rng = np.random.default_rng(3)
         for theta in rng.uniform(-6.0, 6.0, size=9):
-            assert flat.eval_one(theta) == pytest.approx(est.mean_response(setup, theta), abs=2e-9)
+            assert series(theta) == pytest.approx(est.mean_response(setup, theta), abs=1e-12)
 
     def test_batch_inversion_round_trip(self):
         setup = _setup()
         flat = est.build_flat_response(setup)
         rng = np.random.default_rng(4)
         thetas = rng.uniform(-4.0, 4.0, size=64)
-        targets = flat.eval(thetas)
+        targets = np.array([est.mean_response(setup, theta) for theta in thetas])
         solved, clamped = flat.invert(targets)
         assert not clamped.any()
         assert np.allclose(solved, thetas, atol=1e-8)
@@ -337,20 +345,24 @@ class TestFlatResponseFastPath:
         _, clamped = flat.invert(np.array([0.0, 2.0, -2.0]))
         assert list(clamped) == [False, True, True]
 
-    def test_limit_is_the_frozen_supremum(self):
+    def test_limit_is_the_truncated_supremum(self):
         """A response that drops tail mass 1e-3 saturates at 1 - 1e-3, not at
         sup |f| = 1: a target of 0.9995 clamps inside that range instead of
-        ending in "no theta below 1e18 brings h above the target"."""
-        flat = est.build_flat_response(_setup(L=40), QuadratureSpec(tail_mass=1e-3))
+        ending in "no theta within 1e18 brings h to the target"."""
+        spec = QuadratureSpec(tail_mass=1e-3)
+        setup = _setup(L=40)
+        flat = est.build_flat_response(setup, spec)
         assert flat.limit == pytest.approx(1.0 - 1e-3, abs=1e-12)
         thetas, clamped = flat.invert(np.array([0.9995, -0.9995, 0.5]))
         assert list(clamped) == [True, True, False]
         margin = flat.limit - est.CLAMP_MARGIN
-        assert flat.eval(thetas) == pytest.approx([margin, -margin, 0.5], abs=1e-12)
+        h = [est.mean_response(setup, theta, spec) for theta in thetas]
+        assert h == pytest.approx([margin, -margin, 0.5], abs=1e-12)
 
     def test_chunked_inversion_matches_one_kernel_call(self, monkeypatch):
         """Chunks of 7 targets give the bits of one ``invert_h_targets``
-        call: every target iterates on its own values, from one seed grid."""
+        call: every target iterates on its own values, on one fine series.
+        The two clamped targets, in the last chunk, skip the kernel."""
         setup = _setup(transmit=tx.rational_fn(2.7), L=40)
         flat = est.build_flat_response(setup)
         targets = np.concatenate([harness.run_signal_statistics(setup, 100, 8)["z_targets"], [-1.0, 1.0]])
@@ -366,159 +378,120 @@ class TestFlatResponseFastPath:
         whole, whole_clamped = flat.invert(targets)
         monkeypatch.setattr(est, "INVERT_CHUNK", 7)
         chunked, chunked_clamped = flat.invert(targets)
-        assert calls == [102] + [7] * 14 + [4]
+        assert calls == [100] + [7] * 14 + [2]
         assert whole_clamped.sum() == 2
         assert np.array_equal(whole_clamped, chunked_clamped)
         assert whole.tobytes() == chunked.tobytes()
 
-    def test_clamped_targets_do_not_stretch_the_seed_grid(self, monkeypatch):
-        """Two margin targets cost a few evaluations, not wider grid cells.
-
-        On the slowly saturating rational curve the clamp value c - 1e-9 is
-        reached only near |theta| ~ 4e8; a seed grid stretched that far made
-        every other target iterate longer (16 response evaluations per
-        target instead of 6).
-        """
+    def test_clamped_targets_are_solved_on_the_mean_response(self, monkeypatch):
+        """The clamp values c - 1e-9 of the slowly saturating rational curve
+        are reached only near |theta| ~ 4e8; they are solved on
+        ``mean_response`` itself, so the fine series still spans only the
+        unclamped targets."""
         setup = _setup(transmit=tx.rational_fn(2.7))
         flat = est.build_flat_response(setup)
         targets = np.concatenate([harness.run_signal_statistics(setup, 4000, 31)["z_targets"], [-1.0, 1.0]])
-        rows = []
-        evaluate = kernels.eval_response
+        spans = []
+        invert = kernels.invert_h_targets
 
-        def counting(nodes, weights, f, thetas):
-            rows.append(np.size(thetas))
-            return evaluate(nodes, weights, f, thetas)
+        def recording(coefs, edges, *, targets):
+            spans.append(edges[-1] - edges[0])
+            return invert(coefs, edges, targets=targets)
 
-        monkeypatch.setattr(kernels, "eval_response", counting)
+        monkeypatch.setattr(kernels, "invert_h_targets", recording)
         thetas, clamped = flat.invert(targets)
         monkeypatch.undo()
         assert clamped.sum() == 2
-        assert sum(rows) <= 6.5 * targets.size
+        assert max(spans) < 2.0
         margin = flat.limit - est.CLAMP_MARGIN
-        residual = flat.eval(thetas[clamped]) - np.array([-margin, margin])
+        assert abs(thetas[-1]) > 1e8
+        residual = [est.mean_response(setup, theta) for theta in thetas[clamped]] - np.array([-margin, margin])
         assert np.all(np.abs(residual) <= 4 * np.spacing(margin))
-        inner = ~clamped
-        assert np.max(np.abs(flat.eval(thetas[inner]) - targets[inner])) <= 8 * np.finfo(float).eps
+        inner = np.flatnonzero(~clamped)[::80]
+        residual = [est.mean_response(setup, theta) for theta in thetas[inner]] - targets[inner]
+        assert np.max(np.abs(residual)) <= 1e-14
 
-
-def _check_decisions(monkeypatch, setup, *, scale=1.0, mesh_spec=None):
-    """(per-sigma oracle, band check) verdicts on each mesh ``build_flat_response`` tests.
-
-    Records every band's check as the build runs it (up to four halving
-    passes a band) and asks the oracle about the same frozen values;
-    ``scale`` multiplies the frozen weights and ``mesh_spec`` builds a
-    coarser mesh than the checks.
-    """
-    bands, verdicts = [], []
-    mixture_ratio, worst_check = est._mixture_ratio, est._worst_check
-    fixed_mesh_nodes, probability_mesh = est.fixed_mesh_nodes, est._probability_mesh
-
-    def ratio(model, sigmas, shares):
-        bands.append((sigmas, shares))
-        return mixture_ratio(model, sigmas, shares)
-
-    def check(flat, exact, thetas):
-        worst = worst_check(flat, exact, thetas)
-        verdicts.append((scalar_mesh_is_valid(setup, flat, *bands[-1], thetas), worst is None))
-        return worst
-
-    def scaled(edges):
-        nodes, weights = fixed_mesh_nodes(edges)
-        return nodes, scale * weights
-
-    def mesh(model, f, sigma, r, probes, spec):
-        return probability_mesh(model, f, sigma, r, probes, mesh_spec or spec)
-
-    patches = {"_mixture_ratio": ratio, "_worst_check": check, "fixed_mesh_nodes": scaled, "_probability_mesh": mesh}
-    for name, fn in patches.items():
-        monkeypatch.setattr(est, name, fn)
-    try:
-        est.build_flat_response(setup)
-    except est.MeshValidationError:
-        pass
-    finally:
-        monkeypatch.undo()
-    return verdicts
-
-
-FIG4_CURVES = [tx.tanh_fn, tx.gudermannian_fn, tx.rational_fn]
-FIG4_OMEGAS = np.linspace(0.3, 3.0, 10)
-
-
-class TestBatchedMeshCheck:
-    """One vector quadrature per sigma band decides like the per-sigma scalar moments."""
-
-    @pytest.mark.parametrize("make", FIG4_CURVES, ids=lambda make: make.__name__)
-    def test_fig4_curves_on_the_omega_grid(self, monkeypatch, make):
-        for omega in FIG4_OMEGAS:
-            verdicts = _check_decisions(monkeypatch, _setup(transmit=make(float(omega))))
-            assert all(old == new for old, new in verdicts)
-            assert verdicts[-1] == (True, True)
-
-    def test_cauchy_af(self, monkeypatch):
-        for L in (100, 1000, 10000):
-            verdicts = _check_decisions(monkeypatch, _setup(noise=noise.cauchy(1.0), L=L))
-            assert verdicts == [(True, True)]
-
-    @pytest.mark.parametrize("model", [GAUSS, noise.laplacian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)
-    def test_sqrt_growth_bands_at_L_300(self, monkeypatch, model):
-        """The 300 distinct sigma fall into 3 bands; each band's mesh passes
-        its check, and the per-sigma moments agree."""
-        setup = _setup(noise=model, L=300, sigmas=est.sqrt_growth_sigmas(1.0))
-        verdicts = _check_decisions(monkeypatch, setup)
-        assert verdicts == [(True, True)] * 3
-
-    def test_perturbed_mesh_is_rejected_by_both(self, monkeypatch):
-        verdicts = _check_decisions(monkeypatch, _setup(noise=noise.cauchy(1.0)), scale=1.0 + 1e-6)
-        assert verdicts == [(False, False)] * 4
-
-    def test_coarse_mesh_is_refined_the_same_way(self, monkeypatch):
-        """A mesh built to 1e-4 fails the first checks and passes after halving, for both."""
-        setup = _setup(noise=GAUSS)
-        verdicts = _check_decisions(monkeypatch, setup, mesh_spec=QuadratureSpec(rel_tol=1e-4, abs_tol=1e-7))
-        assert all(old == new for old, new in verdicts)
-        assert verdicts[0] == (False, False) and verdicts[-1] == (True, True)
-
-
-class TestCheckQuadratureCount:
-    def _count(self, monkeypatch, setup, **kwargs):
-        """(mesh quadratures, check quadratures) of one build with a cold moment cache."""
-        clear_moment_cache()
-        calls = {"mesh": 0, "check": 0}
-        quadrature = numerics.adaptive_quadrature
-
-        def counting(key):
-            def run(*args, **kw):
-                calls[key] += 1
-                return quadrature(*args, **kw)
-
-            return run
-
-        monkeypatch.setattr(est, "adaptive_quadrature", counting("mesh"))
-        monkeypatch.setattr(numerics, "adaptive_quadrature", counting("check"))
-        try:
-            est.build_flat_response(setup, **kwargs)
-        finally:
-            monkeypatch.undo()
-            clear_moment_cache()
-        return calls["mesh"], calls["check"]
-
-    def test_one_mesh_and_one_check_quadrature_per_sigma_band(self, monkeypatch):
-        assert self._count(monkeypatch, _setup(noise=noise.cauchy(1.0))) == (1, 1)
+    def test_build_makes_one_quadrature_per_sigma_band(self, monkeypatch):
+        """The coarse fit's 17 samples and the band quadrature of the
+        constant 1 behind ``limit`` share one quadrature per band."""
+        assert len(_recorded_quadratures(monkeypatch, lambda: est.build_flat_response(_setup(noise=noise.cauchy(1.0))))) == 1
         # sigma_i = sqrt(i): i = 1..16 and i = 17..30 are the two bands.
         setup = _setup(L=30, sigmas=est.sqrt_growth_sigmas(1.0))
-        assert self._count(monkeypatch, setup) == (2, 2)
+        assert len(_recorded_quadratures(monkeypatch, lambda: est.build_flat_response(setup))) == 2
 
-    def test_refinement_passes_reuse_the_check_moments(self, monkeypatch):
-        fixed_mesh_nodes = est.fixed_mesh_nodes
+    def test_degree_doubling_samples_only_the_new_points(self, monkeypatch):
+        """Chebyshev points of degree n are every other point of 2n's, so a
+        fit that doubles twice samples 17, then 16, then 32 thetas."""
+        sizes = []
+        response = est._response
 
-        def perturbed(edges):
-            nodes, weights = fixed_mesh_nodes(edges)
-            return nodes, weights * (1.0 + 1e-6)
+        def recording(setup, thetas, spec):
+            sizes.append(thetas.size)
+            return response(setup, thetas, spec)
 
-        monkeypatch.setattr(est, "fixed_mesh_nodes", perturbed)
-        with pytest.raises(est.MeshValidationError, match="theta="):
-            self._count(monkeypatch, _setup())
+        monkeypatch.setattr(est, "_response", recording)
+        setup = _setup(transmit=tx.rational_fn(3.0))
+        coefs, _, _ = est._fit(setup, -3.0, 5.0, numerics.DEFAULT_QUADRATURE)
+        assert coefs.size == 65
+        assert sizes == [17, 16, 32]
+
+    def test_a_fit_that_does_not_chop_names_its_interval(self, monkeypatch):
+        monkeypatch.setattr(est, "MAX_DEGREE", 32)
+        setup = _setup(transmit=tx.uniform_quantizer_fn(2.0, 5), noise=noise.cauchy(1.0), L=20)
+        with pytest.raises(est.MeshValidationError, match=r"series on theta in \[-2.0, 4.0\] did not chop within degree 32"):
+            est._fit(setup, -2.0, 4.0, numerics.DEFAULT_QUADRATURE)
+
+    def test_laplacian_fits_split_at_the_kinks_of_f(self):
+        """Under Laplacian noise the quantizer's h_L has a jump in h'' at each
+        quantizer edge; one piece per interval between them chops at degree 16,
+        where one series over all of them stalled at degree 512."""
+        setup = _setup(transmit=tx.uniform_quantizer_fn(2.0, 5), noise=noise.laplacian(1.0), L=20)
+        pieces = est._fit_span(setup, -2.0, 4.0, numerics.DEFAULT_QUADRATURE)
+        edges = [a for a, *_ in pieces] + [pieces[-1][1]]
+        assert edges == pytest.approx([-2.0, -1.2, -0.4, 0.4, 1.2, 2.0, 4.0], abs=1e-15)
+        assert all(c.size == est.FIT_DEGREE + 1 for _, _, c, _, _ in pieces)
+        gaussian = _setup(transmit=tx.uniform_quantizer_fn(2.0, 5), L=20)
+        assert len(est._fit_span(gaussian, -2.0, 4.0, numerics.DEFAULT_QUADRATURE)) == 1
+
+
+# fig4's curves at two omegas, and four setups that a frozen node mesh could
+# not represent: its mesh missed rational omega = 0.6 by 2.85e-6, and the
+# other four ended in "mesh failed validation".
+ACCURACY_SETUPS = {
+    **{
+        f"{make.__name__}-{omega}": _setup(transmit=make(omega))
+        for make in (tx.tanh_fn, tx.gudermannian_fn, tx.rational_fn)
+        for omega in (0.6, 3.0)
+    },
+    "signed_power-cauchy": _setup(transmit=tx.signed_power_fn(0.3), noise=noise.cauchy(1.0), L=20),
+    "quantizer-cauchy": _setup(transmit=tx.uniform_quantizer_fn(2.0, 5), noise=noise.cauchy(1.0), L=20),
+    "rational-2.7-cauchy": _setup(transmit=tx.rational_fn(2.7), noise=noise.cauchy(1.0), L=100),
+    "quantizer-laplacian": _setup(transmit=tx.uniform_quantizer_fn(2.0, 5), noise=noise.laplacian(1.0), L=20),
+}
+
+
+class TestSeriesAccuracy:
+    @pytest.mark.parametrize("name", sorted(ACCURACY_SETUPS))
+    def test_fit_matches_the_mean_response_on_601_thetas(self, name):
+        """Over theta +- 3 the fitted series lies within 1e-11 max(1, |h|) of
+        ``mean_response``; the largest gap is 1.7e-12 (tanh, omega = 3)."""
+        setup = ACCURACY_SETUPS[name]
+        thetas = np.linspace(setup.theta - 3.0, setup.theta + 3.0, 601)
+        series, _, _ = _fitted(setup, thetas[0], thetas[-1])
+        exact = np.array([est.mean_response(setup, theta) for theta in thetas])
+        assert np.max(np.abs(series(thetas) - exact) / np.maximum(1.0, np.abs(exact))) <= 1e-11
+
+    @pytest.mark.parametrize("name", sorted(ACCURACY_SETUPS))
+    def test_inversion_matches_brentq_on_the_mean_response(self, name):
+        """Targets h(theta) over theta +- 1, inverted in one batch, match an
+        independent Brent solve of ``mean_response`` within 1e-12."""
+        setup = ACCURACY_SETUPS[name]
+        targets = np.array([est.mean_response(setup, theta) for theta in np.linspace(-1.0, 1.0, 9) + setup.theta])
+        thetas, clamped = est.build_flat_response(setup).invert(targets)
+        assert not clamped.any()
+        g = lambda theta, t: est.mean_response(setup, theta) - t
+        reference = [brentq(g, setup.theta - 1.5, setup.theta + 1.5, args=(t,), xtol=1e-15, rtol=1e-15) for t in targets]
+        assert np.max(np.abs(thetas - reference)) <= 1e-12
 
 
 FINE = QuadratureSpec(rel_tol=1e-13)
@@ -526,19 +499,19 @@ NINE_THETAS = np.linspace(-3.0, 5.0, 9)
 
 
 def _response_gap(setup):
-    """max |flat response - per-sigma response at rel_tol 1e-13| on nine thetas."""
-    flat = est.build_flat_response(setup)
+    """max |fitted response - per-sigma response at rel_tol 1e-13| on nine thetas."""
+    series, _, _ = _fitted(setup, NINE_THETAS[0], NINE_THETAS[-1])
     exact = np.array([per_sigma_response(setup, float(theta), FINE) for theta in NINE_THETAS])
-    return float(np.max(np.abs(flat.eval(NINE_THETAS) - exact)))
+    return float(np.max(np.abs(series(NINE_THETAS) - exact)))
 
 
 class TestSigmaBands:
-    """One mesh per band of sigma within ``SIGMA_BAND_RATIO``: the sqrt-growth
-    response no longer stacks one mesh per sensor."""
+    """One quadrature per band of sigma within ``SIGMA_BAND_RATIO``: the
+    sqrt-growth response no longer sums one moment per sensor."""
 
     @pytest.mark.parametrize("model", [GAUSS, noise.laplacian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)
     def test_sqrt_growth_matches_the_per_sigma_response(self, model):
-        """Per-sigma meshes missed by 2.3e-11 under Laplacian noise."""
+        """Per-sigma frozen meshes missed by 2.3e-11 under Laplacian noise."""
         setup = _setup(noise=model, L=300, sigmas=est.sqrt_growth_sigmas(1.0))
         assert _response_gap(setup) <= 1e-12
 
@@ -555,14 +528,14 @@ class TestSigmaBands:
         assert _response_gap(setup) <= 1e-11
 
     @pytest.mark.parametrize("model", [GAUSS, noise.laplacian(1.0), noise.cauchy(1.0)], ids=lambda m: m.kind)
-    def test_node_count_stays_flat_in_L(self, model):
-        """Per-sigma meshes held 1.2-1.3 million nodes at L=3000."""
+    def test_series_length_stays_flat_in_L(self, model):
+        """Per-sigma frozen meshes held 1.2-1.3 million nodes at L=3000; the
+        fitted series over [-3, 5] needs the same few coefficients at L=300 and 3000."""
         sizes = [
-            est.build_flat_response(_setup(noise=model, L=L, sigmas=est.sqrt_growth_sigmas(1.0))).nodes.size
-            for L in (300, 3000)
+            _fitted(_setup(noise=model, L=L, sigmas=est.sqrt_growth_sigmas(1.0)), -3.0, 5.0)[2].size for L in (300, 3000)
         ]
-        assert sizes[1] <= 6000
-        assert abs(sizes[1] - sizes[0]) <= 0.1 * sizes[0]
+        assert max(sizes) <= 129
+        assert sizes[0] == sizes[1]
 
     def test_bands_split_at_the_ratio(self):
         values = np.array([1.0, 2.0, 4.0, 4.5, 16.0, 18.0, 100.0])
@@ -668,12 +641,12 @@ class TestLaplacianAccuracy:
 
     T = noise.tail_truncation(noise.laplacian(1.0), 1e-12)
 
-    def test_constant_sigma_flat_response(self):
+    def test_constant_sigma_fitted_response(self):
         setup = _setup(noise=noise.laplacian(1.0), L=20)
         thetas = np.linspace(-3.0, 5.0, 9)
-        flat = est.build_flat_response(setup).eval(thetas)
+        fitted = _fitted(setup, thetas[0], thetas[-1])[0](thetas)
         exact = [laplacian_moment(setup.transmit, 1.0, 1.0, float(theta), 1, self.T) for theta in thetas]
-        assert np.max(np.abs(flat - exact)) <= 1e-13
+        assert np.max(np.abs(fitted - exact)) <= 1e-13
 
     @pytest.mark.parametrize("f", [tx.tanh_fn(0.75), tx.rational_fn(1.0), tx.linear_fn(1.0)], ids=lambda f: f.kind)
     def test_g_moment(self, f):

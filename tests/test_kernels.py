@@ -1,9 +1,10 @@
-"""Kernel layer: transmit curves, channel sums and converged inversion."""
+"""Kernel layer: transmit curves, channel sums and series inversion."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ndtri
 
 from macfusion import estimation as est
@@ -34,146 +35,106 @@ class TestTransmitKernels:
         assert np.array_equal(kernels.eval_transmit(f, x=x[0]), kernels.eval_transmit(f, x=x)[0])
 
 
-def _ten_step_illinois(nodes, weights, f, targets, grid_x, grid_h):
-    """The former inversion: exactly 10 Illinois steps for every target."""
-    idx = np.clip(np.searchsorted(grid_h, targets, side="left"), 1, grid_x.size - 1)
-    lo_x, hi_x = grid_x[idx - 1], grid_x[idx]
-    lo_f, hi_f = grid_h[idx - 1] - targets, grid_h[idx] - targets
-    x = 0.5 * (lo_x + hi_x)
-    stuck_lo = np.zeros(targets.shape, dtype=np.int64)
-    stuck_hi = np.zeros(targets.shape, dtype=np.int64)
-    for _ in range(10):
-        df = hi_f - lo_f
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(df > 0.0, lo_x - lo_f * (hi_x - lo_x) / np.where(df > 0.0, df, 1.0), 0.5 * (lo_x + hi_x))
-        x = np.minimum(np.maximum(x, lo_x), hi_x)
-        fx = kernels.eval_transmit(f, x=x[:, None] + nodes[None, :]) @ weights - targets
-        below = fx < 0.0
-        lo_x, lo_f = np.where(below, x, lo_x), np.where(below, fx, lo_f)
-        hi_x, hi_f = np.where(below, hi_x, x), np.where(below, hi_f, fx)
-        stuck_hi = np.where(below, stuck_hi + 1, 0)
-        stuck_lo = np.where(below, 0, stuck_lo + 1)
-        hi_f = np.where(stuck_hi >= 2, 0.5 * hi_f, hi_f)
-        lo_f = np.where(stuck_lo >= 2, 0.5 * lo_f, lo_f)
-    return x
-
-
-def _grid(flat, targets, size):
-    lo, hi, width = -1.0, 1.0, 2.0
-    while flat.eval_one(lo) >= targets.min():
-        width *= 2.0
-        lo -= width
-    while flat.eval_one(hi) <= targets.max():
-        width *= 2.0
-        hi += width
-    grid_x = np.linspace(lo, hi, size)
-    return grid_x, np.maximum.accumulate(flat.eval(grid_x))
-
-
-MESHES = {
+SETUPS = {
     "gaussian": (noise.gaussian(1.0), tx.tanh_fn(1.0)),
     "cauchy": (noise.cauchy(1.0), tx.tanh_fn(0.75)),
+    "fig4-rational": (noise.gaussian(1.0), tx.rational_fn(3.0)),
+    "laplacian-quantizer": (noise.laplacian(1.0), tx.uniform_quantizer_fn(2.0, 5)),
 }
 
 
-@pytest.fixture(scope="module", params=sorted(MESHES))
-def mesh(request):
-    model, f = MESHES[request.param]
+@pytest.fixture(scope="module", params=sorted(SETUPS))
+def series(request):
+    """(edges, coefficient rows, targets): the fine series a setup's
+    Monte Carlo targets are inverted on, and those targets."""
+    model, f = SETUPS[request.param]
     setup = est.EstimationSetup(1.0, 200, est.constant_sigmas(1.0), model, f, 10.0, 1.0)
     flat = est.build_flat_response(setup)
     targets = harness.run_signal_statistics(setup, 1500, 17)["z_targets"]
-    return flat, np.clip(targets, -flat.limit + est.CLAMP_MARGIN, flat.limit - est.CLAMP_MARGIN)
+    targets = np.clip(targets, -flat.limit + est.CLAMP_MARGIN, flat.limit - est.CLAMP_MARGIN)
+    edges, coefs = flat.fit(targets.min(), targets.max())
+    return edges, coefs, targets
 
 
-class TestConvergedInversion:
-    def test_residual_within_a_few_ulp(self, mesh):
-        flat, targets = mesh
-        thetas, _ = flat.invert(targets)
-        assert np.max(np.abs(flat.eval(thetas) - targets)) <= 8 * np.finfo(float).eps
+def _evaluations(monkeypatch, edges, coefs, targets):
+    """Thetas and the sizes of the kernel's series evaluations (not its derivatives)."""
+    sizes = []
+    evaluate = kernels.eval_series
 
-    def test_agrees_with_ten_steps_on_the_fine_grid(self, mesh):
-        flat, targets = mesh
-        grid_x, grid_h = _grid(flat, targets, 2049)
-        old = _ten_step_illinois(flat.nodes, flat.weights, flat.f, targets, grid_x, grid_h)
-        assert np.max(np.abs(flat.invert(targets)[0] - old)) <= 1e-13
+    def counting(coefs, edges, thetas, piece=None, derivative=False):
+        if not derivative:
+            sizes.append(np.size(thetas))
+        return evaluate(coefs, edges, thetas, piece, derivative)
 
-    def test_margins_and_grid_nodes_terminate(self, mesh, monkeypatch):
-        """Margin targets, targets on grid nodes, and a grid with repeated values.
-
-        Points far beyond saturation all have the response's limit value,
-        and one grid point appears twice, so some cells are empty and some
-        four-point interpolants unusable; targets sit on those values too.
-        """
-        flat, targets = mesh
-        margin = flat.limit - est.CLAMP_MARGIN
-        grid_x, grid_h = _grid(flat, np.array([-margin, margin]), 257)
-        far = np.array([1e13, 2e13, 4e13])
-        grid_x = np.insert(np.concatenate([-far[::-1], grid_x, far]), 100, grid_x[97])
-        grid_h = np.maximum.accumulate(flat.eval(grid_x))
-        assert np.count_nonzero(np.diff(grid_h) == 0.0) >= 5
-        on_nodes = grid_h[1:-1:9]
-        hard = np.concatenate([[-margin, margin], on_nodes, grid_h[[0, 99, 100, -1]]])
-        steps = []
-        evaluate = kernels.eval_response
-
-        def counting(nodes, weights, f, thetas):
-            steps.append(thetas.size)
-            return evaluate(nodes, weights, f, thetas)
-
-        monkeypatch.setattr(kernels, "eval_response", counting)
-        thetas = kernels.invert_h_targets(flat.nodes, flat.weights, flat.f, targets=hard, grid_x=grid_x, grid_h=grid_h)
-        monkeypatch.undo()
-        assert len(steps) < kernels._MAX_ILLINOIS_STEPS // 2
-        assert np.all(np.isfinite(thetas))
-        assert np.max(np.abs(flat.eval(thetas) - hard)) <= 8 * np.finfo(float).eps
+    monkeypatch.setattr(kernels, "eval_series", counting)
+    thetas = kernels.invert_h_targets(coefs, edges, targets=targets)
+    monkeypatch.undo()
+    return thetas, sizes
 
 
-@pytest.fixture(scope="module")
-def fig4_rational_mesh():
-    """The fig4 setup at its largest rational omega, with its targets."""
-    setup = est.EstimationSetup(1.0, 500, est.constant_sigmas(1.0), noise.gaussian(1.0), tx.rational_fn(3.0), 10.0, 1.0)
-    return est.build_flat_response(setup), harness.run_signal_statistics(setup, 1000, 20253)["z_targets"]
+class TestSeriesInversion:
+    def test_residual_within_a_few_ulp(self, series):
+        edges, coefs, targets = series
+        thetas = kernels.invert_h_targets(coefs, edges, targets=targets)
+        assert np.max(np.abs(kernels.eval_series(coefs, edges, thetas) - targets)) <= 8 * np.finfo(float).eps
+
+    def test_agrees_with_a_scalar_root_of_the_series(self, series):
+        edges, coefs, targets = series
+        thetas = kernels.invert_h_targets(coefs, edges, targets=targets)
+        g = lambda x, t: float(kernels.eval_series(coefs, edges, np.array([x]))[0]) - t
+        for k in np.argsort(targets)[::150]:
+            root = brentq(g, edges[0], edges[-1], args=(targets[k],), xtol=1e-15, rtol=1e-15)
+            assert abs(thetas[k] - root) <= 1e-13
+
+    def test_three_evaluations_per_target(self, series, monkeypatch):
+        """One pass over the seed grid, then Newton steps from each target's
+        linear seed: the third step moves most targets by at most 4 ulp. The
+        frozen mesh's Illinois loop made about three evaluations of every
+        node per target."""
+        edges, coefs, targets = series
+        _, sizes = _evaluations(monkeypatch, edges, coefs, targets)
+        assert sizes[0] <= kernels.SEED_POINTS + edges.size
+        assert sizes[1] == targets.size
+        assert len(sizes) <= 5
+        assert sum(sizes[1:]) <= 3 * targets.size
+
+    def test_ends_and_grid_values_terminate(self, series, monkeypatch):
+        """Targets at the series' end values and on its seed grid's values,
+        repeated: each converges, within a few Newton steps."""
+        edges, coefs, targets = series
+        ends = kernels.eval_series(coefs, edges, edges[[0, -1]])
+        grid = kernels.eval_series(coefs, edges, np.linspace(edges[0], edges[-1], kernels.SEED_POINTS)[::7])
+        hard = np.concatenate([ends, grid, grid[:5], ends])
+        thetas, sizes = _evaluations(monkeypatch, edges, coefs, hard)
+        assert len(sizes) <= 6
+        assert np.all((edges[0] <= thetas) & (thetas <= edges[-1]))
+        assert np.max(np.abs(kernels.eval_series(coefs, edges, thetas) - hard)) <= 8 * np.finfo(float).eps
+
+    def test_thetas_do_not_depend_on_the_other_targets(self, series):
+        """Every target iterates on its own values: solved alone or in
+        slices, it gets the bits of the whole batch."""
+        edges, coefs, targets = series
+        whole = kernels.invert_h_targets(coefs, edges, targets=targets)
+        pieces = [kernels.invert_h_targets(coefs, edges, targets=targets[i : i + 37]) for i in range(0, targets.size, 37)]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        assert kernels.invert_h_targets(coefs, edges, targets=targets[5:6])[0] == whole[5]
 
 
-class TestSeededInversion:
-    def _kernel_calls(self, flat, targets, monkeypatch):
-        """Thetas and the sizes of the kernel's ``eval_response`` calls."""
-        calls = []
-        evaluate, invert = kernels.eval_response, kernels.invert_h_targets
+class TestSeriesEvaluation:
+    def test_interpolates_its_samples(self):
+        """A series fitted at Chebyshev points of [0.5, 3] (two pieces) gives
+        back cos there and between them; outside, the end pieces extend."""
+        cuts = (0.5, 1.25, 3.0)
+        rows = [est._chebyshev_coefficients(np.cos(est._chebyshev_points(a, b, 32))) for a, b in zip(cuts[:-1], cuts[1:])]
+        edges, coefs = np.array(cuts), np.array(rows)
+        x = np.linspace(0.5, 3.0, 101)
+        assert np.max(np.abs(kernels.eval_series(coefs, edges, x) - np.cos(x))) <= 1e-15
+        assert np.max(np.abs(kernels.eval_series(coefs, edges, [0.49, 3.01]) - np.cos([0.49, 3.01]))) <= 1e-12
 
-        def counting(nodes, weights, f, thetas):
-            calls.append(thetas.size)
-            return evaluate(nodes, weights, f, thetas)
-
-        def inverting(*args, **kwargs):
-            monkeypatch.setattr(kernels, "eval_response", counting)
-            try:
-                return invert(*args, **kwargs)
-            finally:
-                monkeypatch.setattr(kernels, "eval_response", evaluate)
-
-        monkeypatch.setattr(kernels, "invert_h_targets", inverting)
-        thetas, _ = flat.invert(targets)
-        monkeypatch.undo()
-        return thetas, calls
-
-    def _check_three_evaluations(self, flat, targets, monkeypatch):
-        """The seeds of all targets are one call and their Newton points the
-        next; most targets then need one false-position step. The former
-        start from a linear guess in a 257-point grid cell needed about 5.5
-        evaluations per target."""
-        thetas, calls = self._kernel_calls(flat, targets, monkeypatch)
-        assert calls[0] == targets.size
-        assert calls[1] <= targets.size
-        assert sum(calls) <= 3.3 * targets.size
-        clipped = np.clip(targets, -flat.limit + est.CLAMP_MARGIN, flat.limit - est.CLAMP_MARGIN)
-        assert np.max(np.abs(flat.eval(thetas) - clipped)) <= 8 * np.finfo(float).eps
-
-    def test_about_three_evaluations_per_target(self, mesh, monkeypatch):
-        self._check_three_evaluations(*mesh, monkeypatch)
-
-    def test_about_three_evaluations_per_target_on_fig4_rational(self, fig4_rational_mesh, monkeypatch):
-        self._check_three_evaluations(*fig4_rational_mesh, monkeypatch)
+    def test_points_nest_when_the_degree_doubles(self):
+        coarse, fine = est._chebyshev_points(-2.0, 5.0, 16), est._chebyshev_points(-2.0, 5.0, 32)
+        assert np.array_equal(fine[::2], coarse)
+        assert coarse[0] == -2.0 and coarse[-1] == 5.0 and np.all(np.diff(coarse) > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,48 +291,6 @@ class TestCallerArraysUntouched:
         sample(model, HeldStream(), 500)
         assert np.array_equal(block, before)
         assert np.array_equal(words, held)
-
-
-# ---------------------------------------------------------------------------
-# Tiled response: the same thetas for every tile size
-# ---------------------------------------------------------------------------
-
-
-class TestTiledResponse:
-    def test_inversion_does_not_depend_on_the_tile(self, mesh, monkeypatch):
-        """One target per tile, a few per tile, and all targets in one tile.
-
-        Each row's weighted sum is a per-row dot product whose value does not
-        depend on how many rows share the tile, so the thetas agree exactly.
-        """
-        flat, targets = mesh
-        reference, _ = flat.invert(targets)
-        eps = np.finfo(float).eps
-        assert np.max(np.abs(flat.eval(reference) - targets)) <= 8 * eps
-        for budget in (7, flat.nodes.size, 3 * flat.nodes.size, targets.size * flat.nodes.size):
-            monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
-            thetas, _ = flat.invert(targets)
-            assert np.array_equal(thetas, reference)
-            assert np.max(np.abs(flat.eval(thetas) - targets)) <= 8 * eps
-
-    def test_tiles_stay_within_the_budget(self, mesh, monkeypatch):
-        flat, targets = mesh
-        budget = 5 * flat.nodes.size + 3
-        monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMENTS", budget)
-        shapes = []
-        curve = kernels._curve
-
-        def recording(f, x, out=None):
-            shapes.append(x.shape)
-            return curve(f, x, out=out)
-
-        monkeypatch.setattr(kernels, "_curve", recording)
-        thetas = np.linspace(-3.0, 3.0, 23)
-        h = kernels.eval_response(flat.nodes, flat.weights, flat.f, thetas)
-        assert [s[0] for s in shapes] == [5, 5, 5, 5, 3]
-        assert all(s[0] * s[1] <= budget for s in shapes)
-        full = np.array([curve(flat.f, t + flat.nodes) @ flat.weights for t in thetas])
-        assert np.max(np.abs(h - full)) <= 4 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------

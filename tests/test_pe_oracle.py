@@ -20,8 +20,8 @@ from scipy.special import ndtr
 from macfusion import detection as det
 from macfusion import estimation as est
 from macfusion import harness, noise, transmit as tx
-from macfusion.numerics import adaptive_quadrature, fixed_mesh_nodes
-from oracles import eval_fn
+from macfusion.numerics import adaptive_quadrature
+from oracles import eval_fn, fixed_mesh_nodes
 
 SQRT10 = math.sqrt(10.0)
 RHO_C_3DB = 10**0.3
