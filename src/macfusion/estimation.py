@@ -334,21 +334,26 @@ def asymptotic_variance(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_Q
     """Limiting variance of sqrt(L) * (theta_hat - theta).
 
     Requires the i.i.d. unit-scale regime (sigma_i = 1) and a
-    differentiable transmit curve (``check_asymptotic_regime``); three
-    density expectations feed the closed form.
+    differentiable transmit curve (``check_asymptotic_regime``). The closed
+    form takes E[f], E[f^2] and the slope E[f'] at theta + n from one
+    vector-valued quadrature, whose mesh resolves all three.
     """
     check_asymptotic_regime(setup)
     f = setup.transmit
     theta = setup.theta
-    second = g_moment(setup.noise, f, 1.0, theta, 2, spec)
-    mean = g_moment(setup.noise, f, 1.0, theta, 1, spec)
-    slope = expect(
+
+    def moments(n):
+        x = theta + n
+        v = kernels.eval_transmit(f, x=x)
+        return np.vstack([v, v * v, tx.derivative(f, x)])
+
+    mean, second, slope = expect(
         setup.noise,
-        lambda n: tx.derivative(f, theta + n),
+        moments,
         spec,
         breakpoints=_moment_breakpoints(setup.noise, f, (1.0,), theta),
-        context=f"E[f'(theta + n)] at theta={theta}",
-    )
+        context=f"E[f, f^2, f'](theta + n) at theta={theta}",
+    ).tolist()
     noise_part = second - mean * mean + setup.channel_noise_var / setup.total_power
     if not slope * slope > 0.0:
         raise NumericsError(f"asymptotic variance at theta={theta}: the slope E[f'(theta + n)] = {slope!r} vanishes")
@@ -473,68 +478,57 @@ class FlatResponse:
     # of 1 by the truncated tail mass; math.inf for unbounded kinds.
     limit: float
 
-    def fit(self, t_min: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    def fit(self, t_min: float, t_max: float, ends=None) -> tuple[np.ndarray, np.ndarray]:
         """(edges, coefficient rows) of a piecewise series of h_L whose end
-        values bracket [t_min, t_max]: over the span from the values' cells
-        in a 129-point grid on the coarse series, plus 5% of its width at
-        each end (``_fit_span``), and while h at an end misses its value, a
-        piece of twice the last width beyond that end."""
+        values bracket ``ends`` (default (t_min, t_max)): over the span from
+        the cells of t_min and t_max in a 129-point grid on the coarse
+        series, plus 5% of its width at each end (``_fit_span``), and while
+        h at an end misses its value, a piece of twice that end's last width
+        beyond it. Each end doubles its own width, so a piece spans about as
+        much again as the pieces before it on that side."""
         span = self.nodes[[0, -1]]
         grid = np.linspace(span[0], span[1], 129)
         grid_h = np.maximum.accumulate(kernels.eval_series(self.coarse[None, :], span, grid))
         i, j = np.clip(np.searchsorted(grid_h, [t_min, t_max]), 1, grid.size - 1)
-        lo, hi = grid[i - 1], grid[j]
-        pad, width = 0.05 * (hi - lo), 1.1 * (hi - lo)
+        lo, hi = grid[[i - 1, j]].tolist()
+        pad, width = 0.05 * (hi - lo), [1.1 * (hi - lo)] * 2
         pieces = _fit_span(self.setup, lo - pad, hi + pad, self.spec)
-        while pieces[0][3] > t_min or pieces[-1][4] < t_max:
-            width *= 2.0
-            if width > 1e18:
-                raise NumericsError(f"no theta within 1e18 brings the mean response to [{t_min!r}, {t_max!r}]")
-            if pieces[0][3] > t_min:
-                pieces[:0] = _fit_span(self.setup, pieces[0][0] - width, pieces[0][0], self.spec)
+        low, high = (t_min, t_max) if ends is None else ends
+        # width[True] is the last width beyond the left end, width[False] beyond the right.
+        while (left := pieces[0][3] > low) or pieces[-1][4] < high:
+            width[left] *= 2.0
+            if width[left] > 1e18:
+                raise NumericsError(f"no theta within 1e18 brings the mean response to [{low!r}, {high!r}]")
+            if left:
+                pieces[:0] = _fit_span(self.setup, pieces[0][0] - width[left], pieces[0][0], self.spec)
             else:
-                pieces += _fit_span(self.setup, pieces[-1][1], pieces[-1][1] + width, self.spec)
+                pieces += _fit_span(self.setup, pieces[-1][1], pieces[-1][1] + width[left], self.spec)
         coefs = np.array([np.pad(c, (0, max(p[2].size for p in pieces) - c.size)) for _, _, c, _, _ in pieces])
         return np.array([p[0] for p in pieces] + [pieces[-1][1]]), coefs
 
     def invert(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Invert an array of targets; returns (thetas, clamp mask).
 
-        A target within ``CLAMP_MARGIN`` of -+limit solves h_L = -+(limit -
-        margin) on ``mean_response`` itself (``_root``). The rest go to
-        ``kernels.invert_h_targets`` on one fine series (``fit``),
-        ``INVERT_CHUNK`` at a time, so only one chunk's working set is held
-        besides the results, which do not depend on the chunk size.
+        Every target goes to ``kernels.invert_h_targets`` on one fine series
+        (``fit``), ``INVERT_CHUNK`` at a time, so only one chunk's working
+        set is held besides the results, which do not depend on the chunk
+        size. A target within ``CLAMP_MARGIN`` of -+limit is clamped: it
+        solves h_L = -+(limit - margin), on pieces the fit adds beyond the
+        span of the unclamped targets.
         """
         shape, targets = np.shape(targets), np.asarray(targets, dtype=np.float64).reshape(-1)
         bound = self.limit - CLAMP_MARGIN
         clamped = (targets <= -bound) | (targets >= bound)
-        thetas, inner = np.empty(targets.shape), ~clamped
-        if inner.any():
-            t_min = np.min(targets, where=inner, initial=math.inf)
-            edges, coefs = self.fit(t_min, np.max(targets, where=inner, initial=-math.inf))
-            for chunk in (slice(i, i + INVERT_CHUNK) for i in range(0, targets.size, INVERT_CHUNK)):
-                solve = inner[chunk]
-                thetas[chunk][solve] = kernels.invert_h_targets(coefs, edges, targets=targets[chunk][solve])
-        for side, value in ((targets <= -bound, -bound), (targets >= bound, bound)):
-            if side.any():
-                thetas[side] = self._root(value)
+        # The span of the unclamped targets (of the clamp values if there is
+        # none) starts the fit; the clamp values only extend its ends.
+        ends = (max(float(np.min(targets)), -bound), min(float(np.max(targets)), bound))
+        inner = ~clamped
+        span = sorted([np.min(targets, where=inner, initial=ends[1]), np.max(targets, where=inner, initial=ends[0])])
+        edges, coefs = self.fit(*span, ends)
+        thetas = np.empty(targets.shape)
+        for chunk in (slice(i, i + INVERT_CHUNK) for i in range(0, targets.size, INVERT_CHUNK)):
+            thetas[chunk] = kernels.invert_h_targets(coefs, edges, targets=np.clip(targets[chunk], -bound, bound))
         return thetas.reshape(shape), clamped.reshape(shape)
-
-    def _root(self, target: float) -> float:
-        """theta with ``mean_response`` = target: steps from the setup's theta,
-        each four times the last, until one passes the target, then bisection
-        of that step until no float lies strictly inside."""
-        g = lambda theta: mean_response(self.setup, theta, self.spec) - target
-        x = self.setup.theta
-        y = x + (1.0 if g(x) < 0.0 else -1.0)
-        while (y > x) == (g(y) < 0.0):
-            x, y = y, y + 4.0 * (y - x)
-            if abs(y) > 1e18:
-                raise NumericsError(f"no theta within 1e18 brings the mean response to {target!r}")
-        while x != (m := 0.5 * (x + y)) != y:
-            x, y = (m, y) if (g(m) < 0.0) == (x < y) else (x, m)
-        return m
 
 
 def build_flat_response(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FlatResponse:

@@ -233,8 +233,10 @@ def invert_h_targets(coefs: np.ndarray, edges: np.ndarray, *, targets: np.ndarra
     with their edges among them, puts each target in a cell of one piece;
     linear interpolation there seeds Newton steps on that piece's series,
     kept inside the bracket the residual signs narrow (bisection where a
-    step would leave it), until a step moves it by at most 4 ulp of
-    max(1, |theta|). A target's iterates depend on its own values alone.
+    step would leave it), until a step moves it by at most u = 4 ulp of
+    max(1, |theta|) or the bracket is at most 4 u wide: where the series'
+    rounding noise over its slope exceeds u, the iterates cycle between
+    the bracket's ends. A target's iterates depend on its own values alone.
     """
     per_piece = max(2, SEED_POINTS // (edges.size - 1))
     grid_x = np.unique(np.concatenate([np.linspace(a, b, per_piece) for a, b in zip(edges[:-1], edges[1:])]))
@@ -256,7 +258,8 @@ def invert_h_targets(coefs: np.ndarray, edges: np.ndarray, *, targets: np.ndarra
         lo, hi = np.where(fx < 0.0, x, lo), np.where(fx < 0.0, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = x - fx / eval_series(coefs, edges, x, piece, derivative=True)
-        live = ~(np.abs(step - x) <= 4.0 * np.spacing(np.maximum(np.abs(x), 1.0)))
+        u = 4.0 * np.spacing(np.maximum(np.abs(x), 1.0))
+        live = ~((np.abs(step - x) <= u) | (hi - lo <= 4.0 * u))
         step = np.where((lo <= step) & (step <= hi) | ~live, step, 0.5 * (lo + hi))
         thetas[active] = np.minimum(np.maximum(step, lo), hi)
         active, x, lo, hi, piece, t = active[live], step[live], lo[live], hi[live], piece[live], t[live]

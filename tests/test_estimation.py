@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import jarque_bera
 
@@ -179,6 +180,35 @@ class TestAsymptoticVariance:
         w32, _ = minimize_scalar(asv_of_omega, 0.3, 3.0, 32)
         w64, _ = minimize_scalar(asv_of_omega, 0.3, 3.0, 64)
         assert abs(w32 - w64) <= (3.0 - 0.3) / 32.0
+
+    def test_one_quadrature_per_call(self, monkeypatch):
+        """E[f], E[f^2] and the slope E[f'] share one vector-valued quadrature."""
+        for kind in noise.NOISE_KINDS:
+            setup = _setup(noise=noise.NoiseModel(kind, 1.0), transmit=tx.rational_fn(3.0))
+            assert len(_recorded_quadratures(monkeypatch, lambda: est.asymptotic_variance(setup))) == 1
+
+    @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
+    @pytest.mark.parametrize("make", [tx.tanh_fn, tx.gudermannian_fn, tx.rational_fn])
+    def test_slope_matches_a_scipy_quadrature(self, monkeypatch, kind, make):
+        """The slope E[f'(1 + n)] over the truncated support, at ten omega in
+        [0.3, 3], lies within 1e-13 of ``scipy.integrate.quad`` split at the
+        transition, at 3 and 30 widths from it, at the density's center and
+        at powers of ten (within 1.7e-16 of an mpmath reference). Integrated
+        on a mesh of its own, Cauchy noise's slope missed by up to 1.8e-3
+        (rational omega = 3) and Laplacian noise's by 6.5e-14."""
+        model = noise.NoiseModel(kind, 1.0)
+        t = numerics.tail_truncation(model, numerics.DEFAULT_QUADRATURE.tail_mass)
+        for omega in np.linspace(0.3, 3.0, 10).tolist():
+            f = make(omega)
+            setup = _setup(noise=model, transmit=f)
+            # The slope is the last component of the last quadrature.
+            value, _, _ = _recorded_quadratures(monkeypatch, lambda: est.asymptotic_variance(setup))[-1]
+            slope = np.atleast_1d(value)[-1]
+            inner = {0.0, *(k / omega - 1.0 for k in (0, -30, -3, 3, 30)), *(s * 10.0**k for k in range(1, 16) for s in (-1, 1))}
+            cuts = [-t, *sorted(x for x in inner if -t < x < t), t]
+            g = lambda n: float(tx.derivative(f, 1.0 + n)) * float(noise.pdf(model, np.array([n]))[0])
+            reference = sum(quad(g, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0] for a, b in zip(cuts[:-1], cuts[1:]))
+            assert abs(slope - reference) <= 1e-13, (omega, slope, reference)
 
     def test_matches_mc_variance_at_large_L(self):
         """L*var over 1e4 trials within 10% of the limit value at L=500."""
@@ -361,8 +391,8 @@ class TestChebyshevResponse:
 
     def test_chunked_inversion_matches_one_kernel_call(self, monkeypatch):
         """Chunks of 7 targets give the bits of one ``invert_h_targets``
-        call: every target iterates on its own values, on one fine series.
-        The two clamped targets, in the last chunk, skip the kernel."""
+        call: every target, the two clamped ones in the last chunk too,
+        iterates on its own values, on one fine series."""
         setup = _setup(transmit=tx.rational_fn(2.7), L=40)
         flat = est.build_flat_response(setup)
         targets = np.concatenate([harness.run_signal_statistics(setup, 100, 8)["z_targets"], [-1.0, 1.0]])
@@ -378,31 +408,40 @@ class TestChebyshevResponse:
         whole, whole_clamped = flat.invert(targets)
         monkeypatch.setattr(est, "INVERT_CHUNK", 7)
         chunked, chunked_clamped = flat.invert(targets)
-        assert calls == [100] + [7] * 14 + [2]
+        assert calls == [102] + [7] * 14 + [4]
         assert whole_clamped.sum() == 2
         assert np.array_equal(whole_clamped, chunked_clamped)
         assert whole.tobytes() == chunked.tobytes()
 
     def test_clamped_targets_are_solved_on_the_mean_response(self, monkeypatch):
         """The clamp values c - 1e-9 of the slowly saturating rational curve
-        are reached only near |theta| ~ 4e8; they are solved on
-        ``mean_response`` itself, so the fine series still spans only the
-        unclamped targets."""
+        are reached only near |theta| ~ 4e8. The fit starts from the span of
+        the unclamped targets alone and adds pieces beyond it up to the
+        clamp values; every target, clamped or not, is solved on that one
+        series, and the clamped thetas bring ``mean_response`` itself to
+        the clamp values."""
         setup = _setup(transmit=tx.rational_fn(2.7))
         flat = est.build_flat_response(setup)
         targets = np.concatenate([harness.run_signal_statistics(setup, 4000, 31)["z_targets"], [-1.0, 1.0]])
-        spans = []
-        invert = kernels.invert_h_targets
+        spans, series = [], []
+        fit_span, invert = est._fit_span, kernels.invert_h_targets
+
+        def recording_span(setup, lo, hi, spec):
+            spans.append(hi - lo)
+            return fit_span(setup, lo, hi, spec)
 
         def recording(coefs, edges, *, targets):
-            spans.append(edges[-1] - edges[0])
+            series.append(edges)
             return invert(coefs, edges, targets=targets)
 
+        monkeypatch.setattr(est, "_fit_span", recording_span)
         monkeypatch.setattr(kernels, "invert_h_targets", recording)
         thetas, clamped = flat.invert(targets)
         monkeypatch.undo()
         assert clamped.sum() == 2
-        assert max(spans) < 2.0
+        assert spans[0] < 2.0
+        assert len(series) == 2 and all(edges is series[0] for edges in series)
+        assert series[0][0] < -1e8 and series[0][-1] > 1e8
         margin = flat.limit - est.CLAMP_MARGIN
         assert abs(thetas[-1]) > 1e8
         residual = [est.mean_response(setup, theta) for theta in thetas[clamped]] - np.array([-margin, margin])
@@ -410,6 +449,47 @@ class TestChebyshevResponse:
         inner = np.flatnonzero(~clamped)[::80]
         residual = [est.mean_response(setup, theta) for theta in thetas[inner]] - targets[inner]
         assert np.max(np.abs(residual)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "model, f",
+        [
+            (GAUSS, tx.tanh_fn(0.75)),
+            (GAUSS, tx.rational_fn(2.7)),
+            (noise.cauchy(1.0), tx.tanh_fn(0.75)),
+            (noise.cauchy(1.0), tx.rational_fn(1.0)),
+        ],
+        ids=["gaussian-tanh", "gaussian-rational", "cauchy-tanh", "cauchy-rational"],
+    )
+    def test_clamp_values_are_solved_on_the_series(self, model, f):
+        """Two clamped targets and an inner one: the ends of the fit reach
+        h = -+(limit - margin) at |theta| of 15 (tanh) to 1.6e9 (Cauchy
+        noise, rational curve), and the series' thetas bring
+        ``mean_response`` within 4 ulp of the clamp values."""
+        setup = _setup(noise=model, transmit=f, L=40)
+        flat = est.build_flat_response(setup)
+        thetas, clamped = flat.invert(np.array([-1.0, 1.0, 0.3]))
+        assert list(clamped) == [True, True, False]
+        margin = flat.limit - est.CLAMP_MARGIN
+        residual = [est.mean_response(setup, theta) for theta in thetas] - np.array([-margin, margin, 0.3])
+        assert np.all(np.abs(residual[:2]) <= 4 * np.spacing(margin))
+        assert abs(residual[2]) <= 1e-14
+
+    def test_each_end_doubles_its_own_width(self):
+        """Both ends of the fit extend to the clamp values, each by pieces
+        twice as wide as its last one, so every piece chops. With one width
+        shared by both ends, the right end's first piece was [0.63, 4.4e8],
+        whose series did not chop within degree 1024 (tail 6.4e-4)."""
+        setup = _setup(transmit=tx.rational_fn(2.7), L=40)
+        flat = est.build_flat_response(setup)
+        bound = flat.limit - est.CLAMP_MARGIN
+        edges, coefs = flat.fit(0.3, 0.3, (-bound, bound))
+        widths = np.diff(edges)
+        k = int(np.argmin(widths))
+        assert 0 < k < widths.size - 1
+        assert widths[:k] == pytest.approx(2.0 * widths[1 : k + 1], rel=1e-9)
+        assert widths[k + 1 :] == pytest.approx(2.0 * widths[k:-1], rel=1e-9)
+        ends = kernels.eval_series(coefs, edges, edges[[0, -1]])
+        assert ends[0] <= -bound and ends[1] >= bound
 
     def test_build_makes_one_quadrature_per_sigma_band(self, monkeypatch):
         """The coarse fit's 17 samples and the band quadrature of the

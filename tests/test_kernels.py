@@ -35,11 +35,15 @@ class TestTransmitKernels:
         assert np.array_equal(kernels.eval_transmit(f, x=x[0]), kernels.eval_transmit(f, x=x)[0])
 
 
+# (noise, curve, L, seed of the 1500 Monte Carlo targets). At "cauchy-cycle"
+# the series' rounding noise over its slope exceeds 4 ulp at one target,
+# whose Newton iterates cycle between two floats (residuals +-3.3e-16).
 SETUPS = {
-    "gaussian": (noise.gaussian(1.0), tx.tanh_fn(1.0)),
-    "cauchy": (noise.cauchy(1.0), tx.tanh_fn(0.75)),
-    "fig4-rational": (noise.gaussian(1.0), tx.rational_fn(3.0)),
-    "laplacian-quantizer": (noise.laplacian(1.0), tx.uniform_quantizer_fn(2.0, 5)),
+    "gaussian": (noise.gaussian(1.0), tx.tanh_fn(1.0), 200, 17),
+    "cauchy": (noise.cauchy(1.0), tx.tanh_fn(0.75), 200, 17),
+    "cauchy-cycle": (noise.cauchy(1.0), tx.tanh_fn(0.75), 20, 2),
+    "fig4-rational": (noise.gaussian(1.0), tx.rational_fn(3.0), 200, 17),
+    "laplacian-quantizer": (noise.laplacian(1.0), tx.uniform_quantizer_fn(2.0, 5), 200, 17),
 }
 
 
@@ -47,10 +51,10 @@ SETUPS = {
 def series(request):
     """(edges, coefficient rows, targets): the fine series a setup's
     Monte Carlo targets are inverted on, and those targets."""
-    model, f = SETUPS[request.param]
-    setup = est.EstimationSetup(1.0, 200, est.constant_sigmas(1.0), model, f, 10.0, 1.0)
+    model, f, L, seed = SETUPS[request.param]
+    setup = est.EstimationSetup(1.0, L, est.constant_sigmas(1.0), model, f, 10.0, 1.0)
     flat = est.build_flat_response(setup)
-    targets = harness.run_signal_statistics(setup, 1500, 17)["z_targets"]
+    targets = harness.run_signal_statistics(setup, 1500, seed)["z_targets"]
     targets = np.clip(targets, -flat.limit + est.CLAMP_MARGIN, flat.limit - est.CLAMP_MARGIN)
     edges, coefs = flat.fit(targets.min(), targets.max())
     return edges, coefs, targets
@@ -88,9 +92,11 @@ class TestSeriesInversion:
 
     def test_three_evaluations_per_target(self, series, monkeypatch):
         """One pass over the seed grid, then Newton steps from each target's
-        linear seed: the third step moves most targets by at most 4 ulp. The
-        frozen mesh's Illinois loop made about three evaluations of every
-        node per target."""
+        linear seed: the third step moves most targets by at most 4 ulp, and
+        a target whose iterates cycle stops once its bracket is that narrow
+        (at "cauchy-cycle" one target ran to the 100-step cap without that
+        rule). The frozen mesh's Illinois loop made about three evaluations
+        of every node per target."""
         edges, coefs, targets = series
         _, sizes = _evaluations(monkeypatch, edges, coefs, targets)
         assert sizes[0] <= kernels.SEED_POINTS + edges.size
