@@ -441,21 +441,17 @@ def matched_density(f, spec: QuadratureSpec = DEFAULT_QUADRATURE):
         feval = lambda x: np.asarray(f(np.asarray(x, dtype=np.float64)), dtype=np.float64)
         kinks = ()
 
-    def antiderivative_at(t: float) -> float:
-        lo, hi = (0.0, t) if t >= 0.0 else (t, 0.0)
-        if lo == hi:
-            return 0.0
-        val, _, _ = adaptive_quadrature(
-            feval,
-            lo,
-            hi,
-            rel_tol=spec.rel_tol,
+    def integrate(fun, a, b, rel_tol, context):
+        return adaptive_quadrature(
+            fun,
+            a,
+            b,
+            rel_tol=rel_tol,
             abs_tol=spec.abs_tol,
             breakpoints=kinks,
             max_subdivisions=spec.max_subdivisions,
-            context="antiderivative of transmit curve",
+            context=context,
         )
-        return val if t >= 0.0 else -val
 
     # The density is integrable only if A(x) climbs without bound on both
     # sides; 46 nats leaves the truncated tail below 1e-20 of the mass.
@@ -463,7 +459,9 @@ def matched_density(f, spec: QuadratureSpec = DEFAULT_QUADRATURE):
     for sign in (1.0, -1.0):
         t = 1.0
         while t <= 2**40:
-            if antiderivative_at(sign * t) >= 46.0:
+            lo, hi = sorted((0.0, sign * t))
+            value, _, _ = integrate(feval, lo, hi, spec.rel_tol, "antiderivative of transmit curve")
+            if sign * value >= 46.0:
                 break
             t *= 2.0
         else:
@@ -474,72 +472,22 @@ def matched_density(f, spec: QuadratureSpec = DEFAULT_QUADRATURE):
     t_plus, t_minus = supports
 
     # Freeze A on a refined mesh: panel integrals of f accumulate exactly,
-    # and point evaluations finish with a single panel from the nearest
-    # left edge.
-    _, _, edges = adaptive_quadrature(
-        feval,
-        t_minus,
-        t_plus,
-        rel_tol=min(spec.rel_tol, 1e-10),
-        abs_tol=spec.abs_tol,
-        breakpoints=kinks,
-        max_subdivisions=spec.max_subdivisions,
-        context="matched density antiderivative mesh",
-    )
+    # and each abscissa adds one signed panel from the last edge at or
+    # below it (the first edge, integrated backwards, below the mesh).
+    fine = min(spec.rel_tol, 1e-10)
+    _, _, edges = integrate(feval, t_minus, t_plus, fine, "matched density antiderivative mesh")
     edges = np.unique(np.concatenate([edges, np.linspace(t_minus, t_plus, 257), [0.0]]))
     panel_vals, _ = _gk15_batch(feval, edges[:-1], edges[1:])
     cumulative = np.concatenate([[0.0], np.cumsum(panel_vals)])
     origin = float(np.interp(0.0, edges, cumulative))
 
-    def antiderivative(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        flat = x.ravel()
-        clipped = np.clip(flat, edges[0], edges[-1])
-        idx = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, edges.size - 2)
-        lefts = edges[idx]
-        partial = np.zeros(flat.size)
-        nontrivial = clipped > lefts
-        if nontrivial.any():
-            vals, _ = _gk15_batch(feval, lefts[nontrivial], clipped[nontrivial])
-            partial[nontrivial] = vals
-        inner = cumulative[idx] + partial - origin
-        # Outside the frozen mesh the curve is extended with one panel; f is
-        # saturated there for every built-in kind.
-        outside = flat != clipped
-        if outside.any():
-            lo_side = flat < edges[0]
-            ext = np.zeros(flat.size)
-            if lo_side.any():
-                vals, _ = _gk15_batch(feval, flat[lo_side], np.full(lo_side.sum(), edges[0]))
-                ext[lo_side] = -vals
-            hi_side = outside & ~lo_side
-            if hi_side.any():
-                vals, _ = _gk15_batch(feval, np.full(hi_side.sum(), edges[-1]), flat[hi_side])
-                ext[hi_side] = vals
-            inner = inner + ext
-        return inner.reshape(x.shape)
-
     def unnormalized(x):
-        return np.exp(-antiderivative(x))
+        x = np.asarray(x, dtype=np.float64)
+        idx = np.maximum(np.searchsorted(edges, x.ravel(), side="right") - 1, 0)
+        partial, _ = _gk15_batch(feval, edges[idx], x.ravel())
+        return np.exp(-(cumulative[idx] + partial - origin)).reshape(x.shape)
 
-    mass, _, _ = adaptive_quadrature(
-        unnormalized,
-        t_minus,
-        t_plus,
-        rel_tol=min(spec.rel_tol, 1e-10),
-        abs_tol=spec.abs_tol,
-        breakpoints=kinks,
-        max_subdivisions=spec.max_subdivisions,
-        context="matched density normalization",
-    )
+    mass, _, _ = integrate(unnormalized, t_minus, t_plus, fine, "matched density normalization")
     if not (mass > 0.0 and np.isfinite(mass)):
         raise NonNormalizableError(f"normalization integral is {mass!r}")
-
-    def density(x):
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        out = unnormalized(np.asarray(x, dtype=np.float64)) / mass
-        if scalar:
-            return float(out)
-        return out
-
-    return density
+    return lambda x: unnormalized(x) / mass

@@ -16,7 +16,8 @@ E[f^k(theta + sigma n)] where each sigma's own value is needed. The
 estimator inverts whole target arrays at once, on a Chebyshev series of h_L
 fitted to that band quadrature over the targets' theta range and chopped at
 1e-13 (``FlatResponse``); a kernel solves each target on the series by
-Newton steps from a 513-point monotone seed grid.
+Newton steps from a monotone seed grid of about 513 points, spread over the
+series' pieces by each piece's rise in h.
 
 Memory does not grow with L for a constant sigma sequence: ``resolve``
 returns one value broadcast to L entries, ``distinct`` skips the sort, and
@@ -519,6 +520,8 @@ class FlatResponse:
         shape, targets = np.shape(targets), np.asarray(targets, dtype=np.float64).reshape(-1)
         bound = self.limit - CLAMP_MARGIN
         clamped = (targets <= -bound) | (targets >= bound)
+        if targets.size == 0:
+            return np.empty(shape), clamped.reshape(shape)
         # The span of the unclamped targets (of the clamp values if there is
         # none) starts the fit; the clamp values only extend its ends.
         ends = (max(float(np.min(targets)), -bound), min(float(np.max(targets)), bound))

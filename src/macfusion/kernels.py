@@ -229,8 +229,9 @@ def invert_h_targets(coefs: np.ndarray, edges: np.ndarray, *, targets: np.ndarra
     series ``coefs`` on ``edges`` (``eval_series``), whose end values must
     bracket every target.
 
-    A nondecreasing grid of ``SEED_POINTS`` points, spread over the pieces
-    with their edges among them, puts each target in a cell of one piece;
+    A nondecreasing grid of about ``SEED_POINTS`` points, spread over the
+    pieces by each one's share of the rise in p (at least 2 a piece) with
+    their edges among them, puts each target in a cell of one piece;
     linear interpolation there seeds Newton steps on that piece's series,
     kept inside the bracket the residual signs narrow (bisection where a
     step would leave it), until a step moves it by at most u = 4 ulp of
@@ -238,8 +239,11 @@ def invert_h_targets(coefs: np.ndarray, edges: np.ndarray, *, targets: np.ndarra
     rounding noise over its slope exceeds u, the iterates cycle between
     the bracket's ends. A target's iterates depend on its own values alone.
     """
-    per_piece = max(2, SEED_POINTS // (edges.size - 1))
-    grid_x = np.unique(np.concatenate([np.linspace(a, b, per_piece) for a, b in zip(edges[:-1], edges[1:])]))
+    # A piece's rise p(b) - p(a) is twice the sum of its odd coefficients;
+    # dividing before scaling leaves a lone piece exactly SEED_POINTS.
+    rise = 2.0 * coefs[:, 1::2].sum(axis=1)
+    counts = np.maximum(2, (rise / rise.sum() * SEED_POINTS).astype(int))
+    grid_x = np.unique(np.concatenate([np.linspace(a, b, n) for a, b, n in zip(edges[:-1], edges[1:], counts)]))
     grid_h = np.maximum.accumulate(eval_series(coefs, edges, grid_x))
     idx = np.clip(np.searchsorted(grid_h, targets, side="left"), 1, grid_x.size - 1)
     lo, hi = grid_x[idx - 1], grid_x[idx]

@@ -358,6 +358,23 @@ class TestMatchedDensity:
         ref = 0.5 * np.exp(-np.abs(x))
         assert np.max(np.abs(density(x) - ref)) < 1e-8
 
+    @pytest.mark.parametrize(
+        "f, reference",
+        [
+            (tx.tanh_fn(1.0), lambda x: 1.0 / (np.pi * np.cosh(x))),
+            (lambda x: np.sign(x), lambda x: 0.5 * np.exp(-np.abs(x))),
+        ],
+        ids=["tanh-sech", "sign-laplace"],
+    )
+    def test_density_beyond_the_mesh(self, f, reference):
+        """The frozen mesh ends where A reaches 46 nats (|x| = 64 for both
+        curves); beyond it one panel runs from the mesh's end edge, the
+        first one backwards."""
+        density = det.matched_density(f)
+        x = np.array([-300.0, -100.0, -64.5, 64.5, 100.0, 300.0])
+        assert np.max(np.abs(density(x) / reference(x) - 1.0)) < 1e-9
+        assert [density(v) for v in x] == pytest.approx(reference(x), rel=1e-9)
+
     @pytest.mark.parametrize("model", [noise.gaussian(1.0), noise.laplacian(1.0)])
     def test_score_density_round_trip(self, model):
         """matched_density(score of p) reproduces p on [-10, 10]."""

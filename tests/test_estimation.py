@@ -389,6 +389,35 @@ class TestChebyshevResponse:
         h = [est.mean_response(setup, theta, spec) for theta in thetas]
         assert h == pytest.approx([margin, -margin, 0.5], abs=1e-12)
 
+    def test_empty_targets_invert_without_a_fit(self, monkeypatch):
+        flat = est.build_flat_response(_setup(L=40))
+        monkeypatch.setattr(est.FlatResponse, "fit", lambda *args: pytest.fail("fitted a series for no target"))
+        thetas, clamped = flat.invert(np.array([]))
+        assert thetas.shape == clamped.shape == (0,)
+        assert clamped.dtype == bool
+
+    def test_clamp_pieces_do_not_thin_the_seed_grid(self, monkeypatch):
+        """Two clamped targets add pieces out to |theta| ~ 4e8 over which h
+        rises by little; the seed grid follows the rise in h, so the 2,000
+        other targets keep their cells and the series evaluations (values
+        and slopes) grow by at most 5%."""
+        setup = _setup(transmit=tx.rational_fn(2.7), L=40)
+        flat = est.build_flat_response(setup)
+        targets = harness.run_signal_statistics(setup, 2000, 7)["z_targets"]
+        evaluate, points = kernels.eval_series, []
+
+        def counting(coefs, edges, thetas, piece=None, derivative=False):
+            points.append(np.size(thetas))
+            return evaluate(coefs, edges, thetas, piece, derivative)
+
+        monkeypatch.setattr(kernels, "eval_series", counting)
+        flat.invert(targets)
+        plain = sum(points)
+        points.clear()
+        _, clamped = flat.invert(np.concatenate([targets, [-1.0, 1.0]]))
+        assert clamped.sum() == 2
+        assert sum(points) <= 1.05 * plain
+
     def test_chunked_inversion_matches_one_kernel_call(self, monkeypatch):
         """Chunks of 7 targets give the bits of one ``invert_h_targets``
         call: every target, the two clamped ones in the last chunk too,
