@@ -159,18 +159,17 @@ def _transition_width(f: tx.TransmitFunction) -> float:
     return 1.0
 
 
-def _moment_breakpoints(noise: NoiseModel, f: tx.TransmitFunction, sigmas, thetas) -> list[float]:
-    """Breakpoints in n of every density integral of f(theta + sigma n)^k p(n),
-    at each theta of a scalar or array ``thetas``; the quadrature keeps those
-    inside its interval. The density's kinks (``noise.breakpoints``: n = 0
-    for Laplacian noise and for a mixture of its scales) come first, then
-    f's kinks, mapped exactly for every sigma. For smooth kinds the
-    transition center and a few width multiples of the smallest and the
-    largest sigma are seeded, so large sigma cannot hide the feature from the
-    first refinement rounds; the transitions of the sigmas in between lie
-    among those seeds.
+def _moment_breakpoints(f: tx.TransmitFunction, sigmas, thetas) -> list[float]:
+    """f's breakpoints in n of every density integral of f(theta + sigma n)^k p(n),
+    at each theta of a scalar or array ``thetas``; ``expect`` adds the
+    density's, and the quadrature keeps those inside its interval. f's kinks
+    are mapped exactly for every sigma. For smooth kinds the transition
+    center and a few width multiples of the smallest and the largest sigma
+    are seeded, so large sigma cannot hide the feature from the first
+    refinement rounds; the transitions of the sigmas in between lie among
+    those seeds.
     """
-    pts = list(breakpoints(noise))
+    pts = []
     for theta in np.atleast_1d(thetas).tolist():
         pts += [(b - theta) / sigma for sigma in sigmas for b in tx.breakpoints(f)]
         for sigma in {min(sigmas), max(sigmas)}:
@@ -210,7 +209,7 @@ def _g_moments_cached(
         noise,
         g,
         spec,
-        breakpoints=_moment_breakpoints(noise, f, sigmas, theta),
+        breakpoints=_moment_breakpoints(f, sigmas, theta),
         context=f"E[f^{power}(theta + sigma n)] at {_sigma_label(sigmas)}, theta={theta}",
     )
     values.flags.writeable = False
@@ -296,7 +295,7 @@ def _band_responses(setup: EstimationSetup, theta, spec: QuadratureSpec, mass: b
             setup.noise,
             lambda n: (np.vstack([rows(n), np.ones(n.size)]) if mass else rows(n)) * ratio(n),
             spec,
-            breakpoints=_moment_breakpoints(setup.noise, f, (s,), theta),
+            breakpoints=_moment_breakpoints(f, (s,), theta),
             context=f"the mean response at {_sigma_label(sigmas)}, theta={'each theta' if np.ndim(theta) else theta}",
         )
 
@@ -352,7 +351,7 @@ def asymptotic_variance(setup: EstimationSetup, spec: QuadratureSpec = DEFAULT_Q
         setup.noise,
         moments,
         spec,
-        breakpoints=_moment_breakpoints(setup.noise, f, (1.0,), theta),
+        breakpoints=_moment_breakpoints(f, (1.0,), theta),
         context=f"E[f, f^2, f'](theta + n) at theta={theta}",
     ).tolist()
     noise_part = second - mean * mean + setup.channel_noise_var / setup.total_power

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import NoiseModel, pdf, tail_truncation
+from .noise import NoiseModel, pdf, tail_truncation, breakpoints as noise_breakpoints
 from .transmit import FieldError
 
 
@@ -237,14 +237,17 @@ def expect(
 
     ``g`` must be vectorized over a 1-D array; it may return a
     (components, points) array, and then the result is an array of one
-    expectation per component. Callers integrating a discontinuous ``g``
-    (quantizer cells) pass the kink locations through ``breakpoints``.
+    expectation per component. ``breakpoints`` are the kinks of ``g``; the
+    first mesh adds the density's (``noise.breakpoints``) and an edge at
+    +-scale * 10**k per decade k >= 1 inside the truncation point, so a heavy
+    tail is sampled decade by decade, whatever the tolerance.
     """
     t = tail_truncation(model, spec.tail_mass)
     if not math.isfinite(t * t):
         # The Cauchy density and every second moment square the abscissa.
         message = f"tail truncation point {t!r} of {model} at tail mass {spec.tail_mass!r} has no finite square"
         raise NumericsError(message)
+    decades = [s * 10.0**k for k in range(1, int(math.log10(t / model.scale)) + 1) for s in (-model.scale, model.scale)]
 
     def integrand(x):
         return np.asarray(g(x), dtype=np.float64) * pdf(model, x)
@@ -255,7 +258,7 @@ def expect(
         t,
         rel_tol=spec.rel_tol,
         abs_tol=spec.abs_tol,
-        breakpoints=breakpoints,
+        breakpoints=[*breakpoints, *noise_breakpoints(model), *decades],
         max_subdivisions=spec.max_subdivisions,
         context=context or "density expectation",
     )

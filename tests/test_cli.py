@@ -705,6 +705,22 @@ class TestMeshValidationMessage:
         assert "did not chop within degree 16: its last coefficients reach" in err
 
 
+class TestCoarseQuadratureTolerance:
+    @pytest.mark.parametrize("rel_tol", ["1e-7", "1e-6", "1e-5", "1e-3"])
+    def test_cauchy_consistency_runs_at_every_accepted_tolerance(self, tmp_path, rel_tol):
+        """A coarse tolerance under Cauchy noise left h_L samples off by up to
+        0.64, so the series never chopped: exit 3 ("did not chop within
+        degree 1024: its last coefficients reach 0.00015"). The median error
+        must now lie within 10 * rel_tol of the default-tolerance run's: h_L
+        is within rel_tol * max(1, |h|) of its exact value and its slope
+        exceeds 0.1 over the targets, so no estimate moves further."""
+        args = ["run", "consistency", "--set", "trials=40", "--set", "L_values=[100]"]
+        assert _run(args + ["--out", str(tmp_path / "default.csv")]) == 0
+        assert _run(args + ["--out", str(tmp_path / "x.csv"), "--set", f'quadrature={{"rel_tol": {rel_tol}}}']) == 0
+        (default,), (row,) = read_csv(str(tmp_path / "default.csv"))[1], read_csv(str(tmp_path / "x.csv"))[1]
+        assert abs(float(row[1]) - float(default[1])) <= 10.0 * float(rel_tol)
+
+
 class TestSigmaBandCost:
     def test_sqrt_growth_consistency_samples_few_band_thetas(self, tmp_path, monkeypatch):
         """One quadrature per sigma band: h_L is sampled at 250 (theta, band)

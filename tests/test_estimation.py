@@ -120,6 +120,59 @@ class TestMeanResponse:
         assert a == b  # bit-identical by the dedup construction
 
 
+ACCEPTED_TOLS = (1e-3, 1e-5, 1e-7, 1e-8, 1e-9)
+
+
+class TestAccuracyAtEveryTolerance:
+    """Every ``quadrature.rel_tol`` the schema accepts holds: at each of them
+    h_L and E f^2 lie within max(rel_tol, 1e-12) * max(1, |value|) of the
+    same quantity at rel_tol 1e-13, over the grid below (bound fixed before
+    the first run). Under Cauchy noise one first panel spanned the eleven
+    decades between the density's body and the truncation point ~6.4e11,
+    and a coarse tolerance accepted it unsampled: h_L was off by up to 0.64
+    at rel_tol 1e-3 and by 0.057 at 1e-8."""
+
+    @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
+    @pytest.mark.parametrize("make", [tx.tanh_fn, tx.gudermannian_fn, tx.rational_fn], ids=["tanh", "gd", "rational"])
+    def test_mean_response_and_second_moment(self, kind, make):
+        model = noise.NoiseModel(kind, 1.0)
+        worst = []
+        clear_moment_cache()
+        try:
+            for omega in (0.3, 0.75, 3.0):
+                f = make(omega)
+                for sigma in (1.0, 30.0):
+                    setup = _setup(noise=model, transmit=f, sigmas=est.constant_sigmas(sigma), L=20)
+                    for theta in (0.0, 1.0, 4.0):
+                        quantities = {
+                            "h": lambda spec: est.mean_response(setup, theta, spec),
+                            "E f^2": lambda spec: est.g_moment(model, f, sigma, theta, 2, spec),
+                        }
+                        for name, value in quantities.items():
+                            exact = value(FINE)
+                            for rel_tol in ACCEPTED_TOLS:
+                                gap = abs(value(QuadratureSpec(rel_tol=rel_tol)) - exact)
+                                ratio = gap / (max(rel_tol, 1e-12) * max(1.0, abs(exact)))
+                                worst.append((ratio, name, omega, sigma, theta, rel_tol, gap))
+        finally:
+            clear_moment_cache()
+        assert max(worst)[0] <= 1.0, f"worst (ratio, quantity, omega, sigma, theta, rel_tol, gap): {max(worst)}"
+
+    @pytest.mark.parametrize(
+        "build", [lambda setup: est.mean_response(setup, setup.theta), est.build_flat_response], ids=["mean", "flat"]
+    )
+    def test_cauchy_quadrature_takes_few_rounds(self, build, monkeypatch):
+        """At cauchy-af's setup each quadrature starts with one panel per
+        decade of the tail and takes 4 refinement rounds; one first panel
+        from the last transition seed (theta + 13) to 6.4e11 took 36,
+        bisecting it down to the body."""
+        rounds, batch = [], numerics._gk15_batch
+        monkeypatch.setattr(numerics, "_gk15_batch", lambda *args: rounds.append(1) or batch(*args))
+        setup = _setup(noise=noise.cauchy(1.0), L=100)
+        build(setup)
+        assert 1 <= len(rounds) <= 6
+
+
 class TestEstimate:
     def test_noiseless_round_trip(self):
         setup = _setup()
